@@ -243,8 +243,8 @@ let stability_cycle_bench ~impl ~members ~backlog =
    so encode/decode time and bytes/msg grow with the group; the pc frame
    ships only the vector size plus the origin sequence and stays flat.
    Encode alternates between two identical-shape messages so the one-slot
-   timestamp memo never hits: the row prices the full serialization, not
-   the amortized multicast fan-out. *)
+   frame memo never hits: the row prices the full serialization, not the
+   amortized multicast fan-out. *)
 let codec_micro_section ~smoke =
   let open Bechamel in
   let mk_frame ~impl_str ~n =

@@ -23,7 +23,11 @@ type 'w packet =
 
 type 'w framing = { frame : 'w -> string; unframe : string -> 'w }
 (** Wire codec hooks (see {!Wire_codec}); kept abstract here so the
-    transport stays payload-agnostic. *)
+    transport stays payload-agnostic. Per-copy contract: every {!send}
+    on a framed link calls [frame] exactly once and charges that frame's
+    length to {!wire_bytes_sent}, so an N-destination fan-out makes N
+    calls and charges N frames even when the codec hands back one
+    memoized string for all of them. *)
 
 type 'w t
 

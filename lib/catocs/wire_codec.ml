@@ -6,29 +6,38 @@ exception Corrupt of string
    placeholder views use id -1) go through zigzag; counts, lengths and
    vector-clock components are known non-negative and skip it. *)
 
+(* Loops rather than local recursive helpers: without flambda a local
+   [let rec] that captures the buffer allocates a closure per call, and a
+   64-component gossip vector is 64 calls. *)
 let write_uvarint buf u =
-  let rec go u =
-    let byte = u land 0x7f in
-    let rest = u lsr 7 in
-    if rest = 0 then Buffer.add_char buf (Char.chr byte)
-    else begin
-      Buffer.add_char buf (Char.chr (byte lor 0x80));
-      go rest
-    end
-  in
-  go u
+  let u = ref u in
+  while !u lsr 7 > 0 do
+    Buffer.add_char buf (Char.chr (!u land 0x7f lor 0x80));
+    u := !u lsr 7
+  done;
+  Buffer.add_char buf (Char.chr !u)
+
+(* An int fits in this many 7-bit groups (nine for 63-bit ints). A
+   continuation bit on the last of them announces a group that could only
+   be shifted past the int width into a mangled value, so it is rejected. *)
+let max_varint_bytes = (Sys.int_size + 6) / 7
 
 let read_uvarint b pos =
   let n = Bytes.length b in
-  let rec go shift acc count =
-    if count >= 10 then raise (Corrupt "varint longer than 10 bytes");
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
     if !pos >= n then raise (Corrupt "truncated varint");
     let byte = Char.code (Bytes.get b !pos) in
     incr pos;
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 <> 0 then go (shift + 7) acc (count + 1) else acc
-  in
-  go 0 0 0
+    acc := !acc lor ((byte land 0x7f) lsl !shift);
+    if byte land 0x80 = 0 then more := false
+    else begin
+      shift := !shift + 7;
+      if !shift >= 7 * max_varint_bytes then
+        raise (Corrupt "varint longer than the int width")
+    end
+  done;
+  !acc
 
 let write_varint buf n = write_uvarint buf ((n lsl 1) lxor (n asr 62))
 
@@ -39,8 +48,12 @@ let read_varint b pos =
 (* mirror the writer's logical shift: a zigzagged int with bit 62 set wraps
    negative, and a signed [u < 0x80] test would undercount it as one byte *)
 let uvarint_size u =
-  let rec go u acc = if u lsr 7 = 0 then acc else go (u lsr 7) (acc + 1) in
-  go u 1
+  let u = ref (u lsr 7) and size = ref 1 in
+  while !u > 0 do
+    u := !u lsr 7;
+    incr size
+  done;
+  !size
 
 let varint_size n = uvarint_size ((n lsl 1) lxor (n asr 62))
 
@@ -68,47 +81,36 @@ let string_payload =
         pos := !pos + len;
         s) }
 
+(* One-slot frame memo. A fan-out (a multicast to every member or overlay
+   neighbour, a forward to tree children, a gossip round) encodes the same
+   value once per link; the memo keeps the last frame keyed on the group id
+   and the physical identity of the data record ([Data]) or of the gossip
+   proto value (whose clock is a [Vector_clock.copy] snapshot), so every
+   copy after the first is the cached string. *)
+type 'a memo =
+  | Cold
+  | Data_frame of { group : int; data : 'a Wire.data; frame : string }
+  | Gossip_frame of { group : int; gossip : 'a Wire.proto; frame : string }
+
 type 'a t = {
   payload : 'a payload_codec;
-  mutable memo_vt : Vector_clock.t;
-      (* one-slot timestamp-snapshot cache keyed on physical equality: a
-         multicast allocates its [vt] once ([Vector_clock.copy_tick]) and
-         hands the same immutable vector to every recipient's encode, so
-         the fan-out serializes the timestamp once instead of once per
-         link. Only [Data] timestamps go through the memo — gossip carries
-         the sender's {e live} clock, which mutates under the same physical
-         identity between rounds. *)
-  mutable memo_blob : string;
+  mutable memo : 'a memo;
   body : Buffer.t;  (* scratch: frame body under construction *)
   frame : Buffer.t;  (* scratch: length-prefixed result *)
 }
 
 let create payload =
-  (* the sentinel is a private allocation no caller-held vector can be
-     physically equal to, so the memo starts cold without an option *)
-  { payload; memo_vt = Vector_clock.create 1; memo_blob = "";
-    body = Buffer.create 256; frame = Buffer.create 256 }
+  { payload; memo = Cold; body = Buffer.create 256; frame = Buffer.create 256 }
 
 (* ------------------------------------------------------------------------- *)
 (* Vector timestamps: component count, then each component. *)
 
-let write_vt_fresh buf vt =
+let write_vt buf vt =
   let n = Vector_clock.size vt in
   write_uvarint buf n;
   for i = 0 to n - 1 do
     write_uvarint buf (Vector_clock.get vt i)
   done
-
-let write_vt_memo t buf vt =
-  if t.memo_vt == vt then Buffer.add_string buf t.memo_blob
-  else begin
-    let scratch = Buffer.create 32 in
-    write_vt_fresh scratch vt;
-    let blob = Buffer.contents scratch in
-    t.memo_vt <- vt;
-    t.memo_blob <- blob;
-    Buffer.add_string buf blob
-  end
 
 let read_vt b pos =
   let n = read_uvarint b pos in
@@ -161,12 +163,20 @@ let rec write_data t buf (d : _ Wire.data) =
      write_uvarint buf (Vector_clock.size d.Wire.vt)
    | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _
      ->
-     write_vt_memo t buf d.Wire.vt);
+     write_vt buf d.Wire.vt);
   write_uvarint buf d.Wire.payload_bytes;
   write_varint buf (Sim_time.to_us d.Wire.sent_at);
   t.payload.encode_payload buf d.Wire.payload;
   write_uvarint buf (List.length d.Wire.piggyback);
-  List.iter (write_data t buf) d.Wire.piggyback
+  write_piggyback t buf d.Wire.piggyback
+
+(* not [List.iter (write_data t buf)]: that partial application allocates a
+   closure for every record, and [data_bytes] writes every buffered one *)
+and write_piggyback t buf = function
+  | [] -> ()
+  | d :: rest ->
+    write_data t buf d;
+    write_piggyback t buf rest
 
 let rec read_data t b pos : _ Wire.data =
   let msg_id = read_varint b pos in
@@ -239,7 +249,7 @@ let write_proto t buf (p : _ Wire.proto) =
     Buffer.add_char buf '\002';
     write_varint buf view_id;
     write_varint buf rank;
-    write_vt_fresh buf vc;
+    write_vt buf vc;
     write_varint buf lamport
   | Wire.Flush { new_view_id; survivors; unstable; orders } ->
     Buffer.add_char buf '\003';
@@ -277,7 +287,7 @@ let write_proto t buf (p : _ Wire.proto) =
     Buffer.add_char buf '\009';
     write_varint buf view_id;
     write_varint buf from_rank;
-    write_vt_fresh buf delivered
+    write_vt buf delivered
 
 let read_byte b pos =
   if !pos >= Bytes.length b then raise (Corrupt "truncated tag");
@@ -360,13 +370,44 @@ let read_wire t b pos : _ Wire.t =
     Wire.Proto (group, read_proto t b pos)
   | n -> raise (Corrupt (Printf.sprintf "unknown wire tag %d" n))
 
-let encode t w =
+let build t w =
   Buffer.clear t.body;
   write_wire t t.body w;
   Buffer.clear t.frame;
   write_uvarint t.frame (Buffer.length t.body);
   Buffer.add_buffer t.frame t.body;
   Buffer.contents t.frame
+
+(* the memoized frame of [Proto (group, p)], or [""] — never a real frame,
+   which always carries at least its length prefix *)
+let cached t group (p : _ Wire.proto) =
+  match (t.memo, p) with
+  | Data_frame m, Wire.Data d when m.data == d && Int.equal m.group group ->
+    m.frame
+  | Gossip_frame m, Wire.Gossip _
+    when m.gossip == p && Int.equal m.group group ->
+    m.frame
+  | (Cold | Data_frame _ | Gossip_frame _), _ -> ""
+
+let encode t w =
+  match w with
+  | Wire.Direct _ -> build t w
+  | Wire.Proto (group, p) ->
+    let hit = cached t group p in
+    if String.length hit > 0 then hit
+    else begin
+      let frame = build t w in
+      (match p with
+       | Wire.Data data -> t.memo <- Data_frame { group; data; frame }
+       | Wire.Gossip _ -> t.memo <- Gossip_frame { group; gossip = p; frame }
+       | Wire.Seq_order _ | Wire.Flush _ | Wire.Flush_done _ | Wire.New_view _
+       | Wire.Join_request _ | Wire.State_transfer _ | Wire.Pc_ping _
+       | Wire.Pc_pong _ ->
+         (* one-off control frames (a pong goes to one peer) leave the slot
+            to the fan-out around them *)
+         ());
+      frame
+    end
 
 let decode t s =
   let b = Bytes.unsafe_of_string s in

@@ -17,13 +17,19 @@
     estimate, and relies on the protocol invariant that PC/hybrid stamps
     are nonzero only at the sender's own component.
 
-    Timestamp snapshots are serialized once per multicast, not once per
-    recipient: a one-slot cache keyed on physical identity reuses the
-    encoded blob across the fan-out (multicast timestamps are immutable
-    [copy_tick] snapshots; gossip clocks are live and bypass the cache).
+    A fan-out is serialized once, not once per recipient: a one-slot frame
+    memo keeps the last frame keyed on the group id and the {e physical
+    identity} of the [Data] record, or of the [Gossip] proto value, and
+    {!encode} returns that same string for every further copy. The
+    contract this rests on: a record or gossip handed to {!encode} is
+    never mutated afterwards (multicast stamps are fresh snapshots, gossip
+    clocks are [Vector_clock.copy] snapshots, decoded values are fresh).
+    The memo saves the serialization only: the transport still calls its
+    [frame] hook once per copy and charges every copy's bytes.
 
     Decoding is strict: unknown tags, truncated buffers, over-long varints
-    and trailing garbage all raise {!Corrupt} — never a mangled value. *)
+    (more than nine bytes for a 63-bit int) and trailing garbage all raise
+    {!Corrupt} — never a mangled value. *)
 
 exception Corrupt of string
 
@@ -41,7 +47,7 @@ val string_payload : string payload_codec
 (** Length-prefixed raw bytes. *)
 
 type 'a t
-(** Codec instance: payload codec plus the timestamp memo and scratch
+(** Codec instance: payload codec plus the frame memo and scratch
     buffers. One per process (instances are not thread-safe; under the
     parallel engine each process — and so each codec — is owned by one
     domain). *)
@@ -49,7 +55,9 @@ type 'a t
 val create : 'a payload_codec -> 'a t
 
 val encode : 'a t -> 'a Wire.t -> string
-(** Complete frame, length prefix included. *)
+(** Complete frame, length prefix included. Consecutive encodes of one
+    physical [Data] record or [Gossip] under one group return
+    the memoized string; the bytes are those a fresh codec would produce. *)
 
 val decode : 'a t -> string -> 'a Wire.t
 (** Inverse of {!encode} on exactly one frame; raises {!Corrupt} on any
@@ -63,7 +71,8 @@ val data_bytes : 'a t -> 'a Wire.data -> int
     replacement for {!Wire.buffered_bytes} that {!Stability} charges its
     unstable-bytes gauges with under {!Config.Encoded}. Excludes the
     frame length prefix and group-id envelope: those are per-packet link
-    costs, not buffer contents. *)
+    costs, not buffer contents. Serializes the record into the scratch
+    buffer; it leaves the frame memo alone. *)
 
 (** {2 Varint primitives} — exposed for the round-trip test battery and
     micro-benchmarks. *)
@@ -77,5 +86,8 @@ val write_uvarint : Buffer.t -> int -> unit
 (** Plain LEB128; the argument must be non-negative. *)
 
 val read_uvarint : bytes -> int ref -> int
+(** Raises {!Corrupt} on a truncated varint or one longer than nine bytes
+    (a 63-bit int needs at most nine 7-bit groups). *)
+
 val varint_size : int -> int
 val uvarint_size : int -> int

@@ -3,8 +3,16 @@
    proto constructor, the Direct envelope), plus strict-decoder rejection —
    every truncation of a valid frame, trailing garbage, unknown tags, and
    arbitrary byte soup must raise [Wire_codec.Corrupt], never return a
-   mangled value or escape with another exception. *)
+   mangled value or escape with another exception. The frame memo must be
+   invisible in the bytes, [data_bytes] must equal the serialized record
+   length, and a fan-out must still frame and charge every copy. *)
 
+module Config = Repro_catocs.Config
+module Endpoint = Repro_catocs.Endpoint
+module Group = Repro_catocs.Group
+module Registry = Repro_obs.Registry
+module Stack = Repro_catocs.Stack
+module Transport = Repro_catocs.Transport
 module Wire = Repro_catocs.Wire
 module Wire_codec = Repro_catocs.Wire_codec
 
@@ -264,11 +272,21 @@ let test_unknown_tags_rejected () =
 let test_overlong_varint_rejected () =
   let t = codec () in
   (* eleven continuation bytes: a varint that never terminates within the
-     ten-byte bound must be rejected before it wraps *)
+     nine-byte bound must be rejected before it wraps *)
   let s = String.make 11 '\x80' in
   Alcotest.(check bool)
     "over-long varint rejected" true
-    (is_corrupt (fun () -> Wire_codec.decode t s))
+    (is_corrupt (fun () -> Wire_codec.decode t s));
+  (* A 63-bit int fits in nine 7-bit groups; a tenth group would be shifted
+     by 63 and mangle the value. Both strings once decoded: to -1 and 0. *)
+  let read s = Wire_codec.read_uvarint (Bytes.of_string s) (ref 0) in
+  List.iter
+    (fun (name, s) ->
+      Alcotest.(check bool) name true (is_corrupt (fun () -> read s)))
+    [ ("2^64 - 1 in ten bytes rejected", String.make 9 '\xff' ^ "\x7f");
+      ("2^64 in ten bytes rejected", String.make 9 '\x80' ^ "\x02") ];
+  Alcotest.(check int) "nine bytes carry all 63 bits" (-1)
+    (read (String.make 8 '\xff' ^ "\x7f"))
 
 let test_varint_primitives =
   QCheck.Test.make ~name:"varint round-trip (any int)" ~count:2000
@@ -320,6 +338,225 @@ let test_pc_constant_metadata () =
   Alcotest.(check int) "pc cost flat 4 -> 64" (pc 4) (pc 64);
   Alcotest.(check bool) "bss cost grows 4 -> 64" true (bss 64 > bss 4)
 
+(* --- frame memo and write-free sizing ---------------------------------------- *)
+
+(* ints over the whole range, weighted toward the zigzag corner: a magnitude
+   of at least 2^61 zigzags to a uvarint with bit 62 set *)
+let gen_wide_int =
+  Gen.(
+    frequency
+      [ (3, small_signed_int); (2, int);
+        (1, int_range (1 lsl 61) max_int);
+        (1, int_range min_int (-(1 lsl 61))) ])
+
+let gen_wide_vt =
+  Gen.(
+    int_range 1 8 >>= fun n ->
+    list_size (return n) gen_wide_int >|= Vector_clock.of_list)
+
+(* every meta kind; non-PC records get arbitrary (negative too) ranks and
+   stamps, PC/hybrid ones a conforming single-component stamp *)
+let rec gen_wide_data depth =
+  Gen.(
+    int_range 0 5 >>= fun kind ->
+    gen_wide_vt >>= fun vt ->
+    pair gen_wide_int gen_wide_int >>= fun (a, b) ->
+    int_range 0 (Vector_clock.size vt - 1) >>= fun own_rank ->
+    let pc_stamp () =
+      let stamp = Vector_clock.create (Vector_clock.size vt) in
+      Vector_clock.set stamp own_rank a;
+      stamp
+    in
+    let meta, vt, forced_rank =
+      match kind with
+      | 0 -> (Wire.Fifo_meta, vt, None)
+      | 1 -> (Wire.Causal_meta, vt, None)
+      | 2 -> (Wire.Seq_meta, vt, None)
+      | 3 -> (Wire.Lamport_meta { Lamport.time = a; node = b }, vt, None)
+      | 4 -> (Wire.Pc_meta { origin_seq = a }, pc_stamp (), Some own_rank)
+      | _ -> (Wire.Hybrid_meta { origin_seq = a }, pc_stamp (), Some own_rank)
+    in
+    quad gen_wide_int gen_wide_int gen_wide_int gen_wide_int
+    >>= fun (msg_id, trace_id, origin, rank) ->
+    quad gen_wide_int gen_wide_int gen_wide_int gen_wide_int
+    >>= fun (view_id, payload, payload_bytes, sent_us) ->
+    (if depth = 0 then return []
+     else list_size (int_range 0 2) (gen_wide_data (depth - 1)))
+    >|= fun piggyback ->
+    { Wire.msg_id; trace_id; origin;
+      sender_rank = Option.value forced_rank ~default:rank; view_id; vt;
+      meta; payload; payload_bytes; sent_at = Sim_time.us sent_us;
+      piggyback })
+
+type memo_step =
+  | Copy of int * int  (* group id, index into the shared pool *)
+  | Other of int Wire.t
+  | Size of int Wire.data
+
+(* A shared pool of physical values (two data records, a gossip and a pong)
+   sent in runs under varying group ids, so the memo sees hits, group
+   changes, evictions and returns, and a repeated pong that must never hit
+   or evict; interleaved with unrelated frames and [data_bytes] calls on
+   pooled and fresh records. *)
+let gen_memo_case =
+  Gen.(
+    pair (gen_wide_data 1) (gen_wide_data 0) >>= fun (d1, d2) ->
+    pair gen_wide_vt gen_wide_vt >>= fun (vc, delivered) ->
+    let pool =
+      [| Wire.Data d1; Wire.Data d2;
+         Wire.Gossip { view_id = -1; rank = 3; vc; lamport = min_int };
+         Wire.Pc_pong { view_id = 7; from_rank = 0; delivered } |]
+    in
+    let step =
+      frequency
+        [ (6,
+           triple (int_range 0 2) (int_range 0 3) (int_range 1 4)
+           >|= fun (g, i, k) -> List.init k (fun _ -> Copy (g, i)));
+          (2, gen_wire >|= fun w -> [ Other w ]);
+          (1, oneofl [ d1; d2 ] >|= fun d -> [ Size d ]);
+          (1, gen_wide_data 1 >|= fun d -> [ Size d ]) ]
+    in
+    list_size (int_range 1 30) step >|= fun steps -> (pool, List.concat steps))
+
+let wire_of_step pool = function
+  | Copy (g, i) -> Some (Wire.Proto (g, pool.(i)))
+  | Other w -> Some w
+  | Size _ -> None
+
+(* the record's share of a [Proto (0, Data d)] frame: the body less its
+   envelope tag, one-byte group id and proto tag *)
+let serialized_data_length d =
+  let frame = Wire_codec.encode (codec ()) (Wire.Proto (0, Wire.Data d)) in
+  let pos = ref 0 in
+  let body = Wire_codec.read_uvarint (Bytes.of_string frame) pos in
+  assert (!pos + body = String.length frame);
+  body - 3
+
+let test_memo_transparent =
+  QCheck.Test.make ~name:"frame memo is invisible in the bytes" ~count:500
+    (QCheck.make
+       ~print:(fun (pool, steps) ->
+         String.concat "\n"
+           (List.filter_map
+              (fun s -> Option.map show_wire (wire_of_step pool s))
+              steps))
+       gen_memo_case)
+    (fun (pool, steps) ->
+      let long_lived = codec () in
+      List.for_all
+        (fun step ->
+          match (step, wire_of_step pool step) with
+          | Size d, _ ->
+            Wire_codec.data_bytes long_lived d = serialized_data_length d
+          | (Copy _ | Other _), Some w ->
+            String.equal (Wire_codec.encode long_lived w)
+              (Wire_codec.encode (codec ()) w)
+          | (Copy _ | Other _), None -> false)
+        steps)
+
+let test_data_bytes_is_serialized_length =
+  QCheck.Test.make ~name:"data_bytes = serialized record length" ~count:2000
+    (QCheck.make
+       ~print:(fun d -> show_wire (Wire.Proto (0, Wire.Data d)))
+       (gen_wide_data 2))
+    (fun d -> Wire_codec.data_bytes (codec ()) d = serialized_data_length d)
+
+(* --- per-copy framing contract --------------------------------------------- *)
+
+let test_transport_frames_every_copy () =
+  (* the memo saves the serialization, not the frame call: each send of
+     one value still calls [frame] and charges the frame's bytes *)
+  let engine = Engine.create ~net:(Net.create ()) () in
+  let spawn name = Engine.spawn engine ~name (fun _ _ -> ()) in
+  let self = spawn "sender" in
+  let dsts = List.init 5 (fun i -> spawn (Printf.sprintf "r%d" i)) in
+  let c = codec () and calls = ref 0 in
+  let framing =
+    { Transport.frame =
+        (fun w ->
+          incr calls;
+          Wire_codec.encode c w);
+      unframe = Wire_codec.decode c }
+  in
+  let tr =
+    Transport.create ~framing ~engine ~self ~mode:Config.Bare
+      ~on_deliver:(fun ~src:_ _ -> ())
+      ()
+  in
+  let gossip =
+    Wire.Gossip
+      { view_id = 2; rank = 0; vc = Vector_clock.of_list [ 3; 1; 4; 1; 5 ];
+        lamport = 9 }
+  in
+  List.iter (fun dst -> Transport.send tr ~dst (Wire.Proto (1, gossip))) dsts;
+  let len = String.length (Wire_codec.encode (codec ()) (Wire.Proto (1, gossip))) in
+  Alcotest.(check int) "one frame call per copy" 5 !calls;
+  Alcotest.(check int) "every copy charged" (5 * len)
+    (Transport.wire_bytes_sent tr)
+
+let test_multicast_frames_every_copy causal_impl () =
+  let n = 6 in
+  let config =
+    { Config.default with
+      Config.wire_format = Config.Encoded; causal_impl;
+      pc_overlay = Config.Pc_tree { fanout = 2 };
+      transport = Config.Fifo_order; track_graph = false }
+  in
+  let engine = Engine.create ~net:(Net.create ()) () in
+  let pids =
+    List.init n (fun i ->
+        Engine.spawn engine ~name:(Printf.sprintf "p%d" i) (fun _ _ -> ()))
+  in
+  let view = Group.make_view ~view_id:0 pids in
+  let shared = Stack.make_shared config in
+  let sender = List.hd pids in
+  let c = codec () and data_frames = ref [] in
+  let framing =
+    { Transport.frame =
+        (fun w ->
+          let f = Wire_codec.encode c w in
+          (match w with
+           | Wire.Proto (_, Wire.Data _) -> data_frames := f :: !data_frames
+           | Wire.Proto _ | Wire.Direct _ -> ());
+          f);
+      unframe = Wire_codec.decode c }
+  in
+  let registry = Registry.create ~enabled:true () in
+  let endpoint =
+    Endpoint.create ~registry ~framing ~engine ~self:sender
+      ~mode:config.Config.transport ()
+  in
+  let stacks =
+    List.map
+      (fun self ->
+        Stack.create
+          ?endpoint:(if self = sender then Some endpoint else None)
+          ~payload_codec:Wire_codec.int_payload ~engine ~shared ~config ~view
+          ~self ~callbacks:Stack.null_callbacks ())
+      pids
+  in
+  let wire_bytes () =
+    Registry.counter_total (Registry.snapshot registry)
+      ~layer:Repro_obs.Event.Transport ~name:"wire_bytes"
+  in
+  let before = wire_bytes () in
+  let origin = List.hd stacks in
+  Stack.multicast origin 42;
+  let copies =
+    match Stack.pc_neighbors origin with
+    | Some neighbors -> Array.length neighbors
+    | None -> n - 1
+  in
+  match !data_frames with
+  | [] -> Alcotest.fail "no data frame sent"
+  | f :: _ as frames ->
+    Alcotest.(check int) "one frame call per recipient" copies
+      (List.length frames);
+    Alcotest.(check bool) "every copy is the same frame" true
+      (List.for_all (String.equal f) frames);
+    Alcotest.(check int) "every copy charged" (copies * String.length f)
+      (wire_bytes () - before)
+
 (* --- suite ---------------------------------------------------------------- *)
 
 let () =
@@ -340,6 +577,16 @@ let () =
       ( "varints",
         List.map QCheck_alcotest.to_alcotest
           [ test_varint_primitives; test_uvarint_primitives ] );
+      ( "memo",
+        List.map QCheck_alcotest.to_alcotest
+          [ test_memo_transparent; test_data_bytes_is_serialized_length ] );
+      ( "framing",
+        [ Alcotest.test_case "transport frames every send" `Quick
+            test_transport_frames_every_copy;
+          Alcotest.test_case "bss multicast frames every copy" `Quick
+            (test_multicast_frames_every_copy Config.Vector_causal);
+          Alcotest.test_case "pc multicast frames every copy" `Quick
+            (test_multicast_frames_every_copy Config.Pc_causal) ] );
       ( "metadata",
         [ Alcotest.test_case "pc constant wire cost" `Quick
             test_pc_constant_metadata ] );
