@@ -13,9 +13,9 @@
    families from the Section 5 scaling experiment: the "queue" family
    (indexed vs reference delivery queue, n = 4/16/64/256/512) and the
    "causal" family (BSS vector timestamps vs PC-broadcast constant
-   metadata vs hybrid buffering — the per-delivery metadata curve that is
-   linear for bss and flat for pc/hybrid; bss runs the dense stability
-   tracker to n = 1024, pc and hybrid run the sparse tracker to n = 4096,
+   metadata — the per-delivery metadata curve that is linear for bss and
+   flat for pc; bss runs the dense stability tracker to n = 1024, pc runs
+   the sparse tracker to n = 4096,
    with a measured per-point peak-heap column). Every end-to-end row
    simulates at least 50 ms. [--domains N] runs the end-to-end sections
    on the parallel engine with N worker domains (default: the sequential
@@ -24,7 +24,7 @@
    group's O(n^2) matrix clocks and lives in the committed full-mode
    baseline).
    [--out FILE] overrides the output path. [--validate FILE] checks the schema, pins the
-   within-family delivery agreement and the pc/hybrid metadata flatness,
+   within-family delivery agreement and the pc metadata flatness,
    and with [--baseline FILE] additionally fails on a >30%
    deliveries-per-cpu-second or peak-unstable-bytes regression at any
    (impl, group size) present in both files. The schema is documented in
@@ -481,10 +481,9 @@ let e2e_section ~engine_impl ~smoke =
     impls
 
 (* The causal-implementation family: the same Section 5 workload run with
-   BSS vector timestamps, PC-broadcast constant metadata and hybrid
-   buffering (PC plus sender-side delivered-knowledge suppression). The
+   BSS vector timestamps and with PC-broadcast constant metadata. The
    headline column is mean ordering-metadata bytes per delivery: ~8n for
-   bss, flat for pc and hybrid. PC-family runs disseminate over an 8-ary
+   bss, flat for pc. PC runs disseminate over an 8-ary
    spanning tree at every size and track stability through the sparse
    matrix clock — the combination that makes the n = 2048 and n = 4096
    points honest: the dense tracker alone would need ~128 GB at n = 4096
@@ -538,7 +537,7 @@ let in_fresh_process f =
 let causal_e2e_section ~engine_impl ~smoke =
   (* smoke stops at n = 256: the bss member stacks alone need ~20 GB at
      n = 1024. The 4..256 span already shows bss metadata growing ~65x
-     over flat pc/hybrid. *)
+     over flat pc. *)
   let sizes_for impl_str =
     if smoke then [ 4; 16; 256 ]
     else if impl_str = "bss" then [ 4; 16; 64; 256; 1024 ]
@@ -546,7 +545,7 @@ let causal_e2e_section ~engine_impl ~smoke =
   in
   (* no sub-50ms rows: at n >= 1024 a 20 ms horizon cuts the 8-ary tree
      dissemination off mid-propagation, so most of the CPU charged to a
-     point was stack setup — the n = 1024 pc/hybrid rows sextuple their
+     point was stack setup — the n = 1024 pc rows sextuple their
      deliveries-per-cpu-second once the horizon lets the multicasts
      actually land *)
   let duration_for n =
@@ -565,18 +564,13 @@ let causal_e2e_section ~engine_impl ~smoke =
     else if n <= 256 then Some (Sim_time.ms 50)
     else Some (Sim_time.ms 500)
   in
-  let impls =
-    [ (Config.Vector_causal, "bss");
-      (Config.Pc_causal, "pc");
-      (Config.Hybrid_causal, "hybrid") ]
-  in
+  let impls = [ (Config.Vector_causal, "bss"); (Config.Pc_causal, "pc") ] in
   List.concat_map
     (fun (causal_impl, impl_str) ->
       let stability_clock, clock_str =
         match causal_impl with
         | Config.Vector_causal -> (Config.Dense_clock, "dense")
-        | Config.Pc_causal | Config.Hybrid_causal ->
-          (Config.Sparse_clock, "sparse")
+        | Config.Pc_causal -> (Config.Sparse_clock, "sparse")
       in
       List.map
         (fun n ->
@@ -617,13 +611,11 @@ let causal_e2e_section ~engine_impl ~smoke =
           in
           Printf.printf
             "  causal %-6s n=%-4d deliveries=%-8d cpu=%6.2fs  %10.0f msg/s  \
-             meta/delivery=%6.1f B  peak-buf=%d B  heap=%d MW  \
-             fwd=%d supp=%d park=%d drain=%d\n%!"
+             meta/delivery=%6.1f B  peak-buf=%d B  heap=%d MW  fwd=%d\n%!"
             impl_str n point.Scaling.deliveries_total cpu rate mean_header
             point.Scaling.peak_node_unstable_bytes
             (heap_words / 1_000_000)
-            point.Scaling.forward_copies point.Scaling.suppressed_copies
-            point.Scaling.parked_copies point.Scaling.drained_copies;
+            point.Scaling.forward_copies;
           Printf.sprintf
             "    { \"impl\": %S, \"family\": \"causal\", \"group_size\": %d, \
              \"stability_clock\": %S, \
@@ -638,8 +630,7 @@ let causal_e2e_section ~engine_impl ~smoke =
              \"header_bytes_total\": %d, \
              \"mean_header_bytes_per_delivery\": %s, \
              \"peak_heap_words\": %d, \
-             \"forward_copies\": %d, \"suppressed_copies\": %d, \
-             \"parked_copies\": %d, \"drained_copies\": %d, \
+             \"forward_copies\": %d, \
              \"delivery_p50_us\": %s, \"delivery_p99_us\": %s, \
              \"delivery_p999_us\": %s, \
              \"stability_lag_p50_us\": %s, \"stability_lag_p99_us\": %s, \
@@ -654,9 +645,7 @@ let causal_e2e_section ~engine_impl ~smoke =
             (json_float point.Scaling.mean_delivery_delay_us)
             point.Scaling.app_deliveries_total
             point.Scaling.header_bytes_total (json_float mean_header)
-            heap_words
-            point.Scaling.forward_copies point.Scaling.suppressed_copies
-            point.Scaling.parked_copies point.Scaling.drained_copies
+            heap_words point.Scaling.forward_copies
             (json_float point.Scaling.delivery_p50_us)
             (json_float point.Scaling.delivery_p99_us)
             (json_float point.Scaling.delivery_p999_us)
@@ -1033,13 +1022,9 @@ let validate ?expect_mode ?baseline file =
         (int_field row "peak_node_unstable_bytes");
       (* registry-derived columns, added with the metrics registry: absent
          from older files, checked when present (causal and wire families) *)
-      List.iter
-        (fun key ->
-          match Json.member key row with
-          | Some _ -> ignore (int_field row key)
-          | None -> ())
-        [ "forward_copies"; "suppressed_copies"; "parked_copies";
-          "drained_copies" ];
+      (match Json.member "forward_copies" row with
+       | Some _ -> ignore (int_field row "forward_copies")
+       | None -> ());
       List.iter
         (fun key ->
           match Json.member key row with
@@ -1077,7 +1062,7 @@ let validate ?expect_mode ?baseline file =
         ignore (int_field row "app_deliveries");
         ignore (int_field row "header_bytes_total");
         number_or_null row "mean_header_bytes_per_delivery";
-        (* added with the hybrid family: absent from older files *)
+        (* added after the first causal-family files: absent from those *)
         (match Json.member "peak_heap_words" row with
          | Some _ -> ignore (int_field row "peak_heap_words")
          | None -> ());
@@ -1107,10 +1092,10 @@ let validate ?expect_mode ?baseline file =
              (%d vs %d)"
             size d deliveries)
     e2e;
-  (* the causal family's headline claim: constant-metadata ordering (pc and
-     hybrid alike) stays flat per delivery as the group grows, while bss
-     grows linearly with it *)
-  let flat_impls = [ "pc"; "hybrid" ] in
+  (* the causal family's headline claim: constant-metadata ordering stays
+     flat per delivery as the group grows, while bss grows linearly with
+     it *)
+  let flat_impls = [ "pc" ] in
   List.iter
     (fun flat_impl ->
       match Hashtbl.find_opt header_means flat_impl with

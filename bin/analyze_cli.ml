@@ -3,8 +3,8 @@
    Offline static analysis over recorded executions: build the
    happened-before DAG, detect hidden channels (Figures 1-3), quantify
    false causality (Section 3.4), flag causal cycles, duplicate uids and
-   stability-lag outliers; plus a source-level determinism lint. Findings
-   are written as a stable JSON document (ANALYZE_findings.json). *)
+   stability-lag outliers. Findings are written as a stable JSON document
+   (ANALYZE_findings.json). *)
 
 module Runner = Repro_check.Runner
 module Fault_plan = Repro_check.Fault_plan
@@ -13,7 +13,6 @@ module Finding = Repro_analyze.Finding
 module Exec = Repro_analyze.Exec
 module Recorder = Repro_analyze.Exec.Recorder
 module Json = Repro_analyze.Json
-module Lint = Repro_analyze.Lint
 module Diagrams = Repro_experiments.Diagrams
 module False_causality = Repro_experiments.False_causality
 module Deceit_store = Repro_apps.Deceit_store
@@ -100,7 +99,6 @@ let deceit_exec () =
 
 let experiments : (string * (unit -> Exec.t)) list =
   let pc = Repro_catocs.Config.Pc_causal in
-  let hybrid = Repro_catocs.Config.Hybrid_causal in
   [
     ("fig1", (fun () -> Diagrams.fig1_exec ()));
     ("fig2", (fun () -> Diagrams.fig2_exec ()));
@@ -110,11 +108,6 @@ let experiments : (string * (unit -> Exec.t)) list =
     ("fig1-pc", (fun () -> Diagrams.fig1_exec ~causal_impl:pc ()));
     ("fig2-pc", (fun () -> Diagrams.fig2_exec ~causal_impl:pc ()));
     ("fig3-pc", (fun () -> Diagrams.fig3_exec ~causal_impl:pc ()));
-    (* and over hybrid buffering: same delivery order, same verdicts — the
-       sender-side refinements must not change what the sanitizer sees *)
-    ("fig1-hybrid", (fun () -> Diagrams.fig1_exec ~causal_impl:hybrid ()));
-    ("fig2-hybrid", (fun () -> Diagrams.fig2_exec ~causal_impl:hybrid ()));
-    ("fig3-hybrid", (fun () -> Diagrams.fig3_exec ~causal_impl:hybrid ()));
     ("false-causality", (fun () -> False_causality.record ()));
     ("deceit-store", deceit_exec);
   ]
@@ -213,19 +206,6 @@ let run_watch names out fail_on =
     if exceeds_fail_level ~fail_on findings then 1 else 0
   end
 
-(* --- lint: source-level determinism scan (reference implementation; the
-   AST-grounded analyzer lives in `repro-lint`, bin/lint_cli.ml) ----------- *)
-
-let run_lint dirs out =
-  let dirs = if dirs = [] then [ "lib" ] else dirs in
-  let findings = List.concat_map (fun dir -> Lint.Reference.scan_dir dir) dirs in
-  print_findings findings;
-  write_out ~out
-    (Analyzer.report_json ~mode:"lint"
-       ~extra:[ (String.concat " " dirs, findings) ]
-       []);
-  if findings = [] then 0 else 1
-
 (* --- command line ----------------------------------------------------------- *)
 
 open Cmdliner
@@ -281,9 +261,8 @@ let experiment_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"NAME"
           ~doc:
-            "fig1, fig2, fig3 (with -pc and -hybrid variants for the \
-             PC-broadcast and hybrid-buffering causal layers), \
-             false-causality or deceit-store.")
+            "fig1, fig2, fig3 (with -pc variants for the PC-broadcast \
+             causal layer), false-causality or deceit-store.")
   in
   let expects =
     Arg.(
@@ -305,18 +284,6 @@ let experiment_cmd =
   let doc = "Analyze a recorded experiment execution (the paper's figures)." in
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(const run_experiment $ name_arg $ expects $ out_arg $ fail_on)
-
-let lint_cmd =
-  let dirs =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"DIR" ~doc:"Directories to scan (default: lib).")
-  in
-  let doc =
-    "Determinism lint: scan sources for ambient time / randomness \
-     (substring reference scanner; prefer repro-lint for the AST analyzer)."
-  in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const run_lint $ dirs $ out_arg)
 
 let watch_cmd =
   let names_arg =
@@ -345,6 +312,6 @@ let watch_cmd =
 let cmd =
   let doc = "Causal sanitizer: happened-before analysis of recorded runs." in
   Cmd.group (Cmd.info "repro-analyze" ~doc)
-    [ check_cmd; experiment_cmd; watch_cmd; lint_cmd ]
+    [ check_cmd; experiment_cmd; watch_cmd ]
 
 let () = exit (Cmd.eval' cmd)

@@ -30,10 +30,7 @@ let parse_orderings = function
 let parse_causal_impl = function
   | "bss" | "vector" -> Ok Config.Vector_causal
   | "pc" -> Ok Config.Pc_causal
-  | "hybrid" -> Ok Config.Hybrid_causal
-  | s ->
-    Error
-      (Printf.sprintf "unknown causal impl %S (one of: bss, pc, hybrid)" s)
+  | s -> Error (Printf.sprintf "unknown causal impl %S (one of: bss, pc)" s)
 
 let run_check seeds start_seed ordering_names causal_impl_name members
     duration_ms root_sends max_faults domains fingerprints_file no_shrink
@@ -151,8 +148,7 @@ let cmd =
       & info [ "causal-impl" ] ~docv:"IMPL"
           ~doc:
             "Causal-delivery implementation for the causal-layer modes: bss \
-             (vector timestamps), pc (PC-broadcast constant metadata) or \
-             hybrid (PC plus sender-side hybrid buffering).")
+             (vector timestamps) or pc (PC-broadcast constant metadata).")
   in
   let members =
     Arg.(

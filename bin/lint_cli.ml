@@ -9,8 +9,7 @@
    clock values), and protocol contracts (chaos hooks without test/
    convictions, Config dispatch variants missing from the checker /
    scaling / bench families). Findings not in the committed baseline
-   (LINT_baseline.json) fail the run; the old substring scanner stays
-   available as --impl reference. *)
+   (LINT_baseline.json) fail the run. *)
 
 module Rule = Repro_lint.Rule
 module Driver = Repro_lint.Driver
@@ -42,7 +41,7 @@ let print_findings findings =
       (fun f -> Format.printf "%a@." Finding.pp (Rule.to_finding f))
       findings
 
-let run roots repo_root impl_name baseline_path no_baseline update_baseline
+let run roots repo_root baseline_path no_baseline update_baseline
     list_rules out fail_on =
   if list_rules then begin
     List.iter
@@ -55,43 +54,38 @@ let run roots repo_root impl_name baseline_path no_baseline update_baseline
     0
   end
   else
-    match Driver.impl_of_name impl_name with
-    | None ->
-      Printf.eprintf "unknown impl %S (ast or reference)\n" impl_name;
+    let roots = if roots = [] then Driver.default_roots else roots in
+    let baseline =
+      if no_baseline || update_baseline then Ok Baseline.empty
+      else if Sys.file_exists baseline_path then Baseline.load baseline_path
+      else Ok Baseline.empty
+    in
+    match baseline with
+    | Error e ->
+      Printf.eprintf "cannot load baseline %s: %s\n" baseline_path e;
       2
-    | Some impl ->
-      let roots = if roots = [] then Driver.default_roots else roots in
-      let baseline =
-        if no_baseline || update_baseline then Ok Baseline.empty
-        else if Sys.file_exists baseline_path then Baseline.load baseline_path
-        else Ok Baseline.empty
-      in
-      (match baseline with
-       | Error e ->
-         Printf.eprintf "cannot load baseline %s: %s\n" baseline_path e;
-         2
-       | Ok baseline ->
-         let result = Driver.scan ~impl ~baseline ~roots ~repo_root () in
-         if update_baseline then begin
-           let entries = Baseline.of_findings result.Driver.kept in
-           Baseline.save baseline_path entries;
-           Printf.printf "baseline written to %s (%d entries)\n" baseline_path
-             (List.length entries);
-           0
-         end
-         else begin
-           print_findings result.Driver.kept;
-           if result.Driver.suppressed <> [] then
-             Printf.printf "%d finding(s) suppressed by baseline\n"
-               (List.length result.Driver.suppressed);
-           List.iter
-             (fun (e : Baseline.entry) ->
-               Printf.printf "stale baseline entry: %s %s %s\n" e.Baseline.rule
-                 e.Baseline.source e.Baseline.symbol)
-             result.Driver.stale;
-           write_out ~out (Driver.report_json result);
-           if exceeds ~fail_on (Driver.worst result) then 1 else 0
-         end)
+    | Ok baseline ->
+      let result = Driver.scan ~baseline ~roots ~repo_root () in
+      if update_baseline then begin
+        let entries = Baseline.of_findings result.Driver.kept in
+        Baseline.save baseline_path entries;
+        Printf.printf "baseline written to %s (%d entries)\n" baseline_path
+          (List.length entries);
+        0
+      end
+      else begin
+        print_findings result.Driver.kept;
+        if result.Driver.suppressed <> [] then
+          Printf.printf "%d finding(s) suppressed by baseline\n"
+            (List.length result.Driver.suppressed);
+        List.iter
+          (fun (e : Baseline.entry) ->
+            Printf.printf "stale baseline entry: %s %s %s\n" e.Baseline.rule
+              e.Baseline.source e.Baseline.symbol)
+          result.Driver.stale;
+        write_out ~out (Driver.report_json result);
+        if exceeds ~fail_on (Driver.worst result) then 1 else 0
+      end
 
 open Cmdliner
 
@@ -108,14 +102,6 @@ let repo_root_arg =
         ~doc:
           "Repository root; roots and contract families are resolved \
            against it.")
-
-let impl_arg =
-  Arg.(
-    value & opt string "ast"
-    & info [ "impl" ] ~docv:"IMPL"
-        ~doc:
-          "Analyzer implementation: ast (compiler parsetree) or reference \
-           (the original substring scanner).")
 
 let baseline_arg =
   Arg.(
@@ -165,7 +151,7 @@ let cmd =
   Cmd.v
     (Cmd.info "repro-lint" ~doc)
     Term.(
-      const run $ roots_arg $ repo_root_arg $ impl_arg $ baseline_arg
+      const run $ roots_arg $ repo_root_arg $ baseline_arg
       $ no_baseline_arg $ update_baseline_arg $ list_rules_arg $ out_arg
       $ fail_on_arg)
 

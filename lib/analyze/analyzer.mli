@@ -47,7 +47,7 @@ val report_json :
   result list ->
   Json.t
 (** Assemble the findings document for a set of analyzed executions plus
-    optional extra sources (e.g. the determinism lint), via
+    optional extra sources (e.g. per-scenario watchdog findings), via
     {!Finding.report_to_json}. *)
 
 val all_findings :

@@ -233,6 +233,5 @@ let of_log ?(label = "obs log") ?ordering ?(names = []) log =
       | Repro_obs.Event.Span_recv _ | Repro_obs.Event.Span_queued _
       | Repro_obs.Event.Span_stable _ | Repro_obs.Event.View_flush_start _
       | Repro_obs.Event.View_flush_end _ | Repro_obs.Event.Retransmit _
-      | Repro_obs.Event.Gauge_sample _ | Repro_obs.Event.Hop_send _
-      | Repro_obs.Event.Hop_suppress _ | Repro_obs.Event.Hop_park _ -> ());
+      | Repro_obs.Event.Gauge_sample _ | Repro_obs.Event.Hop_send _ -> ());
   Recorder.exec r

@@ -13,7 +13,7 @@ type queue_impl = Indexed_queue | Reference_queue
 
 type stability_impl = Incremental_stability | Reference_stability
 
-type causal_impl = Vector_causal | Pc_causal | Hybrid_causal
+type causal_impl = Vector_causal | Pc_causal
 
 type pc_overlay = Pc_full_mesh | Pc_tree of { fanout : int }
 
@@ -59,7 +59,6 @@ let ordering_name = function
 let causal_impl_name = function
   | Vector_causal -> "bss"
   | Pc_causal -> "pc"
-  | Hybrid_causal -> "hybrid"
 
 let stability_clock_name = function
   | Dense_clock -> "dense"
@@ -69,20 +68,14 @@ let wire_format_name = function
   | Structural -> "structural"
   | Encoded -> "encoded"
 
-(* PC-broadcast and its hybrid-buffering refinement are causal-layer
-   replacements: they only change how the [Causal] ordering is achieved.
-   The total-order modes keep their vector-timestamp causal substrate. *)
-let pc_active t =
-  (match t.causal_impl with
-   | Pc_causal | Hybrid_causal -> true
-   | Vector_causal -> false)
-  && t.ordering = Causal
-
-let hybrid_active t = t.causal_impl = Hybrid_causal && t.ordering = Causal
+(* PC-broadcast is a causal-layer replacement: it only changes how the
+   [Causal] ordering is achieved. The total-order modes keep their
+   vector-timestamp causal substrate. *)
+let pc_active t = t.causal_impl = Pc_causal && t.ordering = Causal
 
 let with_causal_impl causal_impl t =
   { t with causal_impl;
     transport =
       (match (causal_impl, t.transport) with
-       | (Pc_causal | Hybrid_causal), Bare -> Fifo_order
-       | (Pc_causal | Hybrid_causal | Vector_causal), _ -> t.transport) }
+       | Pc_causal, Bare -> Fifo_order
+       | (Pc_causal | Vector_causal), _ -> t.transport) }

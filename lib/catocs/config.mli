@@ -57,18 +57,6 @@ type causal_impl =
           carries O(1) control information regardless of group size. Only
           affects [Causal] ordering; requires FIFO links ([Fifo_order] or
           [Reliable] transport under reordering/lossy networks). *)
-  | Hybrid_causal
-      (** hybrid-buffering causal delivery (Almeida 2024): the PC-broadcast
-          substrate (FIFO links, O(1) metadata, forward-on-first-delivery)
-          plus sender-side buffering — each member tracks, per outgoing
-          link, how far the peer is known to have delivered each origin
-          (learned from the copies the peer itself forwards and from
-          barrier acks) and suppresses forwards the peer provably already
-          has; forwards to a not-yet-acknowledged link are buffered at the
-          sender and drained, filtered by the ack's delivered vector, when
-          the barrier pong arrives. Topology-agnostic over the same
-          {!pc_overlay}s; delivery order is identical to [Pc_causal] (the
-          suppressed copies are exactly the would-be duplicates). *)
 
 type pc_overlay =
   | Pc_full_mesh
@@ -129,8 +117,7 @@ type t = {
   causal_impl : causal_impl;
       (** causal-delivery implementation selector (BSS vs PC-broadcast) *)
   pc_overlay : pc_overlay;
-      (** dissemination overlay used when [causal_impl] is [Pc_causal] or
-          [Hybrid_causal] *)
+      (** dissemination overlay used when [causal_impl] is [Pc_causal] *)
   stability_clock : stability_clock;
       (** matrix-clock representation used by stability tracking *)
   wire_format : wire_format;
@@ -157,7 +144,7 @@ val default : t
 val ordering_name : ordering -> string
 
 val causal_impl_name : causal_impl -> string
-(** ["bss"], ["pc"] or ["hybrid"] — the labels benches and CLIs use. *)
+(** ["bss"] or ["pc"] — the labels benches and CLIs use. *)
 
 val stability_clock_name : stability_clock -> string
 (** ["dense"] or ["sparse"]. *)
@@ -166,16 +153,10 @@ val wire_format_name : wire_format -> string
 (** ["structural"] or ["encoded"]. *)
 
 val pc_active : t -> bool
-(** True when this configuration runs a PC-style causal layer ([Pc_causal]
-    or [Hybrid_causal]) under [ordering = Causal]. *)
-
-val hybrid_active : t -> bool
-(** True when the hybrid-buffering refinements (delivered-knowledge
-    suppression + closed-link sender buffers) are on top of the PC layer:
-    [causal_impl = Hybrid_causal] and [ordering = Causal]. *)
+(** True when this configuration runs the PC-broadcast causal layer:
+    [causal_impl = Pc_causal] and [ordering = Causal]. *)
 
 val with_causal_impl : causal_impl -> t -> t
 (** Select the causal implementation, upgrading a [Bare] transport to
-    [Fifo_order] when PC-broadcast or hybrid buffering is chosen — their
-    causality argument needs FIFO links, and a [Reliable] transport already
-    provides them. *)
+    [Fifo_order] when PC-broadcast is chosen — its causality argument needs
+    FIFO links, and a [Reliable] transport already provides them. *)

@@ -113,8 +113,6 @@ let take_arrival t msg_id =
     r
   | None -> -1
 
-let clear_queued t msg_id = Hashtbl.remove t.arrival msg_id
-
 (* Forward targets for a message from [origin_rank] that first arrived on
    the link from [from_rank]: every overlay neighbor except where it came
    from and except its origin (both already have it). Closed links are kept
@@ -131,8 +129,7 @@ let forward_targets t ~from_rank ~origin_rank =
 
 let origin_seq (data : 'a Wire.data) =
   match data.Wire.meta with
-  | Wire.Pc_meta { origin_seq } | Wire.Hybrid_meta { origin_seq } ->
-    origin_seq
+  | Wire.Pc_meta { origin_seq } -> origin_seq
   | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _ ->
     (* a misconfigured peer: fall back to the timestamp component *)
     Vector_clock.get data.Wire.vt data.Wire.sender_rank

@@ -58,13 +58,9 @@ val take_arrival : t -> Wire.msg_id -> int
 (** Pop the recorded first-arrival link rank; [-1] when the message arrived
     out of band (flush re-send, replay). *)
 
-val clear_queued : t -> Wire.msg_id -> unit
-
 val forward_targets : t -> from_rank:int -> origin_rank:int -> int list
 (** Open-link neighbors excluding the arrival link and the origin; empty
     when {!chaos_disable_forwarding} is set. *)
-
-val origin_seq : 'a Wire.data -> int
 
 val missing_for :
   delivered:Vector_clock.t -> 'a Wire.data list -> 'a Wire.data list

@@ -67,7 +67,7 @@ module Reference = struct
     end;
     Group_clock.update_row t.matrix data.Wire.sender_rank data.Wire.vt
 
-  (* Fifo_gap-mode fast path: a PC/Hybrid stamp is nonzero only at the
+  (* Fifo_gap-mode fast path: a PC stamp is nonzero only at the
      sender's own component, so the sender-row merge is one diagonal cell. *)
   let note_delivered_diag t (data : 'a Wire.data) =
     if not (Hashtbl.mem t.buffer data.Wire.msg_id) then begin
@@ -189,7 +189,7 @@ module Incremental = struct
     Group_clock.update_row_tracked t.matrix sender data.Wire.vt
       ~advanced:(fun s -> mark_dirty t s)
 
-  (* Fifo_gap-mode fast path: a PC/Hybrid stamp is nonzero only at the
+  (* Fifo_gap-mode fast path: a PC stamp is nonzero only at the
      sender's own component, so the sender-row merge is one diagonal cell —
      O(1) instead of the O(group) full-row classification pass. *)
   let note_delivered_diag t (data : 'a Wire.data) =

@@ -65,8 +65,8 @@ val note_sent_or_delivered : 'a t -> 'a Wire.data -> unit
 
 val note_delivered_diag : 'a t -> 'a Wire.data -> unit
 (** {!note_sent_or_delivered} specialised to a Fifo_gap-mode message whose
-    timestamp is nonzero only at its sender's own component (PC/Hybrid
-    sparse stamps): the sender-row merge is a single diagonal cell, O(1)
+    timestamp is nonzero only at its sender's own component (PC sparse
+    stamps): the sender-row merge is a single diagonal cell, O(1)
     instead of an O(group) row merge. Behavior is identical to
     {!note_sent_or_delivered} on such messages. *)
 

@@ -66,17 +66,14 @@ type status = Normal | Flushing of flush_state | Joining of join_state
 
 (* Per-stack registry cells, registered once at stack creation so every
    hot-path update is a single store ([Config.metrics] off hands back scrap
-   cells — same discipline as a disabled [Obs.Log]). The six copy counters
+   cells — same discipline as a disabled [Obs.Log]). The three copy counters
    use the exact conservation vocabulary [Obs.Watch.copy_conservation]
    audits against the hop census in the telemetry log. *)
 type reg_cells = {
   registry : Repro_obs.Registry.t;
   origin_copies : Repro_obs.Registry.counter;
   forward_copies : Repro_obs.Registry.counter;
-  drain_copies : Repro_obs.Registry.counter;
   resend_copies : Repro_obs.Registry.counter;
-  suppressed_copies : Repro_obs.Registry.counter;
-  parked_copies : Repro_obs.Registry.counter;
   delivery_latency : Repro_obs.Histo.t;  (* ordering/delivery_latency_us *)
   gossip_msgs : Repro_obs.Registry.counter;
   c_flushes : Repro_obs.Registry.counter;
@@ -102,11 +99,7 @@ let make_reg_cells (config : Config.t) =
     origin_copies = Registry.counter registry ~layer:o ~name:"origin_copies" ();
     forward_copies =
       Registry.counter registry ~layer:o ~name:"forward_copies" ();
-    drain_copies = Registry.counter registry ~layer:o ~name:"drain_copies" ();
     resend_copies = Registry.counter registry ~layer:o ~name:"resend_copies" ();
-    suppressed_copies =
-      Registry.counter registry ~layer:o ~name:"suppressed_copies" ();
-    parked_copies = Registry.counter registry ~layer:o ~name:"parked_copies" ();
     delivery_latency =
       Registry.histogram registry ~layer:o ~name:"delivery_latency_us" ();
     gossip_msgs =
@@ -165,11 +158,6 @@ type 'a t = {
          reconstructed from delivery order (component [o] = highest
          contiguously delivered origin sequence of rank [o]), which keeps
          the gossip/stability/flush machinery working unchanged. *)
-  mutable hybrid : 'a Hybrid_causal.t option;
-      (* hybrid-buffering refinements over the PC substrate (per-link
-         delivered-knowledge and park buffers); [Some] iff
-         [Config.hybrid_active config]. Rebuilt with [pc] on every view
-         install. *)
   mutable queue : 'a Delivery_queue.t;
   mutable seq_queue : 'a Total_order.Sequencer_queue.t;
   mutable lamport_queue : 'a Total_order.Lamport_queue.t;
@@ -281,19 +269,6 @@ let note_hop_send t ~uid ~dst kind =
       kind
   | _ -> ()
 
-let note_hop_suppress t ~uid ~dst =
-  match t.shared.obs with
-  | Some log when Repro_obs.Log.enabled log ->
-    Repro_obs.Log.hop_suppress log ~at:(Engine.now t.engine) ~uid ~pid:t.self
-      ~dst
-  | _ -> ()
-
-let note_hop_park t ~uid ~dst =
-  match t.shared.obs with
-  | Some log when Repro_obs.Log.enabled log ->
-    Repro_obs.Log.hop_park log ~at:(Engine.now t.engine) ~uid ~pid:t.self ~dst
-  | _ -> ()
-
 let note_flush_start t ~view_id =
   match t.shared.obs with
   | Some log ->
@@ -368,10 +343,7 @@ let broadcast_proto t proto =
    flows on it. At initial group creation every member is "carried over", so
    all links start open and no pings are sent. *)
 let reset_pc t ~prev_members =
-  if not (Config.pc_active t.config) then begin
-    t.pc <- None;
-    t.hybrid <- None
-  end
+  if not (Config.pc_active t.config) then t.pc <- None
   else begin
     let view = t.view in
     let self_fresh = not (Pid_set.mem t.self prev_members) in
@@ -383,12 +355,6 @@ let reset_pc t ~prev_members =
         ~link_fresh
     in
     t.pc <- Some pc;
-    t.hybrid <-
-      (if Config.hybrid_active t.config then
-         Some
-           (Hybrid_causal.create ~group_size:(Group.size view)
-              ~neighbors:(Pc_causal.neighbors pc))
-       else None);
     let stats = Pc_causal.stats pc in
     List.iter
       (fun peer_rank ->
@@ -404,8 +370,6 @@ let reset_pc t ~prev_members =
 let pc_stats t = Option.map Pc_causal.stats t.pc
 
 let pc_neighbors t = Option.map Pc_causal.neighbors t.pc
-
-let hybrid_stats t = Option.map Hybrid_causal.stats t.hybrid
 
 (* --- graph bookkeeping (Section 5 active causal graph) ----------------- *)
 
@@ -495,12 +459,11 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
   let sender = data.Wire.sender_rank in
   let sender_seq = Vector_clock.get data.Wire.vt sender in
   Vector_clock.set t.vc sender sender_seq;
-  (* PC/Hybrid stamps are nonzero only at the sender's own component, so
+  (* PC stamps are nonzero only at the sender's own component, so
      both stability merges below collapse to single cells — the delivery
      hot path stays O(1) in group size instead of O(n) per message. *)
   (match data.Wire.meta with
-   | Wire.Pc_meta _ | Wire.Hybrid_meta _ ->
-     Stability.note_delivered_diag t.stability data
+   | Wire.Pc_meta _ -> Stability.note_delivered_diag t.stability data
    | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _ ->
      Stability.note_sent_or_delivered t.stability data);
   Stability.self_observe_cell t.stability ~rank:t.rank ~col:sender
@@ -532,39 +495,8 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
            Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst
              (Wire.Data data)
          in
-         let targets =
-           Pc_causal.forward_targets pc ~from_rank ~origin_rank:sender
-         in
-         (match t.hybrid with
-          | None -> List.iter send_forward targets
-          | Some h ->
-            (* delivered-knowledge suppression: skip peers that provably
-               already delivered this message (the copy would be dropped
-               as a duplicate on arrival) *)
-            let seq = Pc_causal.origin_seq data in
-            List.iter
-              (fun r ->
-                if Hybrid_causal.needs_copy h ~peer:r ~origin:sender ~seq
-                then send_forward r
-                else begin
-                  Hybrid_causal.note_suppressed h;
-                  Repro_obs.Registry.incr t.cells.suppressed_copies;
-                  note_hop_suppress t ~uid:data.Wire.msg_id
-                    ~dst:(Group.member t.view r)
-                end)
-              targets;
-            (* barrier-pending links are absent from [targets]: park their
-               copies for the pong-triggered drain instead of falling back
-               to the unstable-buffer rescan *)
-            List.iter
-              (fun r ->
-                if r <> from_rank && r <> sender then begin
-                  Hybrid_causal.park h ~peer:r data;
-                  Repro_obs.Registry.incr t.cells.parked_copies;
-                  note_hop_park t ~uid:data.Wire.msg_id
-                    ~dst:(Group.member t.view r)
-                end)
-              (Pc_causal.fresh_links pc))
+         List.iter send_forward
+           (Pc_causal.forward_targets pc ~from_rank ~origin_rank:sender)
        | Flushing _ | Joining _ ->
          (* the flush round itself disseminates the message set *)
          ()
@@ -592,8 +524,7 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
        Total_order.Lamport_queue.add t.lamport_queue pending ~stamp;
        Total_order.Lamport_queue.observe_time t.lamport_queue
          ~rank:data.Wire.sender_rank stamp.Lamport.time
-     | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Pc_meta _
-     | Wire.Hybrid_meta _ ->
+     | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Pc_meta _ ->
        (* a misconfigured peer; deliver FIFO to stay live *)
        final_deliver t pending)
   end
@@ -627,14 +558,6 @@ let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
      same path (duplicates are dropped by the delivered/seen-ids check) *)
   List.iter (fun d -> on_data t d) data.Wire.piggyback;
   t.metrics.Metrics.data_received <- t.metrics.Metrics.data_received + 1;
-  (* hybrid delivered-knowledge: every copy arriving from a peer — first
-     copy or duplicate alike — proves the peer delivered it before
-     sending *)
-  (match t.hybrid with
-   | Some h when src_rank >= 0 && data.Wire.view_id = t.view.Group.view_id ->
-     Hybrid_causal.note_copy h ~peer:src_rank ~origin:data.Wire.sender_rank
-       ~seq:(Pc_causal.origin_seq data)
-   | _ -> ());
   if data.Wire.view_id > t.view.Group.view_id then
     t.future_proto <-
       (data.Wire.view_id, Wire.Data data) :: t.future_proto
@@ -650,8 +573,7 @@ let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
     | _ ->
     (match data.Wire.meta with
      | Wire.Lamport_meta stamp -> ignore (Lamport.observe t.lamport stamp.Lamport.time)
-     | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Pc_meta _
-     | Wire.Hybrid_meta _ -> ());
+     | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Pc_meta _ -> ());
     let pending =
       { Delivery_queue.data; arrived_at = Engine.now t.engine }
     in
@@ -725,12 +647,7 @@ let make_data t payload =
       let seq = Vector_clock.get t.vc t.rank + 1 in
       let vt = Vector_clock.create (Group.size t.view) in
       Vector_clock.set vt t.rank seq;
-      let meta =
-        if Config.hybrid_active t.config then
-          Wire.Hybrid_meta { origin_seq = seq }
-        else Wire.Pc_meta { origin_seq = seq }
-      in
-      (vt, meta)
+      (vt, Wire.Pc_meta { origin_seq = seq })
     | None ->
       let vt = Vector_clock.copy_tick t.vc t.rank in
       let meta =
@@ -818,18 +735,9 @@ let do_multicast t payload =
            Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst
              (Wire.Data data)
          end
-         else begin
+         else
            stats.Pc_causal.barrier_deferred <-
-             stats.Pc_causal.barrier_deferred + 1;
-           (* hybrid: park the copy for the pong-triggered drain *)
-           match t.hybrid with
-           | Some h ->
-             Hybrid_causal.park h ~peer:r data;
-             Repro_obs.Registry.incr t.cells.parked_copies;
-             note_hop_park t ~uid:data.Wire.msg_id
-               ~dst:(Group.member t.view r)
-           | None -> ()
-         end)
+             stats.Pc_causal.barrier_deferred + 1)
        (Pc_causal.neighbors pc);
      account_send t data ~recipient_count:!sent);
   on_data t data
@@ -878,11 +786,6 @@ let send_gossip t =
 let on_gossip t ~view_id ~rank ~vc ~lamport =
   if view_id = t.view.Group.view_id then begin
     Stability.observe_vc t.stability ~rank ~now:(Engine.now t.engine) vc;
-    (* the gossiped vector is the gossiper's delivered counts: free hybrid
-       suppression knowledge *)
-    (match t.hybrid with
-     | Some h -> Hybrid_causal.note_delivered_vector h ~peer:rank vc
-     | None -> ());
     ignore (Lamport.observe t.lamport lamport);
     let gossiper_sent = Vector_clock.get vc rank in
     if Vector_clock.get t.vc rank >= gossiper_sent then
@@ -1314,18 +1217,8 @@ let handle_proto t ~src (proto : 'a Wire.proto) =
              buffer is a complete source — anything the peer is missing
              cannot have stabilised, since stability requires delivery by
              every member including the peer. *)
-          let missing, copy_counter, hop_kind =
-            match t.hybrid with
-            | Some h ->
-              (* hybrid: the per-link park buffer holds exactly what this
-                 link withheld, filtered by the pong's delivered vector —
-                 no unstable-buffer rescan *)
-              ( Hybrid_causal.drain h ~peer:from_rank ~delivered,
-                t.cells.drain_copies, Repro_obs.Event.Drain_copy )
-            | None ->
-              ( Pc_causal.missing_for ~delivered
-                  (Stability.unstable t.stability),
-                t.cells.resend_copies, Repro_obs.Event.Resend_copy )
+          let missing =
+            Pc_causal.missing_for ~delivered (Stability.unstable t.stability)
           in
           let stats = Pc_causal.stats pc in
           stats.Pc_causal.barrier_retransmits <-
@@ -1333,8 +1226,9 @@ let handle_proto t ~src (proto : 'a Wire.proto) =
           let dst = Group.member t.view from_rank in
           List.iter
             (fun d ->
-              Repro_obs.Registry.incr copy_counter;
-              note_hop_send t ~uid:d.Wire.msg_id ~dst hop_kind;
+              Repro_obs.Registry.incr t.cells.resend_copies;
+              note_hop_send t ~uid:d.Wire.msg_id ~dst
+                Repro_obs.Event.Resend_copy;
               Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst
                 (Wire.Data d))
             missing
@@ -1400,7 +1294,6 @@ let create ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
       endpoint = None; view; rank;
       vc = Vector_clock.create (Group.size view);
       pc = None;
-      hybrid = None;
       queue = make_queue ?obs config;
       seq_queue = Total_order.Sequencer_queue.create ?obs ();
       lamport_queue =

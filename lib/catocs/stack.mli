@@ -128,10 +128,6 @@ val pc_stats : 'a t -> Pc_causal.stats option
 val pc_neighbors : 'a t -> int array option
 (** Current overlay neighbor ranks; [None] unless [Config.pc_active]. *)
 
-val hybrid_stats : 'a t -> Hybrid_causal.stats option
-(** Hybrid-buffering counters (suppressed forwards, parked/drained copies);
-    [None] unless [Config.hybrid_active]. Per-view, like {!pc_stats}. *)
-
 val record_gauges : 'a t -> unit
 (** Sample this member's occupancy gauges (unstable msgs/bytes, delivery
     queue depth, blocked count) into the group's telemetry log, stamped at

@@ -6,13 +6,12 @@ type order_meta =
   | Seq_meta
   | Lamport_meta of Lamport.stamp
   | Pc_meta of { origin_seq : int }
-  | Hybrid_meta of { origin_seq : int }
 
 type 'a data = {
   msg_id : msg_id;
   trace_id : int;
       (* dissemination-trace correlation id, stamped once at the origin and
-         preserved across every forward/drain/resend of the copy; LEB128-
+         preserved across every forward/resend of the copy; LEB128-
          encoded on the Encoded wire, charged inside the fixed 8-byte id
          envelope of the structural byte model *)
   origin : Engine.pid;
@@ -55,10 +54,10 @@ let header_bytes data =
   | Fifo_meta -> 8
   | Causal_meta | Seq_meta -> 8 + Vector_clock.encoded_size_bytes data.vt
   | Lamport_meta _ -> 16
-  (* PC-broadcast and hybrid buffering carry only (origin, per-origin
-     sequence): constant in group size — the in-memory [vt] field is
-     receiver-reconstructible and never on the wire *)
-  | Pc_meta _ | Hybrid_meta _ -> 16
+  (* PC-broadcast carries only (origin, per-origin sequence): constant in
+     group size — the in-memory [vt] field is receiver-reconstructible and
+     never on the wire *)
+  | Pc_meta _ -> 16
 
 let buffered_bytes data = data.payload_bytes + header_bytes data
 

@@ -24,12 +24,6 @@ type order_meta =
           layers read it, but a receiver can reconstruct it locally from
           [(origin, origin_seq)], so it is not charged to
           {!header_bytes}. *)
-  | Hybrid_meta of { origin_seq : int }
-      (** hybrid-buffering causal delivery: same constant wire metadata as
-          {!Pc_meta} (the hybrid refinements — delivered-knowledge
-          suppression and closed-link sender buffers — are pure sender-side
-          state and add nothing to the header). Kept distinct so wire
-          traces identify which causal layer produced a message. *)
 
 type 'a data = {
   msg_id : msg_id;

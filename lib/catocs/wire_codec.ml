@@ -125,14 +125,14 @@ let read_vt b pos =
 (* Data records.
 
    Field order: msg_id, trace_id (delta), origin, sender_rank, view_id,
-   meta, timestamp, payload_bytes, sent_at, payload, piggyback. The PC/hybrid constant-
-   metadata encodings ship only the group size in the timestamp slot: a
+   meta, timestamp, payload_bytes, sent_at, payload, piggyback. The PC constant-
+   metadata encoding ships only the group size in the timestamp slot: a
    conforming stamp is nonzero solely at the sender's own component, whose
    value the meta already carries as [origin_seq], so the receiver
    reconstructs the vector. This is what makes the encoded wire cost of a
    PC-broadcast message independent of group size (PAPERS: Nédelec 2018),
    and it is a protocol invariant the codec {e assumes} — encoding a
-   non-conforming stamp under [Pc_meta]/[Hybrid_meta] would not round-trip. *)
+   non-conforming stamp under [Pc_meta] would not round-trip. *)
 
 let meta_tag = function
   | Wire.Fifo_meta -> 0
@@ -140,7 +140,6 @@ let meta_tag = function
   | Wire.Seq_meta -> 2
   | Wire.Lamport_meta _ -> 3
   | Wire.Pc_meta _ -> 4
-  | Wire.Hybrid_meta _ -> 5
 
 let rec write_data t buf (d : _ Wire.data) =
   write_varint buf d.Wire.msg_id;
@@ -156,10 +155,10 @@ let rec write_data t buf (d : _ Wire.data) =
    | Wire.Lamport_meta { Lamport.time; node } ->
      write_varint buf time;
      write_varint buf node
-   | Wire.Pc_meta { origin_seq } | Wire.Hybrid_meta { origin_seq } ->
+   | Wire.Pc_meta { origin_seq } ->
      write_uvarint buf origin_seq);
   (match d.Wire.meta with
-   | Wire.Pc_meta _ | Wire.Hybrid_meta _ ->
+   | Wire.Pc_meta _ ->
      write_uvarint buf (Vector_clock.size d.Wire.vt)
    | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _
      ->
@@ -197,12 +196,11 @@ let rec read_data t b pos : _ Wire.data =
       let node = read_varint b pos in
       Wire.Lamport_meta { Lamport.time; node }
     | 4 -> Wire.Pc_meta { origin_seq = read_uvarint b pos }
-    | 5 -> Wire.Hybrid_meta { origin_seq = read_uvarint b pos }
     | n -> raise (Corrupt (Printf.sprintf "unknown meta tag %d" n))
   in
   let vt =
     match meta with
-    | Wire.Pc_meta { origin_seq } | Wire.Hybrid_meta { origin_seq } ->
+    | Wire.Pc_meta { origin_seq } ->
       let n = read_uvarint b pos in
       if n > 1 lsl 24 then raise (Corrupt "implausible vector size");
       let vt = Vector_clock.create n in

@@ -10,11 +10,11 @@
     where the body is a tag byte followed by LEB128 varints (zigzag for
     fields that may be negative, plain for counts/lengths/clock
     components). Vector timestamps are [count, component...]; a data
-    record under [Pc_meta]/[Hybrid_meta] ships only the count — the single
+    record under [Pc_meta] ships only the count — the single
     nonzero component is the meta's [origin_seq] at [sender_rank], which
     the decoder reconstructs. That keeps PC-broadcast per-message metadata
     constant in group size on the {e encoded} wire, not just in the
-    estimate, and relies on the protocol invariant that PC/hybrid stamps
+    estimate, and relies on the protocol invariant that PC stamps
     are nonzero only at the sender's own component.
 
     A fan-out is serialized once, not once per recipient: a one-slot frame

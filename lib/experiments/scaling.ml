@@ -17,9 +17,6 @@ type point = {
   header_bytes_total : int;  (* ordering metadata sent, summed over members *)
   (* registry-derived columns; zero / nan / [] unless [~metrics:true] *)
   forward_copies : int;
-  suppressed_copies : int;
-  parked_copies : int;
-  drained_copies : int;
   encoded_wire_bytes : int;  (* real frame bytes (Encoded wire format only) *)
   wire_packets : int;  (* logical packets, incl. frames inside batches *)
   link_sends : int;  (* physical link events; packets/links = coalesce ratio *)
@@ -180,9 +177,6 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     app_deliveries_total = !app_deliveries;
     header_bytes_total = !header_bytes;
     forward_copies = counter Repro_obs.Event.Ordering "forward_copies";
-    suppressed_copies = counter Repro_obs.Event.Ordering "suppressed_copies";
-    parked_copies = counter Repro_obs.Event.Ordering "parked_copies";
-    drained_copies = counter Repro_obs.Event.Ordering "drain_copies";
     encoded_wire_bytes = counter Repro_obs.Event.Transport "wire_bytes";
     wire_packets = counter Repro_obs.Event.Transport "packets";
     link_sends = counter Repro_obs.Event.Transport "link_sends";

@@ -31,11 +31,6 @@ type point = {
       (** PC-broadcast forward-on-first-delivery copies across the group
           (zero, like every registry-derived field below, unless the run
           was created with [~metrics:true]) *)
-  suppressed_copies : int;
-      (** duplicate copies the hybrid layer suppressed (expected ~0 on a
-          FIFO-reliable network: suppression only pays off under loss) *)
-  parked_copies : int;  (** copies parked for closed overlay links *)
-  drained_copies : int;  (** parked copies later drained by a Pc_pong *)
   encoded_wire_bytes : int;
       (** real frame bytes put on the wire — non-zero only under the
           [Encoded] wire format *)

@@ -31,14 +31,6 @@ let fig1_pc () =
   in
   (log, numbered [ "P"; "Q"; "R" ], outcome.Diagrams.registry_snapshot)
 
-let fig1_hybrid () =
-  let log = Repro_obs.Log.create () in
-  let outcome =
-    Diagrams.fig1_run ~obs:log ~causal_impl:Repro_catocs.Config.Hybrid_causal
-      ~metrics:true ()
-  in
-  (log, numbered [ "P"; "Q"; "R" ], outcome.Diagrams.registry_snapshot)
-
 let fig2 () =
   let log = Repro_obs.Log.create () in
   ignore
@@ -76,15 +68,15 @@ let scaling_metadata () =
        ~causal_impl:Repro_catocs.Config.Pc_causal ~seed:11L 64);
   (log, numbered (List.init 64 (Printf.sprintf "p%d")), [])
 
-(* The scaling run that the n=4096 bench points rely on: hybrid buffering
-   over the PC overlay with the sparse stability tracker. Delivery timing
-   is identical to the dense-clock run (the tracker only changes storage),
-   so the trace doubles as a visual regression for that equivalence. *)
+(* The scaling run that the n=4096 bench points rely on: [scaling_metadata]
+   over the sparse stability tracker. Delivery timing is identical to that
+   dense-clock run (the tracker only changes storage), so the trace doubles
+   as a visual regression for that equivalence. *)
 let scaling_sparse () =
   let log = Repro_obs.Log.create () in
   ignore
     (Scaling.measure_with_graph ~obs:log ~duration:(Sim_time.ms 200)
-       ~causal_impl:Repro_catocs.Config.Hybrid_causal
+       ~causal_impl:Repro_catocs.Config.Pc_causal
        ~stability_clock:Repro_catocs.Config.Sparse_clock ~seed:11L 64);
   (log, numbered (List.init 64 (Printf.sprintf "p%d")), [])
 
@@ -107,9 +99,6 @@ let all =
     { name = "scaling-n64";
       descr = "64-member buffering-scaling run with per-node gauge sampling";
       run = scaling64 };
-    { name = "fig1-hybrid";
-      descr = "Figure 1 run over hybrid-buffering causal delivery";
-      run = fig1_hybrid };
     { name = "scaling-metadata";
       descr =
         "64-member scaling run under PC-broadcast constant metadata \
@@ -117,7 +106,7 @@ let all =
       run = scaling_metadata };
     { name = "scaling-sparse";
       descr =
-        "64-member scaling run, hybrid causal delivery over the sparse \
+        "64-member scaling run, PC-broadcast causal delivery over the sparse \
          stability tracker";
       run = scaling_sparse } ]
 

@@ -1,15 +1,5 @@
 module Finding = Repro_analyze.Finding
 module Json = Repro_analyze.Json
-module Reference = Repro_analyze.Lint.Reference
-
-type impl = Ast | Reference_impl
-
-let impl_name = function Ast -> "ast" | Reference_impl -> "reference"
-
-let impl_of_name = function
-  | "ast" -> Some Ast
-  | "reference" -> Some Reference_impl
-  | _ -> None
 
 let default_roots = [ "lib"; "bin" ]
 
@@ -24,7 +14,6 @@ let sim_exempt path =
   List.exists (( = ) "sim") (List.filteri (fun i _ -> i < 2) parts)
 
 type result = {
-  impl : impl;
   roots : string list;
   files : int;
   kept : Rule.t list;
@@ -32,7 +21,8 @@ type result = {
   stale : Baseline.entry list;
 }
 
-let scan_ast ~repo_root ~roots ~contracts baseline =
+let scan ?(baseline = Baseline.empty) ?(roots = default_roots)
+    ?(contracts = true) ~repo_root () =
   let root_units =
     List.concat_map (fun root -> Src.load_tree ~repo_root root) roots
   in
@@ -63,50 +53,12 @@ let scan_ast ~repo_root ~roots ~contracts baseline =
   let all = List.sort Rule.compare (per_file @ contract_findings) in
   let applied = Baseline.apply baseline all in
   {
-    impl = Ast;
     roots;
     files = List.length root_units;
     kept = applied.Baseline.kept;
     suppressed = applied.Baseline.suppressed;
     stale = applied.Baseline.stale;
   }
-
-let scan_reference ~repo_root ~roots baseline =
-  let hits =
-    List.concat_map
-      (fun root -> Reference.scan_dir_hits (Filename.concat repo_root root))
-      roots
-  in
-  let findings =
-    List.map
-      (fun (h : Reference.hit) ->
-        {
-          Rule.rule = "reference-substring";
-          family = Rule.Determinism;
-          severity = Finding.Error;
-          source = h.Reference.path;
-          line = h.Reference.line;
-          symbol = h.Reference.rule.Reference.pattern;
-          message = h.Reference.rule.Reference.reason;
-          evidence = (if h.Reference.text = "" then [] else [ h.Reference.text ]);
-        })
-      hits
-  in
-  let applied = Baseline.apply baseline (List.sort Rule.compare findings) in
-  {
-    impl = Reference_impl;
-    roots;
-    files = 0;
-    kept = applied.Baseline.kept;
-    suppressed = applied.Baseline.suppressed;
-    stale = applied.Baseline.stale;
-  }
-
-let scan ?(impl = Ast) ?(baseline = Baseline.empty) ?(roots = default_roots)
-    ?(contracts = true) ~repo_root () =
-  match impl with
-  | Ast -> scan_ast ~repo_root ~roots ~contracts baseline
-  | Reference_impl -> scan_reference ~repo_root ~roots baseline
 
 let worst result =
   List.fold_left
@@ -128,7 +80,6 @@ let report_json result =
     [
       ("schema_version", Json.Int 1);
       ("tool", Json.Str "repro-lint");
-      ("impl", Json.Str (impl_name result.impl));
       ("roots", Json.Arr (List.map (fun r -> Json.Str r) result.roots));
       ( "baseline",
         Json.Obj

@@ -1,45 +1,33 @@
 (** The repro-lint driver: walk the requested roots, run the per-file rule
     families (plus the repo-level contract cross-checks over the full
     lib/bin/test/bench surface), apply the baseline, and render the
-    deterministic findings document.
-
-    The [impl] dispatch follows the repository's impl/reference pattern:
-    [Ast] is the compiler-parsetree analyzer, [Reference_impl] the original
-    token-boundary substring scanner kept as
-    {!Repro_analyze.Lint.Reference}. *)
-
-type impl = Ast | Reference_impl
-
-val impl_name : impl -> string
-val impl_of_name : string -> impl option
+    deterministic findings document. *)
 
 val default_roots : string list
 (** [["lib"; "bin"]]. *)
 
 type result = {
-  impl : impl;
   roots : string list;
-  files : int;  (** units scanned by the per-file rules ([Ast] only) *)
+  files : int;  (** units scanned by the per-file rules *)
   kept : Rule.t list;  (** unsuppressed findings, in report order *)
   suppressed : Rule.t list;
   stale : Baseline.entry list;
 }
 
 val scan :
-  ?impl:impl ->
   ?baseline:Baseline.t ->
   ?roots:string list ->
   ?contracts:bool ->
   repo_root:string ->
   unit ->
   result
-(** [contracts] (default true, [Ast] only) runs the repo-level
+(** [contracts] (default true) runs the repo-level
     cross-checks; they always load lib/, bin/, test/ and bench/ regardless
     of [roots]. *)
 
 val worst : result -> Repro_analyze.Finding.severity option
 val report_json : result -> Repro_analyze.Json.t
-(** The [LINT_findings.json] document: schema_version, tool, impl, roots,
+(** The [LINT_findings.json] document: schema_version, tool, roots,
     baseline stats (suppressed count + stale entries), findings (in the
     analyzer's {!Repro_analyze.Finding.to_json} encoding) and severity
     counts. *)

@@ -20,15 +20,13 @@ let gauge_name = function
   | Blocked_msgs -> "blocked_msgs"
 
 (* How a copy of a multicast left a node: the origin's initial fanout, a
-   PC/hybrid forward after first delivery, a hybrid park-buffer drain, or a
-   barrier-gap resend. Together with [Hop_suppress]/[Hop_park] these events
+   PC forward after first delivery, or a barrier-gap resend. These events
    reconstruct the full dissemination tree of a message from the log. *)
-type hop_kind = Origin_copy | Forward_copy | Drain_copy | Resend_copy
+type hop_kind = Origin_copy | Forward_copy | Resend_copy
 
 let hop_kind_name = function
   | Origin_copy -> "origin"
   | Forward_copy -> "forward"
-  | Drain_copy -> "drain"
   | Resend_copy -> "resend"
 
 type event =
@@ -42,8 +40,6 @@ type event =
   | Retransmit of { pid : int; dst : int; seq : int; attempt : int }
   | Gauge_sample of { pid : int; gauge : gauge; value : int }
   | Hop_send of { uid : int; pid : int; dst : int; kind : hop_kind }
-  | Hop_suppress of { uid : int; pid : int; dst : int }
-  | Hop_park of { uid : int; pid : int; dst : int }
 
 type record = { at : Sim_time.t; layer : layer; event : event }
 
@@ -55,7 +51,7 @@ let layer_of = function
   | View_flush_start _ | View_flush_end _ -> View
   | Gauge_sample { gauge = Unstable_msgs | Unstable_bytes; _ } -> Stability
   | Gauge_sample { gauge = Queue_depth | Blocked_msgs; _ } -> Ordering
-  | Hop_send _ | Hop_suppress _ | Hop_park _ -> Ordering
+  | Hop_send _ -> Ordering
 
 let event_name = function
   | Span_send _ -> "span_send"
@@ -68,5 +64,3 @@ let event_name = function
   | Retransmit _ -> "retransmit"
   | Gauge_sample _ -> "gauge_sample"
   | Hop_send _ -> "hop_send"
-  | Hop_suppress _ -> "hop_suppress"
-  | Hop_park _ -> "hop_park"

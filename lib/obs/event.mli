@@ -24,9 +24,8 @@ type gauge =
 val gauge_name : gauge -> string
 
 (** How a copy of a multicast left a node: the origin's initial fanout, a
-    PC/hybrid forward after first delivery, a hybrid park-buffer drain, or
-    a barrier-gap resend. *)
-type hop_kind = Origin_copy | Forward_copy | Drain_copy | Resend_copy
+    PC forward after first delivery, or a barrier-gap resend. *)
+type hop_kind = Origin_copy | Forward_copy | Resend_copy
 
 val hop_kind_name : hop_kind -> string
 
@@ -57,11 +56,6 @@ type event =
       (** [pid] put a copy of multicast [uid] on the wire towards [dst];
           the full set of these records is the dissemination tree
           {!Trace_tree} reconstructs *)
-  | Hop_suppress of { uid : int; pid : int; dst : int }
-      (** hybrid buffering proved [dst] already has [uid] and sent nothing *)
-  | Hop_park of { uid : int; pid : int; dst : int }
-      (** copy for [dst] parked (link not yet open / barrier pending); a
-          later [Hop_send] with [Drain_copy] is its release *)
 
 type record = { at : Sim_time.t; layer : layer; event : event }
 

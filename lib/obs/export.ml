@@ -228,11 +228,6 @@ let jsonl log =
        | Event.Hop_send { uid; pid; dst; kind } ->
          Printf.bprintf b
            "{\"at\":%d,\"layer\":\"%s\",\"event\":\"%s\",\"uid\":%d,\"pid\":%d,\"dst\":%d,\"kind\":\"%s\"}"
-           at layer name uid pid dst (Event.hop_kind_name kind)
-       | Event.Hop_suppress { uid; pid; dst } | Event.Hop_park { uid; pid; dst }
-         ->
-         Printf.bprintf b
-           "{\"at\":%d,\"layer\":\"%s\",\"event\":\"%s\",\"uid\":%d,\"pid\":%d,\"dst\":%d}"
-           at layer name uid pid dst);
+           at layer name uid pid dst (Event.hop_kind_name kind));
       Buffer.add_char b '\n');
   Buffer.contents b

@@ -90,12 +90,6 @@ let gauge t ~at ~pid g value =
 let hop_send t ~at ~uid ~pid ~dst kind =
   if t.enabled then push t at (Event.Hop_send { uid; pid; dst; kind })
 
-let hop_suppress t ~at ~uid ~pid ~dst =
-  if t.enabled then push t at (Event.Hop_suppress { uid; pid; dst })
-
-let hop_park t ~at ~uid ~pid ~dst =
-  if t.enabled then push t at (Event.Hop_park { uid; pid; dst })
-
 let iter t f =
   let n = Array.length t.buf in
   for i = 0 to t.len - 1 do

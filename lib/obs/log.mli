@@ -48,9 +48,6 @@ val gauge : t -> at:Sim_time.t -> pid:int -> Event.gauge -> int -> unit
 val hop_send :
   t -> at:Sim_time.t -> uid:int -> pid:int -> dst:int -> Event.hop_kind -> unit
 
-val hop_suppress : t -> at:Sim_time.t -> uid:int -> pid:int -> dst:int -> unit
-val hop_park : t -> at:Sim_time.t -> uid:int -> pid:int -> dst:int -> unit
-
 (** {2 Reading} *)
 
 val length : t -> int

@@ -71,8 +71,7 @@ let of_log log =
         let c = cell uid pid in
         c.c_stable <- keep c.c_stable r.Event.at
       | Event.View_flush_start _ | Event.View_flush_end _ | Event.Retransmit _
-      | Event.Gauge_sample _ | Event.Hop_send _ | Event.Hop_suppress _
-      | Event.Hop_park _ -> ());
+      | Event.Gauge_sample _ | Event.Hop_send _ -> ());
   Hashtbl.fold
     (fun (uid, pid) c acc ->
       match Hashtbl.find_opt sends uid with
@@ -115,8 +114,7 @@ let flushes_of_log log =
          | None -> ())  (* end without a retained start: drop *)
       | Event.Span_send _ | Event.Span_recv _ | Event.Span_queued _
       | Event.Span_delivered _ | Event.Span_stable _ | Event.Retransmit _
-      | Event.Gauge_sample _ | Event.Hop_send _ | Event.Hop_suppress _
-      | Event.Hop_park _ -> ());
+      | Event.Gauge_sample _ | Event.Hop_send _ -> ());
   let still_open =
     Hashtbl.fold
       (fun (pid, view_id) started_at acc ->

@@ -1,12 +1,10 @@
 (* Dissemination-tree reconstruction from the obs log.
 
    Every copy of a multicast that leaves a node is a [Hop_send] record
-   (origin fanout, PC/hybrid forward, park-buffer drain, barrier resend);
-   hybrid suppressions and parks are [Hop_suppress]/[Hop_park]. A message's
-   tree is rebuilt by picking, for every reached pid, the *earliest* hop
-   that targeted it — that hop's sender is the pid's parent. Later hops to
-   an already-reached pid render as duplicate-copy leaves, which is exactly
-   the redundancy hybrid buffering is designed to suppress.
+   (origin fanout, PC forward, barrier resend). A message's tree is rebuilt
+   by picking, for every reached pid, the *earliest* hop that targeted it —
+   that hop's sender is the pid's parent. Later hops to an already-reached
+   pid render as duplicate-copy leaves: PC forwarding's redundancy.
 
    All collections are sorted on scalar fields before rendering, so the
    output depends only on the record *set*, never on log order — a
@@ -20,15 +18,12 @@ type hop = {
   kind : Event.hop_kind;
 }
 
-type mark = Suppress | Park
-
 type t = {
   uid : int;
   origin : int;
   sent_at : Sim_time.t;
   bytes : int;
   hops : hop list;                        (* every copy sent, sorted *)
-  marks : (Sim_time.t * int * int * mark) list;  (* (at, src, dst, what) *)
   delivered : (int * Sim_time.t) list;    (* pid -> earliest delivery *)
   stable : (int * Sim_time.t) list;       (* pid -> earliest stability *)
 }
@@ -44,7 +39,6 @@ let compare_hop a b =
 (* Earliest-at wins; tie on the sorted (at, src, dst) order. *)
 let of_log log ~uid =
   let hops = ref [] in
-  let marks = ref [] in
   let delivered : (int, Sim_time.t) Hashtbl.t = Hashtbl.create 16 in
   let stable : (int, Sim_time.t) Hashtbl.t = Hashtbl.create 16 in
   let send = ref None in
@@ -61,10 +55,6 @@ let of_log log ~uid =
          | None -> send := Some (pid, r.Event.at, bytes))
       | Event.Hop_send { uid = u; pid; dst; kind } when u = uid ->
         hops := { at = r.Event.at; src = pid; dst; kind } :: !hops
-      | Event.Hop_suppress { uid = u; pid; dst } when u = uid ->
-        marks := (r.Event.at, pid, dst, Suppress) :: !marks
-      | Event.Hop_park { uid = u; pid; dst } when u = uid ->
-        marks := (r.Event.at, pid, dst, Park) :: !marks
       | Event.Span_delivered { uid = u; pid } when u = uid ->
         keep delivered pid r.Event.at
       | Event.Span_stable { uid = u; pid } when u = uid ->
@@ -80,7 +70,6 @@ let of_log log ~uid =
     Some
       { uid; origin; sent_at; bytes;
         hops = List.sort compare_hop !hops;
-        marks = List.sort compare !marks;
         delivered = assoc delivered;
         stable = assoc stable }
 
@@ -121,24 +110,9 @@ let render ?(names = []) (t : t) =
     | Some h' -> h' == h
     | None -> false
   in
-  (* children of [pid]: its hops and suppress/park marks, time-ordered *)
-  let items_of pid =
-    let hs =
-      List.filter_map
-        (fun h -> if h.src = pid then Some (h.at, h.dst, `Hop h) else None)
-        t.hops
-    in
-    let ms =
-      List.filter_map
-        (fun (at, src, dst, what) ->
-          if src = pid then Some (at, dst, `Mark what) else None)
-        t.marks
-    in
-    List.sort
-      (fun (a, da, _) (b, db, _) ->
-        match Sim_time.compare a b with 0 -> Int.compare da db | c -> c)
-      (hs @ ms)
-  in
+  (* children of [pid]: its hops, (at, dst)-ordered since [t.hops] is
+     sorted by [compare_hop] *)
+  let items_of pid = List.filter (fun h -> h.src = pid) t.hops in
   let timing pid =
     let d =
       match List.assoc_opt pid t.delivered with
@@ -159,30 +133,22 @@ let render ?(names = []) (t : t) =
     let items = items_of pid in
     let n = List.length items in
     List.iteri
-      (fun i (at, dst, item) ->
+      (fun i h ->
         let last = i = n - 1 in
         let tee = if last then "`-- " else "|-- " in
         let pad = if last then "    " else "|   " in
-        match item with
-        | `Hop h when primary h ->
+        if primary h then begin
           Buffer.add_string buf
             (Printf.sprintf "%s%s%s -> %s [%s] @%dus%s\n" prefix tee
-               (pid_name names pid) (pid_name names dst)
-               (Event.hop_kind_name h.kind) (us at) (timing dst));
-          walk (prefix ^ pad) dst
-        | `Hop h ->
+               (pid_name names pid) (pid_name names h.dst)
+               (Event.hop_kind_name h.kind) (us h.at) (timing h.dst));
+          walk (prefix ^ pad) h.dst
+        end
+        else
           Buffer.add_string buf
             (Printf.sprintf "%s%s%s -> %s [%s] @%dus (duplicate copy)\n" prefix
-               tee (pid_name names pid) (pid_name names dst)
-               (Event.hop_kind_name h.kind) (us at))
-        | `Mark Suppress ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s%s -x %s suppressed @%dus\n" prefix tee
-               (pid_name names pid) (pid_name names dst) (us at))
-        | `Mark Park ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s%s =| %s parked @%dus\n" prefix tee
-               (pid_name names pid) (pid_name names dst) (us at)))
+               tee (pid_name names pid) (pid_name names h.dst)
+               (Event.hop_kind_name h.kind) (us h.at)))
       items
   in
   walk "" t.origin;

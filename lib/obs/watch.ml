@@ -170,18 +170,14 @@ let ordering_outlier cfg log =
 (* --- copy-conservation and duplicate-copy-rate --------------------------- *)
 
 let hop_census log =
-  let forwards = ref 0 and drains = ref 0 and resends = ref 0 in
-  let origins = ref 0 and suppressed = ref 0 and parked = ref 0 in
+  let origins = ref 0 and forwards = ref 0 and resends = ref 0 in
   Log.iter log (fun r ->
       match r.Event.event with
       | Event.Hop_send { kind = Event.Origin_copy; _ } -> incr origins
       | Event.Hop_send { kind = Event.Forward_copy; _ } -> incr forwards
-      | Event.Hop_send { kind = Event.Drain_copy; _ } -> incr drains
       | Event.Hop_send { kind = Event.Resend_copy; _ } -> incr resends
-      | Event.Hop_suppress _ -> incr suppressed
-      | Event.Hop_park _ -> incr parked
       | _ -> ());
-  (!origins, !forwards, !drains, !resends, !suppressed, !parked)
+  (!origins, !forwards, !resends)
 
 (* The registry counters and the hop records are written by the same call
    sites, so on a complete log they must agree exactly. A mismatch means an
@@ -193,13 +189,10 @@ let copy_conservation log snapshot =
   | None -> []
   | Some _ when Log.dropped log > 0 -> []
   | Some snap ->
-    let origins, forwards, drains, resends, suppressed, parked =
-      hop_census log
-    in
+    let origins, forwards, resends = hop_census log in
     let checks =
       [ ("origin_copies", origins); ("forward_copies", forwards);
-        ("drain_copies", drains); ("resend_copies", resends);
-        ("suppressed_copies", suppressed); ("parked_copies", parked) ]
+        ("resend_copies", resends) ]
     in
     let broken =
       List.filter_map

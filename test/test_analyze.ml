@@ -1,7 +1,7 @@
-(* Tests for the causal sanitizer (lib/analyze): JSON encoding, the
-   determinism lint, happened-before construction, each detector on
-   hand-built executions, the figure reproductions from lib/experiments and
-   lib/apps, and consistency with the checker's oracles across seeds. *)
+(* Tests for the causal sanitizer (lib/analyze): JSON encoding,
+   happened-before construction, each detector on hand-built executions, the
+   figure reproductions from lib/experiments and lib/apps, and consistency
+   with the checker's oracles across seeds. *)
 
 module Json = Repro_analyze.Json
 module Exec = Repro_analyze.Exec
@@ -9,7 +9,6 @@ module Recorder = Repro_analyze.Exec.Recorder
 module Hb = Repro_analyze.Hb
 module Finding = Repro_analyze.Finding
 module Analyzer = Repro_analyze.Analyzer
-module Lint = Repro_analyze.Lint.Reference
 module Config = Repro_catocs.Config
 module Delivery_queue = Repro_catocs.Delivery_queue
 module Runner = Repro_check.Runner
@@ -72,43 +71,6 @@ let test_json_accessors () =
     check_bool "str" true
       (Option.bind (Json.member "s" doc) Json.to_str = Some "hi");
     check_bool "missing member" true (Json.member "nope" doc = None)
-
-(* --- determinism lint ------------------------------------------------------ *)
-
-let test_lint_strip () =
-  let stripped =
-    Lint.strip
-      "let a = (* Unix.gettimeofday *) 1\nlet b = \"Random.self_init\"\n"
-  in
-  check_bool "non-empty result" true (String.length stripped > 0);
-  check_bool "comments blanked" false (contains ~sub:"Unix" stripped);
-  check_bool "strings blanked" false (contains ~sub:"Random" stripped)
-
-let test_lint_scan () =
-  let flagged =
-    Lint.scan_string ~source:"fake.ml"
-      "let now () = Unix.gettimeofday ()\nlet ok = 1\n"
-  in
-  check_int "one finding" 1 (List.length flagged);
-  let f = List.hd flagged in
-  check_bool "hazard kind" true (f.Finding.kind = Finding.Determinism_hazard);
-  check_bool "error severity" true (f.Finding.severity = Finding.Error);
-  (* the same text inside a comment or a string literal is not flagged *)
-  check_int "comment not flagged" 0
-    (List.length
-       (Lint.scan_string ~source:"fake.ml"
-          "(* Unix.gettimeofday would break replay *)\nlet s = \"Sys.time\"\n"));
-  (* token boundaries: longer identifiers sharing a rule's spelling as a
-     substring are not hits, while a qualified use still is *)
-  check_int "Sys.times is not Sys.time" 0
-    (List.length
-       (Lint.scan_string ~source:"fake.ml" "let t = Sys.times ()\n"));
-  check_int "XRandom is not Random" 0
-    (List.length
-       (Lint.scan_string ~source:"fake.ml" "let r = XRandom.self_init ()\n"));
-  check_int "Stdlib.Random still flagged" 1
-    (List.length
-       (Lint.scan_string ~source:"fake.ml" "let r = Stdlib.Random.int 3\n"))
 
 (* --- happened-before graph -------------------------------------------------- *)
 
@@ -539,12 +501,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_json_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
-        ] );
-      ( "lint",
-        [
-          Alcotest.test_case "strip comments and strings" `Quick
-            test_lint_strip;
-          Alcotest.test_case "scan flags hazards" `Quick test_lint_scan;
         ] );
       ( "hb",
         [

@@ -1,14 +1,12 @@
 (* Tests for the schedule-exploration checker itself: the per-ordering seed
    sweeps that gate the repo, determinism of the seed -> verdict pipeline, and
    the mutation tests — deliberately breaking the BSS causal delivery
-   condition, PC forwarding, the hybrid drain condition, or the sparse
-   stability clock's minima cache, and requiring the checker to catch each
+   condition, PC forwarding, or the sparse stability clock's minima cache, and requiring the checker to catch each
    with a shrunk counterexample. *)
 
 module Config = Repro_catocs.Config
 module Delivery_queue = Repro_catocs.Delivery_queue
 module Pc_causal = Repro_catocs.Pc_causal
-module Hybrid_causal = Repro_catocs.Hybrid_causal
 module Runner = Repro_check.Runner
 module Fault_plan = Repro_check.Fault_plan
 module Oracle = Repro_check.Oracle
@@ -42,12 +40,6 @@ let test_sweep_reference ordering () =
    same oracles, same 100 seeds. Only the causal layer dispatches on it,
    so cbcast is the interesting mode. *)
 let test_sweep_pc () = test_sweep ~causal_impl:Config.Pc_causal Config.Causal ()
-
-(* Hybrid buffering rides the same substrate: the suppression ledger and
-   the park/drain path replace forwarding sends and pong rescans, and the
-   oracles must still find nothing across the same 100 fault plans. *)
-let test_sweep_hybrid () =
-  test_sweep ~causal_impl:Config.Hybrid_causal Config.Causal ()
 
 (* --- determinism --------------------------------------------------------- *)
 
@@ -166,8 +158,8 @@ let test_pc_cross_impl_verdicts () =
     (List.init 10 Fun.id)
 
 let test_vector_pc_agreement () =
-  (* The three causal implementations must agree on the verdict for every
-     seed: all pass the oracles under the same fault plan. *)
+  (* Both causal implementations must agree on the verdict for every
+     seed: both pass the oracles under the same fault plan. *)
   List.iter
     (fun seed ->
       List.iter
@@ -176,28 +168,15 @@ let test_vector_pc_agreement () =
           | Runner.Pass _ -> ()
           | Runner.Fail r ->
             Alcotest.failf "%s fails seed %d:@.%a" name seed Runner.pp_report r)
-        [ ("bss", Config.Vector_causal); ("pc", Config.Pc_causal);
-          ("hybrid", Config.Hybrid_causal) ])
+        [ ("bss", Config.Vector_causal); ("pc", Config.Pc_causal) ])
     (List.init 10 Fun.id)
-
-let test_hybrid_deterministic_verdicts () =
-  (* The hybrid path keys off the engine schedule only, like PC. *)
-  List.iter
-    (fun seed ->
-      let run () =
-        Runner.fingerprint
-          (Runner.run_seed ~causal_impl:Config.Hybrid_causal
-             ~ordering:Config.Causal ~seed ())
-      in
-      check_string (Printf.sprintf "hybrid seed %d" seed) (run ()) (run ()))
-    [ 0; 7; 42 ]
 
 let test_cross_clock_verdicts () =
   (* The sparse stability clock reproduces the dense tracker's advance
      callbacks byte-for-byte, so stability releases — and hence flush
      contents, deliveries and verdicts — must be identical: same seed,
      byte-identical fingerprint under either clock, for every ordering and
-     for the pc/hybrid causal family. *)
+     for the pc causal layer. *)
   List.iter
     (fun (name, ordering) ->
       List.iter
@@ -218,32 +197,20 @@ let test_cross_clock_verdicts () =
         (List.init 10 Fun.id))
     Runner.orderings;
   List.iter
-    (fun (name, causal_impl) ->
-      List.iter
-        (fun seed ->
-          let dense =
-            Runner.fingerprint
-              (Runner.run_seed ~causal_impl
-                 ~stability_clock:Config.Dense_clock ~ordering:Config.Causal
-                 ~seed ())
-          in
-          let sparse =
-            Runner.fingerprint
-              (Runner.run_seed ~causal_impl
-                 ~stability_clock:Config.Sparse_clock ~ordering:Config.Causal
-                 ~seed ())
-          in
-          check_string
-            (Printf.sprintf "%s seed %d cross-clock" name seed)
-            dense sparse)
-        (List.init 5 Fun.id))
-    [ ("pc", Config.Pc_causal); ("hybrid", Config.Hybrid_causal) ]
+    (fun seed ->
+      let fp stability_clock =
+        Runner.fingerprint
+          (Runner.run_seed ~causal_impl:Config.Pc_causal ~stability_clock
+             ~ordering:Config.Causal ~seed ())
+      in
+      check_string
+        (Printf.sprintf "pc seed %d cross-clock" seed)
+        (fp Config.Dense_clock) (fp Config.Sparse_clock))
+    (List.init 5 Fun.id)
 
 (* --- parallel engine ------------------------------------------------------ *)
 
-let causal_impls =
-  [ ("bss", Config.Vector_causal); ("pc", Config.Pc_causal);
-    ("hybrid", Config.Hybrid_causal) ]
+let causal_impls = [ ("bss", Config.Vector_causal); ("pc", Config.Pc_causal) ]
 
 let par_fp ~causal_impl ~domains seed =
   Runner.fingerprint
@@ -254,7 +221,7 @@ let par_fp ~causal_impl ~domains seed =
 let test_cross_domain_fingerprints () =
   (* The tentpole determinism contract: the same seed yields a byte-identical
      verdict fingerprint (sends, deliveries, violation) for every domain
-     count, for all three causal implementations. [Parallel {domains = 1}]
+     count, for both causal implementations. [Parallel {domains = 1}]
      is the anchor — domains=2 and 4 only repartition the same lanes. *)
   List.iter
     (fun (name, causal_impl) ->
@@ -455,57 +422,6 @@ let test_broken_pc_deterministic () =
   let b = find_broken_pc_report () in
   check_string "identical pc counterexample reports" (show a) (show b)
 
-(* Hybrid drill: invert the needs-copy decision, so every first-time
-   forward is suppressed and drains ship only redundant copies — the stack
-   degrades to bare FIFO links and the causal oracle must convict. *)
-let with_broken_hybrid_drain f =
-  Hybrid_causal.chaos_invert_drain := true;
-  Fun.protect
-    ~finally:(fun () -> Hybrid_causal.chaos_invert_drain := false)
-    f
-
-let find_broken_hybrid_report () =
-  with_broken_hybrid_drain (fun () ->
-      let result =
-        Runner.sweep ~causal_impl:Config.Hybrid_causal ~ordering:Config.Causal
-          ~seeds:sweep_seeds ()
-      in
-      match result.Runner.failed with
-      | Some report -> report
-      | None ->
-        Alcotest.fail "checker failed to catch the inverted hybrid drain")
-
-let test_broken_hybrid_is_caught () =
-  let report = find_broken_hybrid_report () in
-  check_string "causal oracle convicts" "causal-order"
-    report.Runner.violation.Oracle.oracle;
-  check_bool "counterexample was shrunk" true report.Runner.shrunk;
-  with_broken_hybrid_drain (fun () ->
-      match
-        Runner.replay ~causal_impl:Config.Hybrid_causal
-          ~ordering:report.Runner.ordering ~seed:report.Runner.seed
-          report.Runner.plan
-      with
-      | Runner.Fail replayed ->
-        check_string "replay convicts the same oracle"
-          report.Runner.violation.Oracle.oracle
-          replayed.Runner.violation.Oracle.oracle
-      | Runner.Pass _ -> Alcotest.fail "shrunk plan no longer reproduces");
-  (* with the drain condition healed, the very same seed passes again *)
-  match
-    Runner.run_seed ~causal_impl:Config.Hybrid_causal ~ordering:Config.Causal
-      ~seed:report.Runner.seed ()
-  with
-  | Runner.Pass _ -> ()
-  | Runner.Fail r ->
-    Alcotest.failf "healed hybrid stack still fails:@.%a" Runner.pp_report r
-
-let test_broken_hybrid_deterministic () =
-  let show r = Format.asprintf "%a" Runner.pp_report r in
-  let a = find_broken_hybrid_report () in
-  let b = find_broken_hybrid_report () in
-  check_string "identical hybrid counterexample reports" (show a) (show b)
-
 (* Sparse-clock drill: make the cached minima lie (report each column's
    maximum and fire the advance callback on every increase). Stability then
    releases messages not every member holds, flush rounds re-disseminate
@@ -577,9 +493,6 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "cbcast/pc %d seeds clean" sweep_seeds)
             `Slow test_sweep_pc;
-          Alcotest.test_case
-            (Printf.sprintf "cbcast/hybrid %d seeds clean" sweep_seeds)
-            `Slow test_sweep_hybrid;
         ] );
       ( "determinism",
         [
@@ -587,8 +500,6 @@ let () =
             test_deterministic_verdicts;
           Alcotest.test_case "pc same seed same verdict" `Quick
             test_pc_deterministic_verdicts;
-          Alcotest.test_case "hybrid same seed same verdict" `Quick
-            test_hybrid_deterministic_verdicts;
           Alcotest.test_case "dense = sparse clock fingerprints" `Slow
             test_cross_clock_verdicts;
           Alcotest.test_case "pc cross queue/stability fingerprints" `Slow
@@ -621,10 +532,6 @@ let () =
             test_broken_pc_is_caught;
           Alcotest.test_case "pc conviction deterministic" `Slow
             test_broken_pc_deterministic;
-          Alcotest.test_case "inverted hybrid drain caught and shrunk" `Slow
-            test_broken_hybrid_is_caught;
-          Alcotest.test_case "hybrid conviction deterministic" `Slow
-            test_broken_hybrid_deterministic;
           Alcotest.test_case "overstated minima cache caught and shrunk" `Slow
             test_overstated_minima_caught;
         ] );

@@ -81,6 +81,40 @@ let test_parse_error () =
   check_bool "parse-error" true
     (match findings with [ f ] -> f.Rule.rule = "parse-error" | _ -> false)
 
+(* --- comment, string and token boundaries ------------------------------------ *)
+
+(* The AST lint reads identifiers off the parsetree, so a rule's spelling
+   inside a comment or a string literal is never a hit. *)
+let test_strip_comments_and_strings () =
+  let unit_ =
+    Src.of_string ~path:"fake.ml"
+      "let a = (* Unix.gettimeofday *) 1\nlet b = \"Random.self_init\"\n"
+  in
+  check_int "no findings" 0 (List.length (Ast_rules.scan unit_))
+
+(* An ambient wall-clock read is one error-severity determinism hazard;
+   the same name in a comment or string, or a longer identifier sharing a
+   rule's spelling, is not. *)
+let test_scan_flags_hazards () =
+  let scan text = Ast_rules.scan (Src.of_string ~path:"fake.ml" text) in
+  let flagged = scan "let now () = Unix.gettimeofday ()\nlet ok = 1\n" in
+  check_int "one finding" 1 (List.length flagged);
+  let f = Rule.to_finding (List.hd flagged) in
+  check_bool "hazard kind" true
+    (f.Rule.Finding.kind = Rule.Finding.Determinism_hazard);
+  check_bool "error severity" true
+    (f.Rule.Finding.severity = Rule.Finding.Error);
+  check_int "comment not flagged" 0
+    (List.length
+       (scan
+          "(* Unix.gettimeofday would break replay *)\nlet s = \"Sys.time\"\n"));
+  check_int "Sys.times is not Sys.time" 0
+    (List.length (scan "let t = Sys.times ()\n"));
+  check_int "XRandom is not Random" 0
+    (List.length (scan "let r () = XRandom.self_init ()\n"));
+  check_int "qualified use still flagged" 1
+    (List.length (scan "let r () = Stdlib.Random.int 6\n"))
+
 (* Domain readiness: under [~parallel_scope:true] (the lib/sim treatment)
    non-Atomic module-level mutable state escalates to a domain-unready
    error; Atomic state and per-call constructors stay clean, and without
@@ -182,11 +216,11 @@ let test_contracts_clean_on_real_tree () =
   check_int "no contract findings" 0 (List.length (Contracts.check units))
 
 (* Deleting a chaos hook's conviction test must fail the cross-check: rename
-   every test/ reference to hybrid_causal's chaos_invert_drain and the hook
-   becomes dead armour. *)
+   every test/ reference to pc_causal's chaos_disable_forwarding and the
+   hook becomes dead armour. *)
 let test_chaos_deletion_convicted () =
   let units = load_units (repo_root ()) in
-  let hook = "chaos_invert_drain" in
+  let hook = "chaos_disable_forwarding" in
   let mutated =
     List.map
       (fun u ->
@@ -249,12 +283,6 @@ let test_real_tree_clean_modulo_baseline () =
   check_int "no unsuppressed findings" 0 (List.length result.Driver.kept);
   check_int "no stale baseline entries" 0 (List.length result.Driver.stale)
 
-let test_reference_impl_clean () =
-  let result =
-    Driver.scan ~impl:Driver.Reference_impl ~repo_root:(repo_root ()) ()
-  in
-  check_int "substring scanner clean" 0 (List.length result.Driver.kept)
-
 let () =
   Alcotest.run "lint"
     [
@@ -266,6 +294,13 @@ let () =
           Alcotest.test_case "domain readiness" `Quick test_domain_readiness;
           Alcotest.test_case "sim exemption" `Quick test_sim_exemption;
           Alcotest.test_case "suppression attributes" `Quick test_suppression;
+        ] );
+      ( "lint",
+        [
+          Alcotest.test_case "strip comments and strings" `Quick
+            test_strip_comments_and_strings;
+          Alcotest.test_case "scan flags hazards" `Quick
+            test_scan_flags_hazards;
         ] );
       ( "baseline",
         [
@@ -285,7 +320,5 @@ let () =
         [
           Alcotest.test_case "clean modulo baseline" `Quick
             test_real_tree_clean_modulo_baseline;
-          Alcotest.test_case "reference impl clean" `Quick
-            test_reference_impl_clean;
         ] );
     ]

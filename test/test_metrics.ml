@@ -129,13 +129,10 @@ let test_fig1_inventory () =
     "registered cells, sorted by (layer, name)"
     [ ("ordering", "blocked_msgs");
       ("ordering", "delivery_latency_us");
-      ("ordering", "drain_copies");
       ("ordering", "forward_copies");
       ("ordering", "origin_copies");
-      ("ordering", "parked_copies");
       ("ordering", "queue_depth");
       ("ordering", "resend_copies");
-      ("ordering", "suppressed_copies");
       ("stability", "gossip_msgs");
       ("stability", "minima_advances");
       ("stability", "stability_lag_us");
@@ -154,12 +151,9 @@ let test_fig1_values () =
   let snap = Lazy.force fig1_snapshot in
   let c name = Registry.counter_total snap ~layer:Event.Ordering ~name in
   (* four multicasts in a 3-member group: two origin copies each; BSS never
-     forwards, suppresses, parks, drains or resends *)
+     forwards or resends *)
   Alcotest.(check int) "origin copies" 8 (c "origin_copies");
   Alcotest.(check int) "no forwards under bss" 0 (c "forward_copies");
-  Alcotest.(check int) "no suppressions" 0 (c "suppressed_copies");
-  Alcotest.(check int) "no parks" 0 (c "parked_copies");
-  Alcotest.(check int) "no drains" 0 (c "drain_copies");
   Alcotest.(check int) "no resends" 0 (c "resend_copies");
   Alcotest.(check int) "one packet per origin copy" 8
     (Registry.counter_total snap ~layer:Event.Transport ~name:"packets");
@@ -208,8 +202,7 @@ let test_fig1_pc_forwards () =
   (* PC full mesh: each of the 4 messages is forwarded on first delivery
      by both remote members to the one other remote member *)
   Alcotest.(check int) "forward-on-first-delivery copies" 8
-    (c "forward_copies");
-  Alcotest.(check int) "plain pc never suppresses" 0 (c "suppressed_copies")
+    (c "forward_copies")
 
 (* --- encoded wire format + batching through the scaling knobs --------------- *)
 
@@ -417,7 +410,7 @@ let test_watch_clean_scenarios () =
       Alcotest.(check int)
         (Printf.sprintf "%s: no error-severity watchdog findings" name)
         0 (List.length errors))
-    [ "fig1"; "fig1-pc"; "fig1-hybrid"; "fig2-shop-floor"; "fig3-fire-alarm" ]
+    [ "fig1"; "fig1-pc"; "fig2-shop-floor"; "fig3-fire-alarm" ]
 
 let test_watch_duplicate_rate_reported () =
   (* PC full-mesh forwarding floods duplicates by design: the watchdog

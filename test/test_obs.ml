@@ -366,6 +366,6 @@ let () =
             test_exec_of_log_unknown_delivery ] );
       ( "golden",
         List.map golden_case
-          [ "fig1"; "fig1-pc"; "fig1-hybrid"; "fig2-shop-floor";
-            "fig3-fire-alarm"; "fig4-trading" ] );
+          [ "fig1"; "fig1-pc"; "fig2-shop-floor"; "fig3-fire-alarm";
+            "fig4-trading" ] );
     ]

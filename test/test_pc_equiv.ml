@@ -63,9 +63,9 @@ let trigger_of reaction = (reaction - reaction_base) / 8
 
 (* One full simulated run; returns per-member delivery logs in delivery
    order (slot [s.n] is the joiner, empty without a join), the initial
-   member pids, and the joiner stack. Fixed latency and zero loss mean the
-   engine RNG is never consumed, so each run is a pure function of the
-   scenario. *)
+   member pids, the joiner stack, and the initial member stacks. Fixed
+   latency and zero loss mean the engine RNG is never consumed, so each run
+   is a pure function of the scenario. *)
 let run_scenario ~causal_impl ~transport (s : scenario) =
   let net = Net.create ~latency:(Net.Fixed 1_000) () in
   let engine = Engine.create ~seed:9L ~net () in
@@ -132,7 +132,7 @@ let run_scenario ~causal_impl ~transport (s : scenario) =
      Engine.at engine (Sim_time.us heal_at) (fun () -> Net.heal net)
    | None -> ());
   Engine.run ~until:(Sim_time.us s.horizon_us) engine;
-  (Array.map List.rev logs, Array.map Stack.self stacks, !joiner)
+  (Array.map List.rev logs, Array.map Stack.self stacks, !joiner, stacks)
 
 (* --- log views ----------------------------------------------------------- *)
 
@@ -171,11 +171,11 @@ let rec is_suffix ~of_:full suffix =
 (* --- strict battery ------------------------------------------------------ *)
 
 let strict_equiv (s : scenario) =
-  let logs_bss, _, _ =
+  let logs_bss, _, _, _ =
     run_scenario ~causal_impl:Config.Vector_causal
       ~transport:Config.Fifo_order s
   in
-  let logs_pc, _, _ =
+  let logs_pc, _, _, _ =
     run_scenario ~causal_impl:Config.Pc_causal ~transport:Config.Fifo_order s
   in
   Array.iteri
@@ -190,14 +190,13 @@ let strict_equiv (s : scenario) =
 
 (* --- fault battery ------------------------------------------------------- *)
 
-let fault_equiv (s : scenario) =
-  let transport =
-    Config.Reliable { rto = Sim_time.ms 10; max_retries = 500 }
-  in
-  let logs_bss, pids, _ =
+let fault_equiv
+    ?(transport = Config.Reliable { rto = Sim_time.ms 10; max_retries = 500 })
+    (s : scenario) =
+  let logs_bss, pids, _, _ =
     run_scenario ~causal_impl:Config.Vector_causal ~transport s
   in
-  let logs_pc, _, _ =
+  let logs_pc, _, _, _ =
     run_scenario ~causal_impl:Config.Pc_causal ~transport s
   in
   for i = 0 to s.n - 1 do
@@ -285,7 +284,7 @@ let fault_test =
     ~name:"faults: sets, per-origin order and causality agree (partition/join)"
     ~count:150
     (QCheck.make ~print:show_scenario gen_churn)
-    fault_equiv
+    (fun s -> fault_equiv s)
 
 (* --- directed: late-join link barrier ------------------------------------ *)
 
@@ -460,6 +459,31 @@ let test_no_forwarding_inverts_causality () =
     "without forwarding the per-origin gate alone inverts causal order"
     [ 200; 100 ] (payloads broken)
 
+(* --- directed: forward parity under delivery skew ------------------------ *)
+
+(* Member 1 is isolated while member 0 multicasts, so its copy arrives
+   100ms late (one Reliable retry) with gossip queued behind it on the same
+   FIFO links. The late first delivery must still trigger a forward, and
+   every member's delivered set must match BSS's under the fault-battery
+   spec. *)
+let test_forward_parity_under_skew () =
+  let s =
+    { n = 3;
+      sends = [ (10_000, 0) ];
+      partition = Some (5_000, 75_000, [ 1 ]);
+      join_at = None; horizon_us = 500_000 }
+  in
+  let transport =
+    Config.Reliable { rto = Sim_time.ms 100; max_retries = 20 }
+  in
+  Alcotest.(check bool) "fault-battery equivalence with bss" true
+    (fault_equiv ~transport s);
+  let _, _, _, stacks =
+    run_scenario ~causal_impl:Config.Pc_causal ~transport s
+  in
+  Alcotest.(check bool) "the skewed member forwarded" true
+    ((stats_exn stacks.(1)).Pc_causal.forwards > 0)
+
 (* --- directed strict regression ------------------------------------------ *)
 
 (* Same-instant sends from several members plus a reaction chain: the exact
@@ -486,6 +510,8 @@ let () =
             test_relay_beats_partition;
           Alcotest.test_case "chaos: no forwarding inverts causality" `Quick
             test_no_forwarding_inverts_causality;
+          Alcotest.test_case "forward parity under delivery skew" `Quick
+            test_forward_parity_under_skew;
           Alcotest.test_case "strict directed interleaving" `Quick
             test_strict_directed ] );
     ]

@@ -27,7 +27,7 @@ let gen_vt =
     int_range 1 8 >>= fun n ->
     list_size (return n) (int_range 0 1000) >|= Vector_clock.of_list)
 
-(* A conforming PC/hybrid stamp is nonzero only at the sender's own
+(* A conforming PC stamp is nonzero only at the sender's own
    component — a protocol invariant the codec assumes (the wire carries
    just [origin_seq]; the receiver reconstructs the vector). *)
 let gen_pc_stamp =
@@ -41,7 +41,7 @@ let gen_pc_stamp =
 
 let gen_meta_and_vt =
   Gen.(
-    int_range 0 5 >>= function
+    int_range 0 4 >>= function
     | 0 -> gen_vt >|= fun vt -> (Wire.Fifo_meta, vt, None)
     | 1 -> gen_vt >|= fun vt -> (Wire.Causal_meta, vt, None)
     | 2 -> gen_vt >|= fun vt -> (Wire.Seq_meta, vt, None)
@@ -49,12 +49,9 @@ let gen_meta_and_vt =
       pair gen_vt (pair (int_range 0 10_000) (int_range 0 64))
       >|= fun (vt, (time, node)) ->
       (Wire.Lamport_meta { Lamport.time; node }, vt, None)
-    | 4 ->
-      gen_pc_stamp >|= fun (vt, rank, seq) ->
-      (Wire.Pc_meta { origin_seq = seq }, vt, Some rank)
     | _ ->
       gen_pc_stamp >|= fun (vt, rank, seq) ->
-      (Wire.Hybrid_meta { origin_seq = seq }, vt, Some rank))
+      (Wire.Pc_meta { origin_seq = seq }, vt, Some rank))
 
 let rec gen_data depth =
   Gen.(
@@ -136,7 +133,6 @@ let meta_equal (a : Wire.order_meta) (b : Wire.order_meta) =
   | Wire.Seq_meta, Wire.Seq_meta -> true
   | Wire.Lamport_meta x, Wire.Lamport_meta y -> x = y
   | Wire.Pc_meta x, Wire.Pc_meta y -> x.origin_seq = y.origin_seq
-  | Wire.Hybrid_meta x, Wire.Hybrid_meta y -> x.origin_seq = y.origin_seq
   | _ -> false
 
 let rec data_equal (a : int Wire.data) (b : int Wire.data) =
@@ -252,8 +248,8 @@ let test_garbage_never_escapes =
 let test_unknown_tags_rejected () =
   (* Surgical corruption: an unknown envelope, proto, or meta tag must be
      rejected by name, not skipped. The envelope tag sits right after the
-     frame length prefix; a Data proto's meta tag is located by encoding a
-     distinctive byte pattern. *)
+     frame length prefix; a Data proto's meta tag follows five one-byte
+     varints when every leading field is small. *)
   let t = codec () in
   let w = Wire.Proto (3, Wire.Join_request { joiner = 7 }) in
   let frame = Bytes.of_string (Wire_codec.encode t w) in
@@ -267,7 +263,27 @@ let test_unknown_tags_rejected () =
   Bytes.set frame 3 '\254';
   Alcotest.(check bool)
     "unknown proto tag rejected" true
-    (is_corrupt (fun () -> Wire_codec.decode t (Bytes.to_string frame)))
+    (is_corrupt (fun () -> Wire_codec.decode t (Bytes.to_string frame)));
+  let vt = Vector_clock.create 3 in
+  Vector_clock.set vt 0 1;
+  let data =
+    { Wire.msg_id = 1; trace_id = 1; origin = 0; sender_rank = 0;
+      view_id = 0; vt; meta = Wire.Pc_meta { origin_seq = 1 }; payload = 7;
+      payload_bytes = 8; sent_at = Sim_time.us 1_000; piggyback = [] }
+  in
+  let frame =
+    Bytes.of_string (Wire_codec.encode t (Wire.Proto (3, Wire.Data data)))
+  in
+  (* bytes 0-3: length, envelope, group id, proto tag; 4-8: msg_id, trace
+     delta, origin, sender_rank, view_id; byte 9: the meta tag *)
+  Alcotest.(check char) "Pc_meta tag located" '\004' (Bytes.get frame 9);
+  (* tag 5 belonged to a retired causal layer and is unassigned *)
+  Bytes.set frame 9 '\005';
+  Alcotest.(check string)
+    "retired meta tag 5 rejected" "unknown meta tag 5"
+    (match Wire_codec.decode t (Bytes.to_string frame) with
+     | exception Wire_codec.Corrupt msg -> msg
+     | _ -> "decoded")
 
 let test_overlong_varint_rejected () =
   let t = codec () in
@@ -355,10 +371,10 @@ let gen_wide_vt =
     list_size (return n) gen_wide_int >|= Vector_clock.of_list)
 
 (* every meta kind; non-PC records get arbitrary (negative too) ranks and
-   stamps, PC/hybrid ones a conforming single-component stamp *)
+   stamps, PC ones a conforming single-component stamp *)
 let rec gen_wide_data depth =
   Gen.(
-    int_range 0 5 >>= fun kind ->
+    int_range 0 4 >>= fun kind ->
     gen_wide_vt >>= fun vt ->
     pair gen_wide_int gen_wide_int >>= fun (a, b) ->
     int_range 0 (Vector_clock.size vt - 1) >>= fun own_rank ->
@@ -373,8 +389,7 @@ let rec gen_wide_data depth =
       | 1 -> (Wire.Causal_meta, vt, None)
       | 2 -> (Wire.Seq_meta, vt, None)
       | 3 -> (Wire.Lamport_meta { Lamport.time = a; node = b }, vt, None)
-      | 4 -> (Wire.Pc_meta { origin_seq = a }, pc_stamp (), Some own_rank)
-      | _ -> (Wire.Hybrid_meta { origin_seq = a }, pc_stamp (), Some own_rank)
+      | _ -> (Wire.Pc_meta { origin_seq = a }, pc_stamp (), Some own_rank)
     in
     quad gen_wide_int gen_wide_int gen_wide_int gen_wide_int
     >>= fun (msg_id, trace_id, origin, rank) ->
