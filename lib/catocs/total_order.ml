@@ -23,7 +23,10 @@ module Sequencer_queue = struct
     Hashtbl.replace t.data pending.Delivery_queue.data.Wire.msg_id pending
 
   let add_order t ~msg_id ~global_seq =
-    Hashtbl.replace t.orders global_seq msg_id;
+    (* a flush replays the view's known orders; released ones are never
+       looked up again *)
+    if global_seq >= t.next_release then
+      Hashtbl.replace t.orders global_seq msg_id;
     Hashtbl.replace t.known msg_id global_seq
 
   let known_orders t =

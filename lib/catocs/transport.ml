@@ -10,9 +10,16 @@ type 'w packet =
 
 type 'w framing = { frame : 'w -> string; unframe : string -> 'w }
 
+(* Reliable send window, oldest first: each segment's packet, built once,
+   and the channel tick it was queued at. Seqs are contiguous, acks cumulative
+   and every tick resends every entry, so resend counts never increase front
+   to back: acks and give-ups are prefix pops, resends walk in seq order. *)
+type 'w queued = { seq : int; packet : 'w packet; queued_at : int }
+
 type 'w send_channel = {
   mutable next_seq : int;
-  unacked : (int, 'w * int) Hashtbl.t;  (* seq -> payload, attempts *)
+  window : 'w queued Queue.t;
+  mutable ticks : int;  (* retransmit ticks fired so far *)
   mutable timer_armed : bool;
 }
 
@@ -124,9 +131,15 @@ let sender_channel t dst =
   match Hashtbl.find_opt t.senders dst with
   | Some ch -> ch
   | None ->
-    let ch = { next_seq = 0; unacked = Hashtbl.create 8; timer_armed = false } in
+    let ch = { next_seq = 0; window = Queue.create (); ticks = 0;
+               timer_armed = false } in
     Hashtbl.add t.senders dst ch;
     ch
+
+let take_seq ch =
+  let seq = ch.next_seq in
+  ch.next_seq <- seq + 1;
+  seq
 
 let receiver_channel t src =
   match Hashtbl.find_opt t.receivers src with
@@ -136,32 +149,29 @@ let receiver_channel t src =
     Hashtbl.add t.receivers src ch;
     ch
 
+let pop_upto window key (bound : int) =
+  while (not (Queue.is_empty window)) && key (Queue.peek window) <= bound do
+    ignore (Queue.take window)
+  done
+
 let rec arm_retransmit t dst ch ~rto ~max_retries =
   if not ch.timer_armed then begin
     ch.timer_armed <- true;
     Engine.after t.engine ~owner:t.self rto (fun () ->
         ch.timer_armed <- false;
-        let pending =
-          Hashtbl.fold (fun seq (payload, attempts) acc ->
-              (seq, payload, attempts) :: acc)
-            ch.unacked []
-          |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-        in
-        let resend (seq, payload, attempts) =
-          if attempts >= max_retries then Hashtbl.remove ch.unacked seq
-          else begin
-            Hashtbl.replace ch.unacked seq (payload, attempts + 1);
+        ch.ticks <- ch.ticks + 1;  (* [ticks - queued_at] = this attempt *)
+        pop_upto ch.window (fun q -> q.queued_at) (ch.ticks - max_retries - 1);
+        Queue.iter
+          (fun q ->
             t.retransmissions <- t.retransmissions + 1;
             (match t.obs with
              | Some log ->
                Repro_obs.Log.retransmit log ~at:(Engine.now t.engine)
-                 ~pid:t.self ~dst ~seq ~attempt:(attempts + 1)
+                 ~pid:t.self ~dst ~seq:q.seq ~attempt:(ch.ticks - q.queued_at)
              | None -> ());
-            emit t ~dst (Seg { seq; payload })
-          end
-        in
-        List.iter resend pending;
-        if Hashtbl.length ch.unacked > 0 then
+            emit t ~dst q.packet)
+          ch.window;
+        if not (Queue.is_empty ch.window) then
           arm_retransmit t dst ch ~rto ~max_retries)
   end
 
@@ -200,11 +210,7 @@ let send_encoded t framing ~dst payload =
   let frame = framing.frame payload in
   let seq =
     match t.mode with
-    | Config.Fifo_order ->
-      let ch = sender_channel t dst in
-      let seq = ch.next_seq in
-      ch.next_seq <- seq + 1;
-      seq
+    | Config.Fifo_order -> take_seq (sender_channel t dst)
     | Config.Bare | Config.Reliable _ -> -1
   in
   if t.batch_window = Sim_time.zero then begin
@@ -234,25 +240,19 @@ let send t ~dst payload =
        stream in send order, turning a reordering network into FIFO links —
        the substrate PC-broadcast assumes. No acks, so a dropped segment
        stalls the link; use [Reliable] under loss. *)
-    let ch = sender_channel t dst in
-    let seq = ch.next_seq in
-    ch.next_seq <- seq + 1;
-    emit t ~dst (Seg { seq; payload })
+    emit t ~dst (Seg { seq = take_seq (sender_channel t dst); payload })
   | Config.Reliable { rto; max_retries } ->
     let ch = sender_channel t dst in
-    let seq = ch.next_seq in
-    ch.next_seq <- seq + 1;
-    Hashtbl.replace ch.unacked seq (payload, 0);
-    emit t ~dst (Seg { seq; payload });
+    let seq = take_seq ch in
+    let packet = Seg { seq; payload } in
+    Queue.add { seq; packet; queued_at = ch.ticks } ch.window;
+    emit t ~dst packet;
     arm_retransmit t dst ch ~rto ~max_retries
 
 let handle_ack t src upto =
   match Hashtbl.find_opt t.senders src with
   | None -> ()
-  | Some ch ->
-    Hashtbl.iter
-      (fun seq _ -> if seq <= upto then Hashtbl.remove ch.unacked seq)
-      (Hashtbl.copy ch.unacked)
+  | Some ch -> pop_upto ch.window (fun q -> q.seq) upto
 
 let handle_seg t src seq payload =
   let ch = receiver_channel t src in

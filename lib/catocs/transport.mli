@@ -5,9 +5,12 @@
     forever, so lossy configurations should use [Reliable]).
 
     In [Reliable] mode each peer pair runs a sequence-numbered channel with
-    cumulative acks, retransmission and in-order reassembly — a miniature
-    TCP, which is what the paper assumes for its "conventional transport
-    protocol ordering" alternative. *)
+    in-order reassembly — the paper's "conventional transport protocol
+    ordering" alternative. The policy is go-back-N: the receiver acks
+    cumulatively on every segment; every [rto], each unacked segment on the
+    link is resent, oldest first; a segment is dropped silently after
+    [max_retries] resends, which wedges that link for good (the receiver
+    never sees its sequence number, so nothing after it is delivered). *)
 
 type 'w packet =
   | Seg of { seq : int; payload : 'w }

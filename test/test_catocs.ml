@@ -531,10 +531,11 @@ let test_piggyback_fills_partial_multicast_gap () =
 let test_transport_gives_up_after_max_retries () =
   let net = Net.create ~latency:(Net.Fixed 100) ~drop_probability:1.0 () in
   let engine = Engine.create ~net () in
+  let log = Repro_obs.Log.create () in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b = Engine.spawn engine ~name:"b" (fun _ _ -> ()) in
   let ta =
-    Transport.create ~engine ~self:a
+    Transport.create ~obs:log ~engine ~self:a
       ~mode:(Config.Reliable { rto = Sim_time.ms 5; max_retries = 4 })
       ~on_deliver:(fun ~src:_ _ -> ()) ()
   in
@@ -542,7 +543,17 @@ let test_transport_gives_up_after_max_retries () =
   ignore b;
   Transport.send ta ~dst:b 1;
   Engine.run ~until:(Sim_time.seconds 2) engine;
-  check_int "bounded retransmissions" 4 (Transport.retransmissions ta)
+  check_int "bounded retransmissions" 4 (Transport.retransmissions ta);
+  (* attempt numbers come from the channel's tick count, one per rto *)
+  let resends =
+    Repro_obs.Log.fold log ~init:[] ~f:(fun acc (r : Repro_obs.Event.record) ->
+        match r.event with
+        | Repro_obs.Event.Retransmit { seq; attempt; _ } -> (seq, attempt) :: acc
+        | _ -> acc)
+  in
+  Alcotest.(check (list (pair int int))) "seq 0, attempts 1..4"
+    [ (0, 1); (0, 2); (0, 3); (0, 4) ]
+    (List.rev resends)
 
 (* --- heartbeat failure detection ---------------------------------------------- *)
 
@@ -776,31 +787,51 @@ let test_transport_fifo_reassembly () =
     (List.init 50 (fun i -> i + 1))
     (List.rev !got)
 
-let test_transport_retransmits_on_loss () =
-  let net = Net.create ~latency:(Net.Fixed 100) ~drop_probability:0.5 () in
-  let engine = Engine.create ~seed:7L ~net () in
-  let got = ref 0 in
+(* One Reliable link a -> b (max_retries 100) carrying [sends] payloads.
+   The go-back-N schedule is pinned packet for packet: every rto, each
+   unacked segment is resent oldest first, so a window that resends the
+   wrong set moves these counts. *)
+let check_schedule ~latency ~drop_probability ~seed ~rto ~sends ~retransmits
+    ~sent ~acks =
+  let net = Net.create ~latency ~drop_probability () in
+  let engine = Engine.create ~seed ~net () in
+  let got = ref [] in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b = Engine.spawn engine ~name:"b" (fun _ _ -> ()) in
+  let mode = Config.Reliable { rto = Sim_time.ms rto; max_retries = 100 } in
   let tb =
-    Transport.create ~engine ~self:b
-      ~mode:(Config.Reliable { rto = Sim_time.ms 10; max_retries = 100 })
-      ~on_deliver:(fun ~src:_ _ -> incr got)
+    Transport.create ~engine ~self:b ~mode
+      ~on_deliver:(fun ~src:_ v -> got := v :: !got)
       ()
   in
   Engine.set_handler engine b (fun _ env -> Transport.handle tb env);
   let ta =
-    Transport.create ~engine ~self:a
-      ~mode:(Config.Reliable { rto = Sim_time.ms 10; max_retries = 100 })
-      ~on_deliver:(fun ~src:_ _ -> ()) ()
+    Transport.create ~engine ~self:a ~mode ~on_deliver:(fun ~src:_ _ -> ()) ()
   in
   Engine.set_handler engine a (fun _ env -> Transport.handle ta env);
-  for i = 1 to 30 do
+  for i = 1 to sends do
     Transport.send ta ~dst:b i
   done;
   Engine.run ~until:(Sim_time.seconds 10) engine;
-  check_int "all delivered" 30 !got;
-  check_bool "did retransmit" true (Transport.retransmissions ta > 0)
+  Alcotest.(check (list int)) "all delivered in order"
+    (List.init sends (fun i -> i + 1))
+    (List.rev !got);
+  check_int "retransmissions" retransmits (Transport.retransmissions ta);
+  check_int "sender packets" sent (Transport.packets_sent ta);
+  check_int "receiver packets" acks (Transport.packets_sent tb)
+
+let test_transport_retransmits_on_loss () =
+  check_schedule ~latency:(Net.Fixed 100) ~drop_probability:0.5 ~seed:7L
+    ~rto:10 ~sends:30 ~retransmits:140 ~sent:170 ~acks:89
+
+let test_transport_retransmits_reordering () =
+  check_schedule ~latency:(Net.Uniform (500, 5_000)) ~drop_probability:0.2
+    ~seed:3L ~rto:10 ~sends:200 ~retransmits:717 ~sent:917 ~acks:720
+
+let test_transport_no_loss_no_retransmit () =
+  (* acks empty the window before the first tick fires *)
+  check_schedule ~latency:(Net.Fixed 100) ~drop_probability:0.0 ~seed:1L
+    ~rto:5 ~sends:50 ~retransmits:0 ~sent:50 ~acks:50
 
 (* --- pure queue structures -------------------------------------------------- *)
 
@@ -1135,6 +1166,10 @@ let () =
           Alcotest.test_case "fifo reassembly" `Quick test_transport_fifo_reassembly;
           Alcotest.test_case "retransmits on loss" `Quick
             test_transport_retransmits_on_loss;
+          Alcotest.test_case "retransmits under reordering" `Quick
+            test_transport_retransmits_reordering;
+          Alcotest.test_case "no loss, no retransmit" `Quick
+            test_transport_no_loss_no_retransmit;
         ] );
       ( "queues",
         [
