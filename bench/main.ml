@@ -6,13 +6,13 @@
    message transmission and reception" claim at the CPU level.
 
    With [--json] it instead produces BENCH_delivery.json: ns/op
-   micro-benchmarks of the delivery queue, the stability tracker
-   (optimized vs reference implementation, with and without a permanently
-   blocked/unstable backlog) and the wire codec (ns/encode, ns/decode and
-   real bytes/msg for bss vs pc frames), plus two end-to-end curve
-   families from the Section 5 scaling experiment: the "queue" family
-   (indexed vs reference delivery queue, n = 4/16/64/256/512) and the
-   "causal" family (BSS vector timestamps vs PC-broadcast constant
+   micro-benchmarks of the delivery queue and the stability tracker
+   (each against its test-oracle reference implementation, with and
+   without a permanently blocked/unstable backlog) and the wire codec
+   (ns/encode, ns/decode and real bytes/msg for bss vs pc frames), plus
+   end-to-end curve families from the Section 5 scaling experiment: the
+   "queue" family (the indexed delivery queue, n = 4/16/64/256/512) and
+   the "causal" family (BSS vector timestamps vs PC-broadcast constant
    metadata — the per-delivery metadata curve that is linear for bss and
    flat for pc; bss runs the dense stability tracker to n = 1024, pc runs
    the sparse tracker to n = 4096,
@@ -23,12 +23,11 @@
    capped at n = 256 — the n = 1024 bss point needs ~20 GB for the
    group's O(n^2) matrix clocks and lives in the committed full-mode
    baseline).
-   [--out FILE] overrides the output path. [--validate FILE] checks the schema, pins the
-   within-family delivery agreement and the pc metadata flatness,
-   and with [--baseline FILE] additionally fails on a >30%
-   deliveries-per-cpu-second or peak-unstable-bytes regression at any
-   (impl, group size) present in both files. The schema is documented in
-   EXPERIMENTS.md. *)
+   [--out FILE] overrides the output path. [--validate FILE] checks the
+   schema and pins the pc metadata flatness, and with [--baseline FILE]
+   additionally fails on a >30% deliveries-per-cpu-second or
+   peak-unstable-bytes regression at any (impl, group size) present in
+   both files. The schema is documented in EXPERIMENTS.md. *)
 
 module Registry = Repro_experiments.Registry
 module Scaling = Repro_experiments.Scaling
@@ -37,6 +36,8 @@ module Delivery_queue = Repro_catocs.Delivery_queue
 module Stability = Repro_catocs.Stability
 module Metrics = Repro_catocs.Metrics
 module Wire = Repro_catocs.Wire
+module Reference_queue = Repro_oracle.Reference_queue
+module Reference_stability = Repro_oracle.Reference_stability
 module Json = Repro_analyze.Json
 module Obs_log = Repro_obs.Log
 
@@ -139,18 +140,58 @@ let json_float f =
   if Float.is_nan f || Float.is_integer (f /. 0.) then "null"
   else Printf.sprintf "%.3f" f
 
-let impl_name = function
-  | Delivery_queue.Indexed -> "indexed"
-  | Delivery_queue.Reference -> "reference"
+(* The micro rows measure each production structure against the test
+   oracle it is differentially checked against, labelled by [impl]. *)
+module type QUEUE = sig
+  type 'a t
+
+  val create : Delivery_queue.mode -> 'a t
+  val add : 'a t -> 'a Delivery_queue.pending -> unit
+
+  val take_deliverable :
+    'a t -> local:Vector_clock.t -> 'a Delivery_queue.pending option
+end
+
+let queues : (string * (module QUEUE)) list =
+  [ ("indexed",
+     (module struct
+       include Delivery_queue
+
+       let create mode = create mode
+     end));
+    ("reference", (module Reference_queue)) ]
+
+module type TRACKER = sig
+  type 'a t
+
+  val create :
+    ?clock:Group_clock.impl ->
+    ?bytes_of:('a Wire.data -> int) ->
+    ?obs:Repro_obs.Log.t * int ->
+    ?registry:Repro_obs.Registry.t ->
+    group_size:int ->
+    metrics:Metrics.t ->
+    graph:Causality.t option ->
+    unit ->
+    'a t
+
+  val note_sent_or_delivered : 'a t -> 'a Wire.data -> unit
+  val observe_vc : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
+  val unstable_count : 'a t -> int
+end
+
+let trackers : (string * (module TRACKER)) list =
+  [ ("incremental", (module Stability));
+    ("reference", (module Reference_stability)) ]
 
 (* Steady-state delivery-queue cycle: one deliverable message from sender 0
    is added and immediately taken, on top of [blocked] messages that can
    never become deliverable (a per-sender FIFO gap: their sequence numbers
-   skip local+1). The reference implementation rescans the blocked backlog
-   on every take; the indexed one never revisits it. *)
-let queue_cycle_bench ~impl ~senders ~blocked =
+   skip local+1). The reference list rescans the blocked backlog on every
+   take; the indexed queue never revisits it. *)
+let queue_cycle_bench ~name (module Q : QUEUE) ~senders ~blocked =
   let open Bechamel in
-  let q = Delivery_queue.create ~impl Delivery_queue.Causal_full in
+  let q = Q.create Delivery_queue.Causal_full in
   let local = Vector_clock.create senders in
   let mk ~rank ~vt =
     { Delivery_queue.data =
@@ -168,38 +209,31 @@ let queue_cycle_bench ~impl ~senders ~blocked =
     let vt = Vector_clock.create senders in
     Vector_clock.set vt rank (2 + per_sender.(rank));
     per_sender.(rank) <- per_sender.(rank) + 1;
-    Delivery_queue.add q (mk ~rank ~vt)
+    Q.add q (mk ~rank ~vt)
   done;
   let seq = ref 0 in
-  let name =
-    Printf.sprintf "dq-add-take/%s/n%d/b%d" (impl_name impl) senders blocked
-  in
   Test.make ~name
     (Staged.stage (fun () ->
          let s = !seq + 1 in
          let vt = Vector_clock.create senders in
          Vector_clock.set vt 0 s;
-         Delivery_queue.add q (mk ~rank:0 ~vt);
-         match Delivery_queue.take_deliverable q ~local with
+         Q.add q (mk ~rank:0 ~vt);
+         match Q.take_deliverable q ~local with
          | Some _ ->
            seq := s;
            Vector_clock.set local 0 s
          | None -> failwith "bench: steady-state message not deliverable"))
 
-let stability_impl_name = function
-  | Stability.Incremental -> "incremental"
-  | Stability.Reference -> "reference"
-
 (* Steady-state stability cycle: one multicast from sender 0 is buffered,
    then every member's matrix row is observed with a clock covering it, so
    the message stabilises and is released at the last observation — on top
    of [backlog] messages from the other senders that never stabilise. The
-   reference implementation rescans the whole buffer on every observation;
-   the incremental one pops exactly the released message. *)
-let stability_cycle_bench ~impl ~members ~backlog =
+   reference tracker rescans the whole buffer on every observation; the
+   incremental one pops exactly the released message. *)
+let stability_cycle_bench ~name (module Tracker : TRACKER) ~members ~backlog =
   let open Bechamel in
   let metrics = Metrics.create () in
-  let st = Stability.create ~impl ~group_size:members ~metrics ~graph:None () in
+  let st = Tracker.create ~group_size:members ~metrics ~graph:None () in
   let next_id = ref 0 in
   let mk ~rank ~vt =
     incr next_id;
@@ -216,25 +250,21 @@ let stability_cycle_bench ~impl ~members ~backlog =
     per_sender.(rank) <- per_sender.(rank) + 1;
     let vt = Vector_clock.create members in
     Vector_clock.set vt rank per_sender.(rank);
-    Stability.note_sent_or_delivered st (mk ~rank ~vt)
+    Tracker.note_sent_or_delivered st (mk ~rank ~vt)
   done;
   let seq = ref 0 in
   let gossip = Vector_clock.create members in
-  let name =
-    Printf.sprintf "stab-release/%s/n%d/b%d" (stability_impl_name impl)
-      members backlog
-  in
   Test.make ~name
     (Staged.stage (fun () ->
          incr seq;
          let vt = Vector_clock.create members in
          Vector_clock.set vt 0 !seq;
-         Stability.note_sent_or_delivered st (mk ~rank:0 ~vt);
+         Tracker.note_sent_or_delivered st (mk ~rank:0 ~vt);
          Vector_clock.set gossip 0 !seq;
          for r = 0 to members - 1 do
-           Stability.observe_vc st ~rank:r ~now:Sim_time.zero gossip
+           Tracker.observe_vc st ~rank:r ~now:Sim_time.zero gossip
          done;
-         if Stability.unstable_count st <> backlog then
+         if Tracker.unstable_count st <> backlog then
            failwith "bench: stability steady state broken"))
 
 (* Wire-codec micro rows: the real cost of the Config.Encoded wire path —
@@ -349,31 +379,29 @@ let micro_section ~smoke =
   in
   let dq_specs =
     List.concat_map
-      (fun impl ->
+      (fun (impl, queue) ->
         List.map
           (fun (senders, blocked) ->
             let name =
-              Printf.sprintf "dq-add-take/%s/n%d/b%d" (impl_name impl) senders
-                blocked
+              Printf.sprintf "dq-add-take/%s/n%d/b%d" impl senders blocked
             in
-            (name, impl_name impl, senders, blocked,
-             queue_cycle_bench ~impl ~senders ~blocked))
+            (name, impl, senders, blocked,
+             queue_cycle_bench ~name queue ~senders ~blocked))
           dq_configs)
-      [ Delivery_queue.Indexed; Delivery_queue.Reference ]
+      queues
   in
   let stab_specs =
     List.concat_map
-      (fun impl ->
+      (fun (impl, tracker) ->
         List.map
           (fun (members, backlog) ->
             let name =
-              Printf.sprintf "stab-release/%s/n%d/b%d"
-                (stability_impl_name impl) members backlog
+              Printf.sprintf "stab-release/%s/n%d/b%d" impl members backlog
             in
-            (name, stability_impl_name impl, members, backlog,
-             stability_cycle_bench ~impl ~members ~backlog))
+            (name, impl, members, backlog,
+             stability_cycle_bench ~name tracker ~members ~backlog))
           stab_configs)
-      [ Stability.Incremental; Stability.Reference ]
+      trackers
   in
   let specs = dq_specs @ stab_specs in
   let tests =
@@ -430,55 +458,46 @@ let e2e_section ~engine_impl ~smoke =
     else if n <= 256 then Sim_time.ms 60
     else Sim_time.ms 50
   in
-  let impls = [ Config.Indexed_queue; Config.Reference_queue ] in
-  List.concat_map
-    (fun queue_impl ->
-      let impl_str =
-        match queue_impl with
-        | Config.Indexed_queue -> "indexed"
-        | Config.Reference_queue -> "reference"
+  List.map
+    (fun n ->
+      let duration = duration_for n in
+      let t0 = Sys.time () in
+      let point =
+        match
+          Scaling.sweep ~sizes:[ n ] ~seed:11L ~duration ~engine_impl
+            ~track_graph:false ()
+        with
+        | [ p ] -> p
+        | _ -> assert false
       in
-      List.map
-        (fun n ->
-          let duration = duration_for n in
-          let t0 = Sys.time () in
-          let point =
-            match
-              Scaling.sweep ~sizes:[ n ] ~seed:11L ~duration ~engine_impl
-                ~queue_impl ~track_graph:false ()
-            with
-            | [ p ] -> p
-            | _ -> assert false
-          in
-          let cpu = Sys.time () -. t0 in
-          let rate =
-            if cpu > 0. then float_of_int point.Scaling.deliveries_total /. cpu
-            else Float.nan
-          in
-          Printf.printf
-            "  e2e %-9s n=%-3d deliveries=%-8d cpu=%6.2fs  %10.0f msg/s  \
-             peak-buf=%d msgs\n%!"
-            impl_str n point.Scaling.deliveries_total cpu rate
-            point.Scaling.peak_node_unstable_msgs;
-          Printf.sprintf
-            "    { \"impl\": %S, \"family\": \"queue\", \"group_size\": %d, \
-             \"sim_duration_ms\": %d, \
-             \"messages_sent\": %d, \"deliveries\": %d, \
-             \"cpu_seconds\": %s, \"deliveries_per_cpu_second\": %s, \
-             \"peak_node_unstable_msgs\": %d, \
-             \"peak_node_unstable_bytes\": %d, \
-             \"system_unstable_bytes\": %d, \
-             \"mean_delivery_delay_us\": %s }"
-            impl_str n
-            (Sim_time.to_us duration / 1000)
-            point.Scaling.messages_total point.Scaling.deliveries_total
-            (json_float cpu) (json_float rate)
-            point.Scaling.peak_node_unstable_msgs
-            point.Scaling.peak_node_unstable_bytes
-            point.Scaling.system_unstable_bytes
-            (json_float point.Scaling.mean_delivery_delay_us))
-        sizes)
-    impls
+      let cpu = Sys.time () -. t0 in
+      let rate =
+        if cpu > 0. then float_of_int point.Scaling.deliveries_total /. cpu
+        else Float.nan
+      in
+      Printf.printf
+        "  e2e %-9s n=%-3d deliveries=%-8d cpu=%6.2fs  %10.0f msg/s  \
+         peak-buf=%d msgs\n%!"
+        "indexed" n point.Scaling.deliveries_total cpu rate
+        point.Scaling.peak_node_unstable_msgs;
+      Printf.sprintf
+        "    { \"impl\": %S, \"family\": \"queue\", \"group_size\": %d, \
+         \"sim_duration_ms\": %d, \
+         \"messages_sent\": %d, \"deliveries\": %d, \
+         \"cpu_seconds\": %s, \"deliveries_per_cpu_second\": %s, \
+         \"peak_node_unstable_msgs\": %d, \
+         \"peak_node_unstable_bytes\": %d, \
+         \"system_unstable_bytes\": %d, \
+         \"mean_delivery_delay_us\": %s }"
+        "indexed" n
+        (Sim_time.to_us duration / 1000)
+        point.Scaling.messages_total point.Scaling.deliveries_total
+        (json_float cpu) (json_float rate)
+        point.Scaling.peak_node_unstable_msgs
+        point.Scaling.peak_node_unstable_bytes
+        point.Scaling.system_unstable_bytes
+        (json_float point.Scaling.mean_delivery_delay_us))
+    sizes
 
 (* The causal-implementation family: the same Section 5 workload run with
    BSS vector timestamps and with PC-broadcast constant metadata. The
@@ -984,14 +1003,8 @@ let validate ?expect_mode ?baseline file =
       | None -> ())
     micro;
   let e2e = rows "end_to_end" in
-  (* Within the queue family both implementations run the identical
-     protocol, so their simulated deliveries must match exactly. The
-     causal family is exempt: bss and pc use different transports,
-     dissemination and forwarding, so near-horizon message counts
-     legitimately differ between them. Families are distinguished by the
-     "family" field; rows without one (pre-causal-family files) are the
-     queue family. *)
-  let by_size : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  (* Families are distinguished by the "family" field; rows without one
+     (pre-causal-family files) are the queue family. *)
   let rates : (string * int, float) Hashtbl.t = Hashtbl.create 16 in
   let peak_bytes : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
   let header_means : (string, (int * float) list ref) Hashtbl.t =
@@ -1006,7 +1019,7 @@ let validate ?expect_mode ?baseline file =
         | Some _ -> str_field row "family"
       in
       let size = int_field row "group_size" in
-      let deliveries = int_field row "deliveries" in
+      ignore (int_field row "deliveries");
       number_or_null row "deliveries_per_cpu_second";
       (* sub-half-second runs are scheduler noise, not a throughput
          measurement: keep them out of the baseline regression gate (the
@@ -1081,16 +1094,7 @@ let validate ?expect_mode ?baseline file =
           in
           l := (size, m) :: !l
         | None -> ()
-      end;
-      if family = "queue" then
-        match Hashtbl.find_opt by_size size with
-        | None -> Hashtbl.add by_size size deliveries
-        | Some d when d = deliveries -> ()
-        | Some d ->
-          fail
-            "group_size %d: queue implementations disagree on deliveries \
-             (%d vs %d)"
-            size d deliveries)
+      end)
     e2e;
   (* the causal family's headline claim: constant-metadata ordering stays
      flat per delivery as the group grows, while bss grows linearly with

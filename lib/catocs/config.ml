@@ -9,10 +9,6 @@ type transport_mode =
   | Fifo_order
   | Reliable of { rto : Sim_time.t; max_retries : int }
 
-type queue_impl = Indexed_queue | Reference_queue
-
-type stability_impl = Incremental_stability | Reference_stability
-
 type causal_impl = Vector_causal | Pc_causal
 
 type pc_overlay = Pc_full_mesh | Pc_tree of { fanout : int }
@@ -29,8 +25,6 @@ type t = {
   piggyback_history : bool;
   payload_bytes : int;
   track_graph : bool;
-  queue_impl : queue_impl;
-  stability_impl : stability_impl;
   causal_impl : causal_impl;
   pc_overlay : pc_overlay;
   stability_clock : stability_clock;
@@ -45,8 +39,7 @@ type t = {
 let default =
   { ordering = Causal; gossip_period = Sim_time.ms 20; transport = Bare;
     failure_detection = Oracle; piggyback_history = false;
-    payload_bytes = 256; track_graph = true; queue_impl = Indexed_queue;
-    stability_impl = Incremental_stability; causal_impl = Vector_causal;
+    payload_bytes = 256; track_graph = true; causal_impl = Vector_causal;
     pc_overlay = Pc_full_mesh; stability_clock = Dense_clock;
     wire_format = Structural; batch_window = Sim_time.zero; metrics = false }
 

@@ -27,25 +27,6 @@ type transport_mode =
   | Reliable of { rto : Sim_time.t; max_retries : int }
       (** positive ack + retransmission, FIFO reassembly *)
 
-type queue_impl =
-  | Indexed_queue
-      (** per-sender indexed delivery buffering, O(log senders) pops — the
-          default ({!Delivery_queue.Indexed}) *)
-  | Reference_queue
-      (** the original O(pending) list scan ({!Delivery_queue.Reference}),
-          selectable so whole-stack runs can be differentially compared
-          against the optimized path *)
-
-type stability_impl =
-  | Incremental_stability
-      (** per-sender deques released off cached matrix-clock minima,
-          amortized O(newly stable) — the default
-          ({!Stability.Incremental}) *)
-  | Reference_stability
-      (** the original full-buffer rescan on every observation
-          ({!Stability.Reference}), selectable for whole-stack differential
-          comparison *)
-
 type causal_impl =
   | Vector_causal
       (** BSS causal delivery: O(group) vector timestamps piggybacked on
@@ -111,9 +92,6 @@ type t = {
   track_graph : bool;
       (** maintain the shared active-causal-graph (Section 5 metrics);
           costs memory at large scale *)
-  queue_impl : queue_impl;  (** delivery-queue implementation selector *)
-  stability_impl : stability_impl;
-      (** stability-tracker implementation selector *)
   causal_impl : causal_impl;
       (** causal-delivery implementation selector (BSS vs PC-broadcast) *)
   pc_overlay : pc_overlay;

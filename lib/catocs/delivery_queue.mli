@@ -6,20 +6,14 @@
     before it by happens-before has not yet arrived. Pure data structure —
     no engine dependency — so invariants are property-testable.
 
-    Two interchangeable implementations live behind one dispatch type:
-
-    - {!Indexed} (the default): per-sender rings of sequence-number slots
-      plus a ready-candidate heap and a blocked-on-component index, giving
-      O(log senders) amortized pops. Both delivery conditions pin a
-      message's sequence number to [local(sender) + 1], so each sender has
-      at most one candidate slot at any instant.
-    - {!Reference}: the original single pending list, rescanned in full on
-      every take — O(pending) per operation, kept as the differential-
-      testing baseline (see the qcheck equivalence property and the
-      reference checker sweeps in [test/]).
-
-    Both produce byte-identical delivery sequences: among all currently
-    deliverable messages, the oldest arrival is returned first. *)
+    Messages are held in per-sender rings of sequence-number slots plus a
+    ready-candidate heap and a blocked-on-component index, giving
+    O(log senders) amortized pops. Both delivery conditions pin a message's
+    sequence number to [local(sender) + 1], so each sender has at most one
+    candidate slot at any instant. Among all currently deliverable
+    messages, the oldest arrival is returned first — exactly the order a
+    single arrival-ordered list rescanned on every take would produce; the
+    differential tests in [test/] hold the queue to that list. *)
 
 type mode =
   | Fifo_gap  (** deliver when [vt(sender) = local(sender) + 1] only *)
@@ -36,14 +30,10 @@ val chaos_disable_causal_check : bool ref
     the schedule-exploration checker ([lib/check]) can prove its causal
     oracle detects a buggy delivery condition. Never set outside tests. *)
 
-type impl = Indexed | Reference
-
-val create : ?impl:impl -> ?obs:Repro_obs.Log.t * int -> mode -> 'a t
-(** [impl] defaults to [Indexed]. [obs] is the telemetry log plus the
-    owning process id: every {!add} then emits an [Obs.Event.Span_queued]
-    record stamped with the message's arrival time. *)
-
-val impl_of : 'a t -> impl
+val create : ?obs:Repro_obs.Log.t * int -> mode -> 'a t
+(** [obs] is the telemetry log plus the owning process id: every {!add}
+    then emits an [Obs.Event.Span_queued] record stamped with the message's
+    arrival time. *)
 
 val add : 'a t -> 'a pending -> unit
 
@@ -61,27 +51,3 @@ val drain : 'a t -> 'a pending list
 
 val to_list : 'a t -> 'a pending list
 (** Current contents in arrival order, without removing. *)
-
-(** The two concrete implementations, exposed for direct micro-benchmarks
-    and differential tests (no dispatch overhead). *)
-module Reference : sig
-  type 'a t
-
-  val create : mode -> 'a t
-  val add : 'a t -> 'a pending -> unit
-  val length : 'a t -> int
-  val take_deliverable : 'a t -> local:Vector_clock.t -> 'a pending option
-  val drain : 'a t -> 'a pending list
-  val to_list : 'a t -> 'a pending list
-end
-
-module Indexed : sig
-  type 'a t
-
-  val create : mode -> 'a t
-  val add : 'a t -> 'a pending -> unit
-  val length : 'a t -> int
-  val take_deliverable : 'a t -> local:Vector_clock.t -> 'a pending option
-  val drain : 'a t -> 'a pending list
-  val to_list : 'a t -> 'a pending list
-end

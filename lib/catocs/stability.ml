@@ -1,132 +1,4 @@
-(* Releasing a stable message is identical bookkeeping in both
-   implementations; only the strategy for *finding* newly stable messages
-   differs. *)
-let release_message ~bytes_of ~metrics ~graph ~obs ~lag_histo ~now
-    (data : 'a Wire.data) =
-  let bytes = bytes_of data in
-  Metrics.note_unstable_removed metrics ~bytes;
-  let lag_us =
-    float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
-  in
-  Stats.Summary.add metrics.Metrics.stability_lag_us lag_us;
-  Repro_obs.Histo.add lag_histo lag_us;
-  (match obs with
-   | Some (log, pid) ->
-     Repro_obs.Log.span_stable log ~at:now ~uid:data.Wire.msg_id ~pid
-   | None -> ());
-  match graph with
-  | Some graph -> Causality.remove_stable graph data.Wire.msg_id
-  | None -> ()
-
-(* Shared registry cells: send-to-stable lag distribution, and a count of
-   cached matrix-minima advances (the incremental tracker's release driver;
-   the reference implementation rescans instead of tracking advances, so it
-   reports zero). *)
-let register_cells registry =
-  let registry =
-    match registry with Some r -> r | None -> Repro_obs.Registry.null ()
-  in
-  ( Repro_obs.Registry.histogram registry ~layer:Repro_obs.Event.Stability
-      ~name:"stability_lag_us" (),
-    Repro_obs.Registry.counter registry ~layer:Repro_obs.Event.Stability
-      ~name:"minima_advances" () )
-
-(* ------------------------------------------------------------------------- *)
-(* Reference implementation: one hashtable of buffered messages, rescanned in
-   full against the matrix minima on every observation. O(buffer) per
-   release pass — correct and obviously so, kept as the differential-testing
-   baseline for the incremental implementation below. *)
-
-module Reference = struct
-  type 'a q = {
-    matrix : Group_clock.t;
-    buffer : (Wire.msg_id, 'a Wire.data) Hashtbl.t;
-    bytes_of : 'a Wire.data -> int;
-    metrics : Metrics.t;
-    graph : Causality.t option;
-    obs : (Repro_obs.Log.t * int) option;
-    lag_histo : Repro_obs.Histo.t;
-    mutable bytes : int;
-  }
-
-  type nonrec 'a t = 'a q
-
-  let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
-      ~group_size ~metrics ~graph () =
-    let lag_histo, _ = register_cells registry in
-    { matrix = Group_clock.create ?impl:clock group_size;
-      buffer = Hashtbl.create 64; bytes_of; metrics; graph; obs; lag_histo;
-      bytes = 0 }
-
-  let note_sent_or_delivered t (data : 'a Wire.data) =
-    if not (Hashtbl.mem t.buffer data.Wire.msg_id) then begin
-      Hashtbl.add t.buffer data.Wire.msg_id data;
-      let bytes = t.bytes_of data in
-      t.bytes <- t.bytes + bytes;
-      Metrics.note_unstable_added t.metrics ~bytes
-    end;
-    Group_clock.update_row t.matrix data.Wire.sender_rank data.Wire.vt
-
-  (* Fifo_gap-mode fast path: a PC stamp is nonzero only at the
-     sender's own component, so the sender-row merge is one diagonal cell. *)
-  let note_delivered_diag t (data : 'a Wire.data) =
-    if not (Hashtbl.mem t.buffer data.Wire.msg_id) then begin
-      Hashtbl.add t.buffer data.Wire.msg_id data;
-      let bytes = t.bytes_of data in
-      t.bytes <- t.bytes + bytes;
-      Metrics.note_unstable_added t.metrics ~bytes
-    end;
-    let sender = data.Wire.sender_rank in
-    Group_clock.update_cell t.matrix sender sender
-      ~seq:(Vector_clock.get data.Wire.vt sender)
-
-  let release_stable t ~now =
-    let stable_ids =
-      Hashtbl.fold
-        (fun id (data : 'a Wire.data) acc ->
-          let sender = data.Wire.sender_rank in
-          let seq = Vector_clock.get data.Wire.vt sender in
-          if Group_clock.stable t.matrix ~sender ~seq then (id, data) :: acc
-          else acc)
-        t.buffer []
-    in
-    let release (id, data) =
-      Hashtbl.remove t.buffer id;
-      t.bytes <- t.bytes - t.bytes_of data;
-      release_message ~bytes_of:t.bytes_of ~metrics:t.metrics ~graph:t.graph
-        ~obs:t.obs ~lag_histo:t.lag_histo ~now data
-    in
-    List.iter release stable_ids
-
-  let observe_vc t ~rank ~now vc =
-    Group_clock.update_row t.matrix rank vc;
-    release_stable t ~now
-
-  (* our own running clock is mutable — never adopted by reference *)
-  let self_observe t ~rank ~now vc =
-    Group_clock.update_row ~live:true t.matrix rank vc;
-    release_stable t ~now
-
-  (* The caller's clock advanced only at [col] since its last observation:
-     merge that one cell, then the usual release pass. *)
-  let self_observe_cell t ~rank ~col ~seq ~now =
-    Group_clock.update_cell t.matrix rank col ~seq;
-    release_stable t ~now
-
-  let unstable t =
-    Hashtbl.fold (fun _ data acc -> data :: acc) t.buffer []
-    |> List.sort Wire.compare_stamping
-
-  let unstable_count t = Hashtbl.length t.buffer
-  let unstable_bytes t = t.bytes
-
-  let matrix t = t.matrix
-end
-
-(* ------------------------------------------------------------------------- *)
-(* Incremental implementation.
-
-   Per-sender deques hold buffered messages in ascending sequence order (the
+(* Per-sender deques hold buffered messages in ascending sequence order (the
    causal/FIFO delivery condition guarantees per-sender in-order buffering
    within a view, so pushes are naturally sorted and a max-seq watermark
    doubles as the duplicate check). The matrix clock reports exactly which
@@ -138,217 +10,171 @@ end
    deliveries), so every release is triggered by a later minimum advance
    and none is missed. *)
 
-module Incremental = struct
-  type 'a q = {
-    matrix : Group_clock.t;
-    pending : 'a Wire.data Queue.t array;  (* index = sender rank *)
-    highest : int array;  (* highest seq buffered per sender (dedup) *)
-    mutable dirty : int list;  (* columns whose cached minimum advanced *)
-    dirty_mark : bool array;
-    bytes_of : 'a Wire.data -> int;
-    metrics : Metrics.t;
-    graph : Causality.t option;
-    obs : (Repro_obs.Log.t * int) option;
-    lag_histo : Repro_obs.Histo.t;
-    reg_minima : Repro_obs.Registry.counter;
-    mutable count : int;
-    mutable bytes : int;
-  }
+type 'a t = {
+  matrix : Group_clock.t;
+  pending : 'a Wire.data Queue.t array;  (* index = sender rank *)
+  highest : int array;  (* highest seq buffered per sender (dedup) *)
+  mutable dirty : int list;  (* columns whose cached minimum advanced *)
+  dirty_mark : bool array;
+  bytes_of : 'a Wire.data -> int;
+  metrics : Metrics.t;
+  graph : Causality.t option;
+  obs : (Repro_obs.Log.t * int) option;
+  lag_histo : Repro_obs.Histo.t;
+  reg_minima : Repro_obs.Registry.counter;
+  mutable count : int;
+  mutable bytes : int;
+}
 
-  type nonrec 'a t = 'a q
+let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
+    ~group_size ~metrics ~graph () =
+  let registry =
+    match registry with Some r -> r | None -> Repro_obs.Registry.null ()
+  in
+  let layer = Repro_obs.Event.Stability in
+  { matrix = Group_clock.create ?impl:clock group_size;
+    pending = Array.init group_size (fun _ -> Queue.create ());
+    highest = Array.make group_size 0;
+    dirty = [];
+    dirty_mark = Array.make group_size false;
+    bytes_of; metrics; graph; obs;
+    lag_histo =
+      Repro_obs.Registry.histogram registry ~layer ~name:"stability_lag_us" ();
+    reg_minima =
+      Repro_obs.Registry.counter registry ~layer ~name:"minima_advances" ();
+    count = 0; bytes = 0 }
 
-  let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
-      ~group_size ~metrics ~graph () =
-    let lag_histo, reg_minima = register_cells registry in
-    { matrix = Group_clock.create ?impl:clock group_size;
-      pending = Array.init group_size (fun _ -> Queue.create ());
-      highest = Array.make group_size 0;
-      dirty = [];
-      dirty_mark = Array.make group_size false;
-      bytes_of; metrics; graph; obs; lag_histo; reg_minima; count = 0;
-      bytes = 0 }
+let mark_dirty t s =
+  Repro_obs.Registry.incr t.reg_minima;
+  if not t.dirty_mark.(s) then begin
+    t.dirty_mark.(s) <- true;
+    t.dirty <- s :: t.dirty
+  end
 
-  let mark_dirty t s =
-    Repro_obs.Registry.incr t.reg_minima;
-    if not t.dirty_mark.(s) then begin
-      t.dirty_mark.(s) <- true;
-      t.dirty <- s :: t.dirty
-    end
+let note_sent_or_delivered t (data : 'a Wire.data) =
+  let sender = data.Wire.sender_rank in
+  let seq = Vector_clock.get data.Wire.vt sender in
+  if seq > t.highest.(sender) then begin
+    t.highest.(sender) <- seq;
+    Queue.push data t.pending.(sender);
+    let bytes = t.bytes_of data in
+    t.bytes <- t.bytes + bytes;
+    t.count <- t.count + 1;
+    Metrics.note_unstable_added t.metrics ~bytes
+  end;
+  Group_clock.update_row_tracked t.matrix sender data.Wire.vt
+    ~advanced:(fun s -> mark_dirty t s)
 
-  let note_sent_or_delivered t (data : 'a Wire.data) =
-    let sender = data.Wire.sender_rank in
-    let seq = Vector_clock.get data.Wire.vt sender in
-    if seq > t.highest.(sender) then begin
-      t.highest.(sender) <- seq;
-      Queue.push data t.pending.(sender);
-      let bytes = t.bytes_of data in
-      t.bytes <- t.bytes + bytes;
-      t.count <- t.count + 1;
-      Metrics.note_unstable_added t.metrics ~bytes
-    end;
-    Group_clock.update_row_tracked t.matrix sender data.Wire.vt
-      ~advanced:(fun s -> mark_dirty t s)
+(* Fifo_gap-mode fast path: a PC stamp is nonzero only at the
+   sender's own component, so the sender-row merge is one diagonal cell —
+   O(1) instead of the O(group) full-row classification pass. *)
+let note_delivered_diag t (data : 'a Wire.data) =
+  let sender = data.Wire.sender_rank in
+  let seq = Vector_clock.get data.Wire.vt sender in
+  if seq > t.highest.(sender) then begin
+    t.highest.(sender) <- seq;
+    Queue.push data t.pending.(sender);
+    let bytes = t.bytes_of data in
+    t.bytes <- t.bytes + bytes;
+    t.count <- t.count + 1;
+    Metrics.note_unstable_added t.metrics ~bytes
+  end;
+  Group_clock.update_cell_tracked t.matrix sender sender ~seq
+    ~advanced:(fun s -> mark_dirty t s)
 
-  (* Fifo_gap-mode fast path: a PC stamp is nonzero only at the
-     sender's own component, so the sender-row merge is one diagonal cell —
-     O(1) instead of the O(group) full-row classification pass. *)
-  let note_delivered_diag t (data : 'a Wire.data) =
-    let sender = data.Wire.sender_rank in
-    let seq = Vector_clock.get data.Wire.vt sender in
-    if seq > t.highest.(sender) then begin
-      t.highest.(sender) <- seq;
-      Queue.push data t.pending.(sender);
-      let bytes = t.bytes_of data in
-      t.bytes <- t.bytes + bytes;
-      t.count <- t.count + 1;
-      Metrics.note_unstable_added t.metrics ~bytes
-    end;
-    Group_clock.update_cell_tracked t.matrix sender sender ~seq
-      ~advanced:(fun s -> mark_dirty t s)
+(* The bookkeeping of one release: buffer gauges, lag sample, telemetry span
+   and causal-graph pruning. *)
+let release t ~now (data : 'a Wire.data) =
+  let bytes = t.bytes_of data in
+  t.bytes <- t.bytes - bytes;
+  t.count <- t.count - 1;
+  Metrics.note_unstable_removed t.metrics ~bytes;
+  let lag_us =
+    float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
+  in
+  Stats.Summary.add t.metrics.Metrics.stability_lag_us lag_us;
+  Repro_obs.Histo.add t.lag_histo lag_us;
+  (match t.obs with
+   | Some (log, pid) ->
+     Repro_obs.Log.span_stable log ~at:now ~uid:data.Wire.msg_id ~pid
+   | None -> ());
+  match t.graph with
+  | Some graph -> Causality.remove_stable graph data.Wire.msg_id
+  | None -> ()
 
-  (* Pop every deque prefix covered by its column's (already advanced)
-     minimum. Dirty columns marked during [note_sent_or_delivered] are
-     drained here too: releases happen only at observation points, exactly
-     like the reference implementation. *)
-  let release_dirty t ~now =
-    match t.dirty with
-    | [] -> ()
-    | dirty ->
-      t.dirty <- [];
-      List.iter
-        (fun s ->
-          t.dirty_mark.(s) <- false;
-          let q = t.pending.(s) in
-          let min_seq = Group_clock.min_component t.matrix s in
-          let go = ref true in
-          while !go do
-            match Queue.peek_opt q with
-            | Some (data : 'a Wire.data)
-              when Vector_clock.get data.Wire.vt s <= min_seq ->
-              ignore (Queue.pop q);
-              t.bytes <- t.bytes - t.bytes_of data;
-              t.count <- t.count - 1;
-              release_message ~bytes_of:t.bytes_of ~metrics:t.metrics
-                ~graph:t.graph ~obs:t.obs ~lag_histo:t.lag_histo ~now data
-            | Some _ | None -> go := false
-          done)
-        dirty
-
-  let observe_vc t ~rank ~now vc =
-    Group_clock.update_row_tracked t.matrix rank vc
-      ~advanced:(fun s -> mark_dirty t s);
-    release_dirty t ~now
-
-  (* our own running clock is mutable — never adopted by reference *)
-  let self_observe t ~rank ~now vc =
-    Group_clock.update_row_tracked ~live:true t.matrix rank vc
-      ~advanced:(fun s -> mark_dirty t s);
-    release_dirty t ~now
-
-  (* The caller's clock advanced only at [col] since its last observation:
-     merge that one cell, then the usual release pass. *)
-  let self_observe_cell t ~rank ~col ~seq ~now =
-    Group_clock.update_cell_tracked t.matrix rank col ~seq
-      ~advanced:(fun s -> mark_dirty t s);
-    release_dirty t ~now
-
-  (* k-way merge of the per-sender deques: each is ascending in stamping
-     order (per-sender send order), so no sort is needed. *)
-  let unstable t =
-    let lists = Array.map (fun q -> List.of_seq (Queue.to_seq q)) t.pending in
-    let heap =
-      Heap.create ~cmp:(fun (a, _) (b, _) -> Wire.compare_stamping a b)
-    in
-    Array.iteri
-      (fun r l ->
-        match l with
-        | [] -> ()
-        | (d : 'a Wire.data) :: _ -> Heap.push heap (d, r))
-      lists;
-    let out = ref [] in
-    let go = ref true in
-    while !go do
-      match Heap.pop heap with
-      | None -> go := false
-      | Some (_, r) -> (
-        match lists.(r) with
-        | d :: rest ->
-          out := d :: !out;
-          lists.(r) <- rest;
-          (match rest with
-           | (d' : 'a Wire.data) :: _ -> Heap.push heap (d', r)
-           | [] -> ())
-        | [] -> ())
-    done;
-    List.rev !out
-
-  let unstable_count t = t.count
-  let unstable_bytes t = t.bytes
-
-  let matrix t = t.matrix
-end
-
-(* ------------------------------------------------------------------------- *)
-(* Dispatch: one branch per call, mirroring [Delivery_queue], so whole-stack
-   runs can select either implementation from configuration alone. *)
-
-type impl = Incremental | Reference
-
-type 'a t =
-  | Incremental_s of 'a Incremental.t
-  | Reference_s of 'a Reference.t
-
-let create ?(impl = Incremental) ?clock ?bytes_of ?obs ?registry ~group_size
-    ~metrics ~graph () =
-  match impl with
-  | Incremental ->
-    Incremental_s
-      (Incremental.create ?clock ?bytes_of ?obs ?registry ~group_size ~metrics
-         ~graph ())
-  | Reference ->
-    Reference_s
-      (Reference.create ?clock ?bytes_of ?obs ?registry ~group_size ~metrics
-         ~graph ())
-
-let impl_of = function Incremental_s _ -> Incremental | Reference_s _ -> Reference
-
-let note_sent_or_delivered t data =
-  match t with
-  | Incremental_s q -> Incremental.note_sent_or_delivered q data
-  | Reference_s q -> Reference.note_sent_or_delivered q data
-
-let note_delivered_diag t data =
-  match t with
-  | Incremental_s q -> Incremental.note_delivered_diag q data
-  | Reference_s q -> Reference.note_delivered_diag q data
+(* Pop every deque prefix covered by its column's (already advanced)
+   minimum. Dirty columns marked during [note_sent_or_delivered] are
+   drained here too: releases happen only at observation points. *)
+let release_dirty t ~now =
+  match t.dirty with
+  | [] -> ()
+  | dirty ->
+    t.dirty <- [];
+    List.iter
+      (fun s ->
+        t.dirty_mark.(s) <- false;
+        let q = t.pending.(s) in
+        let min_seq = Group_clock.min_component t.matrix s in
+        let go = ref true in
+        while !go do
+          match Queue.peek_opt q with
+          | Some (data : 'a Wire.data)
+            when Vector_clock.get data.Wire.vt s <= min_seq ->
+            ignore (Queue.pop q);
+            release t ~now data
+          | Some _ | None -> go := false
+        done)
+      dirty
 
 let observe_vc t ~rank ~now vc =
-  match t with
-  | Incremental_s q -> Incremental.observe_vc q ~rank ~now vc
-  | Reference_s q -> Reference.observe_vc q ~rank ~now vc
+  Group_clock.update_row_tracked t.matrix rank vc
+    ~advanced:(fun s -> mark_dirty t s);
+  release_dirty t ~now
 
+(* our own running clock is mutable — never adopted by reference *)
 let self_observe t ~rank ~now vc =
-  match t with
-  | Incremental_s q -> Incremental.self_observe q ~rank ~now vc
-  | Reference_s q -> Reference.self_observe q ~rank ~now vc
+  Group_clock.update_row_tracked ~live:true t.matrix rank vc
+    ~advanced:(fun s -> mark_dirty t s);
+  release_dirty t ~now
 
+(* The caller's clock advanced only at [col] since its last observation:
+   merge that one cell, then the usual release pass. *)
 let self_observe_cell t ~rank ~col ~seq ~now =
-  match t with
-  | Incremental_s q -> Incremental.self_observe_cell q ~rank ~col ~seq ~now
-  | Reference_s q -> Reference.self_observe_cell q ~rank ~col ~seq ~now
+  Group_clock.update_cell_tracked t.matrix rank col ~seq
+    ~advanced:(fun s -> mark_dirty t s);
+  release_dirty t ~now
 
-let unstable = function
-  | Incremental_s q -> Incremental.unstable q
-  | Reference_s q -> Reference.unstable q
+(* k-way merge of the per-sender deques: each is ascending in stamping
+   order (per-sender send order), so no sort is needed. *)
+let unstable t =
+  let lists = Array.map (fun q -> List.of_seq (Queue.to_seq q)) t.pending in
+  let heap =
+    Heap.create ~cmp:(fun (a, _) (b, _) -> Wire.compare_stamping a b)
+  in
+  Array.iteri
+    (fun r l ->
+      match l with
+      | [] -> ()
+      | (d : 'a Wire.data) :: _ -> Heap.push heap (d, r))
+    lists;
+  let out = ref [] in
+  let go = ref true in
+  while !go do
+    match Heap.pop heap with
+    | None -> go := false
+    | Some (_, r) -> (
+      match lists.(r) with
+      | d :: rest ->
+        out := d :: !out;
+        lists.(r) <- rest;
+        (match rest with
+         | (d' : 'a Wire.data) :: _ -> Heap.push heap (d', r)
+         | [] -> ())
+      | [] -> ())
+  done;
+  List.rev !out
 
-let unstable_count = function
-  | Incremental_s q -> Incremental.unstable_count q
-  | Reference_s q -> Reference.unstable_count q
+let unstable_count t = t.count
+let unstable_bytes t = t.bytes
 
-let unstable_bytes = function
-  | Incremental_s q -> Incremental.unstable_bytes q
-  | Reference_s q -> Reference.unstable_bytes q
-
-let matrix = function
-  | Incremental_s q -> Incremental.matrix q
-  | Reference_s q -> Reference.matrix q
+let matrix t = t.matrix

@@ -9,26 +9,17 @@
     Section 5's scaling claim is about precisely this buffer: its occupancy
     is exported to {!Metrics} on every change.
 
-    Two interchangeable implementations live behind one dispatch type
-    (selected via {!Config.stability_impl}):
-
-    - {!Incremental} (the default): per-sender sequence-ordered deques plus
-      the matrix clock's cached column minima — a release pass pops only
-      the messages whose sequence number just crossed an advanced minimum,
-      amortized O(newly stable) instead of a full buffer rescan.
-    - {!Reference}: the original hashtable buffer rescanned in full on
-      every observation, O(buffer x group) — kept as the differential-
-      testing baseline (see [test/test_stability_equiv.ml]).
-
-    Both release exactly the same [(msg_id, release-time)] sets on any
-    delivery-legal call sequence. *)
+    The buffer is a set of per-sender sequence-ordered deques released off
+    the matrix clock's cached column minima: a release pass pops only the
+    messages whose sequence number just crossed an advanced minimum,
+    amortized O(newly stable) instead of an O(buffer x group) rescan of the
+    whole buffer. On any delivery-legal call sequence it releases exactly
+    the [(msg_id, release-time)] sets such a full rescan would; the
+    differential tests in [test/test_stability_equiv.ml] check that. *)
 
 type 'a t
 
-type impl = Incremental | Reference
-
 val create :
-  ?impl:impl ->
   ?clock:Group_clock.impl ->
   ?bytes_of:('a Wire.data -> int) ->
   ?obs:Repro_obs.Log.t * int ->
@@ -38,23 +29,19 @@ val create :
   graph:Causality.t option ->
   unit ->
   'a t
-(** [impl] defaults to [Incremental]; [clock] selects the matrix-clock
-    representation (default [Dense] — see {!Config.stability_clock}).
-    [bytes_of] is the per-message byte accounting used by the
-    unstable-bytes gauges — default {!Wire.buffered_bytes} (the header
-    estimate); the {!Config.Encoded} wire path passes
-    {!Wire_codec.data_bytes} so gauges charge real encoded sizes. It must
+(** [clock] selects the matrix-clock representation (default [Dense] — see
+    {!Config.stability_clock}). [bytes_of] is the per-message byte
+    accounting used by the unstable-bytes gauges — default
+    {!Wire.buffered_bytes} (the header estimate); the {!Config.Encoded}
+    wire path passes {!Wire_codec.data_bytes} so gauges charge real encoded
+    sizes. It must
     be a pure function of the message (it is re-applied on release).
     [obs] is the telemetry log plus the owning process id: every release
     then emits an [Obs.Event.Span_stable] record alongside the
     [Metrics.stability_lag_us] sample. [registry] adds a
     [stability/stability_lag_us] histogram fed on every release and a
     [stability/minima_advances] counter bumped each time a cached matrix
-    minimum advances (the incremental tracker's release driver; the
-    reference implementation rescans instead, so it leaves the counter at
-    zero). *)
-
-val impl_of : 'a t -> impl
+    minimum advances (the events that drive releases). *)
 
 val note_sent_or_delivered : 'a t -> 'a Wire.data -> unit
 (** Buffer a message (sender buffers its own multicasts immediately; members
@@ -93,59 +80,3 @@ val unstable_count : 'a t -> int
 val unstable_bytes : 'a t -> int
 
 val matrix : 'a t -> Group_clock.t
-
-(** The two concrete implementations, exposed for direct micro-benchmarks
-    and differential tests (no dispatch overhead). *)
-module Reference : sig
-  type 'a t
-
-  val create :
-    ?clock:Group_clock.impl ->
-    ?bytes_of:('a Wire.data -> int) ->
-    ?obs:Repro_obs.Log.t * int ->
-    ?registry:Repro_obs.Registry.t ->
-    group_size:int ->
-    metrics:Metrics.t ->
-    graph:Causality.t option ->
-    unit ->
-    'a t
-
-  val note_sent_or_delivered : 'a t -> 'a Wire.data -> unit
-  val note_delivered_diag : 'a t -> 'a Wire.data -> unit
-  val observe_vc : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
-  val self_observe : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
-
-  val self_observe_cell :
-    'a t -> rank:int -> col:int -> seq:int -> now:Sim_time.t -> unit
-  val unstable : 'a t -> 'a Wire.data list
-  val unstable_count : 'a t -> int
-  val unstable_bytes : 'a t -> int
-  val matrix : 'a t -> Group_clock.t
-end
-
-module Incremental : sig
-  type 'a t
-
-  val create :
-    ?clock:Group_clock.impl ->
-    ?bytes_of:('a Wire.data -> int) ->
-    ?obs:Repro_obs.Log.t * int ->
-    ?registry:Repro_obs.Registry.t ->
-    group_size:int ->
-    metrics:Metrics.t ->
-    graph:Causality.t option ->
-    unit ->
-    'a t
-
-  val note_sent_or_delivered : 'a t -> 'a Wire.data -> unit
-  val note_delivered_diag : 'a t -> 'a Wire.data -> unit
-  val observe_vc : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
-  val self_observe : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
-
-  val self_observe_cell :
-    'a t -> rank:int -> col:int -> seq:int -> now:Sim_time.t -> unit
-  val unstable : 'a t -> 'a Wire.data list
-  val unstable_count : 'a t -> int
-  val unstable_bytes : 'a t -> int
-  val matrix : 'a t -> Group_clock.t
-end

@@ -211,18 +211,8 @@ let queue_mode (config : Config.t) =
     | Config.Fifo | Config.Total_lamport -> Delivery_queue.Fifo_gap
     | Config.Causal | Config.Total_sequencer -> Delivery_queue.Causal_full
 
-let queue_impl (config : Config.t) =
-  match config.Config.queue_impl with
-  | Config.Indexed_queue -> Delivery_queue.Indexed
-  | Config.Reference_queue -> Delivery_queue.Reference
-
 let make_queue ?obs (config : Config.t) =
-  Delivery_queue.create ~impl:(queue_impl config) ?obs (queue_mode config)
-
-let stability_impl (config : Config.t) =
-  match config.Config.stability_impl with
-  | Config.Incremental_stability -> Stability.Incremental
-  | Config.Reference_stability -> Stability.Reference
+  Delivery_queue.create ?obs (queue_mode config)
 
 let stability_clock (config : Config.t) =
   match config.Config.stability_clock with
@@ -231,9 +221,8 @@ let stability_clock (config : Config.t) =
 
 let make_stability ?obs ?bytes_of ?registry (config : Config.t) ~group_size
     ~metrics ~graph =
-  Stability.create ~impl:(stability_impl config)
-    ~clock:(stability_clock config) ?bytes_of ?obs ?registry ~group_size
-    ~metrics ~graph ()
+  Stability.create ~clock:(stability_clock config) ?bytes_of ?obs ?registry
+    ~group_size ~metrics ~graph ()
 
 let self t = t.self
 let shared_of t = t.shared

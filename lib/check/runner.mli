@@ -31,8 +31,6 @@ val ordering_of_string : string -> Repro_catocs.Config.ordering option
 
 val replay :
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
-  ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
   ordering:Repro_catocs.Config.ordering ->
@@ -47,8 +45,6 @@ val run_seed :
   ?profile:Fault_plan.profile ->
   ?shrink:bool ->
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
-  ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
   ordering:Repro_catocs.Config.ordering ->
@@ -60,14 +56,12 @@ val run_seed :
     selects the engine execution strategy: under [Parallel] the run uses a
     sharded oracle (per-sender uid allocation) and per-member reaction
     budgets, so its verdicts are deterministic in the domain count but not
-    comparable with [Sequential] verdicts for the same seed. [queue_impl] (default [Indexed_queue])
-    selects the delivery-queue implementation the stacks run on, so the
-    same seeds can differentially exercise the optimized and reference
-    buffering paths; [stability_impl] (default [Incremental_stability]) does
-    the same for the stability tracker; [causal_impl] (default
-    [Vector_causal]) selects the causal-delivery algorithm — BSS
-    vector-timestamp piggybacking or PC-broadcast constant-metadata
-    forwarding over the full mesh. *)
+    comparable with [Sequential] verdicts for the same seed.
+    [causal_impl] (default [Vector_causal]) selects the causal-delivery
+    algorithm — BSS vector-timestamp piggybacking or PC-broadcast
+    constant-metadata forwarding over the full mesh; [stability_clock]
+    (default [Dense_clock]) selects the stability matrix-clock
+    representation. *)
 
 type sweep_result = {
   passed : int;
@@ -82,8 +76,6 @@ val sweep :
   ?start_seed:int ->
   ?on_seed:(seed:int -> ok:bool -> unit) ->
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
-  ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
   ordering:Repro_catocs.Config.ordering ->
@@ -95,8 +87,6 @@ val sweep :
 
 val exec_of_plan :
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
-  ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
   ordering:Repro_catocs.Config.ordering ->
@@ -110,8 +100,6 @@ val exec_of_plan :
 val exec_of_seed :
   ?profile:Fault_plan.profile ->
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
-  ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
   ordering:Repro_catocs.Config.ordering ->

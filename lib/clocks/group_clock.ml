@@ -1,7 +1,6 @@
-(* Representation dispatch for the stability matrix clock, mirroring the
-   [Stability]/[Delivery_queue] pattern: one branch per call so whole-stack
-   runs select the dense or sparse representation from configuration
-   alone. *)
+(* Representation dispatch for the stability matrix clock: one branch per
+   call so whole-stack runs select the dense or sparse representation from
+   configuration alone. *)
 
 type impl = Dense | Sparse
 
@@ -11,8 +10,6 @@ let create ?(impl = Dense) n =
   match impl with
   | Dense -> Dense_c (Matrix_clock.create n)
   | Sparse -> Sparse_c (Sparse_matrix_clock.create n)
-
-let impl_of = function Dense_c _ -> Dense | Sparse_c _ -> Sparse
 
 let size = function
   | Dense_c m -> Matrix_clock.size m

@@ -1,9 +1,8 @@
 (** Matrix-clock representation dispatch: the dense {!Matrix_clock} or the
     row-interning {!Sparse_matrix_clock} behind one type, selected by
-    {!Config.stability_clock} the way {!Stability.impl} selects the
-    stability strategy. Both representations report identical minima and
-    identical [advanced] callbacks on any update sequence — the sparse one
-    at O(group) marginal words instead of O(group{^ 2}). *)
+    {!Config.stability_clock}. Both representations report identical minima
+    and identical [advanced] callbacks on any update sequence — the sparse
+    one at O(group) marginal words instead of O(group{^ 2}). *)
 
 type impl = Dense | Sparse
 
@@ -12,7 +11,6 @@ type t
 val create : ?impl:impl -> int -> t
 (** [impl] defaults to [Dense]. *)
 
-val impl_of : t -> impl
 val size : t -> int
 
 val update_row : ?live:bool -> t -> int -> Vector_clock.t -> unit

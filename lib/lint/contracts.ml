@@ -2,18 +2,7 @@ open Parsetree
 
 let config_path = "lib/catocs/config.ml"
 
-let dispatch_types =
-  [ "causal_impl"; "stability_impl"; "queue_impl"; "stability_clock" ]
-
-(* The delivery queue and the stability tracker carry their own module-level
-   dispatch constructors (the established impl/reference pattern); using
-   those counts as exercising the corresponding Config variant. *)
-let aliases = function
-  | "Indexed_queue" -> [ [ "Delivery_queue"; "Indexed" ] ]
-  | "Reference_queue" -> [ [ "Delivery_queue"; "Reference" ] ]
-  | "Incremental_stability" -> [ [ "Stability"; "Incremental" ] ]
-  | "Reference_stability" -> [ [ "Stability"; "Reference" ] ]
-  | _ -> []
+let dispatch_types = [ "causal_impl"; "stability_clock" ]
 
 type fam = { fam_name : string; fam_member : string -> bool }
 
@@ -300,14 +289,9 @@ let check units =
      in
      List.iter
        (fun (tname, ctor) ->
-         let accepted = [ ctor ] :: aliases ctor in
          List.iter
            (fun (fam, paths) ->
-             let present =
-               List.exists
-                 (fun p -> List.exists (fun a -> suffix_is a p) accepted)
-                 paths
-             in
+             let present = List.exists (suffix_is [ ctor ]) paths in
              if not present then
                findings :=
                  Rule.make ~rule:"dispatch-coverage" ~source:config_path

@@ -145,9 +145,8 @@ let catalog =
       default_severity = Finding.Error;
       kind = Finding.Contract_violation;
       doc =
-        "A Config dispatch variant (causal_impl, stability_impl, \
-         queue_impl, stability_clock) does not appear in one of the \
-         checker, scaling or bench families.";
+        "A Config dispatch variant (causal_impl, stability_clock) does not \
+         appear in one of the checker, scaling or bench families.";
     };
     {
       id = "metric-coverage";

@@ -1,0 +1,96 @@
+module Wire = Repro_catocs.Wire
+module Metrics = Repro_catocs.Metrics
+
+type 'a data = 'a Wire.data
+
+type 'a t = {
+  matrix : Group_clock.t;
+  buffer : (Wire.msg_id, 'a data) Hashtbl.t;
+  bytes_of : 'a data -> int;
+  metrics : Metrics.t;
+  graph : Causality.t option;
+  obs : (Repro_obs.Log.t * int) option;
+  lag_histo : Repro_obs.Histo.t;
+  mutable bytes : int;
+}
+
+let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
+    ~group_size ~metrics ~graph () =
+  let registry =
+    match registry with Some r -> r | None -> Repro_obs.Registry.null ()
+  in
+  let layer = Repro_obs.Event.Stability in
+  ignore
+    (Repro_obs.Registry.counter registry ~layer ~name:"minima_advances" ());
+  { matrix = Group_clock.create ?impl:clock group_size;
+    buffer = Hashtbl.create 64; bytes_of; metrics; graph; obs;
+    lag_histo =
+      Repro_obs.Registry.histogram registry ~layer ~name:"stability_lag_us" ();
+    bytes = 0 }
+
+let buffer t (data : 'a data) =
+  if not (Hashtbl.mem t.buffer data.Wire.msg_id) then begin
+    Hashtbl.add t.buffer data.Wire.msg_id data;
+    let bytes = t.bytes_of data in
+    t.bytes <- t.bytes + bytes;
+    Metrics.note_unstable_added t.metrics ~bytes
+  end
+
+let note_sent_or_delivered t (data : 'a data) =
+  buffer t data;
+  Group_clock.update_row t.matrix data.Wire.sender_rank data.Wire.vt
+
+let note_delivered_diag t (data : 'a data) =
+  buffer t data;
+  let sender = data.Wire.sender_rank in
+  Group_clock.update_cell t.matrix sender sender
+    ~seq:(Vector_clock.get data.Wire.vt sender)
+
+let release t ~now (data : 'a data) =
+  Hashtbl.remove t.buffer data.Wire.msg_id;
+  let bytes = t.bytes_of data in
+  t.bytes <- t.bytes - bytes;
+  Metrics.note_unstable_removed t.metrics ~bytes;
+  let lag_us =
+    float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
+  in
+  Stats.Summary.add t.metrics.Metrics.stability_lag_us lag_us;
+  Repro_obs.Histo.add t.lag_histo lag_us;
+  (match t.obs with
+   | Some (log, pid) ->
+     Repro_obs.Log.span_stable log ~at:now ~uid:data.Wire.msg_id ~pid
+   | None -> ());
+  match t.graph with
+  | Some graph -> Causality.remove_stable graph data.Wire.msg_id
+  | None -> ()
+
+(* Rescan the whole buffer against the current matrix minima. *)
+let release_stable t ~now =
+  Hashtbl.fold
+    (fun _ (data : 'a data) acc ->
+      let sender = data.Wire.sender_rank in
+      let seq = Vector_clock.get data.Wire.vt sender in
+      if Group_clock.stable t.matrix ~sender ~seq then data :: acc else acc)
+    t.buffer []
+  |> List.iter (release t ~now)
+
+let observe_vc t ~rank ~now vc =
+  Group_clock.update_row t.matrix rank vc;
+  release_stable t ~now
+
+(* our own running clock is mutable — never adopted by reference *)
+let self_observe t ~rank ~now vc =
+  Group_clock.update_row ~live:true t.matrix rank vc;
+  release_stable t ~now
+
+let self_observe_cell t ~rank ~col ~seq ~now =
+  Group_clock.update_cell t.matrix rank col ~seq;
+  release_stable t ~now
+
+let unstable t =
+  Hashtbl.fold (fun _ data acc -> data :: acc) t.buffer []
+  |> List.sort Wire.compare_stamping
+
+let unstable_count t = Hashtbl.length t.buffer
+let unstable_bytes t = t.bytes
+let matrix t = t.matrix

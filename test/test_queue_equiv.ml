@@ -1,26 +1,29 @@
-(* Differential property tests: the indexed delivery queue must be
-   observationally identical to the reference single-list implementation —
+(* Differential property tests: the delivery queue must be observationally
+   identical to the single-list reference queue of the test-oracle library —
    same take results (oldest deliverable arrival first), same lengths after
-   every operation, same drain order — for arbitrary interleavings of
-   add / take_deliverable / drain / external clock advances, in both
-   delivery-condition modes, including duplicate sequence numbers and the
-   chaos fault-injection flag the mutation tests rely on. *)
+   every operation, same drain order.
+
+   Two generators drive the pair in lockstep, in both delivery-condition
+   modes:
+   - random interleavings of add / take_deliverable / drain / external
+     clock advances with arbitrary timestamps, duplicate sequence numbers
+     and the chaos fault-injection flag the mutation tests rely on;
+   - stack-shaped streams: a group of up to 16 members multicasting
+     delivery-legal causal histories through a reordering network, with
+     held-back messages that leave hundreds of arrivals blocked, view
+     changes that drain the queue mid-stream, and flush replays that re-add
+     messages already received. The receiver takes after every arrival
+     exactly as the stack does. *)
 
 module DQ = Repro_catocs.Delivery_queue
+module RQ = Repro_oracle.Reference_queue
 module Wire = Repro_catocs.Wire
-
-type op =
-  | Add of int * int list  (* sender rank, vt components *)
-  | Take
-  | Bump of int  (* advance one local clock component out of band *)
-  | Drain
-  | Chaos of bool
 
 let mk ~msg_id ~rank ~vt =
   { DQ.data =
       { Wire.msg_id; trace_id = msg_id; origin = rank; sender_rank = rank;
         view_id = 0;
-        vt = Vector_clock.of_list vt; meta = Wire.Causal_meta;
+        vt; meta = Wire.Causal_meta;
         payload = msg_id; payload_bytes = 8; sent_at = Sim_time.zero;
         piggyback = [] };
     arrived_at = Sim_time.zero }
@@ -34,18 +37,66 @@ let show_take = function
   | Some (p : int DQ.pending) ->
     Printf.sprintf "Some #%d" p.DQ.data.Wire.msg_id
 
-(* Execute one op sequence against both implementations in lockstep,
-   failing on the first observable divergence. *)
+(* --- the lockstep pair --------------------------------------------------- *)
+
+type pair = { qi : int DQ.t; qr : int RQ.t }
+
+let make_pair mode = { qi = DQ.create mode; qr = RQ.create mode }
+
+let check_lengths p ctx =
+  if DQ.length p.qi <> RQ.length p.qr then
+    QCheck.Test.fail_reportf "%s: length indexed=%d reference=%d" ctx
+      (DQ.length p.qi) (RQ.length p.qr)
+
+let add p pending =
+  DQ.add p.qi pending;
+  RQ.add p.qr pending;
+  check_lengths p "add"
+
+(* One take from each; on agreement the delivered timestamp is merged into
+   [local], as the stack does before its next take. *)
+let take p ~local =
+  let taken =
+    match (DQ.take_deliverable p.qi ~local, RQ.take_deliverable p.qr ~local)
+    with
+    | None, None -> None
+    | Some a, Some b when a.DQ.data.Wire.msg_id = b.DQ.data.Wire.msg_id ->
+      Vector_clock.merge_into local a.DQ.data.Wire.vt;
+      Some a
+    | a, b ->
+      QCheck.Test.fail_reportf "take mismatch: indexed=%s reference=%s"
+        (show_take a) (show_take b)
+  in
+  check_lengths p "take";
+  taken
+
+let drain p ctx =
+  let a = ids (DQ.drain p.qi) and b = ids (RQ.drain p.qr) in
+  if a <> b then
+    QCheck.Test.fail_reportf "%s mismatch: indexed=[%s] reference=[%s]" ctx
+      (show_ids a) (show_ids b);
+  check_lengths p ctx
+
+let finish p =
+  let la = ids (DQ.to_list p.qi) and lb = ids (RQ.to_list p.qr) in
+  if la <> lb then
+    QCheck.Test.fail_reportf "to_list mismatch: indexed=[%s] reference=[%s]"
+      (show_ids la) (show_ids lb);
+  drain p "final drain"
+
+(* --- random interleavings ------------------------------------------------ *)
+
+type op =
+  | Add of int * int list  (* sender rank, vt components *)
+  | Take
+  | Bump of int  (* advance one local clock component out of band *)
+  | Drain
+  | Chaos of bool
+
 let run_equiv mode n ops =
-  let qi = DQ.create ~impl:DQ.Indexed mode in
-  let qr = DQ.create ~impl:DQ.Reference mode in
+  let p = make_pair mode in
   let local = Vector_clock.create n in
   let next_id = ref 0 in
-  let check_lengths ctx =
-    if DQ.length qi <> DQ.length qr then
-      QCheck.Test.fail_reportf "%s: length indexed=%d reference=%d" ctx
-        (DQ.length qi) (DQ.length qr)
-  in
   Fun.protect
     ~finally:(fun () -> DQ.chaos_disable_causal_check := false)
   @@ fun () ->
@@ -57,41 +108,13 @@ let run_equiv mode n ops =
         (* keep the sender's own component >= 1 so deliverable messages
            actually occur; other components stay arbitrary *)
         let vt = List.mapi (fun i v -> if i = rank then max 1 v else v) comps in
-        let p = mk ~msg_id:!next_id ~rank ~vt in
-        DQ.add qi p;
-        DQ.add qr p;
-        check_lengths "add"
-      | Take ->
-        (match (DQ.take_deliverable qi ~local, DQ.take_deliverable qr ~local)
-         with
-        | None, None -> ()
-        | Some a, Some b
-          when a.DQ.data.Wire.msg_id = b.DQ.data.Wire.msg_id ->
-          (* the stack merges a delivered timestamp into its clock before
-             the next take; mirror that here *)
-          Vector_clock.merge_into local a.DQ.data.Wire.vt
-        | a, b ->
-          QCheck.Test.fail_reportf "take mismatch: indexed=%s reference=%s"
-            (show_take a) (show_take b));
-        check_lengths "take"
+        add p (mk ~msg_id:!next_id ~rank ~vt:(Vector_clock.of_list vt))
+      | Take -> ignore (take p ~local)
       | Bump c -> Vector_clock.set local c (Vector_clock.get local c + 1)
-      | Drain ->
-        let a = ids (DQ.drain qi) and b = ids (DQ.drain qr) in
-        if a <> b then
-          QCheck.Test.fail_reportf "drain mismatch: indexed=[%s] reference=[%s]"
-            (show_ids a) (show_ids b);
-        check_lengths "drain"
+      | Drain -> drain p "drain"
       | Chaos flag -> DQ.chaos_disable_causal_check := flag)
     ops;
-  let la = ids (DQ.to_list qi) and lb = ids (DQ.to_list qr) in
-  if la <> lb then
-    QCheck.Test.fail_reportf "to_list mismatch: indexed=[%s] reference=[%s]"
-      (show_ids la) (show_ids lb);
-  let da = ids (DQ.drain qi) and db = ids (DQ.drain qr) in
-  if da <> db then
-    QCheck.Test.fail_reportf
-      "final drain mismatch: indexed=[%s] reference=[%s]" (show_ids da)
-      (show_ids db);
+  finish p;
   true
 
 let gen_ops n =
@@ -119,9 +142,151 @@ let equiv_test mode mode_name =
     ~count:300 (QCheck.make gen_case)
     (fun (n, ops) -> run_equiv mode n ops)
 
-(* Directed regression: a per-sender gap that fills late, duplicate sequence
-   numbers, and an out-of-band clock advance — the specific wake paths the
-   indexed implementation must get right. *)
+(* --- stack-shaped streams ------------------------------------------------ *)
+
+type sop =
+  | Send of int  (* member multicasts, stamped with its ticked clock *)
+  | Sync of int * int  (* member [a] learns member [b]'s causal past *)
+  | Recv of int  (* the network hands over one in-flight message *)
+  | Hold of int  (* one in-flight message is held back until [Release] *)
+  | Release
+  | Replay of int  (* flush replay: re-add a message already received *)
+  | View_change  (* drain the queue and restart every clock *)
+
+let pp_sop = function
+  | Send s -> Printf.sprintf "Send %d" s
+  | Sync (a, b) -> Printf.sprintf "Sync (%d, %d)" a b
+  | Recv k -> Printf.sprintf "Recv %d" k
+  | Hold k -> Printf.sprintf "Hold %d" k
+  | Release -> "Release"
+  | Replay k -> Printf.sprintf "Replay %d" k
+  | View_change -> "View_change"
+
+(* Remove and return the [k mod length]-th element. *)
+let pick_out k l =
+  let k = k mod List.length l in
+  (List.nth l k, List.filteri (fun i _ -> i <> k) l)
+
+(* Every member's clock is a consistent cut of the group's history (sends
+   tick it, [Sync] merges two cuts), so every stamp is one a real BSS
+   member could have produced. Returns the deepest backlog seen. *)
+let run_stack mode n sops =
+  let p = make_pair mode in
+  let local = Vector_clock.create n in
+  let members = Array.init n (fun _ -> Vector_clock.create n) in
+  let in_flight = ref [] and held = ref [] and received = ref [] in
+  let next_id = ref 0 in
+  let peak = ref 0 in
+  let arrive pending =
+    add p pending;
+    peak := max !peak (DQ.length p.qi);
+    while take p ~local <> None do
+      ()
+    done
+  in
+  let apply = function
+    | Send s ->
+      incr next_id;
+      let vt = Vector_clock.copy_tick members.(s) s in
+      Vector_clock.merge_into members.(s) vt;
+      in_flight := !in_flight @ [ mk ~msg_id:!next_id ~rank:s ~vt ]
+    | Sync (a, b) -> Vector_clock.merge_into members.(a) members.(b)
+    | Recv k when !in_flight <> [] ->
+      let pending, rest = pick_out k !in_flight in
+      in_flight := rest;
+      received := pending :: !received;
+      arrive pending
+    | Hold k when !in_flight <> [] ->
+      let pending, rest = pick_out k !in_flight in
+      in_flight := rest;
+      held := pending :: !held
+    | Release ->
+      in_flight := !in_flight @ List.rev !held;
+      held := []
+    | Replay k when !received <> [] ->
+      arrive (List.nth !received (k mod List.length !received))
+    | View_change ->
+      drain p "view-change drain";
+      for i = 0 to n - 1 do
+        Vector_clock.set local i 0
+      done;
+      Array.iteri (fun i _ -> members.(i) <- Vector_clock.create n) members;
+      in_flight := [];
+      held := [];
+      received := []
+    | Recv _ | Hold _ | Replay _ -> ()
+  in
+  List.iter apply sops;
+  (* quiesce: everything held or in flight arrives, in send order *)
+  apply Release;
+  List.iter arrive !in_flight;
+  if mode = DQ.Causal_full && DQ.length p.qi > 0 then begin
+    (* only replays of already-delivered messages may stay blocked *)
+    let delivered (q : int DQ.pending) =
+      let d = q.DQ.data in
+      Vector_clock.get d.Wire.vt d.Wire.sender_rank
+      <= Vector_clock.get local d.Wire.sender_rank
+    in
+    if not (List.for_all delivered (DQ.to_list p.qi)) then
+      QCheck.Test.fail_reportf "quiesced queue still holds undelivered [%s]"
+        (show_ids (ids (DQ.to_list p.qi)))
+  end;
+  finish p;
+  !peak
+
+let gen_sops n =
+  QCheck.Gen.(
+    let member = int_range 0 (n - 1) in
+    list_size (int_range 100 1500)
+      (frequency
+         [ (100, map (fun s -> Send s) member);
+           (40, map2 (fun a b -> Sync (a, b)) member member);
+           (90, map (fun k -> Recv k) (int_bound 1_000_000));
+           (6, map (fun k -> Hold k) (int_bound 1_000_000));
+           (1, return Release);
+           (8, map (fun k -> Replay k) (int_bound 1_000_000));
+           (1, return View_change) ]))
+
+let gen_stack_case =
+  QCheck.Gen.(
+    int_range 2 16 >>= fun n -> map (fun ops -> (n, ops)) (gen_sops n))
+
+let stack_test mode mode_name =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "indexed = reference on stack-shaped streams (%s)"
+         mode_name)
+    ~count:60
+    (QCheck.make
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "n=%d [%s]" n
+           (String.concat "; " (List.map pp_sop ops)))
+       gen_stack_case)
+    (fun (n, ops) ->
+      ignore (run_stack mode n ops);
+      true)
+
+(* The stack-shaped generator really builds deep backlogs: over a fixed
+   sample of cases, some arrival leaves hundreds of messages blocked. *)
+let test_stack_backlog_depth () =
+  let cases =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:20
+      gen_stack_case
+  in
+  let deepest =
+    List.fold_left
+      (fun acc (n, ops) -> max acc (run_stack DQ.Causal_full n ops))
+      0 cases
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "deepest backlog %d >= 200" deepest)
+    true (deepest >= 200)
+
+(* --- directed ------------------------------------------------------------ *)
+
+(* A per-sender gap that fills late, duplicate sequence numbers, and an
+   out-of-band clock advance — the specific wake paths the indexed
+   implementation must get right. *)
 let test_directed_gap_fill () =
   let ok =
     run_equiv DQ.Causal_full 3
@@ -137,14 +302,39 @@ let test_directed_gap_fill () =
   in
   Alcotest.(check bool) "directed sequence equivalent" true ok
 
+(* One held-back message from member 0 blocks everything that depends on
+   it; its late arrival releases the whole backlog through the wake index
+   in one cascade, and a view change then drains a second backlog. *)
+let test_directed_held_cascade () =
+  let burst =
+    List.concat (List.init 150 (fun _ -> [ Send 0; Sync (1, 0); Send 1 ]))
+  in
+  let recv_all = List.init 300 (fun _ -> Recv 0) in
+  let peak =
+    run_stack DQ.Causal_full 4
+      ([ Send 0; Hold 0 ] @ burst @ recv_all
+      @ [ Replay 3; Release; Recv 0 ]
+      @ [ Send 2; Hold 0; Sync (3, 2); Send 3; Recv 0; View_change; Send 1;
+          Recv 0 ])
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "held message blocked %d arrivals" peak)
+    true (peak >= 300)
+
 let () =
   Alcotest.run "queue_equiv"
     [
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
           [ equiv_test DQ.Fifo_gap "fifo-gap";
-            equiv_test DQ.Causal_full "causal-full" ] );
+            equiv_test DQ.Causal_full "causal-full";
+            stack_test DQ.Fifo_gap "fifo-gap";
+            stack_test DQ.Causal_full "causal-full" ] );
       ( "directed",
         [ Alcotest.test_case "gap fill, duplicate, external bump" `Quick
-            test_directed_gap_fill ] );
+            test_directed_gap_fill;
+          Alcotest.test_case "held-back cascade and view change" `Quick
+            test_directed_held_cascade;
+          Alcotest.test_case "stack-shaped backlogs reach hundreds" `Quick
+            test_stack_backlog_depth ] );
     ]

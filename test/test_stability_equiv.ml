@@ -1,7 +1,7 @@
 (* Differential property tests: the incremental stability tracker must
-   release exactly the same (msg_id, release-time) sets as the reference
-   full-rescan implementation on any delivery-legal interleaving of sends,
-   deliveries (with and without the paired self-observation), duplicate
+   release exactly the same (msg_id, release-time) sets as the full-rescan
+   reference tracker of the test-oracle library on any delivery-legal
+   interleaving of sends, deliveries (with and without the paired self-observation), duplicate
    notes, and gossip observations.
 
    The driver simulates an n-member group honestly — every generated
@@ -11,9 +11,17 @@
    after every operation, so a divergence in any release instant shows up
    at the first operation where the buffers differ; the accumulated
    stability-lag statistics (count and sum of now - sent_at over all
-   releases) are compared at the end as a direct check on release times. *)
+   releases) are compared at the end as a direct check on release times.
+
+   A second, stack-shaped generator makes the calls in the order the stack
+   does, for groups of up to 16 over either matrix-clock representation:
+   every delivery is a note followed by the single-cell self-observation,
+   gossip hands the tracker a snapshot of a peer's clock (or re-observes
+   the tracker's own running clock), and PC-broadcast groups stamp only
+   the sender's component and note through the diagonal fast path. *)
 
 module S = Repro_catocs.Stability
+module R = Repro_oracle.Reference_stability
 module Wire = Repro_catocs.Wire
 module Metrics = Repro_catocs.Metrics
 
@@ -26,7 +34,18 @@ type op =
   | Gossip of int  (* tracker observes the member's delivered clock *)
   | Renote  (* duplicate note of the last message member 0 buffered *)
 
-type msg = { data : int Wire.data; delivered : bool array }
+(* [causal] is the message's full causal stamp, which decides delivery
+   legality; the tracker sees [data.vt], which equals it under BSS and keeps
+   only the sender's component under PC-broadcast. *)
+type msg = {
+  data : int Wire.data;
+  causal : Vector_clock.t;
+  delivered : bool array;
+}
+
+(* Which calls a delivery and a gossip make: the free mix of the random
+   generator, or the stack's own order under BSS or PC-broadcast stamps. *)
+type shape = Random_calls | Stack_bss | Stack_pc
 
 let pp_op = function
   | Send s -> Printf.sprintf "Send %d" s
@@ -36,10 +55,10 @@ let pp_op = function
 
 let show_ids l = String.concat "," (List.map string_of_int l)
 
-let run_equiv n ops =
+let run_equiv ?(shape = Random_calls) ?clock n ops =
   let metrics_i = Metrics.create () and metrics_r = Metrics.create () in
-  let inc = S.Incremental.create ~group_size:n ~metrics:metrics_i ~graph:None () in
-  let re = S.Reference.create ~group_size:n ~metrics:metrics_r ~graph:None () in
+  let inc = S.create ?clock ~group_size:n ~metrics:metrics_i ~graph:None () in
+  let re = R.create ?clock ~group_size:n ~metrics:metrics_r ~graph:None () in
   let dvc = Array.init n (fun _ -> Vector_clock.create n) in
   let in_flight = ref [] in
   let next_id = ref 0 in
@@ -51,57 +70,80 @@ let run_equiv n ops =
   in
   let ids l = List.map (fun (d : int Wire.data) -> d.Wire.msg_id) l in
   let check ctx =
-    let li = ids (S.Incremental.unstable inc) in
-    let lr = ids (S.Reference.unstable re) in
+    let li = ids (S.unstable inc) in
+    let lr = ids (R.unstable re) in
     if li <> lr then
       QCheck.Test.fail_reportf "%s: unstable mismatch inc=[%s] ref=[%s]" ctx
         (show_ids li) (show_ids lr);
-    if S.Incremental.unstable_count inc <> S.Reference.unstable_count re then
+    if S.unstable_count inc <> R.unstable_count re then
       QCheck.Test.fail_reportf "%s: count mismatch inc=%d ref=%d" ctx
-        (S.Incremental.unstable_count inc)
-        (S.Reference.unstable_count re);
-    if S.Incremental.unstable_bytes inc <> S.Reference.unstable_bytes re then
+        (S.unstable_count inc)
+        (R.unstable_count re);
+    if S.unstable_bytes inc <> R.unstable_bytes re then
       QCheck.Test.fail_reportf "%s: bytes mismatch inc=%d ref=%d" ctx
-        (S.Incremental.unstable_bytes inc)
-        (S.Reference.unstable_bytes re)
+        (S.unstable_bytes inc)
+        (R.unstable_bytes re)
   in
   let note data =
-    S.Incremental.note_sent_or_delivered inc data;
-    S.Reference.note_sent_or_delivered re data;
+    (match shape with
+     | Stack_pc ->
+       S.note_delivered_diag inc data;
+       R.note_delivered_diag re data
+     | Random_calls | Stack_bss ->
+       S.note_sent_or_delivered inc data;
+       R.note_sent_or_delivered re data);
     last_noted := Some data
   in
   let self_observe at =
-    S.Incremental.self_observe inc ~rank:0 ~now:at dvc.(0);
-    S.Reference.self_observe re ~rank:0 ~now:at dvc.(0)
+    S.self_observe inc ~rank:0 ~now:at dvc.(0);
+    R.self_observe re ~rank:0 ~now:at dvc.(0)
+  in
+  (* what the stack does on every delivery: note, then merge the one clock
+     cell the delivery advanced *)
+  let note_delivery ~observe at (data : int Wire.data) =
+    note data;
+    match shape with
+    | Random_calls -> if observe then self_observe at
+    | Stack_bss | Stack_pc ->
+      let col = data.Wire.sender_rank in
+      let seq = Vector_clock.get data.Wire.vt col in
+      S.self_observe_cell inc ~rank:0 ~col ~seq ~now:at;
+      R.self_observe_cell re ~rank:0 ~col ~seq ~now:at
   in
   let apply op =
     match op with
     | Send s ->
       let at = tick () in
-      let vt = Vector_clock.copy_tick dvc.(s) s in
+      let causal = Vector_clock.copy_tick dvc.(s) s in
+      let vt, meta =
+        match shape with
+        | Stack_pc ->
+          let vt = Vector_clock.create n in
+          let seq = Vector_clock.get causal s in
+          Vector_clock.set vt s seq;
+          (vt, Wire.Pc_meta { origin_seq = seq })
+        | Random_calls | Stack_bss -> (causal, Wire.Causal_meta)
+      in
       incr next_id;
       let data =
         { Wire.msg_id = !next_id; trace_id = !next_id; origin = s;
           sender_rank = s; view_id = 0;
-          vt; meta = Wire.Causal_meta; payload = !next_id; payload_bytes = 8;
+          vt; meta; payload = !next_id; payload_bytes = 8 + (!next_id mod 7);
           sent_at = at; piggyback = [] }
       in
       let delivered = Array.make n false in
       delivered.(s) <- true;
-      in_flight := { data; delivered } :: !in_flight;
+      in_flight := { data; causal; delivered } :: !in_flight;
       (* the sender delivers its own multicast immediately *)
-      Vector_clock.merge_into dvc.(s) vt;
-      if s = 0 then begin
-        note data;
-        self_observe at
-      end
+      Vector_clock.merge_into dvc.(s) causal;
+      if s = 0 then note_delivery ~observe:true at data
     | Deliver (m, pick, observe) ->
       let legal =
         List.filter
           (fun msg ->
             (not msg.delivered.(m))
             && Vector_clock.deliverable
-                 ~sender:msg.data.Wire.sender_rank ~msg:msg.data.Wire.vt
+                 ~sender:msg.data.Wire.sender_rank ~msg:msg.causal
                  ~local:dvc.(m))
           !in_flight
       in
@@ -109,20 +151,24 @@ let run_equiv n ops =
         let at = tick () in
         let msg = List.nth legal (pick mod List.length legal) in
         msg.delivered.(m) <- true;
-        Vector_clock.merge_into dvc.(m) msg.data.Wire.vt;
-        if m = 0 then begin
-          note msg.data;
-          if observe then self_observe at
-        end
+        Vector_clock.merge_into dvc.(m) msg.causal;
+        if m = 0 then note_delivery ~observe at msg.data
       end
+    | Gossip 0 when shape <> Random_calls -> self_observe (tick ())
     | Gossip m ->
       let at = tick () in
-      S.Incremental.observe_vc inc ~rank:m ~now:at dvc.(m);
-      S.Reference.observe_vc re ~rank:m ~now:at dvc.(m)
+      (* a gossip message carries its own copy of the peer's clock *)
+      let vc =
+        match shape with
+        | Random_calls -> dvc.(m)
+        | Stack_bss | Stack_pc -> Vector_clock.copy dvc.(m)
+      in
+      S.observe_vc inc ~rank:m ~now:at vc;
+      R.observe_vc re ~rank:m ~now:at vc
     | Renote -> (
       match !last_noted with
       | Some data
-        when List.mem data.Wire.msg_id (ids (S.Reference.unstable re)) ->
+        when List.mem data.Wire.msg_id (ids (R.unstable re)) ->
         note data
       | Some _ | None -> ())
   in
@@ -170,16 +216,45 @@ let gen_ops n =
 let gen_case =
   QCheck.Gen.(int_range 1 6 >>= fun n -> map (fun ops -> (n, ops)) (gen_ops n))
 
+let print_case (n, ops) =
+  Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map pp_op ops))
+
 let prop_equiv =
   QCheck.Test.make
     ~name:"incremental = reference on random delivery-legal interleavings"
     ~count:300
-    (QCheck.make
-       ~print:(fun (n, ops) ->
-         Printf.sprintf "n=%d [%s]" n
-           (String.concat "; " (List.map pp_op ops)))
-       gen_case)
+    (QCheck.make ~print:print_case gen_case)
     (fun (n, ops) -> run_equiv n ops)
+
+(* Stack-shaped: larger groups, longer histories, always the paired
+   single-cell observation after a delivery, over both clock
+   representations. *)
+let gen_stack_ops n =
+  QCheck.Gen.(
+    let member = int_range 0 (n - 1) in
+    list_size (int_range 100 600)
+      (frequency
+         [ (4, map (fun s -> Send s) member);
+           (8, map2 (fun m p -> Deliver (m, p, true)) member (int_bound 1000));
+           (2, map (fun m -> Gossip m) member);
+           (1, return Renote) ]))
+
+let stack_test shape shape_name =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "incremental = reference on stack-shaped calls (%s)"
+         shape_name)
+    ~count:60
+    (QCheck.make
+       ~print:(fun (sparse, c) ->
+         Printf.sprintf "sparse=%b %s" sparse (print_case c))
+       QCheck.Gen.(
+         pair bool
+           (int_range 2 16 >>= fun n ->
+            map (fun ops -> (n, ops)) (gen_stack_ops n))))
+    (fun (sparse, (n, ops)) ->
+      let clock = if sparse then Group_clock.Sparse else Group_clock.Dense in
+      run_equiv ~shape ~clock n ops)
 
 (* Directed: full dissemination drains both buffers completely, at the same
    observation instants. *)
@@ -215,7 +290,9 @@ let () =
   Alcotest.run "stability_equiv"
     [
       ( "differential",
-        List.map QCheck_alcotest.to_alcotest [ prop_equiv ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_equiv; stack_test Stack_bss "bss"; stack_test Stack_pc "pc" ]
+      );
       ( "directed",
         [
           Alcotest.test_case "full drain" `Quick test_directed_full_drain;
