@@ -19,7 +19,6 @@ let chaos_drop_forward_copy_metric = ref false
 
 type shared = {
   group_id : int;
-  shared_config : Config.t;
   graph : Causality.t option;
   obs : Repro_obs.Log.t option;
       (* one telemetry log for the whole group: events carry the pid *)
@@ -36,14 +35,13 @@ let make_shared ?group_id ?obs (config : Config.t) =
     | Some id -> id
     | None -> Atomic.fetch_and_add next_group_id 1 + 1
   in
-  { group_id; shared_config = config;
+  { group_id;
     graph = (if config.Config.track_graph then Some (Causality.create ()) else None);
     obs;
     next_msg_id = 0;
     id_index = Hashtbl.create 256 }
 
 let shared_graph shared = shared.graph
-let shared_obs shared = shared.obs
 let group_id shared = shared.group_id
 
 type flush_state = {
@@ -119,6 +117,40 @@ let make_reg_cells (config : Config.t) =
     g_unstable_bytes =
       Registry.gauge registry ~layer:Event.Stability ~name:"unstable_bytes" () }
 
+(* Per-view state: everything a view install replaces. [make_epoch] is its
+   only constructor — at creation, on a flush install and on a joiner's
+   install — so what resets on install has one owner. *)
+type 'a epoch = {
+  view : Group.view;
+  rank : int;
+  vc : Vector_clock.t;
+  pc : Pc_causal.t option;
+      (* PC-broadcast causal-layer state (overlay, link barrier, arrival
+         records); [Some] iff [Config.pc_active config]. In PC mode [vc] is
+         not wire-carried: it is reconstructed from delivery order
+         (component [o] = highest contiguously delivered origin sequence of
+         rank [o]), which keeps the gossip/stability/flush machinery working
+         unchanged. *)
+  queue : 'a Delivery_queue.t;
+  seq_queue : 'a Total_order.Sequencer_queue.t;
+  lamport_queue : 'a Total_order.Lamport_queue.t;
+  stability : 'a Stability.t;
+  seen : (Wire.msg_id, bool) Hashtbl.t;
+      (* this view's messages past causal delivery: [false] while one waits
+         for its total order, [true] once handed to the application. A copy
+         arriving in the [false] window must not re-run causal delivery: the
+         vc update of an own-message duplicate can move the clock backwards
+         and wedge every later message from that sender. Per view suffices:
+         reads are gated on the installed view, and the old view's leftover
+         and skipped-view deliveries run before the swap. *)
+  mutable next_global_seq : int;
+  mutable deferred_lamport_gossip : (int * int * int) list;
+      (* (rank, required per-sender seq, lamport time): a gossiped Lamport
+         time may only gate total-order release once every data message the
+         gossiper had sent has been delivered here, otherwise an in-flight
+         message with a smaller stamp could be overtaken *)
+}
+
 type 'a t = {
   engine : 'a Wire.t Transport.packet Engine.t;
   shared : shared;
@@ -138,44 +170,16 @@ type 'a t = {
          interleaving *)
   mutable own_msg_seq : int;
   lamport : Lamport.t;
-  delivered_ids : (Wire.msg_id, unit) Hashtbl.t;
-  causal_seen : (Wire.msg_id, unit) Hashtbl.t;
-      (* messages already causally delivered (vc advanced, handed to the
-         total-order queues). Distinct from [delivered_ids]: in the
-         sequencer/Lamport modes a message sits between causal and final
-         delivery until its order arrives, and a duplicate copy arriving in
-         that window must not re-run causal delivery — re-applying the vc
-         update for an own-message duplicate can move the clock backwards
-         and wedge every later message from that sender *)
-  mutable endpoint : 'a Endpoint.t option;  (* set right after creation *)
-  mutable view : Group.view;
-  mutable rank : int;
-  mutable vc : Vector_clock.t;
-  mutable pc : Pc_causal.t option;
-      (* PC-broadcast causal-layer state (overlay, link barrier, arrival
-         records); [Some] iff [Config.pc_active config]. Rebuilt on every
-         view install. In PC mode [vc] is not wire-carried: it is
-         reconstructed from delivery order (component [o] = highest
-         contiguously delivered origin sequence of rank [o]), which keeps
-         the gossip/stability/flush machinery working unchanged. *)
-  mutable queue : 'a Delivery_queue.t;
-  mutable seq_queue : 'a Total_order.Sequencer_queue.t;
-  mutable lamport_queue : 'a Total_order.Lamport_queue.t;
-  mutable stability : 'a Stability.t;
-  mutable next_global_seq : int;
+  endpoint : 'a Endpoint.t;
+  mutable epoch : 'a epoch;
   mutable status : status;
   mutable outbox : 'a list;
   mutable installing : bool;
-      (* inside install_view/install_join: application callbacks fire while
+      (* inside install_epoch: application callbacks fire while
          the outbox is not yet drained, so multicasts they issue must keep
          queueing or they would be stamped ahead of sends suppressed during
          the flush — a per-sender FIFO inversion *)
   mutable failed_members : Pid_set.t;
-  mutable deferred_lamport_gossip : (int * int * int) list;
-      (* (rank, required per-sender seq, lamport time): a gossiped Lamport
-         time may only gate total-order release once every data message the
-         gossiper had sent has been delivered here, otherwise an in-flight
-         message with a smaller stamp could be overtaken *)
   mutable future_proto : (int * 'a Wire.proto) list;
       (* data/order messages from a view this member has not installed yet:
          peers that finish the flush first may multicast in the new view
@@ -185,7 +189,6 @@ type 'a t = {
       (* re-entry into the protocol handler, tied after its definition *)
   mutable pending_joins : Engine.pid list;
       (* join requests received during a flush, admitted in the next round *)
-  mutable trigger_pending_joins : unit -> unit;
   mutable get_state : unit -> string;
       (* application state snapshot handed to joiners (see
          set_state_handlers) *)
@@ -195,9 +198,8 @@ type 'a t = {
       (* removed from the group by its peers (crash, or false suspicion
          under heartbeat detection): the stack is inert; re-join with a
          fresh stack *)
-  mutable eject : unit -> unit;  (* tied after callbacks exist *)
-  last_seen : (Engine.pid, Sim_time.t) Hashtbl.t;
-      (* heartbeat detection: last protocol message per peer *)
+  last_seen : (Engine.pid, Sim_time.t) Hashtbl.t option;
+      (* heartbeat detection only: last protocol message per peer *)
 }
 
 let queue_mode (config : Config.t) =
@@ -211,154 +213,144 @@ let queue_mode (config : Config.t) =
     | Config.Fifo | Config.Total_lamport -> Delivery_queue.Fifo_gap
     | Config.Causal | Config.Total_sequencer -> Delivery_queue.Causal_full
 
-let make_queue ?obs (config : Config.t) =
-  Delivery_queue.create ?obs (queue_mode config)
-
-let stability_clock (config : Config.t) =
-  match config.Config.stability_clock with
-  | Config.Dense_clock -> Group_clock.Dense
-  | Config.Sparse_clock -> Group_clock.Sparse
-
-let make_stability ?obs ?bytes_of ?registry (config : Config.t) ~group_size
-    ~metrics ~graph =
-  Stability.create ~clock:(stability_clock config) ?bytes_of ?obs ?registry
-    ~group_size ~metrics ~graph ()
+(* [prev_members] holds the members of the view this one replaces: a PC
+   link between two carried-over members stays open (its FIFO channel never
+   broke and the flush made their message sets agree), while a link
+   involving a member new to the view starts closed and runs the ping/pong
+   barrier ([install_epoch]) before data flows on it. At group creation
+   every member is carried over, so all links start open. *)
+let make_epoch ~shared ~(config : Config.t) ~self ?bytes_of ~registry ~metrics
+    ~prev_members view =
+  let rank = Group.rank_of_exn view self in
+  let group_size = Group.size view in
+  (* telemetry: (log, owner pid) pair handed to the per-view queues *)
+  let obs = Option.map (fun log -> (log, self)) shared.obs in
+  let pc =
+    if not (Config.pc_active config) then None
+    else begin
+      let self_fresh = not (Pid_set.mem self prev_members) in
+      let link_fresh peer_rank =
+        self_fresh
+        || not (Pid_set.mem (Group.member view peer_rank) prev_members)
+      in
+      Some (Pc_causal.create config ~rank ~group_size ~link_fresh)
+    end
+  in
+  let clock =
+    match config.Config.stability_clock with
+    | Config.Dense_clock -> Group_clock.Dense
+    | Config.Sparse_clock -> Group_clock.Sparse
+  in
+  { view; rank; vc = Vector_clock.create group_size; pc;
+    queue = Delivery_queue.create ?obs (queue_mode config);
+    seq_queue = Total_order.Sequencer_queue.create ?obs ();
+    lamport_queue = Total_order.Lamport_queue.create ?obs ~group_size ();
+    stability =
+      Stability.create ~clock ?bytes_of ?obs ~registry ~group_size ~metrics
+        ~graph:shared.graph ();
+    seen = Hashtbl.create 256;
+    next_global_seq = 0; deferred_lamport_gossip = [] }
 
 let self t = t.self
 let shared_of t = t.shared
 let config_of t = t.config
-let view t = t.view
-let rank t = t.rank
+let view t = t.epoch.view
 let metrics t = t.metrics
 let registry t = t.cells.registry
-let vector_clock t = t.vc
-let unstable_count t = Stability.unstable_count t.stability
-let unstable_bytes t = Stability.unstable_bytes t.stability
+let unstable_count t = Stability.unstable_count t.epoch.stability
 let set_callbacks t callbacks = t.callbacks <- callbacks
 
 (* all three summands are maintained counters, so this is safe to call from
    periodic metrics samplers without touching queue contents *)
 let pending_count t =
-  Delivery_queue.length t.queue
-  + Total_order.Sequencer_queue.data_count t.seq_queue
-  + Total_order.Lamport_queue.length t.lamport_queue
+  let e = t.epoch in
+  Delivery_queue.length e.queue
+  + Total_order.Sequencer_queue.data_count e.seq_queue
+  + Total_order.Lamport_queue.length e.lamport_queue
 
-(* telemetry: (log, owner pid) pair handed to the per-stack queues *)
-let obs_pair shared ~self =
-  match shared.obs with Some log -> Some (log, self) | None -> None
-
-(* Causal-path hop records: one event per physical copy decision, so the
-   full dissemination tree of a multicast is reconstructable from the log
-   (see [Obs.Trace_tree]). Callers also bump the matching conservation
-   counter; [Obs.Watch.copy_conservation] cross-checks the two. *)
-let note_hop_send t ~uid ~dst kind =
+let note_flush t mark ~view_id =
   match t.shared.obs with
-  | Some log when Repro_obs.Log.enabled log ->
-    Repro_obs.Log.hop_send log ~at:(Engine.now t.engine) ~uid ~pid:t.self ~dst
-      kind
-  | _ -> ()
-
-let note_flush_start t ~view_id =
-  match t.shared.obs with
-  | Some log ->
-    Repro_obs.Log.flush_start log ~at:(Engine.now t.engine) ~pid:t.self
-      ~view_id
-  | None -> ()
-
-let note_flush_end t ~view_id =
-  match t.shared.obs with
-  | Some log ->
-    Repro_obs.Log.flush_end log ~at:(Engine.now t.engine) ~pid:t.self ~view_id
+  | Some log -> mark log ~at:(Engine.now t.engine) ~pid:t.self ~view_id
   | None -> ()
 
 (* One gauge sample per tracked quantity; wire to [Engine.every] for the
    periodic time series the scaling experiments export. All four summands
    are maintained counters, so a sample is O(1). *)
 let record_gauges t =
+  let unstable_msgs = Stability.unstable_count t.epoch.stability in
+  let unstable_bytes = Stability.unstable_bytes t.epoch.stability in
+  let depth = Delivery_queue.length t.epoch.queue in
+  let blocked = pending_count t in
   if Repro_obs.Registry.enabled t.cells.registry then begin
-    Repro_obs.Registry.set t.cells.g_unstable_msgs
-      (Stability.unstable_count t.stability);
-    Repro_obs.Registry.set t.cells.g_unstable_bytes
-      (Stability.unstable_bytes t.stability);
-    Repro_obs.Registry.set t.cells.g_queue_depth
-      (Delivery_queue.length t.queue);
-    Repro_obs.Registry.set t.cells.g_blocked_msgs (pending_count t)
+    Repro_obs.Registry.set t.cells.g_unstable_msgs unstable_msgs;
+    Repro_obs.Registry.set t.cells.g_unstable_bytes unstable_bytes;
+    Repro_obs.Registry.set t.cells.g_queue_depth depth;
+    Repro_obs.Registry.set t.cells.g_blocked_msgs blocked
   end;
   match t.shared.obs with
-  | None -> ()
-  | Some log ->
-    if Repro_obs.Log.enabled log then begin
-      let at = Engine.now t.engine in
-      Repro_obs.Log.gauge log ~at ~pid:t.self Repro_obs.Event.Unstable_msgs
-        (Stability.unstable_count t.stability);
-      Repro_obs.Log.gauge log ~at ~pid:t.self Repro_obs.Event.Unstable_bytes
-        (Stability.unstable_bytes t.stability);
-      Repro_obs.Log.gauge log ~at ~pid:t.self Repro_obs.Event.Queue_depth
-        (Delivery_queue.length t.queue);
-      Repro_obs.Log.gauge log ~at ~pid:t.self Repro_obs.Event.Blocked_msgs
-        (pending_count t)
-    end
+  | Some log when Repro_obs.Log.enabled log ->
+    let gauge = Repro_obs.Log.gauge log ~at:(Engine.now t.engine) ~pid:t.self in
+    gauge Repro_obs.Event.Unstable_msgs unstable_msgs;
+    gauge Repro_obs.Event.Unstable_bytes unstable_bytes;
+    gauge Repro_obs.Event.Queue_depth depth;
+    gauge Repro_obs.Event.Blocked_msgs blocked
+  | Some _ | None -> ()
 
 let is_ejected t = t.ejected
 
 let is_flushing t =
   match t.status with Normal -> false | Flushing _ | Joining _ -> true
 
-let endpoint t =
-  match t.endpoint with
-  | Some e -> e
-  | None -> invalid_arg "Stack: endpoint not initialised"
+(* [flush]: also count it as view-change protocol traffic *)
+let count_control ?(flush = false) t n =
+  t.metrics.Metrics.control_messages <- t.metrics.Metrics.control_messages + n;
+  if flush then
+    t.metrics.Metrics.flush_messages <- t.metrics.Metrics.flush_messages + n
+
+let send_proto t ~dst proto =
+  Endpoint.send_proto t.endpoint ~group:t.shared.group_id ~dst proto
+
+(* view-change protocol traffic to an explicit member list *)
+let send_view_change t targets proto =
+  count_control ~flush:true t (List.length targets);
+  List.iter (fun dst -> send_proto t ~dst proto) targets
+
+(* One physical copy of a data message: the conservation counter for its
+   kind, its hop record and the send. One hop record per copy decision makes
+   the full dissemination tree of a multicast reconstructable from the log
+   (see [Obs.Trace_tree]); [Obs.Watch.copy_conservation] cross-checks the
+   records against the counters. *)
+let send_copy t (kind : Repro_obs.Event.hop_kind) ~dst (data : 'a Wire.data) =
+  (match kind with
+   | Repro_obs.Event.Origin_copy ->
+     Repro_obs.Registry.incr t.cells.origin_copies
+   | Repro_obs.Event.Forward_copy ->
+     if not !chaos_drop_forward_copy_metric then
+       Repro_obs.Registry.incr t.cells.forward_copies
+   | Repro_obs.Event.Resend_copy ->
+     Repro_obs.Registry.incr t.cells.resend_copies);
+  (match t.shared.obs with
+   | Some log when Repro_obs.Log.enabled log ->
+     Repro_obs.Log.hop_send log ~at:(Engine.now t.engine) ~uid:data.Wire.msg_id
+       ~pid:t.self ~dst kind
+   | _ -> ());
+  send_proto t ~dst (Wire.Data data)
 
 (* allocation-free fan-out over the view: the hot multicast/broadcast paths
    must not build an (n-1)-element recipient list per message *)
 let iter_other_members t f =
-  let members = t.view.Group.members in
+  let members = t.epoch.view.Group.members in
   for i = 0 to Array.length members - 1 do
     let p = Array.unsafe_get members i in
     if p <> t.self then f p
   done
 
 let broadcast_proto t proto =
-  iter_other_members t (fun dst ->
-      Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst proto)
+  iter_other_members t (fun dst -> send_proto t ~dst proto)
 
-(* --- PC-broadcast wiring ------------------------------------------------- *)
+let pc_stats t = Option.map Pc_causal.stats t.epoch.pc
 
-(* (Re)build the PC overlay state for the current view. [prev_members] holds
-   the members of the view this install replaced: a link between two
-   carried-over members stays open (its FIFO channel never broke and the
-   flush made their message sets agree), while a link involving a member new
-   to the view starts closed and runs the ping/pong barrier before data
-   flows on it. At initial group creation every member is "carried over", so
-   all links start open and no pings are sent. *)
-let reset_pc t ~prev_members =
-  if not (Config.pc_active t.config) then t.pc <- None
-  else begin
-    let view = t.view in
-    let self_fresh = not (Pid_set.mem t.self prev_members) in
-    let link_fresh peer_rank =
-      self_fresh || not (Pid_set.mem (Group.member view peer_rank) prev_members)
-    in
-    let pc =
-      Pc_causal.create t.config ~rank:t.rank ~group_size:(Group.size view)
-        ~link_fresh
-    in
-    t.pc <- Some pc;
-    let stats = Pc_causal.stats pc in
-    List.iter
-      (fun peer_rank ->
-        stats.Pc_causal.pings_sent <- stats.Pc_causal.pings_sent + 1;
-        t.metrics.Metrics.control_messages <-
-          t.metrics.Metrics.control_messages + 1;
-        Endpoint.send_proto (endpoint t) ~group:t.shared.group_id
-          ~dst:(Group.member view peer_rank)
-          (Wire.Pc_ping { view_id = view.Group.view_id; from_rank = t.rank }))
-      (Pc_causal.fresh_links pc)
-  end
-
-let pc_stats t = Option.map Pc_causal.stats t.pc
-
-let pc_neighbors t = Option.map Pc_causal.neighbors t.pc
+let pc_neighbors t = Option.map Pc_causal.neighbors t.epoch.pc
 
 (* --- graph bookkeeping (Section 5 active causal graph) ----------------- *)
 
@@ -386,8 +378,12 @@ let register_in_graph t (data : 'a Wire.data) =
 
 let final_deliver t (pending : 'a Delivery_queue.pending) =
   let data = pending.Delivery_queue.data in
-  if not (Hashtbl.mem t.delivered_ids data.Wire.msg_id) then begin
-    Hashtbl.add t.delivered_ids data.Wire.msg_id ();
+  let seen = t.epoch.seen in
+  (* [Hashtbl.find] rather than [find_opt]: no option box per delivery *)
+  match Hashtbl.find seen data.Wire.msg_id with
+  | true -> ()
+  | false | exception Not_found ->
+    Hashtbl.replace seen data.Wire.msg_id true;
     t.metrics.Metrics.delivered <- t.metrics.Metrics.delivered + 1;
     let now = Engine.now t.engine in
     let wait = Sim_time.sub now pending.Delivery_queue.arrived_at in
@@ -411,51 +407,44 @@ let final_deliver t (pending : 'a Delivery_queue.pending) =
          ~pid:t.self
      | None -> ());
     t.callbacks.deliver ~sender:data.Wire.origin data.Wire.payload
-  end
+
+let rec release_ready t take_ready queue =
+  match take_ready queue with
+  | Some pending -> final_deliver t pending; release_ready t take_ready queue
+  | None -> ()
 
 let release_total_queues t =
-  (match t.config.Config.ordering with
-   | Config.Total_sequencer ->
-     let rec loop () =
-       match Total_order.Sequencer_queue.take_ready t.seq_queue with
-       | Some pending -> final_deliver t pending; loop ()
-       | None -> ()
-     in
-     loop ()
-   | Config.Total_lamport ->
-     (* our own logical clock bounds our own future stamps *)
-     Total_order.Lamport_queue.observe_time t.lamport_queue ~rank:t.rank
-       (Lamport.value t.lamport);
-     let rec loop () =
-       match Total_order.Lamport_queue.take_ready t.lamport_queue with
-       | Some pending -> final_deliver t pending; loop ()
-       | None -> ()
-     in
-     loop ()
-   | Config.Fifo | Config.Causal -> ())
-
-let sequencer_pid t = Group.member t.view 0
+  match t.config.Config.ordering with
+  | Config.Total_sequencer ->
+    release_ready t Total_order.Sequencer_queue.take_ready t.epoch.seq_queue
+  | Config.Total_lamport ->
+    (* our own logical clock bounds our own future stamps *)
+    Total_order.Lamport_queue.observe_time t.epoch.lamport_queue
+      ~rank:t.epoch.rank (Lamport.value t.lamport);
+    release_ready t Total_order.Lamport_queue.take_ready t.epoch.lamport_queue
+  | Config.Fifo | Config.Causal -> ()
 
 let causal_deliver t (pending : 'a Delivery_queue.pending) =
   let data = pending.Delivery_queue.data in
-  if Hashtbl.mem t.causal_seen data.Wire.msg_id then ()
+  let e = t.epoch in
+  if Hashtbl.mem e.seen data.Wire.msg_id then ()
   else begin
-  Hashtbl.add t.causal_seen data.Wire.msg_id ();
+  Hashtbl.add e.seen data.Wire.msg_id false;
   (* Advance only the sender's component: in Causal_full mode this equals a
      full merge (the delivery condition guarantees vt(k) <= local(k) for
      k <> sender); in Fifo_gap mode a full merge would overstate which
      messages from third parties we have delivered. *)
   let sender = data.Wire.sender_rank in
   let sender_seq = Vector_clock.get data.Wire.vt sender in
-  Vector_clock.set t.vc sender sender_seq;
+  Vector_clock.set e.vc sender sender_seq;
   (* PC stamps are nonzero only at the sender's own component, so
      both stability merges below collapse to single cells — the delivery
      hot path stays O(1) in group size instead of O(n) per message. *)
   (match data.Wire.meta with
-   | Wire.Pc_meta _ -> Stability.note_delivered_diag t.stability data
+   | Wire.Pc_meta _ -> Stability.note_delivered_diag e.stability data
    | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _ ->
-     Stability.note_sent_or_delivered t.stability data);
-  Stability.self_observe_cell t.stability ~rank:t.rank ~col:sender
+     Stability.note_sent_or_delivered e.stability data);
+  Stability.self_observe_cell e.stability ~rank:e.rank ~col:sender
     ~seq:sender_seq ~now:(Engine.now t.engine);
   (* PC forward-on-first-delivery. This must run BEFORE the application
      callback below: a reaction multicast issued synchronously from the
@@ -464,7 +453,7 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
      before its trigger — exactly the causal inversion PC's structural
      argument forbids. Forwarding a message we are about to deliver is
      safe: it is causally deliverable here, hence on our outgoing links. *)
-  (match t.pc with
+  (match e.pc with
    | None -> ()
    | Some pc ->
      let from_rank = Pc_causal.take_arrival pc data.Wire.msg_id in
@@ -474,15 +463,10 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
          let stats = Pc_causal.stats pc in
          let send_forward r =
            stats.Pc_causal.forwards <- stats.Pc_causal.forwards + 1;
-           if not !chaos_drop_forward_copy_metric then
-             Repro_obs.Registry.incr t.cells.forward_copies;
            t.metrics.Metrics.header_bytes <-
              t.metrics.Metrics.header_bytes + Wire.header_bytes data;
-           let dst = Group.member t.view r in
-           note_hop_send t ~uid:data.Wire.msg_id ~dst
-             Repro_obs.Event.Forward_copy;
-           Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst
-             (Wire.Data data)
+           send_copy t Repro_obs.Event.Forward_copy
+             ~dst:(Group.member e.view r) data
          in
          List.iter send_forward
            (Pc_causal.forward_targets pc ~from_rank ~origin_rank:sender)
@@ -493,25 +477,24 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
   match t.config.Config.ordering with
   | Config.Fifo | Config.Causal -> final_deliver t pending
   | Config.Total_sequencer ->
-    Total_order.Sequencer_queue.add_data t.seq_queue pending;
-    if t.self = sequencer_pid t then begin
-      let global_seq = t.next_global_seq in
-      t.next_global_seq <- global_seq + 1;
+    Total_order.Sequencer_queue.add_data e.seq_queue pending;
+    if t.self = Group.member e.view 0 then begin
+      let global_seq = e.next_global_seq in
+      e.next_global_seq <- global_seq + 1;
       let order =
         Wire.Seq_order
-          { view_id = t.view.Group.view_id; msg_id = data.Wire.msg_id; global_seq }
+          { view_id = e.view.Group.view_id; msg_id = data.Wire.msg_id; global_seq }
       in
-      t.metrics.Metrics.control_messages <-
-        t.metrics.Metrics.control_messages + Group.size t.view - 1;
+      count_control t (Group.size e.view - 1);
       broadcast_proto t order;
-      Total_order.Sequencer_queue.add_order t.seq_queue
+      Total_order.Sequencer_queue.add_order e.seq_queue
         ~msg_id:data.Wire.msg_id ~global_seq
     end
   | Config.Total_lamport ->
     (match data.Wire.meta with
      | Wire.Lamport_meta stamp ->
-       Total_order.Lamport_queue.add t.lamport_queue pending ~stamp;
-       Total_order.Lamport_queue.observe_time t.lamport_queue
+       Total_order.Lamport_queue.add e.lamport_queue pending ~stamp;
+       Total_order.Lamport_queue.observe_time e.lamport_queue
          ~rank:data.Wire.sender_rank stamp.Lamport.time
      | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Pc_meta _ ->
        (* a misconfigured peer; deliver FIFO to stay live *)
@@ -519,42 +502,40 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
   end
 
 let apply_deferred_gossip t =
+  let e = t.epoch in
   let applicable, still_deferred =
     List.partition
-      (fun (rank, required, _) -> Vector_clock.get t.vc rank >= required)
-      t.deferred_lamport_gossip
+      (fun (rank, required, _) -> Vector_clock.get e.vc rank >= required)
+      e.deferred_lamport_gossip
   in
-  t.deferred_lamport_gossip <- still_deferred;
+  e.deferred_lamport_gossip <- still_deferred;
   List.iter
     (fun (rank, _, time) ->
-      Total_order.Lamport_queue.observe_time t.lamport_queue ~rank time)
+      Total_order.Lamport_queue.observe_time e.lamport_queue ~rank time)
     applicable
 
-let drain_deliverables t =
-  let rec loop () =
-    match Delivery_queue.take_deliverable t.queue ~local:t.vc with
-    | Some pending ->
-      causal_deliver t pending;
-      loop ()
-    | None -> ()
-  in
-  loop ();
-  apply_deferred_gossip t;
-  release_total_queues t
+let rec drain_deliverables t =
+  match Delivery_queue.take_deliverable t.epoch.queue ~local:t.epoch.vc with
+  | Some pending ->
+    causal_deliver t pending;
+    drain_deliverables t
+  | None ->
+    apply_deferred_gossip t;
+    release_total_queues t
 
 let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
   (* piggybacked predecessors are just data messages: feed them through the
-     same path (duplicates are dropped by the delivered/seen-ids check) *)
+     same path (duplicates are dropped by the seen-ids check) *)
   List.iter (fun d -> on_data t d) data.Wire.piggyback;
   t.metrics.Metrics.data_received <- t.metrics.Metrics.data_received + 1;
-  if data.Wire.view_id > t.view.Group.view_id then
+  let e = t.epoch in
+  if data.Wire.view_id > e.view.Group.view_id then
     t.future_proto <-
       (data.Wire.view_id, Wire.Data data) :: t.future_proto
-  else if data.Wire.view_id = t.view.Group.view_id
-          && not (Hashtbl.mem t.delivered_ids data.Wire.msg_id)
-          && not (Hashtbl.mem t.causal_seen data.Wire.msg_id)
+  else if data.Wire.view_id = e.view.Group.view_id
+          && not (Hashtbl.mem e.seen data.Wire.msg_id)
   then begin
-    match t.pc with
+    match e.pc with
     | Some pc when Pc_causal.is_queued pc data.Wire.msg_id ->
       (* PC's forwarding redundancy: a copy of a message already sitting in
          the delivery queue; drop it before it reaches the queue *)
@@ -571,7 +552,7 @@ let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
        Repro_obs.Log.span_recv log ~at:pending.Delivery_queue.arrived_at
          ~uid:data.Wire.msg_id ~pid:t.self
      | None -> ());
-    if data.Wire.origin = t.self then begin
+    if data.Wire.origin = t.self then
       (* A sender's own multicast is deliverable by construction — its
          dependencies are exactly what the sender had delivered when it was
          stamped — so it bypasses the delivery condition. Routing it through
@@ -580,22 +561,20 @@ let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
          local delivery would reuse the same sender sequence number (the
          clock had not advanced yet), and one of the twins then never
          satisfies the FIFO-gap condition anywhere. *)
-      causal_deliver t pending;
-      drain_deliverables t
-    end
+      causal_deliver t pending
     else begin
-      (match t.pc with
+      (match e.pc with
        | Some pc ->
          (* record the arrival link so the forward on delivery can skip it *)
          Pc_causal.note_queued pc ~msg_id:data.Wire.msg_id ~from_rank:src_rank
        | None -> ());
-      Delivery_queue.add t.queue pending;
-      drain_deliverables t
-    end
+      Delivery_queue.add e.queue pending
+    end;
+    drain_deliverables t
   end
   else
-    match t.pc with
-    | Some pc when data.Wire.view_id = t.view.Group.view_id ->
+    match e.pc with
+    | Some pc when data.Wire.view_id = e.view.Group.view_id ->
       (* redundant copy of an already-delivered message *)
       Pc_causal.note_duplicate pc
     | _ -> ()
@@ -625,27 +604,28 @@ let make_data t payload =
        ~pid:t.self ~bytes:t.config.Config.payload_bytes
    | None -> ());
   (* one immutable snapshot per multicast, shared by every recipient *)
+  let e = t.epoch in
   let vt, meta =
-    match t.pc with
+    match e.pc with
     | Some _ ->
       (* PC mode: the wire carries only (origin, origin_seq). The in-memory
          vt is sparse — just our own ticked component — which is exactly
          what the delivery-queue gap check, causal_deliver's clock advance
          and the stability sender-row merge read; any receiver could
          reconstruct it locally, so it is not charged to header_bytes. *)
-      let seq = Vector_clock.get t.vc t.rank + 1 in
-      let vt = Vector_clock.create (Group.size t.view) in
-      Vector_clock.set vt t.rank seq;
+      let seq = Vector_clock.get e.vc e.rank + 1 in
+      let vt = Vector_clock.create (Group.size e.view) in
+      Vector_clock.set vt e.rank seq;
       (vt, Wire.Pc_meta { origin_seq = seq })
     | None ->
-      let vt = Vector_clock.copy_tick t.vc t.rank in
+      let vt = Vector_clock.copy_tick e.vc e.rank in
       let meta =
         match t.config.Config.ordering with
         | Config.Fifo -> Wire.Fifo_meta
         | Config.Causal -> Wire.Causal_meta
         | Config.Total_sequencer -> Wire.Seq_meta
         | Config.Total_lamport ->
-          Wire.Lamport_meta (Lamport.stamp t.lamport ~node:t.rank)
+          Wire.Lamport_meta (Lamport.stamp t.lamport ~node:e.rank)
       in
       (vt, meta)
   in
@@ -655,11 +635,11 @@ let make_data t payload =
          can fill gaps locally instead of waiting *)
       List.map
         (fun (d : 'a Wire.data) -> { d with Wire.piggyback = [] })
-        (Stability.unstable t.stability)
+        (Stability.unstable e.stability)
     else []
   in
-  { Wire.msg_id; trace_id = msg_id; origin = t.self; sender_rank = t.rank;
-    view_id = t.view.Group.view_id; vt; meta; payload;
+  { Wire.msg_id; trace_id = msg_id; origin = t.self; sender_rank = e.rank;
+    view_id = e.view.Group.view_id; vt; meta; payload;
     payload_bytes = t.config.Config.payload_bytes;
     sent_at = Engine.now t.engine; piggyback }
 
@@ -683,29 +663,13 @@ let account_send t data ~recipient_count =
    | Some _ | None -> ());
   register_in_graph t data
 
-let transmit t data ~recipients =
-  account_send t data ~recipient_count:(List.length recipients);
-  List.iter
-    (fun dst ->
-      Repro_obs.Registry.incr t.cells.origin_copies;
-      note_hop_send t ~uid:data.Wire.msg_id ~dst Repro_obs.Event.Origin_copy;
-      Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst
-        (Wire.Data data))
-    recipients;
-  (* the local copy goes through the same receive path *)
-  on_data t data
-
 let do_multicast t payload =
   let data = make_data t payload in
-  (match t.pc with
+  (match t.epoch.pc with
    | None ->
-     account_send t data ~recipient_count:(Group.size t.view - 1);
+     account_send t data ~recipient_count:(Group.size t.epoch.view - 1);
      iter_other_members t (fun dst ->
-         Repro_obs.Registry.incr t.cells.origin_copies;
-         note_hop_send t ~uid:data.Wire.msg_id ~dst
-           Repro_obs.Event.Origin_copy;
-         Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst
-           (Wire.Data data))
+         send_copy t Repro_obs.Event.Origin_copy ~dst data)
    | Some pc ->
      (* overlay dissemination: the initial copies go to our overlay
         neighbors only; forwarding on delivery carries them the rest of the
@@ -717,12 +681,8 @@ let do_multicast t payload =
        (fun r ->
          if Pc_causal.link_open pc ~peer_rank:r then begin
            incr sent;
-           let dst = Group.member t.view r in
-           Repro_obs.Registry.incr t.cells.origin_copies;
-           note_hop_send t ~uid:data.Wire.msg_id ~dst
-             Repro_obs.Event.Origin_copy;
-           Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst
-             (Wire.Data data)
+           send_copy t Repro_obs.Event.Origin_copy
+             ~dst:(Group.member t.epoch.view r) data
          end
          else
            stats.Pc_causal.barrier_deferred <-
@@ -751,9 +711,14 @@ let multicast t payload =
 
 let inject_partial_multicast t payload ~recipients =
   let recipients = List.filter (fun p -> p <> t.self) recipients in
-  transmit t (make_data t payload) ~recipients
+  let data = make_data t payload in
+  account_send t data ~recipient_count:(List.length recipients);
+  List.iter (fun dst -> send_copy t Repro_obs.Event.Origin_copy ~dst data)
+    recipients;
+  (* the local copy goes through the same receive path *)
+  on_data t data
 
-let send_direct t ~dst payload = Endpoint.send_direct (endpoint t) ~dst payload
+let send_direct t ~dst payload = Endpoint.send_direct t.endpoint ~dst payload
 
 (* --- gossip / stability -------------------------------------------------- *)
 
@@ -761,27 +726,28 @@ let send_gossip t =
   match t.status with
   | Flushing _ | Joining _ -> ()
   | Normal ->
+    let e = t.epoch in
     let proto =
       Wire.Gossip
-        { view_id = t.view.Group.view_id; rank = t.rank;
-          vc = Vector_clock.copy t.vc; lamport = Lamport.value t.lamport }
+        { view_id = e.view.Group.view_id; rank = e.rank;
+          vc = Vector_clock.copy e.vc; lamport = Lamport.value t.lamport }
     in
-    t.metrics.Metrics.control_messages <-
-      t.metrics.Metrics.control_messages + Group.size t.view - 1;
-    Repro_obs.Registry.add t.cells.gossip_msgs (Group.size t.view - 1);
+    count_control t (Group.size e.view - 1);
+    Repro_obs.Registry.add t.cells.gossip_msgs (Group.size e.view - 1);
     broadcast_proto t proto;
-    Stability.self_observe t.stability ~rank:t.rank ~now:(Engine.now t.engine) t.vc
+    Stability.self_observe e.stability ~rank:e.rank ~now:(Engine.now t.engine) e.vc
 
 let on_gossip t ~view_id ~rank ~vc ~lamport =
-  if view_id = t.view.Group.view_id then begin
-    Stability.observe_vc t.stability ~rank ~now:(Engine.now t.engine) vc;
+  let e = t.epoch in
+  if view_id = e.view.Group.view_id then begin
+    Stability.observe_vc e.stability ~rank ~now:(Engine.now t.engine) vc;
     ignore (Lamport.observe t.lamport lamport);
     let gossiper_sent = Vector_clock.get vc rank in
-    if Vector_clock.get t.vc rank >= gossiper_sent then
-      Total_order.Lamport_queue.observe_time t.lamport_queue ~rank lamport
+    if Vector_clock.get e.vc rank >= gossiper_sent then
+      Total_order.Lamport_queue.observe_time e.lamport_queue ~rank lamport
     else
-      t.deferred_lamport_gossip <-
-        (rank, gossiper_sent, lamport) :: t.deferred_lamport_gossip;
+      e.deferred_lamport_gossip <-
+        (rank, gossiper_sent, lamport) :: e.deferred_lamport_gossip;
     drain_deliverables t
   end
 
@@ -789,54 +755,96 @@ let on_gossip t ~view_id ~rank ~vc ~lamport =
 
 let coordinator_of survivors = List.fold_left min max_int survivors
 
-let flush_complete t flush =
-  List.for_all
-    (fun p -> p = t.self || Pid_set.mem p flush.flush_from)
-    flush.survivors
-
 let maybe_finish_flush t flush =
-  if flush_complete t flush && not flush.done_sent then begin
+  if (not flush.done_sent)
+     && List.for_all
+          (fun p -> p = t.self || Pid_set.mem p flush.flush_from)
+          flush.survivors
+  then begin
     flush.done_sent <- true;
     let coordinator = coordinator_of flush.survivors in
     if t.self = coordinator then
       flush.done_from <- Pid_set.add t.self flush.done_from
-    else begin
-      t.metrics.Metrics.control_messages <- t.metrics.Metrics.control_messages + 1;
-      t.metrics.Metrics.flush_messages <- t.metrics.Metrics.flush_messages + 1;
-      Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst:coordinator
+    else
+      send_view_change t [ coordinator ]
         (Wire.Flush_done { new_view_id = flush.new_view_id; from = t.self })
-    end
   end
 
-let install_view t flush =
-  note_flush_end t ~view_id:flush.new_view_id;
+let eject t =
+  if not t.ejected then begin
+    t.ejected <- true;
+    t.cancel_gossip ();
+    (* the application learns it was expelled through its own failure
+       notification; it may re-join with a fresh stack *)
+    t.callbacks.member_failed t.self
+  end
+
+(* The tail shared by a flush install and a joiner's install. [notify] is
+   the caller's own work, run just before the view is announced. *)
+let install_epoch t view ~prev_members ~notify =
+  let e =
+    make_epoch ~shared:t.shared ~config:t.config ~self:t.self
+      ?bytes_of:t.bytes_of ~registry:t.cells.registry ~metrics:t.metrics
+      ~prev_members view
+  in
+  t.epoch <- e;
+  t.status <- Normal;
+  t.installing <- true;
+  (* start the ping/pong barrier on every link [make_epoch] left closed *)
+  (match e.pc with
+   | None -> ()
+   | Some pc ->
+     let stats = Pc_causal.stats pc in
+     List.iter
+       (fun peer_rank ->
+         stats.Pc_causal.pings_sent <- stats.Pc_causal.pings_sent + 1;
+         count_control t 1;
+         send_proto t ~dst:(Group.member view peer_rank)
+           (Wire.Pc_ping { view_id = view.Group.view_id; from_rank = e.rank }))
+       (Pc_causal.fresh_links pc));
+  t.metrics.Metrics.view_changes <- t.metrics.Metrics.view_changes + 1;
+  Repro_obs.Registry.incr t.cells.c_view_changes;
+  notify ();
+  t.callbacks.view_change view;
+  (* replay messages that arrived for this view before we installed it *)
+  let view_id = view.Group.view_id in
+  let ready, later =
+    List.partition (fun (vid, _) -> vid = view_id) t.future_proto
+  in
+  t.future_proto <- List.filter (fun (vid, _) -> vid > view_id) later;
+  List.iter (fun (_, proto) -> t.replay_proto proto) (List.rev ready);
+  drain_outbox t
+
+let rec install_view t flush =
+  note_flush t Repro_obs.Log.flush_end ~view_id:flush.new_view_id;
+  let e = t.epoch in
   (* Anything still blocked is undeliverable in the old view: the flush
      guaranteed every survivor holds the same message set, so dropping the
      remainder is group-consistent. This drop IS the atomicity-without-
      durability gap of Section 2. *)
-  let leftover_causal = Delivery_queue.drain t.queue in
-  let leftover_seq = Total_order.Sequencer_queue.pending_data t.seq_queue in
-  let leftover_lamport = Total_order.Lamport_queue.pending t.lamport_queue in
+  let leftover_causal = Delivery_queue.drain e.queue in
+  let leftover_seq = Total_order.Sequencer_queue.pending_data e.seq_queue in
+  let leftover_lamport = Total_order.Lamport_queue.pending e.lamport_queue in
   (* Sequencer/Lamport leftovers were causally delivered but unordered;
      every survivor holds the identical set, so deliver them in stamping /
      Lamport-stamp order (deterministic and identical everywhere). *)
   List.iter (final_deliver t) leftover_seq;
   List.iter (final_deliver t) leftover_lamport;
-  Total_order.Sequencer_queue.clear t.seq_queue;
-  Total_order.Lamport_queue.clear t.lamport_queue;
+  Total_order.Sequencer_queue.clear e.seq_queue;
+  Total_order.Lamport_queue.clear e.lamport_queue;
   t.metrics.Metrics.dropped_at_view_change <-
     t.metrics.Metrics.dropped_at_view_change + List.length leftover_causal;
   (match t.shared.graph with
    | Some graph ->
      List.iter
        (fun (d : 'a Wire.data) -> Causality.remove_stable graph d.Wire.msg_id)
-       (Stability.unstable t.stability)
+       (Stability.unstable e.stability)
    | None -> ());
-  let old_members = Array.to_list t.view.Group.members in
+  let old_members = Array.to_list e.view.Group.members in
   if not (List.mem t.self flush.new_members) then begin
     (* the agreed view excludes us: false suspicion or late recovery *)
     t.status <- Normal;
-    t.eject ()
+    eject t
   end
   else begin
   (* Deliver data from views this member skipped — its flush was restarted
@@ -846,71 +854,45 @@ let install_view t flush =
      member never acknowledged them), so delivering here — in stamping
      order, which is causality-consistent under both msg-id schemes —
      keeps delivery all-or-none across the group. Dropping them instead
-     would lose messages peers delivered in the skipped view. *)
+     would lose messages peers delivered in the skipped view. None of them
+     can have been delivered yet (their view was never installed here);
+     final_deliver drops the repeated copies. *)
   let skipped, remaining =
     List.partition (fun (vid, _) -> vid < flush.new_view_id) t.future_proto
   in
   t.future_proto <- remaining;
   skipped
-  |> List.filter_map (function
-       | _, Wire.Data d when not (Hashtbl.mem t.delivered_ids d.Wire.msg_id) ->
-         Some d
-       | _ -> None)
+  |> List.filter_map (function _, Wire.Data d -> Some d | _ -> None)
   |> List.sort Wire.compare_stamping
   |> List.iter (fun d ->
          final_deliver t
            { Delivery_queue.data = d; arrived_at = Engine.now t.engine });
   let new_view = Group.make_view ~view_id:flush.new_view_id flush.new_members in
   let removed = List.filter (fun p -> not (Group.mem new_view p)) old_members in
-  t.view <- new_view;
-  t.rank <- Group.rank_of_exn new_view t.self;
-  t.vc <- Vector_clock.create (Group.size new_view);
-  let obs = obs_pair t.shared ~self:t.self in
-  t.queue <- make_queue ?obs t.config;
-  t.seq_queue <- Total_order.Sequencer_queue.create ?obs ();
-  t.lamport_queue <-
-    Total_order.Lamport_queue.create ?obs ~group_size:(Group.size new_view) ();
-  t.stability <-
-    make_stability ?obs ?bytes_of:t.bytes_of ~registry:t.cells.registry
-      t.config ~group_size:(Group.size new_view) ~metrics:t.metrics
-      ~graph:t.shared.graph;
-  t.next_global_seq <- 0;
-  t.deferred_lamport_gossip <- [];
-  t.status <- Normal;
-  t.installing <- true;
-  reset_pc t ~prev_members:(Pid_set.of_list old_members);
-  t.metrics.Metrics.view_changes <- t.metrics.Metrics.view_changes + 1;
-  Repro_obs.Registry.incr t.cells.c_view_changes;
-  t.metrics.Metrics.suppressed_us <-
-    t.metrics.Metrics.suppressed_us
-    + Sim_time.sub (Engine.now t.engine) flush.started_at;
-  List.iter (fun p -> t.callbacks.member_failed p) removed;
-  t.callbacks.view_change new_view;
-  (* replay messages that arrived for this view before we installed it *)
-  let ready, later =
-    List.partition (fun (vid, _) -> vid = new_view.Group.view_id) t.future_proto
-  in
-  t.future_proto <-
-    List.filter (fun (vid, _) -> vid > new_view.Group.view_id) later;
-  List.iter (fun (_, proto) -> t.replay_proto proto) (List.rev ready);
-  drain_outbox t;
+  install_epoch t new_view ~prev_members:(Pid_set.of_list old_members)
+    ~notify:(fun () ->
+      t.metrics.Metrics.suppressed_us <-
+        t.metrics.Metrics.suppressed_us
+        + Sim_time.sub (Engine.now t.engine) flush.started_at;
+      List.iter (fun p -> t.callbacks.member_failed p) removed);
   if t.pending_joins <> [] then
     (* admit joiners that queued up during the flush in a fresh round *)
-    Engine.after t.engine ~owner:t.self (Sim_time.us 1) t.trigger_pending_joins
+    Engine.after t.engine ~owner:t.self (Sim_time.us 1) (fun () ->
+        trigger_pending_joins t)
   end
 
 (* Enter a flush round with an agreed survivor set. The round's initiator
    computes the set; members that learn of the round from a Flush message
    adopt the set carried in it, so staggered failure detection still
    converges on one view. *)
-let begin_flush t ~new_view_id ~survivors ~new_members =
+and begin_flush t ~new_view_id ~survivors ~new_members =
   (* a restart abandons the round in progress: close its telemetry span
      before opening the new one *)
   (match t.status with
    | Flushing f when f.new_view_id <> new_view_id ->
-     note_flush_end t ~view_id:f.new_view_id
+     note_flush t Repro_obs.Log.flush_end ~view_id:f.new_view_id
    | Flushing _ | Normal | Joining _ -> ());
-  note_flush_start t ~view_id:new_view_id;
+  note_flush t Repro_obs.Log.flush_start ~view_id:new_view_id;
   Repro_obs.Registry.incr t.cells.c_flushes;
   let survivor_set = Pid_set.of_list survivors in
   let flush =
@@ -920,12 +902,13 @@ let begin_flush t ~new_view_id ~survivors ~new_members =
       started_at = Engine.now t.engine }
   in
   t.status <- Flushing flush;
+  let e = t.epoch in
   (* anyone the agreed set excludes is de facto failed *)
   t.failed_members <-
     Array.fold_left
       (fun acc p ->
         if Pid_set.mem p survivor_set then acc else Pid_set.add p acc)
-      t.failed_members t.view.Group.members;
+      t.failed_members e.view.Group.members;
   (* The flush contribution is everything this member HOLDS from the old
      view: its unstable sent-or-delivered messages, plus messages still
      blocked in its delivery queue. The queue contents matter when the
@@ -934,27 +917,19 @@ let begin_flush t ~new_view_id ~survivors ~new_members =
      and if its original sender crashed, no retransmission exists — peers
      can only learn of it from this exchange. *)
   let unstable =
-    Stability.unstable t.stability
+    Stability.unstable e.stability
     @ List.map
         (fun (p : 'a Delivery_queue.pending) -> p.Delivery_queue.data)
-        (Delivery_queue.to_list t.queue)
+        (Delivery_queue.to_list e.queue)
   in
-  let orders = Total_order.Sequencer_queue.known_orders t.seq_queue in
+  let orders = Total_order.Sequencer_queue.known_orders e.seq_queue in
   let proto = Wire.Flush { new_view_id; survivors; unstable; orders } in
-  let targets = List.filter (fun p -> p <> t.self) survivors in
-  t.metrics.Metrics.control_messages <-
-    t.metrics.Metrics.control_messages + List.length targets;
-  t.metrics.Metrics.flush_messages <-
-    t.metrics.Metrics.flush_messages + List.length targets;
-  List.iter
-    (fun dst ->
-      Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst proto)
-    targets;
+  send_view_change t (List.filter (fun p -> p <> t.self) survivors) proto;
   (* a member left behind on a stale round (everyone else moved on without
      it, e.g. after a false suspicion) must not hang forever *)
   Engine.after t.engine ~owner:t.self (Sim_time.seconds 1) (fun () ->
       match t.status with
-      | Flushing f when f == flush -> t.eject ()
+      | Flushing f when f == flush -> eject t
       | Flushing _ | Normal | Joining _ -> ());
   match survivors with
   | [ only ] when only = t.self ->
@@ -967,7 +942,7 @@ let begin_flush t ~new_view_id ~survivors ~new_members =
    member (detected crash), [joined] admits new ones. The flush itself is
    always between the current live members; joiners receive the new view
    plus a state transfer once the flush completes. *)
-let start_view_change t ~failed ~joined =
+and start_view_change t ~failed ~joined =
   (match failed with
    | Some pid -> t.failed_members <- Pid_set.add pid t.failed_members
    | None -> ());
@@ -977,13 +952,14 @@ let start_view_change t ~failed ~joined =
      supersedes its failure record *)
   t.failed_members <-
     List.fold_left (fun acc j -> Pid_set.remove j acc) t.failed_members joined;
+  let view = t.epoch.view in
   let new_view_id =
     match t.status with
-    | Normal | Joining _ -> t.view.Group.view_id + 1
+    | Normal | Joining _ -> view.Group.view_id + 1
     | Flushing f -> f.new_view_id + 1
   in
   let survivors =
-    Array.to_list t.view.Group.members
+    Array.to_list view.Group.members
     |> List.filter (fun p -> not (Pid_set.mem p t.failed_members))
   in
   let survivor_set = Pid_set.of_list survivors in
@@ -997,9 +973,16 @@ let start_view_change t ~failed ~joined =
   in
   begin_flush t ~new_view_id ~survivors ~new_members
 
+and trigger_pending_joins t =
+  match t.status with
+  | Normal
+    when t.pending_joins <> [] && t.self = Group.coordinator t.epoch.view ->
+    start_view_change t ~failed:None ~joined:[]
+  | Normal | Flushing _ | Joining _ -> ()
+
 let rec on_flush t ~src ~new_view_id ~survivors ~unstable ~orders =
   (match t.status with
-   | Normal when new_view_id > t.view.Group.view_id ->
+   | Normal when new_view_id > t.epoch.view.Group.view_id ->
      (* a peer started a view change we have no local trigger for (a join,
         or a failure we have not detected yet): adopt its round *)
      begin_flush t ~new_view_id ~survivors ~new_members:survivors
@@ -1016,7 +999,8 @@ let rec on_flush t ~src ~new_view_id ~survivors ~unstable ~orders =
        fall back to the view-change tiebreak for messages it had placed. *)
     List.iter
       (fun (msg_id, global_seq) ->
-        Total_order.Sequencer_queue.add_order t.seq_queue ~msg_id ~global_seq)
+        Total_order.Sequencer_queue.add_order t.epoch.seq_queue ~msg_id
+          ~global_seq)
       orders;
     List.iter (fun data -> on_data t data) unstable;
     release_total_queues t;
@@ -1040,27 +1024,15 @@ and broadcast_new_view t flush =
   in
   (* install first so the state snapshot reflects every old-view delivery *)
   install_view t flush;
-  let proto =
-    Wire.New_view { view_id = flush.new_view_id; members = flush.new_members }
-  in
-  let targets = List.filter (fun p -> p <> t.self) flush.new_members in
-  t.metrics.Metrics.control_messages <-
-    t.metrics.Metrics.control_messages + List.length targets;
-  t.metrics.Metrics.flush_messages <-
-    t.metrics.Metrics.flush_messages + List.length targets;
-  List.iter (fun dst -> Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst proto) targets;
-  (match joiners with
-   | [] -> ()
-   | _ :: _ ->
-     let state =
-       Wire.State_transfer
-         { view_id = flush.new_view_id; state = t.get_state () }
-     in
-     t.metrics.Metrics.control_messages <-
-       t.metrics.Metrics.control_messages + List.length joiners;
-     t.metrics.Metrics.flush_messages <-
-       t.metrics.Metrics.flush_messages + List.length joiners;
-     List.iter (fun dst -> Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst state) joiners)
+  send_view_change t
+    (List.filter (fun p -> p <> t.self) flush.new_members)
+    (Wire.New_view { view_id = flush.new_view_id; members = flush.new_members });
+  match joiners with
+  | [] -> ()
+  | _ :: _ ->
+    send_view_change t joiners
+      (Wire.State_transfer
+         { view_id = flush.new_view_id; state = t.get_state () })
 
 let on_flush_done t ~new_view_id ~from =
   match t.status with
@@ -1072,52 +1044,22 @@ let on_flush_done t ~new_view_id ~from =
       broadcast_new_view t flush
   | Flushing _ | Normal | Joining _ -> ()
 
-let install_join t join ~view_id ~members ~state =
-  ignore join;
-  let new_view = Group.make_view ~view_id members in
-  t.view <- new_view;
-  t.rank <- Group.rank_of_exn new_view t.self;
-  t.vc <- Vector_clock.create (Group.size new_view);
-  let obs = obs_pair t.shared ~self:t.self in
-  t.queue <- make_queue ?obs t.config;
-  t.seq_queue <- Total_order.Sequencer_queue.create ?obs ();
-  t.lamport_queue <-
-    Total_order.Lamport_queue.create ?obs ~group_size:(Group.size new_view) ();
-  t.stability <-
-    make_stability ?obs ?bytes_of:t.bytes_of ~registry:t.cells.registry
-      t.config ~group_size:(Group.size new_view) ~metrics:t.metrics
-      ~graph:t.shared.graph;
-  t.next_global_seq <- 0;
-  t.deferred_lamport_gossip <- [];
-  t.status <- Normal;
-  t.installing <- true;
-  (* a joiner is new to every link: the full barrier runs on each of them *)
-  reset_pc t ~prev_members:Pid_set.empty;
-  t.set_state state;
-  t.metrics.Metrics.view_changes <- t.metrics.Metrics.view_changes + 1;
-  Repro_obs.Registry.incr t.cells.c_view_changes;
-  t.callbacks.view_change new_view;
-  let ready, later =
-    List.partition (fun (vid, _) -> vid = view_id) t.future_proto
-  in
-  t.future_proto <- List.filter (fun (vid, _) -> vid > view_id) later;
-  List.iter (fun (_, proto) -> t.replay_proto proto) (List.rev ready);
-  drain_outbox t
-
 let maybe_install_join t join =
   match (join.pending_view, join.pending_state) with
   | Some (view_id, members), Some (state_view, state) when view_id = state_view ->
-    install_join t join ~view_id ~members ~state
+    (* a joiner is new to every link: the full barrier runs on each of them *)
+    install_epoch t (Group.make_view ~view_id members)
+      ~prev_members:Pid_set.empty ~notify:(fun () -> t.set_state state)
   | _ -> ()
 
 let on_new_view t ~view_id ~members =
   if not (List.mem t.self members) then begin
     (match t.status with
      | Flushing f ->
-       note_flush_end t ~view_id:f.new_view_id;
+       note_flush t Repro_obs.Log.flush_end ~view_id:f.new_view_id;
        t.status <- Normal
      | Normal | Joining _ -> ());
-    t.eject ()
+    eject t
   end
   else
   match t.status with
@@ -1144,13 +1086,13 @@ let on_state_transfer t ~view_id ~state =
   | Flushing _ | Normal -> ()
 
 let on_join_request t ~joiner =
-  if Group.mem t.view joiner then ()
+  let view = t.epoch.view in
+  if Group.mem view joiner then ()
   else begin
-    let coordinator = Group.coordinator t.view in
+    let coordinator = Group.coordinator view in
     if t.self <> coordinator then
       (* not ours to coordinate: forward *)
-      Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst:coordinator
-        (Wire.Join_request { joiner })
+      send_proto t ~dst:coordinator (Wire.Join_request { joiner })
     else
       match t.status with
       | Normal -> start_view_change t ~failed:None ~joined:[ joiner ]
@@ -1161,40 +1103,48 @@ let on_join_request t ~joiner =
 
 (* --- wiring -------------------------------------------------------------- *)
 
+(* [true] iff [view_id] is the installed view; a message for a later view
+   waits in [future_proto] for its install *)
+let in_view t ~view_id proto =
+  let current = t.epoch.view.Group.view_id in
+  if view_id > current then
+    t.future_proto <- (view_id, proto) :: t.future_proto;
+  view_id = current
+
 let handle_proto t ~src (proto : 'a Wire.proto) =
   if t.ejected then ()
   else begin
-    if src >= 0 then Hashtbl.replace t.last_seen src (Engine.now t.engine);
+    (match t.last_seen with
+     | Some last_seen when src >= 0 ->
+       Hashtbl.replace last_seen src (Engine.now t.engine)
+     | Some _ | None -> ());
     match proto with
   | Wire.Data data ->
     (* the transport-level sender (origin or PC forwarder), as a rank in the
        current view; -1 for replays and senders outside the view *)
+    let view = t.epoch.view in
     let src_rank =
-      if src >= 0 && Group.mem t.view src then Group.rank_of_exn t.view src
+      if src >= 0 && Group.mem view src then Group.rank_of_exn view src
       else -1
     in
     on_data t ~src_rank data
   | Wire.Pc_ping { view_id; from_rank } ->
-    if view_id > t.view.Group.view_id then
-      t.future_proto <- (view_id, proto) :: t.future_proto
-    else if view_id = t.view.Group.view_id then (
-      match t.pc with
+    if in_view t ~view_id proto then (
+      let e = t.epoch in
+      match e.pc with
       | Some pc ->
         let stats = Pc_causal.stats pc in
         stats.Pc_causal.pongs_sent <- stats.Pc_causal.pongs_sent + 1;
-        t.metrics.Metrics.control_messages <-
-          t.metrics.Metrics.control_messages + 1;
-        Endpoint.send_proto (endpoint t) ~group:t.shared.group_id
-          ~dst:(Group.member t.view from_rank)
+        count_control t 1;
+        send_proto t ~dst:(Group.member e.view from_rank)
           (Wire.Pc_pong
-             { view_id; from_rank = t.rank;
-               delivered = Vector_clock.copy t.vc })
+             { view_id; from_rank = e.rank;
+               delivered = Vector_clock.copy e.vc })
       | None -> ())
   | Wire.Pc_pong { view_id; from_rank; delivered } ->
-    if view_id > t.view.Group.view_id then
-      t.future_proto <- (view_id, proto) :: t.future_proto
-    else if view_id = t.view.Group.view_id then (
-      match t.pc with
+    if in_view t ~view_id proto then (
+      let e = t.epoch in
+      match e.pc with
       | Some pc when not (Pc_causal.link_open pc ~peer_rank:from_rank) ->
         Pc_causal.open_link pc ~peer_rank:from_rank;
         (* open_link is a no-op for a non-neighbor; re-check before
@@ -1207,27 +1157,19 @@ let handle_proto t ~src (proto : 'a Wire.proto) =
              cannot have stabilised, since stability requires delivery by
              every member including the peer. *)
           let missing =
-            Pc_causal.missing_for ~delivered (Stability.unstable t.stability)
+            Pc_causal.missing_for ~delivered (Stability.unstable e.stability)
           in
           let stats = Pc_causal.stats pc in
           stats.Pc_causal.barrier_retransmits <-
             stats.Pc_causal.barrier_retransmits + List.length missing;
-          let dst = Group.member t.view from_rank in
-          List.iter
-            (fun d ->
-              Repro_obs.Registry.incr t.cells.resend_copies;
-              note_hop_send t ~uid:d.Wire.msg_id ~dst
-                Repro_obs.Event.Resend_copy;
-              Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst
-                (Wire.Data d))
-            missing
+          let dst = Group.member e.view from_rank in
+          List.iter (send_copy t Repro_obs.Event.Resend_copy ~dst) missing
         end
       | Some _ | None -> ())
   | Wire.Seq_order { view_id; msg_id; global_seq } ->
-    if view_id > t.view.Group.view_id then
-      t.future_proto <- (view_id, proto) :: t.future_proto
-    else if view_id = t.view.Group.view_id then begin
-      Total_order.Sequencer_queue.add_order t.seq_queue ~msg_id ~global_seq;
+    if in_view t ~view_id proto then begin
+      Total_order.Sequencer_queue.add_order t.epoch.seq_queue ~msg_id
+        ~global_seq;
       release_total_queues t
     end
   | Wire.Gossip { view_id; rank; vc; lamport } ->
@@ -1242,7 +1184,6 @@ let handle_proto t ~src (proto : 'a Wire.proto) =
 
 let create ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
     ~view ~self ~callbacks () =
-  let rank = Group.rank_of_exn view self in
   let parallel_ids =
     match Engine.impl engine with
     | Engine.Sequential -> false
@@ -1266,7 +1207,6 @@ let create ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
   in
   let metrics = Metrics.create () in
   let cells = make_reg_cells config in
-  let obs = obs_pair shared ~self in
   let codec =
     match (config.Config.wire_format, payload_codec) with
     | Config.Structural, _ -> None
@@ -1275,29 +1215,11 @@ let create ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
       invalid_arg "Stack.create: Encoded wire format needs ~payload_codec"
   in
   let bytes_of = Option.map (fun c -> Wire_codec.data_bytes c) codec in
-  let t =
-    { engine; shared; config; self; callbacks; metrics; cells; bytes_of;
-      parallel_ids; own_msg_seq = 0;
-      lamport = Lamport.create (); delivered_ids = Hashtbl.create 256;
-      causal_seen = Hashtbl.create 256;
-      endpoint = None; view; rank;
-      vc = Vector_clock.create (Group.size view);
-      pc = None;
-      queue = make_queue ?obs config;
-      seq_queue = Total_order.Sequencer_queue.create ?obs ();
-      lamport_queue =
-        Total_order.Lamport_queue.create ?obs ~group_size:(Group.size view) ();
-      stability =
-        make_stability ?obs ?bytes_of ~registry:cells.registry config
-          ~group_size:(Group.size view) ~metrics ~graph:shared.graph;
-      next_global_seq = 0; status = Normal; outbox = []; installing = false;
-      failed_members = Pid_set.empty; deferred_lamport_gossip = [];
-      future_proto = [];
-      replay_proto = (fun _ -> ()); pending_joins = [];
-      trigger_pending_joins = (fun () -> ());
-      get_state = (fun () -> ""); set_state = (fun _ -> ());
-      cancel_gossip = (fun () -> ()); ejected = false;
-      eject = (fun () -> ()); last_seen = Hashtbl.create 16 }
+  (* every initial member is "carried over": links start open, no barrier *)
+  let prev_members = Pid_set.of_list (Array.to_list view.Group.members) in
+  let epoch =
+    make_epoch ~shared ~config ~self ?bytes_of ~registry:cells.registry
+      ~metrics ~prev_members view
   in
   let endpoint =
     match shared_endpoint with
@@ -1312,41 +1234,33 @@ let create ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
       in
       Endpoint.create ?obs:shared.obs ~registry:cells.registry ?framing
         ~batch_window:config.Config.batch_window ~engine ~self
-        ~mode:config.Config.transport
-        ~on_direct:(fun ~src payload -> t.callbacks.direct ~src payload)
-        ()
+        ~mode:config.Config.transport ()
   in
+  let last_seen =
+    match config.Config.failure_detection with
+    | Config.Oracle -> None
+    | Config.Heartbeat _ -> Some (Hashtbl.create 16)
+  in
+  let t =
+    { engine; shared; config; self; callbacks; metrics; cells; bytes_of;
+      parallel_ids; own_msg_seq = 0; lamport = Lamport.create (); endpoint;
+      epoch; status = Normal; outbox = []; installing = false;
+      failed_members = Pid_set.empty; future_proto = [];
+      replay_proto = (fun _ -> ()); pending_joins = [];
+      get_state = (fun () -> ""); set_state = (fun _ -> ());
+      cancel_gossip = (fun () -> ()); ejected = false; last_seen }
+  in
+  if Option.is_none shared_endpoint then
+    Endpoint.set_on_direct endpoint (fun ~src payload ->
+        t.callbacks.direct ~src payload);
   Endpoint.register_group endpoint ~group:shared.group_id (fun ~src proto ->
       handle_proto t ~src proto);
-  t.endpoint <- Some endpoint;
-  (* every initial member is "carried over": links start open, no barrier *)
-  reset_pc t ~prev_members:(Pid_set.of_list (Array.to_list view.Group.members));
   t.cancel_gossip <-
     Engine.every engine ~owner:self ~period:config.Config.gossip_period
       (fun () -> send_gossip t);
   t.replay_proto <- (fun proto -> handle_proto t ~src:(-1) proto);
-  t.eject <-
-    (fun () ->
-      if not t.ejected then begin
-        t.ejected <- true;
-        t.cancel_gossip ();
-        (* the application learns it was expelled through its own failure
-           notification; it may re-join with a fresh stack *)
-        t.callbacks.member_failed t.self
-      end);
-  t.trigger_pending_joins <-
-    (fun () ->
-      match t.status with
-      | Normal
-        when t.pending_joins <> [] && t.self = Group.coordinator t.view ->
-        start_view_change t ~failed:None ~joined:[]
-      | Normal | Flushing _ | Joining _ -> ());
-  (match config.Config.failure_detection with
-   | Config.Oracle ->
-     Engine.on_failure engine (fun pid ->
-         if Engine.is_alive engine self && Group.mem t.view pid && pid <> self
-         then start_view_change t ~failed:(Some pid) ~joined:[])
-   | Config.Heartbeat { period; timeout } ->
+  (match (config.Config.failure_detection, last_seen) with
+   | Config.Heartbeat { period; timeout }, Some last_seen ->
      (* the stability gossip doubles as the heartbeat; a peer silent past
         the timeout is suspected. Detection is per-observer: peers learn of
         the round from the Flush message and adopt its survivor set. *)
@@ -1359,18 +1273,23 @@ let create ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
              if peer <> self && not (Pid_set.mem peer t.failed_members) then begin
                let last =
                  Option.value ~default:created_at
-                   (Hashtbl.find_opt t.last_seen peer)
+                   (Hashtbl.find_opt last_seen peer)
                in
                if Sim_time.sub now last > timeout then
                  start_view_change t ~failed:(Some peer) ~joined:[]
              end)
-           t.view.Group.members
+           t.epoch.view.Group.members
        end
      in
      let (_cancel : unit -> unit) =
        Engine.every engine ~owner:self ~period check
      in
-     ());
+     ()
+   | Config.Oracle, _ | Config.Heartbeat _, None ->
+     Engine.on_failure engine (fun pid ->
+         if Engine.is_alive engine self && Group.mem t.epoch.view pid
+            && pid <> self
+         then start_view_change t ~failed:(Some pid) ~joined:[]));
   t
 
 let set_state_handlers t ~get ~set =
@@ -1386,19 +1305,15 @@ let join ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
   in
   let join_state = { pending_view = None; pending_state = None } in
   t.status <- Joining join_state;
-  let request () =
-    Endpoint.send_proto (endpoint t) ~group:t.shared.group_id ~dst:contact (Wire.Join_request { joiner = self })
-  in
-  request ();
   (* retry until admitted: the contact (or the join round) may fail *)
-  let rec retry () =
+  let rec request () =
     match t.status with
     | Joining _ ->
-      request ();
-      Engine.after engine ~owner:self (Sim_time.ms 500) retry
+      send_proto t ~dst:contact (Wire.Join_request { joiner = self });
+      Engine.after engine ~owner:self (Sim_time.ms 500) request
     | Normal | Flushing _ -> ()
   in
-  Engine.after engine ~owner:self (Sim_time.ms 500) retry;
+  request ();
   t
 
 let shutdown t =

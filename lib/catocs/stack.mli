@@ -17,6 +17,14 @@
     atomic but {e not durable} — exactly the Section 2 gap, which
     {!inject_partial_multicast} exists to demonstrate.
 
+    Every view install (after a flush, or a joiner's first view) resets all
+    per-view state at once: rank, vector clock, delivery and total-order
+    queues, stability tracker, PC overlay and counters, sequencer numbering,
+    deferred Lamport gossip and duplicate suppression — dedupe is per view,
+    since a message is accepted only while its view is installed. The
+    Lamport clock, metrics, failure records, outbox and messages that
+    arrived early for a later view carry over.
+
     View-change protocol note: flush rounds assume the flush control
     messages themselves are not lost; configure [Reliable] transport when
     running with message loss. *)
@@ -46,7 +54,6 @@ val make_shared : ?group_id:int -> ?obs:Repro_obs.Log.t -> Config.t -> shared
     instants into it (see {!Repro_obs.Event}). *)
 
 val shared_graph : shared -> Causality.t option
-val shared_obs : shared -> Repro_obs.Log.t option
 val group_id : shared -> int
 
 type 'a t
@@ -100,7 +107,6 @@ val self : 'a t -> Engine.pid
 val shared_of : 'a t -> shared
 val config_of : 'a t -> Config.t
 val view : 'a t -> Group.view
-val rank : 'a t -> int
 val metrics : 'a t -> Metrics.t
 
 val registry : 'a t -> Repro_obs.Registry.t
@@ -114,9 +120,7 @@ val chaos_drop_forward_copy_metric : bool ref
     not bumped, so the copy-conservation watchdog must report the
     discrepancy. Reset to [false] after use. *)
 
-val vector_clock : 'a t -> Vector_clock.t
 val unstable_count : 'a t -> int
-val unstable_bytes : 'a t -> int
 val pending_count : 'a t -> int
 (** Messages currently blocked in ordering queues. *)
 

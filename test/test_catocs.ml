@@ -321,6 +321,41 @@ let test_flush_resupplies_partial_multicast () =
       (delivered_payloads w i)
   done
 
+let test_duplicate_in_total_order_window () =
+  (* Member 1's multicast reaches member 2 but not sequencer 0, so both
+     deliver it causally and wait for an order that never comes. When 0
+     crashes, the flush re-supplies it to members already holding it in
+     that causal-but-unordered window. The copy must count as seen: it is
+     not delivered twice, not queued again (it would block there until the
+     install dropped it), and member 1's next multicast in the new view
+     still reaches every survivor after it. *)
+  let w =
+    make_world ~n:4 ~ordering:Config.Total_sequencer ~latency:(Net.Fixed 500)
+      ()
+  in
+  Stack.inject_partial_multicast w.stacks.(1) 99
+    ~recipients:[ Stack.self w.stacks.(2) ];
+  Engine.at w.engine (Sim_time.ms 4) (fun () ->
+      for i = 1 to 2 do
+        Alcotest.(check (list int))
+          (Printf.sprintf "member %d waits for an order" i)
+          [] (delivered_payloads w i)
+      done;
+      Engine.crash w.engine (Stack.self w.stacks.(0)));
+  Engine.at w.engine (Sim_time.ms 500) (fun () ->
+      Stack.multicast w.stacks.(1) 100);
+  run w (Sim_time.seconds 1);
+  for i = 1 to 3 do
+    check_int (Printf.sprintf "member %d view without the sequencer" i) 3
+      (Group.size (Stack.view w.stacks.(i)));
+    check_int (Printf.sprintf "member %d dropped nothing at the install" i) 0
+      (Stack.metrics w.stacks.(i)).Repro_catocs.Metrics.dropped_at_view_change;
+    Alcotest.(check (list int))
+      (Printf.sprintf "member %d delivers once, then the next multicast" i)
+      [ 99; 100 ]
+      (delivered_payloads w i)
+  done
+
 let test_durability_gap_local_only_multicast () =
   (* the paper's Section 2 special case: sender delivers locally, crashes
      before any network send; survivors never see the message *)
@@ -1121,6 +1156,8 @@ let () =
             test_messages_before_crash_reach_all_survivors;
           Alcotest.test_case "flush re-supplies partial" `Quick
             test_flush_resupplies_partial_multicast;
+          Alcotest.test_case "duplicate in total-order window" `Quick
+            test_duplicate_in_total_order_window;
           Alcotest.test_case "durability gap" `Quick
             test_durability_gap_local_only_multicast;
           Alcotest.test_case "send suppression" `Quick test_send_suppression_during_flush;

@@ -110,6 +110,42 @@ let test_pc_fingerprints_pinned () =
     (fingerprint_digest ~causal_impl:Config.Pc_causal
        [ ("cbcast", Config.Causal) ])
 
+(* Delivery-sequence pins: the verdict fingerprint of seeds 0-29 followed by
+   every delivery of the run as pid:uid:time, in log order. Unlike the
+   verdict pins above these move when any delivery changes member, message
+   or instant, even if every count and verdict stays the same (admitting
+   queued joiners 1us later is such a change). The seeds include joins and
+   crashes, so both view-install paths run. The digests were taken on the
+   tree before the per-view epoch refactor of [Stack]. *)
+let delivery_sequence_digest ?causal_impl orderings =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (_, ordering) ->
+      for seed = 0 to 29 do
+        let exec, verdict =
+          Runner.exec_of_seed ?causal_impl ~ordering ~seed ()
+        in
+        Buffer.add_string b (Runner.fingerprint verdict);
+        List.iter
+          (fun (d : Repro_analyze.Exec.delivery) ->
+            Printf.bprintf b "%d:%d:%d;" d.d_pid d.d_uid d.d_at)
+          exec.Repro_analyze.Exec.deliveries;
+        Buffer.add_char b '\n'
+      done)
+    orderings;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_bss_delivery_sequence_pinned () =
+  check_string "bss seeds 0-29, all orderings, every delivery"
+    "8ab6c4353154445f86c5a3644f2152a4"
+    (delivery_sequence_digest Runner.orderings)
+
+let test_pc_delivery_sequence_pinned () =
+  check_string "pc seeds 0-29, cbcast, every delivery"
+    "c90232c6321e8ec2927fe5b3fbf36942"
+    (delivery_sequence_digest ~causal_impl:Config.Pc_causal
+       [ ("cbcast", Config.Causal) ])
+
 let test_cross_clock_verdicts () =
   (* The sparse stability clock reproduces the dense tracker's advance
      callbacks byte-for-byte, so stability releases — and hence flush
@@ -448,6 +484,10 @@ let () =
             test_bss_fingerprints_pinned;
           Alcotest.test_case "pc fingerprints pinned" `Slow
             test_pc_fingerprints_pinned;
+          Alcotest.test_case "bss delivery sequence pinned" `Slow
+            test_bss_delivery_sequence_pinned;
+          Alcotest.test_case "pc delivery sequence pinned" `Slow
+            test_pc_delivery_sequence_pinned;
         ] );
       ( "parallel-engine",
         [
