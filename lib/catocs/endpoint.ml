@@ -14,9 +14,9 @@ let create ?obs ?registry ?framing ?batch_window ~engine ~self ~mode
   let deliver ~src (wire : 'a Wire.t) =
     match wire with
     | Wire.Proto (group, proto) ->
-      (match Hashtbl.find_opt endpoint.groups group with
-       | Some handler -> handler ~src proto
-       | None -> ())
+      (match Hashtbl.find endpoint.groups group with
+       | handler -> handler ~src proto
+       | exception Not_found -> ())
     | Wire.Direct payload -> endpoint.on_direct ~src payload
   in
   let transport =
@@ -37,8 +37,7 @@ let transport t =
 
 let register_group t ~group handler = Hashtbl.replace t.groups group handler
 
-let send_proto t ~group ~dst proto =
-  Transport.send (transport t) ~dst (Wire.Proto (group, proto))
+let send_wire t ~dst wire = Transport.send (transport t) ~dst wire
 
 let send_direct t ~dst payload = Transport.send (transport t) ~dst (Wire.Direct payload)
 

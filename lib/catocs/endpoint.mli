@@ -33,7 +33,13 @@ val register_group :
 (** Route protocol messages of [group] to the given handler (replacing any
     previous registration for that id). *)
 
-val send_proto : 'a t -> group:int -> dst:Engine.pid -> 'a Wire.proto -> unit
+val send_wire : 'a t -> dst:Engine.pid -> 'a Wire.t -> unit
+(** Send one wire value. A fan-out builds its [Wire.Proto (group, p)] once
+    and passes the same value for every destination, so the copies share
+    it (and the codec's one-slot frame memo, keyed on the physical [Data]
+    record, encodes it once). The shared value and everything it points to
+    must never be mutated after the first send. *)
+
 val send_direct : 'a t -> dst:Engine.pid -> 'a -> unit
 
 val set_on_direct : 'a t -> (src:Engine.pid -> 'a -> unit) -> unit

@@ -116,16 +116,16 @@ let take_arrival t msg_id =
 (* Forward targets for a message from [origin_rank] that first arrived on
    the link from [from_rank]: every overlay neighbor except where it came
    from and except its origin (both already have it). Closed links are kept
-   out here; the pong-triggered unstable retransmission covers them. *)
-let forward_targets t ~from_rank ~origin_rank =
-  if !chaos_disable_forwarding then []
-  else
-    Array.to_list t.links
-    |> List.filter_map (fun l ->
-           if
-             l.opened && l.peer_rank <> from_rank && l.peer_rank <> origin_rank
-           then Some l.peer_rank
-           else None)
+   out here; the pong-triggered unstable retransmission covers them. Runs
+   once per delivery, so it walks [links] in place instead of building a
+   target list. *)
+let iter_forward_targets t ~from_rank ~origin_rank f =
+  if not !chaos_disable_forwarding then
+    for i = 0 to Array.length t.links - 1 do
+      let l = t.links.(i) in
+      if l.opened && l.peer_rank <> from_rank && l.peer_rank <> origin_rank
+      then f l.peer_rank
+    done
 
 let origin_seq (data : 'a Wire.data) =
   match data.Wire.meta with

@@ -58,9 +58,11 @@ val take_arrival : t -> Wire.msg_id -> int
 (** Pop the recorded first-arrival link rank; [-1] when the message arrived
     out of band (flush re-send, replay). *)
 
-val forward_targets : t -> from_rank:int -> origin_rank:int -> int list
-(** Open-link neighbors excluding the arrival link and the origin; empty
-    when {!chaos_disable_forwarding} is set. *)
+val iter_forward_targets :
+  t -> from_rank:int -> origin_rank:int -> (int -> unit) -> unit
+(** Apply the function to each open-link neighbor rank except the arrival
+    link and the origin, in ascending rank order, without building a list;
+    no calls when {!chaos_disable_forwarding} is set. *)
 
 val missing_for :
   delivered:Vector_clock.t -> 'a Wire.data list -> 'a Wire.data list

@@ -16,6 +16,9 @@ type 'a t = {
   highest : int array;  (* highest seq buffered per sender (dedup) *)
   mutable dirty : int list;  (* columns whose cached minimum advanced *)
   dirty_mark : bool array;
+  advanced : int -> unit;
+      (* [mark_dirty] on this tracker, built once: the matrix clock calls
+         it on every row or cell merge *)
   bytes_of : 'a Wire.data -> int;
   metrics : Metrics.t;
   graph : Causality.t option;
@@ -26,30 +29,34 @@ type 'a t = {
   mutable bytes : int;
 }
 
-let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
-    ~group_size ~metrics ~graph () =
-  let registry =
-    match registry with Some r -> r | None -> Repro_obs.Registry.null ()
-  in
-  let layer = Repro_obs.Event.Stability in
-  { matrix = Group_clock.create ?impl:clock group_size;
-    pending = Array.init group_size (fun _ -> Queue.create ());
-    highest = Array.make group_size 0;
-    dirty = [];
-    dirty_mark = Array.make group_size false;
-    bytes_of; metrics; graph; obs;
-    lag_histo =
-      Repro_obs.Registry.histogram registry ~layer ~name:"stability_lag_us" ();
-    reg_minima =
-      Repro_obs.Registry.counter registry ~layer ~name:"minima_advances" ();
-    count = 0; bytes = 0 }
-
 let mark_dirty t s =
   Repro_obs.Registry.incr t.reg_minima;
   if not t.dirty_mark.(s) then begin
     t.dirty_mark.(s) <- true;
     t.dirty <- s :: t.dirty
   end
+
+let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
+    ~group_size ~metrics ~graph () =
+  let registry =
+    match registry with Some r -> r | None -> Repro_obs.Registry.null ()
+  in
+  let layer = Repro_obs.Event.Stability in
+  let rec t =
+    { matrix = Group_clock.create ?impl:clock group_size;
+      pending = Array.init group_size (fun _ -> Queue.create ());
+      highest = Array.make group_size 0;
+      dirty = [];
+      dirty_mark = Array.make group_size false;
+      advanced = (fun s -> mark_dirty t s);
+      bytes_of; metrics; graph; obs;
+      lag_histo =
+        Repro_obs.Registry.histogram registry ~layer ~name:"stability_lag_us" ();
+      reg_minima =
+        Repro_obs.Registry.counter registry ~layer ~name:"minima_advances" ();
+      count = 0; bytes = 0 }
+  in
+  t
 
 let note_sent_or_delivered t (data : 'a Wire.data) =
   let sender = data.Wire.sender_rank in
@@ -63,7 +70,7 @@ let note_sent_or_delivered t (data : 'a Wire.data) =
     Metrics.note_unstable_added t.metrics ~bytes
   end;
   Group_clock.update_row_tracked t.matrix sender data.Wire.vt
-    ~advanced:(fun s -> mark_dirty t s)
+    ~advanced:t.advanced
 
 (* Fifo_gap-mode fast path: a PC stamp is nonzero only at the
    sender's own component, so the sender-row merge is one diagonal cell —
@@ -80,7 +87,7 @@ let note_delivered_diag t (data : 'a Wire.data) =
     Metrics.note_unstable_added t.metrics ~bytes
   end;
   Group_clock.update_cell_tracked t.matrix sender sender ~seq
-    ~advanced:(fun s -> mark_dirty t s)
+    ~advanced:t.advanced
 
 (* The bookkeeping of one release: buffer gauges, lag sample, telemetry span
    and causal-graph pruning. *)
@@ -128,20 +135,20 @@ let release_dirty t ~now =
 
 let observe_vc t ~rank ~now vc =
   Group_clock.update_row_tracked t.matrix rank vc
-    ~advanced:(fun s -> mark_dirty t s);
+    ~advanced:t.advanced;
   release_dirty t ~now
 
 (* our own running clock is mutable — never adopted by reference *)
 let self_observe t ~rank ~now vc =
   Group_clock.update_row_tracked ~live:true t.matrix rank vc
-    ~advanced:(fun s -> mark_dirty t s);
+    ~advanced:t.advanced;
   release_dirty t ~now
 
 (* The caller's clock advanced only at [col] since its last observation:
    merge that one cell, then the usual release pass. *)
 let self_observe_cell t ~rank ~col ~seq ~now =
   Group_clock.update_cell_tracked t.matrix rank col ~seq
-    ~advanced:(fun s -> mark_dirty t s);
+    ~advanced:t.advanced;
   release_dirty t ~now
 
 (* k-way merge of the per-sender deques: each is ascending in stamping

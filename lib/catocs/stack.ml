@@ -145,10 +145,11 @@ type 'a epoch = {
          and skipped-view deliveries run before the swap. *)
   mutable next_global_seq : int;
   mutable deferred_lamport_gossip : (int * int * int) list;
-      (* (rank, required per-sender seq, lamport time): a gossiped Lamport
-         time may only gate total-order release once every data message the
-         gossiper had sent has been delivered here, otherwise an in-flight
-         message with a smaller stamp could be overtaken *)
+      (* [Total_lamport] only (empty otherwise). (rank, required per-sender
+         seq, lamport time): a gossiped Lamport time may only gate
+         total-order release once every data message the gossiper had sent
+         has been delivered here, otherwise an in-flight message with a
+         smaller stamp could be overtaken *)
 }
 
 type 'a t = {
@@ -307,20 +308,32 @@ let count_control ?(flush = false) t n =
   if flush then
     t.metrics.Metrics.flush_messages <- t.metrics.Metrics.flush_messages + n
 
+(* A fan-out builds its wire value once and hands the same value to every
+   destination (see [Endpoint.send_wire]). *)
+let proto_wire t proto = Wire.Proto (t.shared.group_id, proto)
+let data_wire t data = proto_wire t (Wire.Data data)
+
 let send_proto t ~dst proto =
-  Endpoint.send_proto t.endpoint ~group:t.shared.group_id ~dst proto
+  Endpoint.send_wire t.endpoint ~dst (proto_wire t proto)
 
 (* view-change protocol traffic to an explicit member list *)
 let send_view_change t targets proto =
   count_control ~flush:true t (List.length targets);
-  List.iter (fun dst -> send_proto t ~dst proto) targets
+  let wire = proto_wire t proto in
+  List.iter (fun dst -> Endpoint.send_wire t.endpoint ~dst wire) targets
 
 (* One physical copy of a data message: the conservation counter for its
    kind, its hop record and the send. One hop record per copy decision makes
    the full dissemination tree of a multicast reconstructable from the log
    (see [Obs.Trace_tree]); [Obs.Watch.copy_conservation] cross-checks the
-   records against the counters. *)
-let send_copy t (kind : Repro_obs.Event.hop_kind) ~dst (data : 'a Wire.data) =
+   records against the counters. [wire] is the fan-out's shared
+   [data_wire] value. *)
+let send_copy t (kind : Repro_obs.Event.hop_kind) ~dst (wire : 'a Wire.t) =
+  let data =
+    match wire with
+    | Wire.Proto (_, Wire.Data data) -> data
+    | Wire.Proto _ | Wire.Direct _ -> invalid_arg "Stack.send_copy: not data"
+  in
   (match kind with
    | Repro_obs.Event.Origin_copy ->
      Repro_obs.Registry.incr t.cells.origin_copies
@@ -334,7 +347,7 @@ let send_copy t (kind : Repro_obs.Event.hop_kind) ~dst (data : 'a Wire.data) =
      Repro_obs.Log.hop_send log ~at:(Engine.now t.engine) ~uid:data.Wire.msg_id
        ~pid:t.self ~dst kind
    | _ -> ());
-  send_proto t ~dst (Wire.Data data)
+  Endpoint.send_wire t.endpoint ~dst wire
 
 (* allocation-free fan-out over the view: the hot multicast/broadcast paths
    must not build an (n-1)-element recipient list per message *)
@@ -346,7 +359,8 @@ let iter_other_members t f =
   done
 
 let broadcast_proto t proto =
-  iter_other_members t (fun dst -> send_proto t ~dst proto)
+  let wire = proto_wire t proto in
+  iter_other_members t (fun dst -> Endpoint.send_wire t.endpoint ~dst wire)
 
 let pc_stats t = Option.map Pc_causal.stats t.epoch.pc
 
@@ -461,15 +475,14 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
        match t.status with
        | Normal ->
          let stats = Pc_causal.stats pc in
-         let send_forward r =
-           stats.Pc_causal.forwards <- stats.Pc_causal.forwards + 1;
-           t.metrics.Metrics.header_bytes <-
-             t.metrics.Metrics.header_bytes + Wire.header_bytes data;
-           send_copy t Repro_obs.Event.Forward_copy
-             ~dst:(Group.member e.view r) data
-         in
-         List.iter send_forward
-           (Pc_causal.forward_targets pc ~from_rank ~origin_rank:sender)
+         let wire = data_wire t data in
+         Pc_causal.iter_forward_targets pc ~from_rank ~origin_rank:sender
+           (fun r ->
+             stats.Pc_causal.forwards <- stats.Pc_causal.forwards + 1;
+             t.metrics.Metrics.header_bytes <-
+               t.metrics.Metrics.header_bytes + Wire.header_bytes data;
+             send_copy t Repro_obs.Event.Forward_copy
+               ~dst:(Group.member e.view r) wire)
        | Flushing _ | Joining _ ->
          (* the flush round itself disseminates the message set *)
          ()
@@ -520,7 +533,9 @@ let rec drain_deliverables t =
     causal_deliver t pending;
     drain_deliverables t
   | None ->
-    apply_deferred_gossip t;
+    (match t.config.Config.ordering with
+     | Config.Total_lamport -> apply_deferred_gossip t
+     | Config.Fifo | Config.Causal | Config.Total_sequencer -> ());
     release_total_queues t
 
 let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
@@ -668,21 +683,23 @@ let do_multicast t payload =
   (match t.epoch.pc with
    | None ->
      account_send t data ~recipient_count:(Group.size t.epoch.view - 1);
+     let wire = data_wire t data in
      iter_other_members t (fun dst ->
-         send_copy t Repro_obs.Event.Origin_copy ~dst data)
+         send_copy t Repro_obs.Event.Origin_copy ~dst wire)
    | Some pc ->
      (* overlay dissemination: the initial copies go to our overlay
         neighbors only; forwarding on delivery carries them the rest of the
         way. Closed (barrier-pending) links are skipped — the pong-triggered
         unstable retransmission covers them. *)
      let stats = Pc_causal.stats pc in
+     let wire = data_wire t data in
      let sent = ref 0 in
      Array.iter
        (fun r ->
          if Pc_causal.link_open pc ~peer_rank:r then begin
            incr sent;
            send_copy t Repro_obs.Event.Origin_copy
-             ~dst:(Group.member t.epoch.view r) data
+             ~dst:(Group.member t.epoch.view r) wire
          end
          else
            stats.Pc_causal.barrier_deferred <-
@@ -713,7 +730,9 @@ let inject_partial_multicast t payload ~recipients =
   let recipients = List.filter (fun p -> p <> t.self) recipients in
   let data = make_data t payload in
   account_send t data ~recipient_count:(List.length recipients);
-  List.iter (fun dst -> send_copy t Repro_obs.Event.Origin_copy ~dst data)
+  let wire = data_wire t data in
+  List.iter
+    (fun dst -> send_copy t Repro_obs.Event.Origin_copy ~dst wire)
     recipients;
   (* the local copy goes through the same receive path *)
   on_data t data
@@ -742,12 +761,15 @@ let on_gossip t ~view_id ~rank ~vc ~lamport =
   if view_id = e.view.Group.view_id then begin
     Stability.observe_vc e.stability ~rank ~now:(Engine.now t.engine) vc;
     ignore (Lamport.observe t.lamport lamport);
-    let gossiper_sent = Vector_clock.get vc rank in
-    if Vector_clock.get e.vc rank >= gossiper_sent then
-      Total_order.Lamport_queue.observe_time e.lamport_queue ~rank lamport
-    else
-      e.deferred_lamport_gossip <-
-        (rank, gossiper_sent, lamport) :: e.deferred_lamport_gossip;
+    (match t.config.Config.ordering with
+     | Config.Total_lamport ->
+       let gossiper_sent = Vector_clock.get vc rank in
+       if Vector_clock.get e.vc rank >= gossiper_sent then
+         Total_order.Lamport_queue.observe_time e.lamport_queue ~rank lamport
+       else
+         e.deferred_lamport_gossip <-
+           (rank, gossiper_sent, lamport) :: e.deferred_lamport_gossip
+     | Config.Fifo | Config.Causal | Config.Total_sequencer -> ());
     drain_deliverables t
   end
 
@@ -1163,7 +1185,10 @@ let handle_proto t ~src (proto : 'a Wire.proto) =
           stats.Pc_causal.barrier_retransmits <-
             stats.Pc_causal.barrier_retransmits + List.length missing;
           let dst = Group.member e.view from_rank in
-          List.iter (send_copy t Repro_obs.Event.Resend_copy ~dst) missing
+          List.iter
+            (fun d ->
+              send_copy t Repro_obs.Event.Resend_copy ~dst (data_wire t d))
+            missing
         end
       | Some _ | None -> ())
   | Wire.Seq_order { view_id; msg_id; global_seq } ->

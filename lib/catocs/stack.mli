@@ -25,6 +25,12 @@
     Lamport clock, metrics, failure records, outbox and messages that
     arrived early for a later view carry over.
 
+    Gossip always advances the Lamport clock (so gossip frames do not
+    depend on the ordering), but the Lamport total-order bookkeeping it
+    feeds — per-rank observed times and the deferral of a gossiped time
+    until its sender's messages are delivered — runs only under
+    [Total_lamport].
+
     View-change protocol note: flush rounds assume the flush control
     messages themselves are not lost; configure [Reliable] transport when
     running with message loss. *)

@@ -127,10 +127,12 @@ let emit t ~dst packet =
   Repro_obs.Registry.incr t.reg_link_sends;
   Engine.send t.engine ~src:t.self ~dst packet
 
+(* [Hashtbl.find] rather than [find_opt]: these run once per packet, and
+   the hit path then allocates no option box *)
 let sender_channel t dst =
-  match Hashtbl.find_opt t.senders dst with
-  | Some ch -> ch
-  | None ->
+  match Hashtbl.find t.senders dst with
+  | ch -> ch
+  | exception Not_found ->
     let ch = { next_seq = 0; window = Queue.create (); ticks = 0;
                timer_armed = false } in
     Hashtbl.add t.senders dst ch;
@@ -142,9 +144,9 @@ let take_seq ch =
   seq
 
 let receiver_channel t src =
-  match Hashtbl.find_opt t.receivers src with
-  | Some ch -> ch
-  | None ->
+  match Hashtbl.find t.receivers src with
+  | ch -> ch
+  | exception Not_found ->
     let ch = { next_expected = 0; out_of_order = Hashtbl.create 8 } in
     Hashtbl.add t.receivers src ch;
     ch

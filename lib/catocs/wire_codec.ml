@@ -217,7 +217,10 @@ let rec read_data t b pos : _ Wire.data =
   let payload = t.payload.decode_payload b pos in
   let npiggy = read_uvarint b pos in
   if npiggy > 1 lsl 20 then raise (Corrupt "implausible piggyback count");
-  let piggyback = List.init npiggy (fun _ -> read_data t b pos) in
+  let piggyback =
+    (* the common case: no piggyback, so no closure to build *)
+    if npiggy = 0 then [] else List.init npiggy (fun _ -> read_data t b pos)
+  in
   { Wire.msg_id; trace_id; origin; sender_rank; view_id; vt; meta; payload;
     payload_bytes; sent_at; piggyback }
 

@@ -236,6 +236,27 @@ let deliver t env =
   end
   else t.dropped <- t.dropped + 1
 
+(* top-level rather than a closure inside [seq_send]: no closure block per
+   packet *)
+let schedule_delivery t ~src ~dst payload =
+  let delay = Net.sample_delay t.net t.rng in
+  let arrival = Sim_time.add t.clock delay in
+  let processing = Net.processing_time t.net in
+  let recv_at =
+    if processing = Sim_time.zero then arrival
+    else begin
+      (* deliveries are serialised at the receiver: queue behind
+         whatever it is already processing *)
+      let p = proc t dst in
+      let start = max arrival p.busy_until in
+      let finish = Sim_time.add start processing in
+      p.busy_until <- finish;
+      finish
+    end
+  in
+  let env = { src; dst; sent_at = t.clock; recv_at; payload } in
+  schedule t recv_at (fun () -> deliver t env)
+
 let seq_send t ~src ~dst payload =
   if (proc t src).alive then begin
     t.sent <- t.sent + 1;
@@ -243,27 +264,8 @@ let seq_send t ~src ~dst payload =
     if Net.blocked t.net ~src ~dst || Net.drops t.net t.rng then
       t.dropped <- t.dropped + 1
     else begin
-      let schedule_delivery () =
-        let delay = Net.sample_delay t.net t.rng in
-        let arrival = Sim_time.add t.clock delay in
-        let processing = Net.processing_time t.net in
-        let recv_at =
-          if processing = Sim_time.zero then arrival
-          else begin
-            (* deliveries are serialised at the receiver: queue behind
-               whatever it is already processing *)
-            let p = proc t dst in
-            let start = max arrival p.busy_until in
-            let finish = Sim_time.add start processing in
-            p.busy_until <- finish;
-            finish
-          end
-        in
-        let env = { src; dst; sent_at = t.clock; recv_at; payload } in
-        schedule t recv_at (fun () -> deliver t env)
-      in
-      schedule_delivery ();
-      if Net.duplicates t.net t.rng then schedule_delivery ()
+      schedule_delivery t ~src ~dst payload;
+      if Net.duplicates t.net t.rng then schedule_delivery t ~src ~dst payload
     end
   end
 

@@ -1,13 +1,19 @@
 module Summary = struct
   let reservoir_capacity = 1024
 
-  type t = {
-    mutable count : int;
+  (* An all-float record is stored flat, so updating a moment writes the
+     double in place instead of boxing a fresh float per [add]. *)
+  type moments = {
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
     mutable max : float;
     mutable sum : float;
+  }
+
+  type t = {
+    mutable count : int;
+    m : moments;
     mutable samples : float array;  (* reservoir; [retained] slots are live *)
     mutable retained : int;
     rng : Rng.t;
@@ -16,8 +22,10 @@ module Summary = struct
   (* Every summary seeds its reservoir from the same constant: results depend
      only on the sequence of [add]/[merge] calls, never on creation order. *)
   let create () =
-    { count = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity;
-      sum = 0.0; samples = [||]; retained = 0;
+    { count = 0;
+      m = { mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity;
+            sum = 0.0 };
+      samples = [||]; retained = 0;
       rng = Rng.create 0x5337A75EEDL }
 
   let store t x =
@@ -46,24 +54,25 @@ module Summary = struct
      [reservoir_capacity] samples, uniform-subsample estimates beyond). *)
   let add t x =
     t.count <- t.count + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x;
-    t.sum <- t.sum +. x;
+    let m = t.m in
+    let delta = x -. m.mean in
+    m.mean <- m.mean +. (delta /. float_of_int t.count);
+    m.m2 <- m.m2 +. (delta *. (x -. m.mean));
+    if x < m.min then m.min <- x;
+    if x > m.max then m.max <- x;
+    m.sum <- m.sum +. x;
     store t x
 
   let count t = t.count
   let retained t = t.retained
-  let mean t = if t.count = 0 then nan else t.mean
+  let mean t = if t.count = 0 then nan else t.m.mean
 
   let stddev t =
-    if t.count < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.count - 1))
+    if t.count < 2 then 0.0 else sqrt (t.m.m2 /. float_of_int (t.count - 1))
 
-  let min t = if t.count = 0 then nan else t.min
-  let max t = if t.count = 0 then nan else t.max
-  let sum t = t.sum
+  let min t = if t.count = 0 then nan else t.m.min
+  let max t = if t.count = 0 then nan else t.m.max
+  let sum t = t.m.sum
 
   let percentile t p =
     if t.count = 0 then nan
@@ -82,9 +91,10 @@ module Summary = struct
       (* Chan et al.'s pairwise update for the moments. *)
       let na = float_of_int acc.count and nb = float_of_int other.count in
       let n = na +. nb in
-      let delta = other.mean -. acc.mean in
-      let mean = acc.mean +. (delta *. nb /. n) in
-      let m2 = acc.m2 +. other.m2 +. (delta *. delta *. na *. nb /. n) in
+      let a = acc.m and b = other.m in
+      let delta = b.mean -. a.mean in
+      let mean = a.mean +. (delta *. nb /. n) in
+      let m2 = a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. n) in
       (* Reservoir: when everything both sides ever saw is still retained,
          concatenation is exact; otherwise draw [cap] samples choosing the
          source in proportion to its true (not retained) population. *)
@@ -101,11 +111,11 @@ module Summary = struct
         acc.retained <- reservoir_capacity
       end;
       acc.count <- acc.count + other.count;
-      acc.mean <- mean;
-      acc.m2 <- m2;
-      if other.min < acc.min then acc.min <- other.min;
-      if other.max > acc.max then acc.max <- other.max;
-      acc.sum <- acc.sum +. other.sum
+      a.mean <- mean;
+      a.m2 <- m2;
+      if b.min < a.min then a.min <- b.min;
+      if b.max > a.max then a.max <- b.max;
+      a.sum <- a.sum +. b.sum
     end
 
   let pp ppf t =

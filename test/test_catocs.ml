@@ -24,10 +24,11 @@ type world = {
 
 let make_world ?(n = 3) ?(ordering = Config.Causal)
     ?(latency = Net.Uniform (500, 5_000)) ?(seed = 1L) ?(drop = 0.0)
-    ?(transport = Config.Bare) () =
+    ?(transport = Config.Bare)
+    ?(gossip_period = Config.default.Config.gossip_period) () =
   let net = Net.create ~latency ~drop_probability:drop () in
   let engine = Engine.create ~seed ~net () in
-  let config = { Config.default with Config.ordering; transport } in
+  let config = { Config.default with Config.ordering; transport; gossip_period } in
   let stacks =
     Stack.create_group ~engine ~config
       ~names:(List.init n (fun i -> Printf.sprintf "p%d" i))
@@ -204,6 +205,31 @@ let test_total_lamport_identical_order () =
     run w (Sim_time.seconds 3);
     check_int "all delivered" 40 (List.length (delivered_payloads w 0));
     assert_identical_sequences w 4 (Printf.sprintf "lamport seed %d" seed)
+  done;
+  (* Gossip sent every 1 ms over a 0.5-5 ms reordering network routinely
+     overtakes the gossiper's own data. A gossiped Lamport time must not
+     gate release before the data the gossiper had sent is delivered here,
+     or a message with a larger stamp is released ahead of an in-flight
+     smaller one and members disagree on the order. *)
+  let per_member = 100 in
+  for seed = 1 to 3 do
+    let w =
+      make_world ~n:4 ~ordering:Config.Total_lamport
+        ~latency:(Net.Uniform (500, 5_000)) ~gossip_period:(Sim_time.ms 1)
+        ~seed:(Int64.of_int seed) ()
+    in
+    Array.iteri
+      (fun i stack ->
+        for k = 0 to per_member - 1 do
+          Engine.at w.engine (Sim_time.us ((k * 250) + (i * 37))) (fun () ->
+              Stack.multicast stack ((i * 1000) + k))
+        done)
+      w.stacks;
+    run w (Sim_time.seconds 1);
+    check_int "all delivered" (4 * per_member)
+      (List.length (delivered_payloads w 0));
+    assert_identical_sequences w 4
+      (Printf.sprintf "lamport 1 ms gossip seed %d" seed)
   done
 
 let test_total_lamport_needs_gossip_to_progress () =

@@ -78,6 +78,42 @@ let test_rng_shuffle_permutation () =
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 20 (fun i -> i)) sorted
 
+(* splitmix64's published reference outputs for seed 0: any change of
+   representation must leave the stream alone *)
+let test_rng_reference_stream () =
+  let rng = Rng.create 0L in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "splitmix64" expected (Rng.int64 rng))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+
+(* Minor words per call of [f], averaged over [calls] calls. *)
+let minor_words_per_call ~calls f =
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let check_alloc_free name words =
+  if words >= 0.01 then
+    Alcotest.failf "%s allocates %.3f minor words per call" name words
+
+let test_rng_draws_allocation_free () =
+  let rng = Rng.create 5L in
+  let hits = ref 0 in
+  let count b = if b then incr hits in
+  check_alloc_free "Rng.int"
+    (minor_words_per_call ~calls:10_000 (fun () -> count (Rng.int rng 10 < 5)));
+  (* [Rng.float] itself is not checked: its result crosses the module
+     boundary boxed unless the caller can inline it. [Rng.bool] is the same
+     draw compared in place, so it pins the draw at no allocation. *)
+  check_alloc_free "Rng.bool"
+    (minor_words_per_call ~calls:10_000 (fun () -> count (Rng.bool rng 0.5)));
+  check_alloc_free "Rng.uniform_int"
+    (minor_words_per_call ~calls:10_000 (fun () ->
+         count (Rng.uniform_int rng 1 6 < 4)));
+  check_bool "draws were taken" true (!hits > 0)
+
 (* --- Heap ---------------------------------------------------------------- *)
 
 let test_heap_sorted_extraction () =
@@ -164,6 +200,17 @@ let test_summary_basic () =
   Alcotest.(check (float 1e-9)) "max" 5.0 (Stats.Summary.max s);
   Alcotest.(check (float 1e-9)) "sum" 15.0 (Stats.Summary.sum s);
   Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5) (Stats.Summary.stddev s)
+
+let test_summary_add_allocation_free () =
+  let s = Stats.Summary.create () in
+  for i = 1 to 2_000 do
+    Stats.Summary.add s (float_of_int i)
+  done;
+  (* a literal is a static float: the call site boxes nothing *)
+  let x = 1234.5 in
+  check_alloc_free "Stats.Summary.add"
+    (minor_words_per_call ~calls:10_000 (fun () -> Stats.Summary.add s x));
+  check_int "count" 12_000 (Stats.Summary.count s)
 
 let test_summary_percentile () =
   let s = Stats.Summary.create () in
@@ -546,6 +593,9 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "reference stream" `Quick test_rng_reference_stream;
+          Alcotest.test_case "draws allocation-free" `Quick
+            test_rng_draws_allocation_free;
         ] );
       ( "heap",
         [
@@ -566,6 +616,8 @@ let () =
           Alcotest.test_case "summary basic" `Quick test_summary_basic;
           Alcotest.test_case "summary percentile" `Quick test_summary_percentile;
           Alcotest.test_case "summary empty" `Quick test_summary_empty;
+          Alcotest.test_case "summary add allocation-free" `Quick
+            test_summary_add_allocation_free;
           Alcotest.test_case "summary single sample" `Quick
             test_summary_single_sample;
           Alcotest.test_case "counter" `Quick test_counter;
