@@ -677,90 +677,74 @@ let causal_e2e_section ~engine_impl ~smoke =
 (* The wire family: the Section 5 workload with the [Encoded] wire format
    — every multicast is framed through the length-prefixed codec, so the
    wire-byte columns weigh real encoded frames rather than the structural
-   estimates — once without coalescing and once with a 1 ms transport
-   batch window. The headline columns are encoded bytes per frame and the
-   coalesce ratio (logical frames per physical link send): 1.0 without a
-   window, and rising with it as same-link frames share a packet. *)
+   estimates. The headline column is encoded bytes per frame. *)
 let wire_e2e_section ~engine_impl ~smoke =
   let sizes = if smoke then [ 4; 16 ] else [ 4; 16; 64 ] in
   let duration_for n =
     if n <= 16 then Sim_time.seconds 1 else Sim_time.ms 300
   in
-  let windows = [ (Sim_time.zero, "none"); (Sim_time.ms 1, "1ms") ] in
-  List.concat_map
-    (fun (batch_window, window_str) ->
-      List.map
-        (fun n ->
-          in_fresh_process @@ fun () ->
-          let duration = duration_for n in
-          let t0 = Sys.time () in
-          let point =
-            match
-              Scaling.sweep ~sizes:[ n ] ~seed:11L ~duration ~engine_impl
-                ~track_graph:false ~metrics:true ~wire_format:Config.Encoded
-                ~batch_window ()
-            with
-            | [ p ] -> p
-            | _ -> assert false
-          in
-          let cpu = Sys.time () -. t0 in
-          let rate =
-            if cpu > 0. then float_of_int point.Scaling.deliveries_total /. cpu
-            else Float.nan
-          in
-          let per_frame =
-            if point.Scaling.wire_packets > 0 then
-              float_of_int point.Scaling.encoded_wire_bytes
-              /. float_of_int point.Scaling.wire_packets
-            else Float.nan
-          in
-          let coalesce =
-            if point.Scaling.link_sends > 0 then
-              float_of_int point.Scaling.wire_packets
-              /. float_of_int point.Scaling.link_sends
-            else Float.nan
-          in
-          Printf.printf
-            "  wire  batch=%-4s n=%-3d deliveries=%-8d cpu=%6.2fs  %10.0f \
-             msg/s  %6.1f B/frame  coalesce=%.2f\n%!"
-            window_str n point.Scaling.deliveries_total cpu rate per_frame
-            coalesce;
-          Printf.sprintf
-            "    { \"impl\": \"encoded\", \"family\": \"wire\", \
-             \"group_size\": %d, \
-             \"batch_window\": %S, \"batch_window_us\": %d, \
-             \"sim_duration_ms\": %d, \
-             \"messages_sent\": %d, \"deliveries\": %d, \
-             \"cpu_seconds\": %s, \"deliveries_per_cpu_second\": %s, \
-             \"peak_node_unstable_msgs\": %d, \
-             \"peak_node_unstable_bytes\": %d, \
-             \"mean_delivery_delay_us\": %s, \
-             \"encoded_wire_bytes\": %d, \"wire_packets\": %d, \
-             \"wire_batches\": %d, \"link_sends\": %d, \
-             \"encoded_bytes_per_msg\": %s, \"coalesce_ratio\": %s }"
-            n window_str
-            (Sim_time.to_us batch_window)
-            (Sim_time.to_us duration / 1000)
-            point.Scaling.messages_total point.Scaling.deliveries_total
-            (json_float cpu) (json_float rate)
-            point.Scaling.peak_node_unstable_msgs
-            point.Scaling.peak_node_unstable_bytes
-            (json_float point.Scaling.mean_delivery_delay_us)
-            point.Scaling.encoded_wire_bytes point.Scaling.wire_packets
-            (Repro_obs.Registry.counter_total point.Scaling.registry_snapshot
-               ~layer:Repro_obs.Event.Transport ~name:"batches")
-            point.Scaling.link_sends (json_float per_frame)
-            (json_float coalesce))
-        sizes)
-    windows
+  List.map
+    (fun n ->
+      in_fresh_process @@ fun () ->
+      let duration = duration_for n in
+      let t0 = Sys.time () in
+      let point =
+        match
+          Scaling.sweep ~sizes:[ n ] ~seed:11L ~duration ~engine_impl
+            ~track_graph:false ~metrics:true ~wire_format:Config.Encoded ()
+        with
+        | [ p ] -> p
+        | _ -> assert false
+      in
+      let cpu = Sys.time () -. t0 in
+      let rate =
+        if cpu > 0. then float_of_int point.Scaling.deliveries_total /. cpu
+        else Float.nan
+      in
+      let per_frame =
+        if point.Scaling.wire_packets > 0 then
+          float_of_int point.Scaling.encoded_wire_bytes
+          /. float_of_int point.Scaling.wire_packets
+        else Float.nan
+      in
+      Printf.printf
+        "  wire  n=%-3d deliveries=%-8d cpu=%6.2fs  %10.0f msg/s  %6.1f \
+         B/frame\n%!"
+        n point.Scaling.deliveries_total cpu rate per_frame;
+      Printf.sprintf
+        "    { \"impl\": \"encoded\", \"family\": \"wire\", \
+         \"group_size\": %d, \
+         \"sim_duration_ms\": %d, \
+         \"messages_sent\": %d, \"deliveries\": %d, \
+         \"cpu_seconds\": %s, \"deliveries_per_cpu_second\": %s, \
+         \"peak_node_unstable_msgs\": %d, \
+         \"peak_node_unstable_bytes\": %d, \
+         \"mean_delivery_delay_us\": %s, \
+         \"encoded_wire_bytes\": %d, \"wire_packets\": %d, \
+         \"encoded_bytes_per_msg\": %s }"
+        n
+        (Sim_time.to_us duration / 1000)
+        point.Scaling.messages_total point.Scaling.deliveries_total
+        (json_float cpu) (json_float rate)
+        point.Scaling.peak_node_unstable_msgs
+        point.Scaling.peak_node_unstable_bytes
+        (json_float point.Scaling.mean_delivery_delay_us)
+        point.Scaling.encoded_wire_bytes point.Scaling.wire_packets
+        (json_float per_frame))
+    sizes
 
 (* Telemetry overhead at the end-to-end level: the same n=64 scaling run
    with no log, with an attached-but-disabled log (the production default:
    one load + one branch per would-be event) and with logging enabled. The
    disabled path is gated at [obs_gate_pct]; each variant's throughput is
    the best of [runs] repetitions (min-time, the standard way to damp
-   scheduler noise out of a comparison). *)
+   scheduler noise out of a comparison). Timing gates flip on host noise,
+   so the disabled path is also gated by count: its minor words per
+   delivery, which are the same on every run of the seed, may exceed the
+   no-log variant's by at most [obs_alloc_gate_words] (the log's one-off
+   buffer; any per-event allocation adds at least a word per delivery). *)
 let obs_gate_pct = 2.0
+let obs_alloc_gate_words = 0.1
 
 let obs_section ~smoke =
   (* forked AND ordered before the e2e sections (fork is copy-on-write, so
@@ -775,6 +759,7 @@ let obs_section ~smoke =
   let runs = 7 in
   let deliveries = ref 0 in
   let run_once (make_obs, metrics) =
+    let words0 = Gc.minor_words () in
     let obs = make_obs () in
     let t0 = Sys.time () in
     let point =
@@ -782,9 +767,10 @@ let obs_section ~smoke =
         ~metrics n
     in
     let cpu = Sys.time () -. t0 in
+    let words = Gc.minor_words () -. words0 in
+    let d = float_of_int point.Scaling.deliveries_total in
     deliveries := point.Scaling.deliveries_total;
-    if cpu > 0. then float_of_int point.Scaling.deliveries_total /. cpu
-    else 0.0
+    ((if cpu > 0. then d /. cpu else 0.0), words /. d)
   in
   (* The variants are interleaved round-robin (after one discarded
      warm-up) rather than run in sequential blocks: slow drift in machine
@@ -807,9 +793,13 @@ let obs_section ~smoke =
   in
   ignore (run_once variants.(0));
   let best = Array.make (Array.length variants) 0.0 in
+  let words = Array.make (Array.length variants) Float.infinity in
   for _round = 1 to runs do
     Array.iteri
-      (fun i v -> best.(i) <- Float.max best.(i) (run_once v))
+      (fun i v ->
+        let rate, w = run_once v in
+        best.(i) <- Float.max best.(i) rate;
+        words.(i) <- Float.min words.(i) w)
       variants
   done;
   let off = best.(0) and disabled = best.(1) and enabled = best.(2) in
@@ -819,21 +809,26 @@ let obs_section ~smoke =
   let metrics_delta = delta off metrics_on in
   Printf.printf
     "  obs n=%-3d no-log %10.0f msg/s | disabled %10.0f (%+.2f%%) | enabled \
-     %10.0f (%+.2f%%) | metrics %10.0f (%+.2f%%)  gate %.1f%%\n%!"
+     %10.0f (%+.2f%%) | metrics %10.0f (%+.2f%%)  gate %.1f%%\n\
+    \  obs minor words/delivery: no-log %.3f | disabled %.3f  gate +%.1f\n%!"
     n off disabled disabled_delta enabled enabled_delta metrics_on
-    metrics_delta obs_gate_pct;
+    metrics_delta obs_gate_pct words.(0) words.(1) obs_alloc_gate_words;
   Printf.sprintf
     "    { \"group_size\": %d, \"sim_duration_ms\": %d, \"runs\": %d, \
      \"deliveries\": %d, \"no_log_rate\": %s, \"disabled_rate\": %s, \
      \"enabled_rate\": %s, \"disabled_delta_pct\": %s, \
      \"enabled_delta_pct\": %s, \"metrics_rate\": %s, \
-     \"metrics_delta_pct\": %s, \"gate_pct\": %s }"
+     \"metrics_delta_pct\": %s, \"gate_pct\": %s, \
+     \"no_log_minor_words_per_delivery\": %s, \
+     \"disabled_minor_words_per_delivery\": %s, \
+     \"alloc_gate_words\": %s }"
     n
     (Sim_time.to_us duration / 1000)
     runs !deliveries (json_float off) (json_float disabled)
     (json_float enabled) (json_float disabled_delta) (json_float enabled_delta)
     (json_float metrics_on) (json_float metrics_delta)
-    (json_float obs_gate_pct)
+    (json_float obs_gate_pct) (json_float words.(0)) (json_float words.(1))
+    (json_float obs_alloc_gate_words)
 
 let emit_json ~domains ~smoke ~out =
   (* --domains N runs the end-to-end sections on the parallel engine
@@ -1047,29 +1042,9 @@ let validate ?expect_mode ?baseline file =
           "stability_lag_p50_us"; "stability_lag_p99_us";
           "stability_lag_p999_us" ];
       if family = "wire" then begin
-        ignore (str_field row "batch_window");
-        ignore (int_field row "batch_window_us");
         ignore (int_field row "encoded_wire_bytes");
         ignore (int_field row "wire_packets");
-        ignore (int_field row "wire_batches");
-        ignore (int_field row "link_sends");
-        number_or_null row "encoded_bytes_per_msg";
-        number_or_null row "coalesce_ratio";
-        (* a physical link event carries at least one logical frame, so the
-           coalesce ratio is >= 1; without a batch window it is exactly 1 *)
-        match
-          ( Json.to_float (get ~from:row "coalesce_ratio"),
-            Json.to_int (get ~from:row "batch_window_us") )
-        with
-        | Some r, Some w ->
-          if r < 1.0 -. 1e-9 then
-            fail "wire n=%d: coalesce ratio %.3f below 1" size r;
-          if w = 0 && Float.abs (r -. 1.0) > 1e-9 then
-            fail
-              "wire n=%d: coalesce ratio %.3f without a batch window \
-               (expected exactly 1)"
-              size r
-        | _ -> ()
+        number_or_null row "encoded_bytes_per_msg"
       end;
       if family = "causal" then begin
         ignore (int_field row "app_deliveries");
@@ -1162,6 +1137,23 @@ let validate ?expect_mode ?baseline file =
       (match Json.member "metrics_delta_pct" row with
        | Some _ -> number_or_null row "metrics_delta_pct"
        | None -> ());
+      (* added with the count-based gate: the disabled log may allocate at
+         most [alloc_gate_words] more minor words per delivery than no log *)
+      (match Json.member "alloc_gate_words" row with
+       | None -> ()
+       | Some _ -> (
+         match
+           ( Json.to_float (get ~from:row "no_log_minor_words_per_delivery"),
+             Json.to_float (get ~from:row "disabled_minor_words_per_delivery"),
+             Json.to_float (get ~from:row "alloc_gate_words") )
+         with
+         | Some off, Some disabled, Some gate ->
+           if disabled -. off > gate then
+             fail
+               "telemetry disabled path allocates %.3f minor words per \
+                delivery over no log (gate %.1f) at n=%d"
+               (disabled -. off) gate (int_field row "group_size")
+         | _ -> fail "obs_overhead minor words must be numbers"));
       match
         ( Json.to_float (get ~from:row "disabled_delta_pct"),
           Json.to_float (get ~from:row "gate_pct") )

@@ -29,7 +29,6 @@ type t = {
   pc_overlay : pc_overlay;
   stability_clock : stability_clock;
   wire_format : wire_format;
-  batch_window : Sim_time.t;
   metrics : bool;
       (* enable the per-stack [Repro_obs.Registry]; off by default so the
          production path pays only scrap-cell stores (bench obs_overhead
@@ -41,7 +40,7 @@ let default =
     failure_detection = Oracle; piggyback_history = false;
     payload_bytes = 256; track_graph = true; causal_impl = Vector_causal;
     pc_overlay = Pc_full_mesh; stability_clock = Dense_clock;
-    wire_format = Structural; batch_window = Sim_time.zero; metrics = false }
+    wire_format = Structural; metrics = false }
 
 let ordering_name = function
   | Fifo -> "fifo"

@@ -71,11 +71,10 @@ type wire_format =
   | Encoded
       (** run every multicast through {!Wire_codec}: length-prefixed binary
           frames cross the (simulated) wire and are decoded at the
-          receiver, unstable-byte gauges charge real encoded sizes, and
-          same-link sends may be coalesced (see [batch_window]). Applies
-          to [Bare] and [Fifo_order] transports; a [Reliable] transport
-          keeps structural segments (its retransmit buffers hold values,
-          not frames). *)
+          receiver, and unstable-byte gauges charge real encoded sizes.
+          Applies to [Bare] and [Fifo_order] transports; a [Reliable]
+          transport keeps structural segments (its retransmit buffers hold
+          values, not frames). *)
 
 type t = {
   ordering : ordering;
@@ -100,13 +99,6 @@ type t = {
       (** matrix-clock representation used by stability tracking *)
   wire_format : wire_format;
       (** message representation on the simulated wire *)
-  batch_window : Sim_time.t;
-      (** transport-level coalescing window: frames bound for the same
-          destination within one window leave as a single batched packet
-          ([Sim_time.zero] — the default — sends each frame immediately).
-          Requires [wire_format = Encoded] and a non-[Reliable] transport;
-          trades up to one window of added latency for per-packet
-          overhead. *)
   metrics : bool;
       (** enable the per-stack {!Repro_obs.Registry} (protocol counters,
           gauges and latency histograms). Off — the default — hands every

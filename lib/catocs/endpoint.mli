@@ -13,20 +13,15 @@ val create :
   ?obs:Repro_obs.Log.t ->
   ?registry:Repro_obs.Registry.t ->
   ?framing:'a Wire.t Transport.framing ->
-  ?batch_window:Sim_time.t ->
   engine:'a Wire.t Transport.packet Engine.t ->
   self:Engine.pid ->
   mode:Config.transport_mode ->
   ?on_direct:(src:Engine.pid -> 'a -> unit) ->
   unit ->
   'a t
-(** Installs itself as the engine handler for [self]. [obs], [registry],
-    [framing] and [batch_window] are handed to the transport
-    (retransmission telemetry, wire-byte metrics and the {!Config.Encoded}
-    wire path). *)
-
-val self : 'a t -> Engine.pid
-val engine : 'a t -> 'a Wire.t Transport.packet Engine.t
+(** Installs itself as the engine handler for [self]. [obs], [registry]
+    and [framing] are handed to the transport (retransmission telemetry,
+    wire-byte metrics and the {!Config.Encoded} wire path). *)
 
 val register_group :
   'a t -> group:int -> (src:Engine.pid -> 'a Wire.proto -> unit) -> unit

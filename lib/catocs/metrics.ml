@@ -6,8 +6,6 @@ type t = {
   transit_us : Stats.Summary.t;
   stability_lag_us : Stats.Summary.t;
   mutable delayed_messages : int;
-  mutable unstable_bytes : int;
-  mutable unstable_count : int;
   mutable peak_unstable_bytes : int;
   mutable peak_unstable_count : int;
   mutable control_messages : int;
@@ -23,21 +21,13 @@ let create () =
     delivery_delay_us = Stats.Summary.create ();
     transit_us = Stats.Summary.create ();
     stability_lag_us = Stats.Summary.create (); delayed_messages = 0;
-    unstable_bytes = 0; unstable_count = 0; peak_unstable_bytes = 0;
-    peak_unstable_count = 0; control_messages = 0; flush_messages = 0; header_bytes = 0;
+    peak_unstable_bytes = 0; peak_unstable_count = 0; control_messages = 0;
+    flush_messages = 0; header_bytes = 0;
     dropped_at_view_change = 0; suppressed_us = 0; view_changes = 0 }
 
-let note_unstable_added t ~bytes =
-  t.unstable_bytes <- t.unstable_bytes + bytes;
-  t.unstable_count <- t.unstable_count + 1;
-  if t.unstable_bytes > t.peak_unstable_bytes then
-    t.peak_unstable_bytes <- t.unstable_bytes;
-  if t.unstable_count > t.peak_unstable_count then
-    t.peak_unstable_count <- t.unstable_count
-
-let note_unstable_removed t ~bytes =
-  t.unstable_bytes <- t.unstable_bytes - bytes;
-  t.unstable_count <- t.unstable_count - 1
+let raise_unstable_peak t ~count ~bytes =
+  if bytes > t.peak_unstable_bytes then t.peak_unstable_bytes <- bytes;
+  if count > t.peak_unstable_count then t.peak_unstable_count <- count
 
 let merge_into acc m =
   Stats.Summary.merge acc.delivery_delay_us m.delivery_delay_us;
@@ -47,8 +37,6 @@ let merge_into acc m =
   acc.data_received <- acc.data_received + m.data_received;
   acc.delivered <- acc.delivered + m.delivered;
   acc.delayed_messages <- acc.delayed_messages + m.delayed_messages;
-  acc.unstable_bytes <- acc.unstable_bytes + m.unstable_bytes;
-  acc.unstable_count <- acc.unstable_count + m.unstable_count;
   acc.peak_unstable_bytes <- max acc.peak_unstable_bytes m.peak_unstable_bytes;
   acc.peak_unstable_count <- max acc.peak_unstable_count m.peak_unstable_count;
   acc.control_messages <- acc.control_messages + m.control_messages;

@@ -18,10 +18,10 @@ type t = {
           everywhere (Section 5's buffering argument, in time units) *)
   mutable delayed_messages : int;
       (** messages that had to wait in an ordering queue *)
-  mutable unstable_bytes : int;
-  mutable unstable_count : int;
   mutable peak_unstable_bytes : int;
   mutable peak_unstable_count : int;
+      (** the largest unstable buffer any one view's stability tracker
+          held; a view install starts the next tracker empty *)
   mutable control_messages : int;  (** gossip, sequencer orders, flush *)
   mutable flush_messages : int;
       (** the view-change subset of control messages *)
@@ -35,12 +35,12 @@ type t = {
 
 val create : unit -> t
 
-val note_unstable_added : t -> bytes:int -> unit
-val note_unstable_removed : t -> bytes:int -> unit
+val raise_unstable_peak : t -> count:int -> bytes:int -> unit
+(** Lift the two peaks to a tracker's current occupancy. *)
 
 val merge_into : t -> t -> unit
-(** [merge_into acc m] accumulates counters (sums counts and bytes, keeps
-    peak maxima) and folds the three latency summaries into [acc] via
+(** [merge_into acc m] accumulates counters (sums counts, keeps peak
+    maxima) and folds the three latency summaries into [acc] via
     {!Stats.Summary.merge}, so group-level totals report delay/transit/
     stability-lag distributions over every member's messages. [m] is left
     unmodified. *)

@@ -58,17 +58,20 @@ let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
   in
   t
 
-let note_sent_or_delivered t (data : 'a Wire.data) =
-  let sender = data.Wire.sender_rank in
-  let seq = Vector_clock.get data.Wire.vt sender in
+(* Buffer [data] unless its sender's watermark already covers it; the
+   member's peaks follow this view's own occupancy. *)
+let buffer t ~sender ~seq (data : 'a Wire.data) =
   if seq > t.highest.(sender) then begin
     t.highest.(sender) <- seq;
     Queue.push data t.pending.(sender);
-    let bytes = t.bytes_of data in
-    t.bytes <- t.bytes + bytes;
+    t.bytes <- t.bytes + t.bytes_of data;
     t.count <- t.count + 1;
-    Metrics.note_unstable_added t.metrics ~bytes
-  end;
+    Metrics.raise_unstable_peak t.metrics ~count:t.count ~bytes:t.bytes
+  end
+
+let note_sent_or_delivered t (data : 'a Wire.data) =
+  let sender = data.Wire.sender_rank in
+  buffer t ~sender ~seq:(Vector_clock.get data.Wire.vt sender) data;
   Group_clock.update_row_tracked t.matrix sender data.Wire.vt
     ~advanced:t.advanced
 
@@ -78,24 +81,15 @@ let note_sent_or_delivered t (data : 'a Wire.data) =
 let note_delivered_diag t (data : 'a Wire.data) =
   let sender = data.Wire.sender_rank in
   let seq = Vector_clock.get data.Wire.vt sender in
-  if seq > t.highest.(sender) then begin
-    t.highest.(sender) <- seq;
-    Queue.push data t.pending.(sender);
-    let bytes = t.bytes_of data in
-    t.bytes <- t.bytes + bytes;
-    t.count <- t.count + 1;
-    Metrics.note_unstable_added t.metrics ~bytes
-  end;
+  buffer t ~sender ~seq data;
   Group_clock.update_cell_tracked t.matrix sender sender ~seq
     ~advanced:t.advanced
 
 (* The bookkeeping of one release: buffer gauges, lag sample, telemetry span
    and causal-graph pruning. *)
 let release t ~now (data : 'a Wire.data) =
-  let bytes = t.bytes_of data in
-  t.bytes <- t.bytes - bytes;
+  t.bytes <- t.bytes - t.bytes_of data;
   t.count <- t.count - 1;
-  Metrics.note_unstable_removed t.metrics ~bytes;
   let lag_us =
     float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
   in

@@ -6,8 +6,8 @@
     the vector timestamps piggybacked on data messages and via periodic
     gossip; a matrix clock summarises it.
 
-    Section 5's scaling claim is about precisely this buffer: its occupancy
-    is exported to {!Metrics} on every change.
+    Section 5's scaling claim is about precisely this buffer: every add
+    raises the member's {!Metrics} peaks to this tracker's occupancy.
 
     The buffer is a set of per-sender sequence-ordered deques released off
     the matrix clock's cached column minima: a release pass pops only the

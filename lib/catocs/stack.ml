@@ -852,8 +852,6 @@ let rec install_view t flush =
      Lamport-stamp order (deterministic and identical everywhere). *)
   List.iter (final_deliver t) leftover_seq;
   List.iter (final_deliver t) leftover_lamport;
-  Total_order.Sequencer_queue.clear e.seq_queue;
-  Total_order.Lamport_queue.clear e.lamport_queue;
   t.metrics.Metrics.dropped_at_view_change <-
     t.metrics.Metrics.dropped_at_view_change + List.length leftover_causal;
   (match t.shared.graph with
@@ -1258,8 +1256,7 @@ let create ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
           codec
       in
       Endpoint.create ?obs:shared.obs ~registry:cells.registry ?framing
-        ~batch_window:config.Config.batch_window ~engine ~self
-        ~mode:config.Config.transport ()
+        ~engine ~self ~mode:config.Config.transport ()
   in
   let last_seen =
     match config.Config.failure_detection with

@@ -81,12 +81,10 @@ val create :
 
     [payload_codec] is required when [config.wire_format = Encoded] (and
     the stack creates its own endpoint): the fresh endpoint then frames
-    every message through {!Wire_codec} — with
-    [config.batch_window > Sim_time.zero], coalescing same-link sends —
-    and unstable-bytes gauges charge real encoded sizes. Raises
-    [Invalid_argument] if [Encoded] is configured without a codec. A
-    caller-supplied shared [endpoint] keeps whatever framing it was
-    created with. *)
+    every message through {!Wire_codec}, and unstable-bytes gauges charge
+    real encoded sizes. Raises [Invalid_argument] if [Encoded] is
+    configured without a codec. A caller-supplied shared [endpoint] keeps
+    whatever framing it was created with. *)
 
 val create_group :
   ?obs:Repro_obs.Log.t ->

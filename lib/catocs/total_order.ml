@@ -52,11 +52,6 @@ module Sequencer_queue = struct
     Hashtbl.fold (fun _ p acc -> p :: acc) t.data []
     |> List.sort (fun a b ->
            Wire.compare_stamping a.Delivery_queue.data b.Delivery_queue.data)
-
-  let clear t =
-    Hashtbl.reset t.orders;
-    Hashtbl.reset t.data;
-    Hashtbl.reset t.known
 end
 
 module Lamport_queue = struct
@@ -66,13 +61,11 @@ module Lamport_queue = struct
     mutable entries : 'a entry list;  (* sorted by stamp *)
     mutable size : int;  (* O(1) [length], sampled by metrics loops *)
     latest_seen : int array;  (* per rank, -1 until first observation *)
-    active : bool array;
     obs : (Repro_obs.Log.t * int) option;
   }
 
   let create ?obs ~group_size () =
-    { entries = []; size = 0; latest_seen = Array.make group_size (-1);
-      active = Array.make group_size true; obs }
+    { entries = []; size = 0; latest_seen = Array.make group_size (-1); obs }
 
   let add t pending ~stamp =
     (match t.obs with
@@ -95,9 +88,6 @@ module Lamport_queue = struct
        && time > t.latest_seen.(rank)
     then t.latest_seen.(rank) <- time
 
-  let deactivate_rank t rank =
-    if rank >= 0 && rank < Array.length t.active then t.active.(rank) <- false
-
   (* A message stamped (T, node) can still be preceded by an unseen message
      from rank r only if r's future or in-flight stamps can be below (T,
      node). Given FIFO per-sender delivery, rank r is safe once observed at
@@ -111,8 +101,7 @@ module Lamport_queue = struct
     let n = Array.length t.latest_seen in
     let ok = ref true in
     for rank = 0 to n - 1 do
-      if t.active.(rank)
-         && not (rank_safe t ~time:stamp.Lamport.time ~node:stamp.Lamport.node rank)
+      if not (rank_safe t ~time:stamp.Lamport.time ~node:stamp.Lamport.node rank)
       then ok := false
     done;
     !ok
@@ -130,8 +119,4 @@ module Lamport_queue = struct
 
   let length t = t.size
   let pending t = List.map (fun e -> e.pending) t.entries
-
-  let clear t =
-    t.entries <- [];
-    t.size <- 0
 end

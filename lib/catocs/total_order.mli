@@ -35,8 +35,6 @@ module Sequencer_queue : sig
   (** Every (message, global sequence) assignment seen this view, released
       or not, sorted by sequence. Carried in flush messages so that peers
       the crashed sequencer never reached still adopt its order. *)
-
-  val clear : 'a t -> unit
 end
 
 module Lamport_queue : sig
@@ -51,16 +49,12 @@ module Lamport_queue : sig
   (** Record that [rank] has been seen at Lamport time [>= t] (from a data
       message or gossip). *)
 
-  val deactivate_rank : 'a t -> int -> unit
-  (** Stop waiting on a failed member. *)
-
   val take_ready : 'a t -> 'a Delivery_queue.pending option
-  (** The minimal-stamp message, if every active rank has been observed at a
+  (** The minimal-stamp message, if every rank has been observed at a
       strictly later time. *)
 
   val length : 'a t -> int
   (** Number of held messages, O(1) (sampled by metrics loops). *)
 
   val pending : 'a t -> 'a Delivery_queue.pending list
-  val clear : 'a t -> unit
 end

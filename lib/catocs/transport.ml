@@ -4,9 +4,6 @@ type 'w packet =
   | Ack of { upto : int }
   | Enc of { seq : int; frame : string }
       (* one encoded frame; [seq] sequences Fifo_order links, -1 on Bare *)
-  | Enc_batch of { first_seq : int; frames : string list }
-      (* same-link frames coalesced within one flush window; frame [i]
-         carries sequence [first_seq + i] (-1 again means unsequenced) *)
 
 type 'w framing = { frame : 'w -> string; unframe : string -> 'w }
 
@@ -28,12 +25,6 @@ type 'w recv_channel = {
   out_of_order : (int, 'w) Hashtbl.t;
 }
 
-type pending_batch = {
-  mutable first_seq : int;
-  mutable rev_frames : string list;
-  mutable armed : bool;
-}
-
 type 'w t = {
   engine : 'w packet Engine.t;
   self : Engine.pid;
@@ -43,64 +34,34 @@ type 'w t = {
   senders : (Engine.pid, 'w send_channel) Hashtbl.t;
   receivers : (Engine.pid, 'w recv_channel) Hashtbl.t;
   framing : 'w framing option;
-  batch_window : Sim_time.t;
-  pending : (Engine.pid, pending_batch) Hashtbl.t;
   reg : Repro_obs.Registry.t;
       (* a disabled registry when the owner passed none: counter cells are
          then shared scrap and the charges below cost one store *)
   reg_packets : Repro_obs.Registry.counter;
-  reg_batches : Repro_obs.Registry.counter;
-  reg_link_sends : Repro_obs.Registry.counter;
   link_bytes : (Engine.pid, Repro_obs.Registry.counter) Hashtbl.t;
       (* per-destination "wire_bytes" cells, registered lazily per link *)
   mutable packets_sent : int;
   mutable retransmissions : int;
-  mutable batches_sent : int;
   mutable wire_bytes_sent : int;
-  mutable link_sends : int;
-      (* physical link events ([emit] calls); a batch counts once here but
-         once per frame in [packets_sent], so
-         [packets_sent / link_sends] is the coalescing ratio *)
 }
 
-let create ?obs ?registry ?framing ?(batch_window = Sim_time.zero) ~engine
-    ~self ~mode ~on_deliver () =
-  if batch_window > Sim_time.zero then begin
-    if Option.is_none framing then
-      invalid_arg "Transport.create: batching needs a framing codec";
-    match mode with
-    | Config.Reliable _ ->
-      (* retransmit bookkeeping is per-segment; re-batching on the resend
-         path would reorder across the ack horizon *)
-      invalid_arg "Transport.create: batching under Reliable transport"
-    | Config.Bare | Config.Fifo_order -> ()
-  end;
+let create ?obs ?registry ?framing ~engine ~self ~mode ~on_deliver () =
   let reg =
     match registry with
     | Some r -> r
     | None -> Repro_obs.Registry.null ()
   in
   { engine; self; mode; obs; on_deliver; senders = Hashtbl.create 8;
-    receivers = Hashtbl.create 8; framing; batch_window;
-    pending = Hashtbl.create 8; reg;
+    receivers = Hashtbl.create 8; framing; reg;
     reg_packets =
       Repro_obs.Registry.counter reg ~layer:Repro_obs.Event.Transport
         ~name:"packets" ();
-    reg_batches =
-      Repro_obs.Registry.counter reg ~layer:Repro_obs.Event.Transport
-        ~name:"batches" ();
-    reg_link_sends =
-      Repro_obs.Registry.counter reg ~layer:Repro_obs.Event.Transport
-        ~name:"link_sends" ();
     link_bytes = Hashtbl.create 8;
-    packets_sent = 0; retransmissions = 0;
-    batches_sent = 0; wire_bytes_sent = 0; link_sends = 0 }
+    packets_sent = 0; retransmissions = 0; wire_bytes_sent = 0 }
 
 let packets_sent t = t.packets_sent
 let retransmissions t = t.retransmissions
-let batches_sent t = t.batches_sent
 let wire_bytes_sent t = t.wire_bytes_sent
-let link_sends t = t.link_sends
 
 let link_counter t dst =
   match Hashtbl.find_opt t.link_bytes dst with
@@ -122,9 +83,7 @@ let charge_wire t ~dst n =
 
 let emit t ~dst packet =
   t.packets_sent <- t.packets_sent + 1;
-  t.link_sends <- t.link_sends + 1;
   Repro_obs.Registry.incr t.reg_packets;
-  Repro_obs.Registry.incr t.reg_link_sends;
   Engine.send t.engine ~src:t.self ~dst packet
 
 (* [Hashtbl.find] rather than [find_opt]: these run once per packet, and
@@ -179,35 +138,6 @@ let rec arm_retransmit t dst ch ~rto ~max_retries =
 
 (* --- encoded path: Bare / Fifo_order links with a framing codec ---------- *)
 
-let pending_batch t dst =
-  match Hashtbl.find_opt t.pending dst with
-  | Some b -> b
-  | None ->
-    let b = { first_seq = -1; rev_frames = []; armed = false } in
-    Hashtbl.add t.pending dst b;
-    b
-
-let flush_batch t dst b =
-  match b.rev_frames with
-  | [] -> ()
-  | [ frame ] ->
-    (* a lone frame skips the batch envelope *)
-    b.rev_frames <- [];
-    charge_wire t ~dst (String.length frame);
-    emit t ~dst (Enc { seq = b.first_seq; frame })
-  | rev ->
-    let frames = List.rev rev in
-    b.rev_frames <- [];
-    List.iter (fun f -> charge_wire t ~dst (String.length f)) frames;
-    (* one event on the link, but each frame is still a logical packet:
-       [packets_sent] counts messages (emit already charged one for the
-       batch itself), [batches_sent] counts the coalescings *)
-    t.packets_sent <- t.packets_sent + (List.length frames - 1);
-    Repro_obs.Registry.add t.reg_packets (List.length frames - 1);
-    t.batches_sent <- t.batches_sent + 1;
-    Repro_obs.Registry.incr t.reg_batches;
-    emit t ~dst (Enc_batch { first_seq = b.first_seq; frames })
-
 let send_encoded t framing ~dst payload =
   let frame = framing.frame payload in
   let seq =
@@ -215,21 +145,8 @@ let send_encoded t framing ~dst payload =
     | Config.Fifo_order -> take_seq (sender_channel t dst)
     | Config.Bare | Config.Reliable _ -> -1
   in
-  if t.batch_window = Sim_time.zero then begin
-    charge_wire t ~dst (String.length frame);
-    emit t ~dst (Enc { seq; frame })
-  end
-  else begin
-    let b = pending_batch t dst in
-    if b.rev_frames = [] then b.first_seq <- seq;
-    b.rev_frames <- frame :: b.rev_frames;
-    if not b.armed then begin
-      b.armed <- true;
-      Engine.after t.engine ~owner:t.self t.batch_window (fun () ->
-          b.armed <- false;
-          flush_batch t dst b)
-    end
-  end
+  charge_wire t ~dst (String.length frame);
+  emit t ~dst (Enc { seq; frame })
 
 let send t ~dst payload =
   match (t.framing, t.mode) with
@@ -305,18 +222,9 @@ let handle t (env : 'w packet Engine.envelope) =
   | Seg { seq; payload } -> handle_seg t env.src seq payload
   | Ack { upto } -> handle_ack t env.src upto
   | Enc { seq; frame } -> handle_frame t env.src seq frame
-  | Enc_batch { first_seq; frames } ->
-    List.iteri
-      (fun i frame ->
-        let seq = if first_seq < 0 then -1 else first_seq + i in
-        handle_frame t env.src seq frame)
-      frames
 
 let pp_packet pp_payload ppf = function
   | Seg { seq; payload } -> Format.fprintf ppf "seg#%d(%a)" seq pp_payload payload
   | Raw payload -> Format.fprintf ppf "%a" pp_payload payload
   | Ack { upto } -> Format.fprintf ppf "ack<=%d" upto
   | Enc { seq; frame } -> Format.fprintf ppf "enc#%d(%dB)" seq (String.length frame)
-  | Enc_batch { first_seq; frames } ->
-    Format.fprintf ppf "batch#%d(%d frames,%dB)" first_seq (List.length frames)
-      (List.fold_left (fun acc f -> acc + String.length f) 0 frames)

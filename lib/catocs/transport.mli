@@ -19,10 +19,6 @@ type 'w packet =
   | Enc of { seq : int; frame : string }
       (** one encoded frame ({!Config.Encoded}); [seq] sequences
           [Fifo_order] links and is [-1] on [Bare] links *)
-  | Enc_batch of { first_seq : int; frames : string list }
-      (** same-destination frames coalesced within one
-          {!Config.t.batch_window}; frame [i] carries sequence
-          [first_seq + i] ([-1] again means unsequenced) *)
 
 type 'w framing = { frame : 'w -> string; unframe : string -> 'w }
 (** Wire codec hooks (see {!Wire_codec}); kept abstract here so the
@@ -38,7 +34,6 @@ val create :
   ?obs:Repro_obs.Log.t ->
   ?registry:Repro_obs.Registry.t ->
   ?framing:'w framing ->
-  ?batch_window:Sim_time.t ->
   engine:'w packet Engine.t ->
   self:Engine.pid ->
   mode:Config.transport_mode ->
@@ -47,43 +42,26 @@ val create :
   'w t
 (** The caller must route the engine envelopes of [self] to {!handle}.
     With [obs], every [Reliable]-mode retransmission emits an
-    [Obs.Event.Retransmit] record. With [registry], the transport keeps
-    [transport/packets], [transport/batches] and [transport/link_sends]
-    counters plus per-link
+    [Obs.Event.Retransmit] record. With [registry], the transport keeps a
+    [transport/packets] counter plus per-link
     [transport/wire_bytes{dst}] cells (encoded path only — the structural
     path has no real frames to weigh).
 
     With [framing], sends on [Bare]/[Fifo_order] links are encoded to
     real frames ([Enc] packets); a [Reliable] transport ignores framing
-    and keeps structural segments. A positive [batch_window] (default
-    zero) additionally coalesces same-destination frames: the first send
-    arms a per-destination flush timer and everything framed for that
-    destination within the window leaves as one [Enc_batch]. Raises
-    [Invalid_argument] if a batch window is requested without framing or
-    under [Reliable] (retransmit bookkeeping is per-segment). *)
+    and keeps structural segments. *)
 
 val send : 'w t -> dst:Engine.pid -> 'w -> unit
 val handle : 'w t -> 'w packet Engine.envelope -> unit
 
 val packets_sent : 'w t -> int
-(** Total packets emitted including acks and retransmissions. Each frame
-    of a batch counts as one packet (the batch envelope itself is free),
-    so this stays comparable across batching configurations. *)
+(** Total packets emitted including acks and retransmissions. *)
 
 val retransmissions : 'w t -> int
-
-val batches_sent : 'w t -> int
-(** Number of [Enc_batch] packets emitted (coalescings of two or more
-    frames). *)
 
 val wire_bytes_sent : 'w t -> int
 (** Sum of encoded frame lengths sent on this transport; zero on the
     structural path. *)
-
-val link_sends : 'w t -> int
-(** Physical link events (packets put on the network); a batch counts once
-    here but once per frame in {!packets_sent}, so
-    [packets_sent /. link_sends] is the batching coalesce ratio. *)
 
 val pp_packet :
   (Format.formatter -> 'w -> unit) -> Format.formatter -> 'w packet -> unit

@@ -18,8 +18,7 @@ type point = {
   (* registry-derived columns; zero / nan / [] unless [~metrics:true] *)
   forward_copies : int;
   encoded_wire_bytes : int;  (* real frame bytes (Encoded wire format only) *)
-  wire_packets : int;  (* logical packets, incl. frames inside batches *)
-  link_sends : int;  (* physical link events; packets/links = coalesce ratio *)
+  wire_packets : int;
   delivery_p50_us : float;
   delivery_p99_us : float;
   delivery_p999_us : float;
@@ -39,8 +38,7 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     ?(causal_impl = Config.Vector_causal)
     ?(stability_clock = Config.Dense_clock)
     ?(pc_overlay = Config.Pc_full_mesh) ?track_graph
-    ?(metrics = false) ?wire_format ?batch_window
-    ~seed n =
+    ?(metrics = false) ?wire_format ~seed n =
   let parallel =
     match engine_impl with Engine.Sequential -> false | Engine.Parallel _ -> true
   in
@@ -67,9 +65,6 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
         track_graph; metrics;
         wire_format =
           Option.value wire_format ~default:Config.default.Config.wire_format;
-        batch_window =
-          Option.value batch_window
-            ~default:Config.default.Config.batch_window;
         gossip_period =
           Option.value gossip_period
             ~default:Config.default.Config.gossip_period }
@@ -177,7 +172,6 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     forward_copies = counter Repro_obs.Event.Ordering "forward_copies";
     encoded_wire_bytes = counter Repro_obs.Event.Transport "wire_bytes";
     wire_packets = counter Repro_obs.Event.Transport "packets";
-    link_sends = counter Repro_obs.Event.Transport "link_sends";
     delivery_p50_us = pct Repro_obs.Event.Ordering "delivery_latency_us" 0.5;
     delivery_p99_us = pct Repro_obs.Event.Ordering "delivery_latency_us" 0.99;
     delivery_p999_us = pct Repro_obs.Event.Ordering "delivery_latency_us" 0.999;
@@ -190,12 +184,12 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
 let sweep ?(sizes = [ 4; 8; 16; 32; 48 ]) ?(seed = 11L) ?engine_impl
     ?processing_time
     ?duration ?send_period ?gossip_period ?causal_impl ?stability_clock ?pc_overlay ?track_graph
-    ?metrics ?wire_format ?batch_window () =
+    ?metrics ?wire_format () =
   List.map
     (fun n ->
       measure_with_graph ?engine_impl ?processing_time ?duration ?send_period
         ?gossip_period ?causal_impl ?stability_clock ?pc_overlay ?track_graph
-        ?metrics ?wire_format ?batch_window ~seed n)
+        ?metrics ?wire_format ~seed n)
     sizes
 
 let table points =

@@ -34,11 +34,7 @@ type point = {
   encoded_wire_bytes : int;
       (** real frame bytes put on the wire — non-zero only under the
           [Encoded] wire format *)
-  wire_packets : int;
-      (** logical packets sent, counting each frame inside a batch *)
-  link_sends : int;
-      (** physical link events; [wire_packets /. link_sends] is the
-          batching coalesce ratio (1.0 without a batch window) *)
+  wire_packets : int;  (** packets sent, including control traffic *)
   delivery_p50_us : float;  (** send->deliver latency percentiles ... *)
   delivery_p99_us : float;
   delivery_p999_us : float;  (** ... over every application delivery *)
@@ -66,7 +62,6 @@ val measure_with_graph :
   ?track_graph:bool ->
   ?metrics:bool ->
   ?wire_format:Repro_catocs.Config.wire_format ->
-  ?batch_window:Sim_time.t ->
   seed:int64 ->
   int ->
   point
@@ -81,8 +76,8 @@ val measure_with_graph :
     per-stack protocol registries that feed the point's copy counters,
     wire totals and latency percentiles (registries are per-stack, so they
     stay parallel-safe; the merged snapshot is domain-count independent).
-    [wire_format] and [batch_window] override the wire representation and
-    transport coalescing window (see {!Repro_catocs.Config}). *)
+    [wire_format] overrides the wire representation (see
+    {!Repro_catocs.Config}). *)
 
 val sweep :
   ?sizes:int list -> ?seed:int64 -> ?engine_impl:Engine.impl ->
@@ -94,8 +89,7 @@ val sweep :
   ?pc_overlay:Repro_catocs.Config.pc_overlay ->
   ?track_graph:bool ->
   ?metrics:bool ->
-  ?wire_format:Repro_catocs.Config.wire_format ->
-  ?batch_window:Sim_time.t -> unit -> point list
+  ?wire_format:Repro_catocs.Config.wire_format -> unit -> point list
 (** [duration] bounds the send phase (default 1 simulated second);
     [send_period] is the per-process multicast period (default 10 ms);
     [gossip_period] overrides the stability-gossip period (large sweeps

@@ -31,9 +31,9 @@ let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
 let buffer t (data : 'a data) =
   if not (Hashtbl.mem t.buffer data.Wire.msg_id) then begin
     Hashtbl.add t.buffer data.Wire.msg_id data;
-    let bytes = t.bytes_of data in
-    t.bytes <- t.bytes + bytes;
-    Metrics.note_unstable_added t.metrics ~bytes
+    t.bytes <- t.bytes + t.bytes_of data;
+    Metrics.raise_unstable_peak t.metrics ~count:(Hashtbl.length t.buffer)
+      ~bytes:t.bytes
   end
 
 let note_sent_or_delivered t (data : 'a data) =
@@ -48,9 +48,7 @@ let note_delivered_diag t (data : 'a data) =
 
 let release t ~now (data : 'a data) =
   Hashtbl.remove t.buffer data.Wire.msg_id;
-  let bytes = t.bytes_of data in
-  t.bytes <- t.bytes - bytes;
-  Metrics.note_unstable_removed t.metrics ~bytes;
+  t.bytes <- t.bytes - t.bytes_of data;
   let lag_us =
     float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
   in

@@ -25,10 +25,13 @@ type world = {
 let make_world ?(n = 3) ?(ordering = Config.Causal)
     ?(latency = Net.Uniform (500, 5_000)) ?(seed = 1L) ?(drop = 0.0)
     ?(transport = Config.Bare)
-    ?(gossip_period = Config.default.Config.gossip_period) () =
+    ?(gossip_period = Config.default.Config.gossip_period)
+    ?(track_graph = Config.default.Config.track_graph) () =
   let net = Net.create ~latency ~drop_probability:drop () in
   let engine = Engine.create ~seed ~net () in
-  let config = { Config.default with Config.ordering; transport; gossip_period } in
+  let config =
+    { Config.default with Config.ordering; transport; gossip_period; track_graph }
+  in
   let stacks =
     Stack.create_group ~engine ~config
       ~names:(List.init n (fun i -> Printf.sprintf "p%d" i))
@@ -961,17 +964,6 @@ let test_lamport_queue_release_rule () =
    | None -> Alcotest.fail "expected release");
   check_bool "empty after" true (Total_order.Lamport_queue.take_ready q = None)
 
-let test_lamport_queue_deactivate_unblocks () =
-  let q = Total_order.Lamport_queue.create ~group_size:3 () in
-  let p id = { Delivery_queue.data = mk_data ~msg_id:id ~sender_rank:0 ~vt:[ 1; 0 ] ();
-               arrived_at = 0 } in
-  Total_order.Lamport_queue.add q (p 1) ~stamp:{ Lamport.time = 5; node = 0 };
-  Total_order.Lamport_queue.observe_time q ~rank:0 10;
-  Total_order.Lamport_queue.observe_time q ~rank:1 10;
-  Total_order.Lamport_queue.deactivate_rank q 2;
-  check_bool "failed member no longer blocks" true
-    (Total_order.Lamport_queue.take_ready q <> None)
-
 (* --- group views -------------------------------------------------------------- *)
 
 let test_group_view_basics () =
@@ -1094,33 +1086,48 @@ let prop_virtual_synchrony_under_random_crash =
 
 module Metrics = Repro_catocs.Metrics
 
+(* A two-member tracker on member 0 whose messages weigh [bytes]: sender 0's
+   [seq]-th message is noted, and member 1's clock releases them. *)
+let peak_tracker metrics =
+  Repro_catocs.Stability.create ~bytes_of:(fun d -> d.Wire.payload)
+    ~group_size:2 ~metrics ~graph:None ()
+
+let note_seq st ~seq ~bytes =
+  Repro_catocs.Stability.note_sent_or_delivered st
+    { (mk_data ~msg_id:seq ~sender_rank:0 ~vt:[ seq; 0 ] ()) with
+      Wire.payload = bytes }
+
+let release_upto st seq =
+  Repro_catocs.Stability.observe_vc st ~rank:1 ~now:0
+    (Vector_clock.of_list [ seq; 0 ])
+
 let test_metrics_peak_unstable () =
   let m = Metrics.create () in
+  let st = peak_tracker m in
   check_int "initial peak count" 0 m.Metrics.peak_unstable_count;
-  Metrics.note_unstable_added m ~bytes:100;
-  Metrics.note_unstable_added m ~bytes:50;
-  check_int "current count" 2 m.Metrics.unstable_count;
-  check_int "current bytes" 150 m.Metrics.unstable_bytes;
+  note_seq st ~seq:1 ~bytes:100;
+  note_seq st ~seq:2 ~bytes:50;
   check_int "peak count tracks" 2 m.Metrics.peak_unstable_count;
   check_int "peak bytes tracks" 150 m.Metrics.peak_unstable_bytes;
-  (* removals lower occupancy but never the recorded peak *)
-  Metrics.note_unstable_removed m ~bytes:100;
-  check_int "count after remove" 1 m.Metrics.unstable_count;
-  check_int "bytes after remove" 50 m.Metrics.unstable_bytes;
+  (* releases lower occupancy but never the recorded peak *)
+  release_upto st 1;
+  check_int "count after release" 1 (Repro_catocs.Stability.unstable_count st);
+  check_int "bytes after release" 50 (Repro_catocs.Stability.unstable_bytes st);
   check_int "peak count sticks" 2 m.Metrics.peak_unstable_count;
   check_int "peak bytes sticks" 150 m.Metrics.peak_unstable_bytes;
   (* a new high watermark must exceed the old peak to move it *)
-  Metrics.note_unstable_added m ~bytes:10;
+  note_seq st ~seq:3 ~bytes:10;
   check_int "peak unchanged below watermark" 150 m.Metrics.peak_unstable_bytes;
-  Metrics.note_unstable_added m ~bytes:200;
+  note_seq st ~seq:4 ~bytes:200;
   check_int "peak advances" 260 m.Metrics.peak_unstable_bytes;
   check_int "peak count advances" 3 m.Metrics.peak_unstable_count
 
 let test_metrics_merge_into () =
   let a = Metrics.create () and b = Metrics.create () in
-  Metrics.note_unstable_added a ~bytes:300;
-  Metrics.note_unstable_removed a ~bytes:300;
-  Metrics.note_unstable_added b ~bytes:120;
+  let sa = peak_tracker a in
+  note_seq sa ~seq:1 ~bytes:300;
+  release_upto sa 1;
+  note_seq (peak_tracker b) ~seq:1 ~bytes:120;
   a.Metrics.multicasts_sent <- 4;
   b.Metrics.multicasts_sent <- 6;
   a.Metrics.view_changes <- 1;
@@ -1131,9 +1138,36 @@ let test_metrics_merge_into () =
   (* counters sum; peaks take the per-member maximum *)
   check_int "sent sums" 10 acc.Metrics.multicasts_sent;
   check_int "view changes sum" 3 acc.Metrics.view_changes;
-  check_int "occupancy sums" 120 acc.Metrics.unstable_bytes;
   check_int "peak bytes is max" 300 acc.Metrics.peak_unstable_bytes;
   check_int "peak count is max" 1 acc.Metrics.peak_unstable_count
+
+(* A view install starts an empty tracker: what the old view still held
+   must not carry into the new view's peak. Gossip never fires, so nothing
+   stabilises; member 2's crash moves the group to a second view between
+   member 0's two bursts. *)
+let test_metrics_peak_unstable_per_view () =
+  let w =
+    make_world ~seed:5L ~gossip_period:(Sim_time.seconds 10)
+      ~track_graph:false ()
+  in
+  let burst first count =
+    for k = 0 to count - 1 do
+      Engine.at w.engine (Sim_time.ms (first + k)) (fun () ->
+          Stack.multicast w.stacks.(0) (first + k))
+    done
+  in
+  burst 1 5;
+  Engine.at w.engine (Sim_time.ms 20) (fun () ->
+      Engine.crash w.engine (Stack.self w.stacks.(2)));
+  burst 201 3;
+  run w (Sim_time.ms 500);
+  for i = 0 to 1 do
+    check_int
+      (Printf.sprintf "member %d peak is the first view's buffer" i)
+      5 (Stack.metrics w.stacks.(i)).Metrics.peak_unstable_count
+  done;
+  check_int "member 0 holds only the second burst" 3
+    (Stack.unstable_count w.stacks.(0))
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -1243,8 +1277,6 @@ let () =
           Alcotest.test_case "sequencer contiguous" `Quick
             test_sequencer_queue_contiguous_release;
           Alcotest.test_case "lamport release rule" `Quick test_lamport_queue_release_rule;
-          Alcotest.test_case "lamport deactivate" `Quick
-            test_lamport_queue_deactivate_unblocks;
         ] );
       ("group", [ Alcotest.test_case "view basics" `Quick test_group_view_basics ]);
       ( "metrics",
@@ -1253,6 +1285,8 @@ let () =
             test_metrics_peak_unstable;
           Alcotest.test_case "merge_into sums and maxima" `Quick
             test_metrics_merge_into;
+          Alcotest.test_case "peak unstable per view" `Quick
+            test_metrics_peak_unstable_per_view;
         ] );
       ("properties", qcheck_cases);
     ]

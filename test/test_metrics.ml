@@ -138,9 +138,7 @@ let test_fig1_inventory () =
       ("stability", "stability_lag_us");
       ("stability", "unstable_bytes");
       ("stability", "unstable_msgs");
-      ("transport", "batches");
       ("transport", "encoded_bytes");
-      ("transport", "link_sends");
       ("transport", "modeled_bytes");
       ("transport", "packets");
       ("view", "flushes");
@@ -157,8 +155,6 @@ let test_fig1_values () =
   Alcotest.(check int) "no resends" 0 (c "resend_copies");
   Alcotest.(check int) "one packet per origin copy" 8
     (Registry.counter_total snap ~layer:Event.Transport ~name:"packets");
-  Alcotest.(check int) "one link send per packet (no batching)" 8
-    (Registry.counter_total snap ~layer:Event.Transport ~name:"link_sends");
   (* structural wire format: no frames were encoded or charged *)
   Alcotest.(check int) "no encoded bytes" 0
     (Registry.counter_total snap ~layer:Event.Transport ~name:"encoded_bytes");
@@ -204,19 +200,17 @@ let test_fig1_pc_forwards () =
   Alcotest.(check int) "forward-on-first-delivery copies" 8
     (c "forward_copies")
 
-(* --- encoded wire format + batching through the scaling knobs --------------- *)
-
-let wire_point ~batch_window () =
-  match
-    Scaling.sweep ~sizes:[ 4 ] ~seed:7L ~duration:(Sim_time.ms 100)
-      ~track_graph:false ~metrics:true ~wire_format:Config.Encoded
-      ~batch_window ()
-  with
-  | [ p ] -> p
-  | _ -> assert false
+(* --- encoded wire format through the scaling knobs ------------------------ *)
 
 let test_encoded_wire_metrics () =
-  let p = wire_point ~batch_window:Sim_time.zero () in
+  let p =
+    match
+      Scaling.sweep ~sizes:[ 4 ] ~seed:7L ~duration:(Sim_time.ms 100)
+        ~track_graph:false ~metrics:true ~wire_format:Config.Encoded ()
+    with
+    | [ p ] -> p
+    | _ -> assert false
+  in
   let snap = p.Scaling.registry_snapshot in
   Alcotest.(check bool) "per-link wire_bytes charged" true
     (Registry.counter_total snap ~layer:Event.Transport ~name:"wire_bytes" > 0);
@@ -226,10 +220,6 @@ let test_encoded_wire_metrics () =
   Alcotest.(check bool) "modeled mirror alongside" true
     (Registry.counter_total snap ~layer:Event.Transport ~name:"modeled_bytes"
      > 0);
-  Alcotest.(check int) "no batches without a window" 0
-    (Registry.counter_total snap ~layer:Event.Transport ~name:"batches");
-  Alcotest.(check int) "coalesce ratio exactly 1 without a window"
-    p.Scaling.wire_packets p.Scaling.link_sends;
   Alcotest.(check bool) "delivery percentiles populated" true
     (p.Scaling.delivery_p50_us > 0.
      && p.Scaling.delivery_p50_us <= p.Scaling.delivery_p99_us
@@ -237,18 +227,6 @@ let test_encoded_wire_metrics () =
   Alcotest.(check bool) "stability-lag percentiles populated" true
     (p.Scaling.stability_lag_p50_us > 0.
      && p.Scaling.stability_lag_p50_us <= p.Scaling.stability_lag_p999_us)
-
-let test_batch_window_coalesces () =
-  let p0 = wire_point ~batch_window:Sim_time.zero () in
-  let p1 = wire_point ~batch_window:(Sim_time.ms 1) () in
-  Alcotest.(check bool) "window produced batches" true
-    (Registry.counter_total p1.Scaling.registry_snapshot
-       ~layer:Event.Transport ~name:"batches"
-     > 0);
-  Alcotest.(check bool) "fewer link sends than logical packets" true
-    (p1.Scaling.link_sends < p1.Scaling.wire_packets);
-  Alcotest.(check bool) "coalescing does not change what is delivered" true
-    (p0.Scaling.app_deliveries_total = p1.Scaling.app_deliveries_total)
 
 (* --- snapshot fingerprint determinism across engine domain counts ----------- *)
 
@@ -469,9 +447,7 @@ let () =
       );
       ( "wire",
         [ Alcotest.test_case "encoded wire metrics" `Quick
-            test_encoded_wire_metrics;
-          Alcotest.test_case "batch window coalesces" `Quick
-            test_batch_window_coalesces ] );
+            test_encoded_wire_metrics ] );
       ( "determinism",
         [ QCheck_alcotest.to_alcotest fingerprint_domains_qcheck;
           Alcotest.test_case "more domains" `Quick

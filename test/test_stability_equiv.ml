@@ -198,6 +198,11 @@ let run_equiv ?(shape = Random_calls) ?clock n ops =
     QCheck.Test.fail_reportf "release-time sum mismatch inc=%.0f ref=%.0f"
       (Stats.Summary.sum (lag metrics_i))
       (Stats.Summary.sum (lag metrics_r));
+  let peaks m = (m.Metrics.peak_unstable_count, m.Metrics.peak_unstable_bytes) in
+  if peaks metrics_i <> peaks metrics_r then
+    QCheck.Test.fail_reportf "unstable peak mismatch inc=%d/%dB ref=%d/%dB"
+      (fst (peaks metrics_i)) (snd (peaks metrics_i))
+      (fst (peaks metrics_r)) (snd (peaks metrics_r));
   true
 
 let gen_ops n =
