@@ -30,7 +30,9 @@ let cap config findings =
 
 (* --- duplicate uids --------------------------------------------------------- *)
 
-let detect_duplicates config (e : Exec.t) =
+(* The delivery half is the judge's at-most-once verdict per member; a
+   duplicate send is possible only in [of_trace] input. *)
+let detect_duplicates config (e : Exec.t) (view : Delivery_judge.exec_view) =
   let send_counts : (int, int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (s : Exec.send) ->
@@ -42,17 +44,12 @@ let detect_duplicates config (e : Exec.t) =
       send_counts []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  let deliver_counts : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (d : Exec.delivery) ->
-      let key = (d.d_pid, d.d_uid) in
-      Hashtbl.replace deliver_counts key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt deliver_counts key)))
-    e.deliveries;
   let dup_delivers =
     Hashtbl.fold
-      (fun (pid, uid) n acc -> if n > 1 then (pid, uid, n) :: acc else acc)
-      deliver_counts []
+      (fun pid m acc ->
+        List.map (fun (uid, n) -> (pid, uid, n)) (Delivery_judge.duplicates m)
+        @ acc)
+      view.members []
     |> List.sort compare
   in
   let send_findings =
@@ -113,89 +110,57 @@ let detect_cycle (e : Exec.t) hb =
       };
     ]
 
-(* --- per-member delivery positions ------------------------------------------ *)
-
-let delivery_positions (e : Exec.t) =
-  (* pid -> (uid -> position of its first delivery in that member's order) *)
-  let by_pid : (int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-  let counters : (int, int ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (d : Exec.delivery) ->
-      let tbl =
-        match Hashtbl.find_opt by_pid d.d_pid with
-        | Some t -> t
-        | None ->
-          let t = Hashtbl.create 32 in
-          Hashtbl.add by_pid d.d_pid t;
-          Hashtbl.add counters d.d_pid (ref 0);
-          t
-      in
-      let counter = Hashtbl.find counters d.d_pid in
-      if not (Hashtbl.mem tbl d.d_uid) then Hashtbl.add tbl d.d_uid !counter;
-      incr counter)
-    e.deliveries;
-  by_pid
-
 (* --- causal order ----------------------------------------------------------- *)
 
-let detect_causal_order config (e : Exec.t) hb positions =
-  (* If send(u1) happened-before send(u2) through transport-visible edges,
-     every process that delivers both must deliver u1 first. This mirrors
-     the checker's causal oracle, reconstructed offline from the DAG — and
-     like that oracle it only applies when the run claimed a causal (or
-     stronger) discipline: a FIFO-mode run is free to invert cross-process
-     causality. Unknown disciplines are checked (hand-built traces). *)
-  let applicable =
-    match e.ordering with Some Exec.Fifo_order -> false | _ -> true
-  in
-  let findings = ref [] in
-  let count = ref 0 in
-  if applicable then
-  Hashtbl.iter
-    (fun pid tbl ->
-      let delivered =
-        Hashtbl.fold (fun uid pos acc -> (uid, pos) :: acc) tbl []
-        |> List.sort compare
-      in
-      List.iter
-        (fun (u1, p1) ->
-          List.iter
-            (fun (u2, p2) ->
-              if
-                u1 <> u2 && p1 > p2
-                && Hb.reaches hb ~transport_only:true (Exec.Send_ev u1)
-                     (Exec.Send_ev u2)
-                && !count < config.max_findings_per_kind
-              then begin
-                incr count;
-                let path =
-                  match
-                    Hb.shortest_path hb ~transport_only:true (Exec.Send_ev u1)
-                      (Exec.Send_ev u2)
-                  with
-                  | Some edges -> List.map (Hb.describe_edge e) edges
-                  | None -> []
-                in
-                findings :=
-                  {
-                    Finding.kind = Finding.Causal_order;
-                    severity = Finding.Error;
-                    source = e.exec_label;
-                    summary =
-                      Printf.sprintf
-                        "%s delivered u%d (position %d) before causally \
-                         prior u%d (position %d)"
-                        (Exec.process_name e pid) u2 p2 u1 p1;
-                    uids = [ u1; u2 ];
-                    pids = [ pid ];
-                    evidence = path;
-                  }
-                  :: !findings
-              end)
-            delivered)
-        delivered)
-    positions;
-  List.sort Finding.compare !findings
+let detect_causal_order config (e : Exec.t) hb (view : Delivery_judge.exec_view)
+    =
+  (* The judge convicts a delivery made before a message in its recorded
+     causal past; each kept finding gets the transport-visible
+     happened-before path as evidence. Like the checker, this applies only
+     when the run claimed a causal (or stronger) discipline: a FIFO-mode run
+     is free to invert cross-process causality. Unknown disciplines are
+     checked (hand-built traces). *)
+  match e.ordering with
+  | Some Exec.Fifo_order -> []
+  | Some (Exec.Causal_order | Exec.Total_order) | None ->
+    let finding pid (v : Delivery_judge.inversion) =
+      {
+        Finding.kind = Finding.Causal_order;
+        severity = Finding.Error;
+        source = e.exec_label;
+        summary =
+          Printf.sprintf
+            "%s delivered u%d (position %d) before causally prior u%d (%s)"
+            (Exec.process_name e pid) v.uid v.pos v.pred
+            (match v.pred_pos with
+             | Some p -> Printf.sprintf "position %d" p
+             | None -> "never delivered");
+        uids = [ v.pred; v.uid ];
+        pids = [ pid ];
+        evidence = [];
+      }
+    in
+    let evidence (v : Delivery_judge.inversion) =
+      match
+        Hb.shortest_path hb ~transport_only:true (Exec.Send_ev v.pred)
+          (Exec.Send_ev v.uid)
+      with
+      | Some edges -> List.map (Hb.describe_edge e) edges
+      | None -> []
+    in
+    (* [Finding.compare] ignores evidence: sort and cap first, so only the
+       kept findings pay for a path search *)
+    Hashtbl.fold
+      (fun pid m acc ->
+        List.map
+          (fun v -> (finding pid v, v))
+          (Delivery_judge.causal_order m ~joined_at:None ~context:view.context
+             ~sent_at:view.sent_at)
+        @ acc)
+      view.members []
+    |> List.sort (fun (a, _) (b, _) -> Finding.compare a b)
+    |> cap config
+    |> List.map (fun (f, v) -> { f with Finding.evidence = evidence v })
 
 (* --- hidden channels -------------------------------------------------------- *)
 
@@ -219,7 +184,8 @@ let downstream_sends (e : Exec.t) hb node =
       else None)
     e.sends
 
-let detect_hidden_channels config (e : Exec.t) hb positions =
+let detect_hidden_channels config (e : Exec.t) hb
+    (view : Delivery_judge.exec_view) =
   let findings =
     List.filter_map
       (fun (c : Exec.channel_edge) ->
@@ -236,19 +202,22 @@ let detect_hidden_channels config (e : Exec.t) hb positions =
           let downs = downstream_sends e hb c.ch_dst in
           let inversion = ref None in
           Hashtbl.iter
-            (fun pid tbl ->
+            (fun pid m ->
               List.iter
                 (fun u ->
                   List.iter
                     (fun w ->
                       if u <> w && !inversion = None then
-                        match (Hashtbl.find_opt tbl u, Hashtbl.find_opt tbl w) with
+                        match
+                          ( Delivery_judge.position m u,
+                            Delivery_judge.position m w )
+                        with
                         | Some pu, Some pw when pw < pu ->
                           inversion := Some (pid, u, w)
                         | _, _ -> ())
                     downs)
                 ups)
-            positions;
+            view.members;
           let severity, inversion_evidence =
             match !inversion with
             | Some (pid, u, w) ->
@@ -423,14 +392,14 @@ let detect_stability_lag config (e : Exec.t) =
 
 let analyze ?(config = default_config) (e : Exec.t) =
   let hb = Hb.build e in
-  let duplicates = detect_duplicates config e in
+  let view = Delivery_judge.of_exec e in
+  let duplicates = detect_duplicates config e view in
   let cycle = detect_cycle e hb in
-  let positions = delivery_positions e in
   let order_sensitive =
     if cycle <> [] then []
     else
-      detect_causal_order config e hb positions
-      @ detect_hidden_channels config e hb positions
+      detect_causal_order config e hb view
+      @ detect_hidden_channels config e hb view
   in
   let false_causality, fc_stats = detect_false_causality config e in
   let stability = detect_stability_lag config e in

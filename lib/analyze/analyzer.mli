@@ -3,13 +3,15 @@
     Detectors, in report order:
 
     - {e duplicate-uid}: a uid multicast more than once, or delivered more
-      than once by the same process (Error);
+      than once by the same process (Error; the delivery half is the
+      {!Delivery_judge}'s at-most-once verdict);
     - {e causal-cycle}: the happened-before relation is cyclic, i.e. the
       instrumentation or the run itself is inconsistent (Error; the
       order-sensitive detectors below are skipped for cyclic inputs);
-    - {e causal-order}: two transport-related sends delivered in the wrong
-      order somewhere — the analyzer's offline mirror of the checker's
-      causal oracle (Error);
+    - {e causal-order}: a process delivered a message before one in its
+      recorded causal past — the {!Delivery_judge}'s verdict, the same code
+      the checker's causal oracle calls, with the transport-visible
+      happened-before path as evidence (Error);
     - {e hidden-channel}: a declared channel edge with no transport-visible
       happened-before path underneath it — exactly the situation of the
       paper's Figures 1-3 where CATOCS cannot see the ordering that matters

@@ -10,10 +10,13 @@
     the hidden-channel detector audits: each one is checked against the
     transport-level happened-before relation.
 
-    Executions come from three producers: {!Recorder} (live instrumentation
+    Executions come from four producers: {!Recorder} (live instrumentation
     hooks in apps and experiments), [Oracle.to_exec] in [lib/check] (checker
-    runs), and {!of_trace} ([Sim.Trace] event logs, including hand-built
-    traces in tests). *)
+    runs), {!of_trace} ([Sim.Trace] event logs, including hand-built traces
+    in tests) and {!of_log} (telemetry logs). An execution records no view
+    installs, so {!Delivery_judge.of_exec} judges it without join times.
+    The checker does not build one to judge its own runs: it feeds the
+    judge from its member logs directly. *)
 
 type ordering_discipline = Fifo_order | Causal_order | Total_order
 

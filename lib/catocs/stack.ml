@@ -845,8 +845,8 @@ let rec install_view t flush =
      remainder is group-consistent. This drop IS the atomicity-without-
      durability gap of Section 2. *)
   let leftover_causal = Delivery_queue.drain e.queue in
-  let leftover_seq = Total_order.Sequencer_queue.pending_data e.seq_queue in
-  let leftover_lamport = Total_order.Lamport_queue.pending e.lamport_queue in
+  let leftover_seq = Total_order.Sequencer_queue.drain e.seq_queue in
+  let leftover_lamport = Total_order.Lamport_queue.drain e.lamport_queue in
   (* Sequencer/Lamport leftovers were causally delivered but unordered;
      every survivor holds the identical set, so deliver them in stamping /
      Lamport-stamp order (deterministic and identical everywhere). *)

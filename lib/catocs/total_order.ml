@@ -48,10 +48,14 @@ module Sequencer_queue = struct
 
   let data_count t = Hashtbl.length t.data
 
-  let pending_data t =
-    Hashtbl.fold (fun _ p acc -> p :: acc) t.data []
-    |> List.sort (fun a b ->
-           Wire.compare_stamping a.Delivery_queue.data b.Delivery_queue.data)
+  let drain t =
+    let all =
+      Hashtbl.fold (fun _ p acc -> p :: acc) t.data []
+      |> List.sort (fun a b ->
+             Wire.compare_stamping a.Delivery_queue.data b.Delivery_queue.data)
+    in
+    Hashtbl.clear t.data;
+    all
 end
 
 module Lamport_queue = struct
@@ -118,5 +122,9 @@ module Lamport_queue = struct
       else None
 
   let length t = t.size
-  let pending t = List.map (fun e -> e.pending) t.entries
+  let drain t =
+    let all = List.map (fun e -> e.pending) t.entries in
+    t.entries <- [];
+    t.size <- 0;
+    all
 end

@@ -28,8 +28,9 @@ module Sequencer_queue : sig
   val data_count : 'a t -> int
   (** Number of held data messages, O(1) (sampled by metrics loops). *)
 
-  val pending_data : 'a t -> 'a Delivery_queue.pending list
-  (** Data held without a released order yet (drained at view change). *)
+  val drain : 'a t -> 'a Delivery_queue.pending list
+  (** Remove and return the data held without a released order yet, in
+      stamping order (the view-change leftovers). *)
 
   val known_orders : 'a t -> (Wire.msg_id * int) list
   (** Every (message, global sequence) assignment seen this view, released
@@ -56,5 +57,7 @@ module Lamport_queue : sig
   val length : 'a t -> int
   (** Number of held messages, O(1) (sampled by metrics loops). *)
 
-  val pending : 'a t -> 'a Delivery_queue.pending list
+  val drain : 'a t -> 'a Delivery_queue.pending list
+  (** Remove and return every held message, in stamp order (the
+      view-change leftovers). *)
 end

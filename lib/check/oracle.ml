@@ -193,35 +193,27 @@ let segments log =
            | Some (vid, mems, dels) -> (Some (vid, mems, uid :: dels), acc)))
        (None, []) (List.rev log.events_rev))
 
-let position_index log =
-  let idx = Hashtbl.create 64 in
-  List.iteri
-    (fun i uid -> if not (Hashtbl.mem idx uid) then Hashtbl.add idx uid i)
-    (deliveries log);
-  idx
-
 let logs_in_order t = List.map (log_of t) (member_pids t)
 
 (* --- oracles -------------------------------------------------------------- *)
 
+(* At-most-once and causal order are judged by [Delivery_judge], over one
+   index per member log that {!check} builds once; the total-order oracle
+   reads the same index. *)
+module Delivery_judge = Repro_analyze.Delivery_judge
+
 (* At-most-once: no uid is delivered twice to the same member. *)
-let check_duplicates t =
+let check_duplicates judged =
   List.find_map
-    (fun log ->
-      let seen = Hashtbl.create 64 in
-      List.find_map
-        (fun uid ->
-          if Hashtbl.mem seen uid then
-            Some
-              { oracle = "at-most-once"; member = log.name;
-                detail = Printf.sprintf "msg#%d delivered twice" uid;
-                uids = [ uid ] }
-          else begin
-            Hashtbl.add seen uid ();
-            None
-          end)
-        (deliveries log))
-    (logs_in_order t)
+    (fun (log, m) ->
+      match Delivery_judge.duplicates m with
+      | (uid, _) :: _ ->
+        Some
+          { oracle = "at-most-once"; member = log.name;
+            detail = Printf.sprintf "msg#%d delivered twice" uid;
+            uids = [ uid ] }
+      | [] -> None)
+    judged
 
 (* Members that install the same view id agree on its membership. *)
 let check_view_agreement t =
@@ -276,45 +268,26 @@ let check_fifo t =
 (* Causal order: a message is delivered only after every message its sender
    had delivered or sent when issuing it ("happened-before" predecessors).
    A member that joined after a predecessor was sent is exempt from it. *)
-let check_causal t =
+let check_causal t judged =
+  let context uid = (info t uid).context in
+  let sent_at uid = (info t uid).sent_at in
   List.find_map
-    (fun log ->
-      let pos = position_index log in
-      List.find_map
-        (fun uid ->
-          let i = Hashtbl.find pos uid in
-          List.find_map
-            (fun c ->
-              match Hashtbl.find_opt pos c with
-              | Some j when j < i -> None
-              | Some _ ->
-                Some
-                  { oracle = "causal-order"; member = log.name;
-                    detail =
-                      Printf.sprintf
-                        "msg#%d delivered before its causal predecessor msg#%d"
-                        uid c;
-                    uids = [ c; uid ] }
-              | None ->
-                let ci = info t c in
-                let joined_later =
-                  match log.first_install_at with
-                  | Some fi -> Sim_time.compare fi ci.sent_at >= 0
-                  | None -> true
-                in
-                if joined_later then None
-                else
-                  Some
-                    { oracle = "causal-order"; member = log.name;
-                      detail =
-                        Printf.sprintf
-                          "msg#%d delivered but its causal predecessor msg#%d \
-                           never was"
-                          uid c;
-                      uids = [ c; uid ] })
-            (info t uid).context)
-        (deliveries log))
-    (logs_in_order t)
+    (fun (log, m) ->
+      match
+        Delivery_judge.causal_order m ~joined_at:log.first_install_at ~context
+          ~sent_at
+      with
+      | [] -> None
+      | { Delivery_judge.uid; pred; pred_pos; _ } :: _ ->
+        let detail : (_, _, _) format =
+          match pred_pos with
+          | Some _ -> "msg#%d delivered before its causal predecessor msg#%d"
+          | None -> "msg#%d delivered but its causal predecessor msg#%d never was"
+        in
+        Some
+          { oracle = "causal-order"; member = log.name;
+            detail = Printf.sprintf detail uid pred; uids = [ pred; uid ] })
+    judged
 
 (* Total order: any two survivors agree on the relative order of every pair
    of messages both delivered. Restricted to survivors because the
@@ -322,9 +295,9 @@ let check_causal t =
    delivered in the dead sequencer's order while the survivors — for whom
    part of that order died with it — agree on a different one. That is the
    paper's atomicity-without-durability gap, not a protocol bug. *)
-let check_total t ~survivors =
+let check_total judged ~survivors =
   let logs =
-    List.filter (fun log -> List.mem log.pid survivors) (logs_in_order t)
+    List.filter (fun (log, _) -> List.mem log.pid survivors) judged
   in
   let rec pairs = function
     | [] -> None
@@ -332,13 +305,10 @@ let check_total t ~survivors =
       match List.find_map (fun q -> check_pair p q) rest with
       | Some v -> Some v
       | None -> pairs rest)
-  and check_pair p q =
-    let dp = deliveries p and dq = deliveries q in
-    let sp = Hashtbl.create 64 and sq = Hashtbl.create 64 in
-    List.iter (fun u -> Hashtbl.replace sp u ()) dp;
-    List.iter (fun u -> Hashtbl.replace sq u ()) dq;
-    let fp = List.filter (Hashtbl.mem sq) dp in
-    let fq = List.filter (Hashtbl.mem sp) dq in
+  and check_pair (p, mp) (q, mq) =
+    let delivered_by m u = Option.is_some (Delivery_judge.position m u) in
+    let fp = List.filter (delivered_by mq) (deliveries p) in
+    let fq = List.filter (delivered_by mp) (deliveries q) in
     let rec first_diff a b =
       match (a, b) with
       | x :: a', y :: b' -> if x = y then first_diff a' b' else Some (x, y)
@@ -527,9 +497,16 @@ let check_history t ~survivors =
 
 let check t ~ordering ~survivors =
   seal t;
-  let common = [ check_duplicates; check_view_agreement; check_fifo ] in
-  let causal = [ check_causal ] in
-  let total = [ (fun t -> check_total t ~survivors) ] in
+  let judged =
+    List.map
+      (fun log -> (log, Delivery_judge.index (deliveries log)))
+      (logs_in_order t)
+  in
+  let common =
+    [ (fun _ -> check_duplicates judged); check_view_agreement; check_fifo ]
+  in
+  let causal = [ (fun t -> check_causal t judged) ] in
+  let total = [ (fun _ -> check_total judged ~survivors) ] in
   let quiescent =
     [
       check_view_sync;
@@ -566,12 +543,8 @@ let to_exec t ~ordering ~label =
   List.iter
     (fun pid ->
       let log = log_of t pid in
-      let own_sends =
-        Hashtbl.fold
-          (fun _uid s acc -> if s.sender = pid then s :: acc else acc)
-          t.sends []
-        |> List.sort (fun a b -> Int.compare a.sender_seq b.sender_seq)
-      in
+      (* the member's own journal, oldest first: ascending sender_seq *)
+      let own_sends = List.rev_map (info t) log.sent_rev in
       let delivers =
         List.filter_map
           (function

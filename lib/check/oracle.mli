@@ -21,7 +21,11 @@
     Causality is judged against the {e recorded} potential-causality
     relation — everything the sender had delivered or sent when it issued the
     message — not against the protocol's own vector clocks, so a broken
-    delivery condition in the stack cannot fool the oracle. *)
+    delivery condition in the stack cannot fool the oracle. At-most-once
+    and causal order are judged by {!Repro_analyze.Delivery_judge}, the
+    same code the offline sanitizer calls; the oracle passes each member's
+    join time, so a predecessor it never delivered convicts it unless it
+    joined after that predecessor was sent. *)
 
 type send_info = {
   uid : int;

@@ -222,11 +222,11 @@ let execute ?(engine_impl = Engine.Sequential)
         match usable pid with Some _ -> true | None -> false)
       (Oracle.member_pids oracle)
   in
-  (oracle, survivors)
+  (oracle, survivors, stacks)
 
 let violation_of ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering
     plan =
-  let oracle, survivors =
+  let oracle, survivors, _ =
     execute ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
   in
   match Oracle.check oracle ~ordering ~survivors with
@@ -272,7 +272,7 @@ let make_report ~seed ~ordering ~shrunk plan (violation, oracle) =
   { seed; ordering; plan; violation; trace; shrunk }
 
 let replay ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
-  let oracle, survivors =
+  let oracle, survivors, _ =
     execute ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
   in
   match Oracle.check oracle ~ordering ~survivors with
@@ -288,7 +288,7 @@ let replay ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
 let run_seed ?(profile = Fault_plan.default_profile) ?(shrink = true)
     ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed () =
   let plan = Fault_plan.generate ~seed profile in
-  let oracle, survivors =
+  let oracle, survivors, _ =
     execute ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
   in
   match Oracle.check oracle ~ordering ~survivors with
@@ -341,7 +341,7 @@ let sweep ?(profile = Fault_plan.default_profile) ?(shrink = true)
 
 let exec_of_plan ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed
     plan =
-  let oracle, survivors =
+  let oracle, survivors, _ =
     execute ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
   in
   let verdict =
@@ -364,6 +364,16 @@ let exec_of_seed ?(profile = Fault_plan.default_profile) ?engine_impl
     ?causal_impl ?stability_clock ~ordering ~seed () =
   exec_of_plan ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed
     (Fault_plan.generate ~seed profile)
+
+let member_metrics ~ordering ~seed () =
+  let plan = Fault_plan.generate ~seed Fault_plan.default_profile in
+  let oracle, _, stacks = execute ~seed ~ordering plan in
+  List.filter_map
+    (fun pid ->
+      Option.map
+        (fun st -> (Oracle.name_of oracle pid, Stack.metrics st))
+        (Hashtbl.find_opt stacks pid))
+    (Oracle.member_pids oracle)
 
 let pp_report fmt r =
   Format.fprintf fmt

@@ -108,6 +108,14 @@ val exec_of_seed :
   Repro_analyze.Exec.t * verdict
 (** [exec_of_plan] on the seed's generated fault plan. *)
 
+val member_metrics :
+  ordering:Repro_catocs.Config.ordering ->
+  seed:int ->
+  unit ->
+  (string * Repro_catocs.Metrics.t) list
+(** Every member's protocol metrics at the end of the seed's run (not
+    judged), by name in registration order. *)
+
 val pp_report : Format.formatter -> report -> unit
 
 val fingerprint : verdict -> string

@@ -17,6 +17,11 @@
     dependence), so exports are golden-file testable and diffable across
     runs. *)
 
+val escape : string -> string
+(** The body of a JSON string literal for [s]: quotes, backslashes and
+    control characters escaped. The JSON writers of this library pass every
+    free-form string (process names, metric names and labels) through it. *)
+
 val chrome_trace : ?names:(int * string) list -> Log.t -> string
 (** [names] maps pids to display names for track labels (unlisted pids show
     as [p<pid>]). *)

@@ -243,20 +243,6 @@ let to_prometheus (snap : snapshot) =
     snap;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json (snap : snapshot) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"schema_version\":1,\"metrics\":[";
@@ -265,12 +251,12 @@ let to_json (snap : snapshot) =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "{\"layer\":\"%s\",\"name\":\"%s\",\"labels\":{%s},"
-           (Event.layer_name k.layer) (json_escape k.name)
+           (Event.layer_name k.layer) (Export.escape k.name)
            (String.concat ","
               (List.map
                  (fun (lk, lv) ->
-                   Printf.sprintf "\"%s\":\"%s\"" (json_escape lk)
-                     (json_escape lv))
+                   Printf.sprintf "\"%s\":\"%s\"" (Export.escape lk)
+                     (Export.escape lv))
                  k.labels)));
       (match sample with
        | Counter_v n ->

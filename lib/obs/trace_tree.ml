@@ -163,19 +163,6 @@ let render_log ?(names = []) log =
    "X" slice on the sender's control lane, lasting until the receiver first
    delivered the message (1us when unknown). *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let hops_chrome_trace ?(names = []) log =
   let trees = List.filter_map (fun uid -> of_log log ~uid) (uids log) in
   let b = Buffer.create 4096 in
@@ -202,7 +189,7 @@ let hops_chrome_trace ?(names = []) log =
            (Printf.sprintf
               "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
               pid
-              (escape (pid_name names pid))));
+              (Export.escape (pid_name names pid))));
   List.iter
     (fun (t : t) ->
       List.iter

@@ -964,6 +964,28 @@ let test_lamport_queue_release_rule () =
    | None -> Alcotest.fail "expected release");
   check_bool "empty after" true (Total_order.Lamport_queue.take_ready q = None)
 
+(* The view-change take empties both total-order queues: a member ejected at
+   that install keeps its epoch, so leftovers it final-delivered must not
+   stay counted by [Stack.pending_count] and the blocked-messages gauge. *)
+let test_total_order_drain_empties () =
+  let p id = { Delivery_queue.data = mk_data ~msg_id:id ~sender_rank:0 ~vt:[ 1; 0 ] ();
+               arrived_at = 0 } in
+  let sq = Total_order.Sequencer_queue.create () in
+  Total_order.Sequencer_queue.add_data sq (p 10);
+  Total_order.Sequencer_queue.add_data sq (p 11);
+  check_int "sequencer leftovers" 2
+    (List.length (Total_order.Sequencer_queue.drain sq));
+  check_int "sequencer data_count after" 0
+    (Total_order.Sequencer_queue.data_count sq);
+  let lq = Total_order.Lamport_queue.create ~group_size:3 () in
+  Total_order.Lamport_queue.add lq (p 1) ~stamp:{ Lamport.time = 5; node = 0 };
+  Total_order.Lamport_queue.add lq (p 2) ~stamp:{ Lamport.time = 6; node = 1 };
+  check_int "lamport leftovers" 2
+    (List.length (Total_order.Lamport_queue.drain lq));
+  check_int "lamport length after" 0 (Total_order.Lamport_queue.length lq);
+  check_bool "lamport empty after" true
+    (Total_order.Lamport_queue.take_ready lq = None)
+
 (* --- group views -------------------------------------------------------------- *)
 
 let test_group_view_basics () =
@@ -1277,6 +1299,8 @@ let () =
           Alcotest.test_case "sequencer contiguous" `Quick
             test_sequencer_queue_contiguous_release;
           Alcotest.test_case "lamport release rule" `Quick test_lamport_queue_release_rule;
+          Alcotest.test_case "total-order drain empties" `Quick
+            test_total_order_drain_empties;
         ] );
       ("group", [ Alcotest.test_case "view basics" `Quick test_group_view_basics ]);
       ( "metrics",

@@ -36,6 +36,58 @@ let test_sweep ?causal_impl ordering () =
    so cbcast is the interesting mode. *)
 let test_sweep_pc () = test_sweep ~causal_impl:Config.Pc_causal Config.Causal ()
 
+(* The oracles on hand-built member logs: one property broken per log, and
+   the oracle name, member and detail string the counterexample reports.
+   The seed sweeps never drive the total-order oracle to a conviction. *)
+let test_oracles_convict_hand_built_logs () =
+  let verdict ordering build =
+    let o = Oracle.create () in
+    Oracle.register_member o ~pid:1 ~name:"a" ~view:(Some (0, [ 1; 2 ]));
+    Oracle.register_member o ~pid:2 ~name:"b" ~view:(Some (0, [ 1; 2 ]));
+    let send pid at =
+      Oracle.note_send o ~sender:pid ~at:(Sim_time.ms at) ~depth:0
+        ~partial:false
+    in
+    let deliver pid uid at = Oracle.note_delivery o ~pid ~uid ~at:(Sim_time.ms at) in
+    build send deliver;
+    match Oracle.check o ~ordering ~survivors:[ 1; 2 ] with
+    | Some v ->
+      Printf.sprintf "%s %s: %s" v.Oracle.oracle v.Oracle.member v.Oracle.detail
+    | None -> "none"
+  in
+  check_string "duplicate"
+    "at-most-once b: msg#0 delivered twice"
+    (verdict Config.Causal (fun send deliver ->
+         let u0 = send 1 1 in
+         deliver 1 u0 2;
+         deliver 2 u0 2;
+         deliver 2 u0 3));
+  (* b delivered u0 before sending u1; a delivers u1 first, or never u0 *)
+  let inverted ~a_delivers_u0 send deliver =
+    let u0 = send 1 1 in
+    deliver 2 u0 2;
+    let u1 = send 2 3 in
+    deliver 2 u1 4;
+    deliver 1 u1 4;
+    if a_delivers_u0 then deliver 1 u0 5
+  in
+  check_string "causal inversion"
+    "causal-order a: msg#1 delivered before its causal predecessor msg#0"
+    (verdict Config.Causal (inverted ~a_delivers_u0:true));
+  check_string "causal gap"
+    "causal-order a: msg#1 delivered but its causal predecessor msg#0 never was"
+    (verdict Config.Causal (inverted ~a_delivers_u0:false));
+  check_string "total-order disagreement"
+    "total-order a: a delivered msg#0 before msg#1; b delivered them in the \
+     opposite order"
+    (verdict Config.Total_sequencer (fun send deliver ->
+         let u0 = send 1 1 in
+         let u1 = send 2 1 in
+         deliver 1 u0 2;
+         deliver 1 u1 3;
+         deliver 2 u1 2;
+         deliver 2 u0 3))
+
 (* --- determinism --------------------------------------------------------- *)
 
 let test_deterministic_verdicts () =
@@ -145,6 +197,31 @@ let test_pc_delivery_sequence_pinned () =
     "c90232c6321e8ec2927fe5b3fbf36942"
     (delivery_sequence_digest ~causal_impl:Config.Pc_causal
        [ ("cbcast", Config.Causal) ])
+
+(* Stability-timing pin: for seeds 0-9 of every ordering, each member's
+   stability-lag sample count and sum and its two unstable-buffer peaks.
+   The pins above hash deliveries only, and a stability release that
+   happens later changes no delivery; this one moves with release timing. *)
+let stability_timing_digest () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (_, ordering) ->
+      for seed = 0 to 9 do
+        List.iter
+          (fun (name, (m : Repro_catocs.Metrics.t)) ->
+            Printf.bprintf b "%s:%d:%h:%d:%d;" name
+              (Stats.Summary.count m.stability_lag_us)
+              (Stats.Summary.sum m.stability_lag_us)
+              m.peak_unstable_count m.peak_unstable_bytes)
+          (Runner.member_metrics ~ordering ~seed ());
+        Buffer.add_char b '\n'
+      done)
+    Runner.orderings;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_stability_timing_pinned () =
+  check_string "bss seeds 0-9, all orderings, per-member stability"
+    "a8e5c1d21fa37fa04e4d61d2fe15913e" (stability_timing_digest ())
 
 let test_cross_clock_verdicts () =
   (* The sparse stability clock reproduces the dense tracker's advance
@@ -488,6 +565,8 @@ let () =
             test_bss_delivery_sequence_pinned;
           Alcotest.test_case "pc delivery sequence pinned" `Slow
             test_pc_delivery_sequence_pinned;
+          Alcotest.test_case "stability timing pinned" `Slow
+            test_stability_timing_pinned;
         ] );
       ( "parallel-engine",
         [
@@ -510,5 +589,7 @@ let () =
             test_broken_pc_deterministic;
           Alcotest.test_case "overstated minima cache caught and shrunk" `Slow
             test_overstated_minima_caught;
+          Alcotest.test_case "oracles convict hand-built logs" `Quick
+            test_oracles_convict_hand_built_logs;
         ] );
     ]
