@@ -2,9 +2,8 @@
 
     Detectors, in report order:
 
-    - {e duplicate-uid}: a uid multicast more than once, or delivered more
-      than once by the same process (Error; the delivery half is the
-      {!Delivery_judge}'s at-most-once verdict);
+    - {e duplicate-uid}: a uid delivered more than once by the same
+      process (Error; the {!Delivery_judge}'s at-most-once verdict);
     - {e causal-cycle}: the happened-before relation is cyclic, i.e. the
       instrumentation or the run itself is inconsistent (Error; the
       order-sensitive detectors below are skipped for cyclic inputs);

@@ -1,10 +1,5 @@
 type ordering_discipline = Fifo_order | Causal_order | Total_order
 
-let ordering_name = function
-  | Fifo_order -> "fifo"
-  | Causal_order -> "causal"
-  | Total_order -> "total"
-
 type node =
   | Send_ev of int
   | Deliver_ev of int * int
@@ -169,48 +164,6 @@ module Recorder = struct
       channel_edges = List.rev t.channels_rev;
     }
 end
-
-let of_trace ?(label = "trace") ?ordering entries =
-  let r = Recorder.create ?ordering ~label () in
-  let uids : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Trace.entry) ->
-      match e.kind with
-      | Trace.Send ->
-        (match Hashtbl.find_opt uids e.label with
-         | None ->
-           let uid = Recorder.note_send r ~sender:e.pid ~at:e.time () in
-           Hashtbl.add uids e.label uid
-         | Some uid ->
-           (* A second Send of the same label records a duplicate send of the
-              same uid: bypass the uid allocator but keep program order. *)
-           let p = Recorder.proc r e.pid in
-           let entry =
-             {
-               uid;
-               sender = e.pid;
-               sender_seq = p.Recorder.sent_count;
-               sent_at = e.time;
-               send_pseq = Recorder.next_pseq p;
-               context = List.sort_uniq Int.compare p.Recorder.known;
-               semantic = None;
-             }
-           in
-           p.Recorder.sent_count <- p.Recorder.sent_count + 1;
-           r.Recorder.sends_rev <- entry :: r.Recorder.sends_rev)
-      | Trace.Deliver ->
-        (match Hashtbl.find_opt uids e.label with
-         | Some uid -> Recorder.note_delivery r ~pid:e.pid ~uid ~at:e.time
-         | None ->
-           invalid_arg
-             (Printf.sprintf
-                "Exec.of_trace: delivery of unknown message %S at pid %d"
-                e.label e.pid))
-      | Trace.Mark ->
-        ignore (Recorder.note_external r ~pid:e.pid ~at:e.time ~label:e.label)
-      | Trace.Recv -> ())
-    entries;
-  Recorder.exec r
 
 let of_log ?(label = "obs log") ?ordering ?(names = []) log =
   let r = Recorder.create ?ordering ~label () in

@@ -10,17 +10,15 @@
     the hidden-channel detector audits: each one is checked against the
     transport-level happened-before relation.
 
-    Executions come from four producers: {!Recorder} (live instrumentation
-    hooks in apps and experiments), [Oracle.to_exec] in [lib/check] (checker
-    runs), {!of_trace} ([Sim.Trace] event logs, including hand-built traces
-    in tests) and {!of_log} (telemetry logs). An execution records no view
+    Executions come from three producers: {!Recorder} (live instrumentation
+    hooks in apps and experiments, and hand-built executions in tests),
+    [Oracle.to_exec] in [lib/check] (checker runs) and {!of_log} (telemetry
+    logs). Each assigns every send a fresh uid. An execution records no view
     installs, so {!Delivery_judge.of_exec} judges it without join times.
     The checker does not build one to judge its own runs: it feeds the
     judge from its member logs directly. *)
 
 type ordering_discipline = Fifo_order | Causal_order | Total_order
-
-val ordering_name : ordering_discipline -> string
 
 (** A node of the happened-before DAG, identified by its role. *)
 type node =
@@ -113,18 +111,6 @@ module Recorder : sig
   val exec : t -> exec
   (** Snapshot the recording (the recorder remains usable). *)
 end
-
-val of_trace :
-  ?label:string ->
-  ?ordering:ordering_discipline ->
-  Trace.entry list ->
-  t
-(** Ingest a [Sim.Trace] event log. [Send] entries allocate one uid per
-    distinct label ([Send] of an already-seen label records a duplicate send
-    of that uid, which the analyzer flags); [Deliver] entries must reference
-    a previously sent label (raises [Invalid_argument] otherwise); [Mark]
-    entries become external events; [Recv] entries (transport arrival, not
-    an application event) are ignored. *)
 
 val of_log :
   ?label:string ->

@@ -12,7 +12,7 @@ type kind =
       (** enforced potential causality exceeds declared semantic needs *)
   | Causal_order  (** a delivery violates causal order (analyzer's view) *)
   | Causal_cycle  (** the happened-before relation is cyclic *)
-  | Duplicate_uid  (** a uid sent or delivered more than once at a process *)
+  | Duplicate_uid  (** a uid delivered more than once at a process *)
   | Stability_lag  (** a message's delivery lag is an extreme outlier *)
   | Determinism_hazard  (** source-level nondeterminism outside [lib/sim] *)
   | Shared_mutable

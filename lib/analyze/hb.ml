@@ -53,8 +53,11 @@ let collect_nodes (e : Exec.t) =
   (nodes, index)
 
 (* Raw edge list, before reduction: program order per process, send-to-
-   delivery edges, declared channel edges. Duplicate sends of the same uid
-   collapse onto one Send_ev node, so their program-order edges merge. *)
+   delivery edges, declared channel edges. Every producer assigns each send
+   a fresh uid, but a process may deliver a uid twice (the at-most-once
+   violation the analyzer reports): both deliveries collapse onto one
+   Deliver_ev node, so their program-order edges merge and the edge
+   between them, a self-loop, is dropped. *)
 let raw_edges (e : Exec.t) index =
   let edges = ref [] in
   let add src dst why =

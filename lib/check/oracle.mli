@@ -88,9 +88,6 @@ val pp_trace : Format.formatter -> t -> uids:int list -> unit
 (** Print the send and per-member delivery fate of the listed uids (capped
     at 8) — the counterexample trace. *)
 
-val ordering_discipline :
-  Repro_catocs.Config.ordering -> Repro_analyze.Exec.ordering_discipline
-
 val to_exec :
   t ->
   ordering:Repro_catocs.Config.ordering ->

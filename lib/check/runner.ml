@@ -224,88 +224,78 @@ let execute ?(engine_impl = Engine.Sequential)
   in
   (oracle, survivors, stacks)
 
-let violation_of ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering
-    plan =
-  let oracle, survivors, _ =
-    execute ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
-  in
-  match Oracle.check oracle ~ordering ~survivors with
-  | Some v -> Some (v, oracle)
-  | None -> None
-
-(* Greedy fault-plan shrinking: find the shortest failing prefix of the
-   fault list, then drop single faults (last first) while the plan still
-   fails. Every candidate is a full deterministic re-execution, so the
-   shrunk plan is guaranteed to still reproduce a violation. *)
-let shrink_plan ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
-    (v0, o0) =
-  let fails faults =
-    violation_of ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering
-      (Fault_plan.with_faults plan faults)
-  in
-  let faults = Array.of_list plan.Fault_plan.faults in
-  let n = Array.length faults in
-  let prefix k = Array.to_list (Array.sub faults 0 k) in
-  let rec first_failing_prefix k =
-    if k >= n then (plan.Fault_plan.faults, (v0, o0))
-    else
-      match fails (prefix k) with
-      | Some r -> (prefix k, r)
-      | None -> first_failing_prefix (k + 1)
-  in
-  let kept, best = first_failing_prefix 0 in
-  let kept = ref kept and best = ref best in
-  for i = List.length !kept - 1 downto 0 do
-    let candidate = List.filteri (fun j _ -> j <> i) !kept in
-    match fails candidate with
-    | Some r ->
-      kept := candidate;
-      best := r
-    | None -> ()
-  done;
-  (Fault_plan.with_faults plan !kept, !best)
-
 let make_report ~seed ~ordering ~shrunk plan (violation, oracle) =
   let trace =
     Format.asprintf "@[<v>%a@]" (fun fmt o -> Oracle.pp_trace fmt o ~uids:violation.Oracle.uids) oracle
   in
   { seed; ordering; plan; violation; trace; shrunk }
 
-let replay ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
+(* Execute the plan and judge it: the recorded run, and its verdict with an
+   unshrunk report on failure. *)
+let judged ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
   let oracle, survivors, _ =
     execute ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
   in
-  match Oracle.check oracle ~ordering ~survivors with
-  | None ->
-    Pass
-      {
-        sends = Oracle.send_count oracle;
-        deliveries = Oracle.delivery_count oracle;
-      }
-  | Some violation ->
-    Fail (make_report ~seed ~ordering ~shrunk:false plan (violation, oracle))
+  ( oracle,
+    match Oracle.check oracle ~ordering ~survivors with
+    | None ->
+      Pass
+        {
+          sends = Oracle.send_count oracle;
+          deliveries = Oracle.delivery_count oracle;
+        }
+    | Some violation ->
+      Fail (make_report ~seed ~ordering ~shrunk:false plan (violation, oracle))
+  )
+
+(* Greedy fault-plan shrinking: find the shortest failing prefix of the
+   fault list, then drop single faults (last first) while the plan still
+   fails. Every candidate is a full deterministic re-execution, so the
+   shrunk plan is guaranteed to still reproduce a violation; the kept
+   faults are always those of the best report's plan. *)
+let shrink_plan ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
+    report =
+  let fails faults =
+    match
+      snd
+        (judged ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering
+           (Fault_plan.with_faults plan faults))
+    with
+    | Fail r -> Some r
+    | Pass _ -> None
+  in
+  let faults = Array.of_list plan.Fault_plan.faults in
+  let n = Array.length faults in
+  let prefix k = Array.to_list (Array.sub faults 0 k) in
+  let rec first_failing_prefix k =
+    if k >= n then report
+    else
+      match fails (prefix k) with
+      | Some r -> r
+      | None -> first_failing_prefix (k + 1)
+  in
+  let best = ref (first_failing_prefix 0) in
+  for i = List.length !best.plan.Fault_plan.faults - 1 downto 0 do
+    match
+      fails (List.filteri (fun j _ -> j <> i) !best.plan.Fault_plan.faults)
+    with
+    | Some r -> best := r
+    | None -> ()
+  done;
+  { !best with shrunk = true }
+
+let replay ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
+  snd (judged ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan)
 
 let run_seed ?(profile = Fault_plan.default_profile) ?(shrink = true)
     ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed () =
   let plan = Fault_plan.generate ~seed profile in
-  let oracle, survivors, _ =
-    execute ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
-  in
-  match Oracle.check oracle ~ordering ~survivors with
-  | None ->
-    Pass
-      {
-        sends = Oracle.send_count oracle;
-        deliveries = Oracle.delivery_count oracle;
-      }
-  | Some violation ->
-    if shrink then
-      let plan', best =
-        shrink_plan ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering
-          plan (violation, oracle)
-      in
-      Fail (make_report ~seed ~ordering ~shrunk:true plan' best)
-    else Fail (make_report ~seed ~ordering ~shrunk:false plan (violation, oracle))
+  match replay ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan with
+  | Fail report when shrink ->
+    Fail
+      (shrink_plan ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering
+         plan report)
+  | verdict -> verdict
 
 type sweep_result = {
   passed : int;
@@ -341,19 +331,8 @@ let sweep ?(profile = Fault_plan.default_profile) ?(shrink = true)
 
 let exec_of_plan ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed
     plan =
-  let oracle, survivors, _ =
-    execute ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
-  in
-  let verdict =
-    match Oracle.check oracle ~ordering ~survivors with
-    | None ->
-      Pass
-        {
-          sends = Oracle.send_count oracle;
-          deliveries = Oracle.delivery_count oracle;
-        }
-    | Some violation ->
-      Fail (make_report ~seed ~ordering ~shrunk:false plan (violation, oracle))
+  let oracle, verdict =
+    judged ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan
   in
   let label =
     Printf.sprintf "%s seed %d" (Config.ordering_name ordering) seed

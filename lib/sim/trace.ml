@@ -7,9 +7,9 @@ type entry = {
   label : string;
 }
 
-(* Entries live in a growable array in chronological order, so [iter] and
-   [fold] walk recorded history without building a list per call (scaling
-   runs record hundreds of thousands of entries). *)
+(* Entries live in a growable array in chronological order: recording
+   appends without allocating a list cell, and {!render_diagram} walks it
+   in place. *)
 type t = {
   mutable store : entry array;
   mutable len : int;
@@ -36,31 +36,11 @@ let record t time ~pid kind label =
     t.len <- t.len + 1
   end
 
-let length t = t.len
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.store.(i)
-  done
-
-let fold t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.store.(i)
-  done;
-  !acc
-
-let entries t = List.init t.len (fun i -> t.store.(i))
-
-let clear t =
-  t.store <- [||];
-  t.len <- 0
-
-let pp_kind ppf = function
-  | Send -> Format.pp_print_string ppf "send"
-  | Recv -> Format.pp_print_string ppf "recv"
-  | Deliver -> Format.pp_print_string ppf "dlvr"
-  | Mark -> Format.pp_print_string ppf "mark"
+let kind_name = function
+  | Send -> "send"
+  | Recv -> "recv"
+  | Deliver -> "dlvr"
+  | Mark -> "mark"
 
 let truncate_to width s =
   if String.length s <= width then s else String.sub s 0 width
@@ -84,7 +64,8 @@ let render_diagram ?(column_width = 24) ?(exclude_substrings = [])
   Buffer.add_string buffer (String.make (10 + (columns * (column_width + 2))) '-');
   Buffer.add_char buffer '\n';
   let emitted = ref 0 in
-  let add_row e =
+  for i = 0 to t.len - 1 do
+    let e = t.store.(i) in
     let excluded =
       List.exists (fun needle -> contains ~needle e.label) exclude_substrings
     in
@@ -95,14 +76,11 @@ let render_diagram ?(column_width = 24) ?(exclude_substrings = [])
       Buffer.add_string buffer (pad time_str 10);
       for col = 0 to columns - 1 do
         let cell =
-          if col = e.pid then
-            Format.asprintf "%a %s" pp_kind e.kind e.label
-          else ""
+          if col = e.pid then kind_name e.kind ^ " " ^ e.label else ""
         in
         Buffer.add_string buffer ("| " ^ pad cell column_width)
       done;
       Buffer.add_char buffer '\n'
     end
-  in
-  iter t add_row;
+  done;
   Buffer.contents buffer

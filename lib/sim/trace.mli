@@ -6,13 +6,6 @@
 
 type kind = Send | Recv | Deliver | Mark
 
-type entry = {
-  time : Sim_time.t;
-  pid : int;
-  kind : kind;
-  label : string;
-}
-
 type t
 
 val create : unit -> t
@@ -24,23 +17,6 @@ val set_enabled : t -> bool -> unit
 
 val record : t -> Sim_time.t -> pid:int -> kind -> string -> unit
 
-val length : t -> int
-(** Number of recorded entries. *)
-
-val iter : t -> (entry -> unit) -> unit
-(** Apply a function to every entry in chronological order without
-    materializing an entry list (entries are stored in a growable array). *)
-
-val fold : t -> init:'acc -> f:('acc -> entry -> 'acc) -> 'acc
-(** Chronological left fold over the recorded entries, also allocation-free
-    with respect to the trace itself. *)
-
-val entries : t -> entry list
-(** In chronological order. Builds a fresh list; prefer {!iter} / {!fold}
-    for large traces. *)
-
-val clear : t -> unit
-
 val render_diagram :
   ?column_width:int ->
   ?exclude_substrings:string list ->
@@ -51,6 +27,5 @@ val render_diagram :
 (** Render an event diagram with one column per process (indexed by pid).
     Entries whose pid is outside [names] are dropped; entries whose label
     contains one of [exclude_substrings] are filtered (protocol noise such
-    as gossip); at most [limit] rows are emitted (default: unlimited). *)
-
-val pp_kind : Format.formatter -> kind -> unit
+    as gossip); at most [limit] rows are emitted (default: unlimited).
+    Rows follow recording order. *)
