@@ -39,6 +39,13 @@ let test_shop_floor_diagram_capture () =
   | Some d -> check_bool "diagram non-empty" true (String.length d > 100)
   | None -> Alcotest.fail "expected a diagram"
 
+let test_shop_floor_capture_changes_nothing_else () =
+  let plain = Shop_floor.run Shop_floor.default_config in
+  let captured = Shop_floor.run ~capture_diagram:true Shop_floor.default_config in
+  check_bool "diagram captured" true (Option.is_some captured.Shop_floor.diagram);
+  check_bool "same result but the diagram" true
+    ({ captured with Shop_floor.diagram = None } = plain)
+
 (* --- fire alarm (Fig 3) ----------------------------------------------------- *)
 
 let test_fire_alarm_causal () =
@@ -54,6 +61,13 @@ let test_fire_alarm_total_order_does_not_help () =
   let r = Fire_alarm.run config in
   check_bool "total order also anomalous" true (r.Fire_alarm.naive_anomalies > 0);
   check_int "timestamps still right" 0 r.Fire_alarm.timestamped_anomalies
+
+let test_fire_alarm_capture_changes_nothing_else () =
+  let plain = Fire_alarm.run Fire_alarm.default_config in
+  let captured = Fire_alarm.run ~capture_diagram:true Fire_alarm.default_config in
+  check_bool "diagram captured" true (Option.is_some captured.Fire_alarm.diagram);
+  check_bool "same result but the diagram" true
+    ({ captured with Fire_alarm.diagram = None } = plain)
 
 (* --- trading (Fig 4) --------------------------------------------------------- *)
 
@@ -300,6 +314,8 @@ let () =
           Alcotest.test_case "anomaly and fix" `Slow test_shop_floor_anomaly_and_fix;
           Alcotest.test_case "deterministic" `Slow test_shop_floor_deterministic;
           Alcotest.test_case "diagram capture" `Quick test_shop_floor_diagram_capture;
+          Alcotest.test_case "capture changes nothing else" `Slow
+            test_shop_floor_capture_changes_nothing_else;
         ] );
       ( "fire-alarm",
         [
@@ -307,6 +323,8 @@ let () =
             test_fire_alarm_causal;
           Alcotest.test_case "total order does not help" `Slow
             test_fire_alarm_total_order_does_not_help;
+          Alcotest.test_case "capture changes nothing else" `Slow
+            test_fire_alarm_capture_changes_nothing_else;
         ] );
       ( "trading",
         [ Alcotest.test_case "false crossings" `Slow test_trading_false_crossings ] );

@@ -251,6 +251,20 @@ let test_fig2_fig3_diagrams_found () =
   check_bool "fig3 anomaly found" true (contains ~needle:"seed" fig3);
   check_bool "fig3 shows fire" true (contains ~needle:"FIRE" fig3)
 
+(* The MD5 of each figure's rendered event diagram: what the engine, the
+   stacks and the apps record, and how it is drawn. *)
+let test_diagram_renders_pinned () =
+  List.iter
+    (fun (id, expected) ->
+      match List.assoc_opt id E.Registry.diagrams with
+      | Some render ->
+        Alcotest.(check string) id expected
+          (Digest.to_hex (Digest.string (render ())))
+      | None -> Alcotest.failf "no %s diagram" id)
+    [ ("fig1", "26f2a132bf590635e054a5468db2eb4e");
+      ("fig2", "2f8812f196537a720c88e649b0639467");
+      ("fig3", "a13d665520ede775749c4b1846080021") ]
+
 (* --- registry ----------------------------------------------------------------------------- *)
 
 let test_registry_complete () =
@@ -322,6 +336,7 @@ let () =
         [
           Alcotest.test_case "fig1 properties" `Quick test_fig1_properties_hold;
           Alcotest.test_case "fig2/fig3 found" `Slow test_fig2_fig3_diagrams_found;
+          Alcotest.test_case "renders pinned" `Quick test_diagram_renders_pinned;
         ] );
       ( "registry",
         [
