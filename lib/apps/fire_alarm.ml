@@ -42,11 +42,11 @@ let pp_msg ppf r =
 
 let run ?(capture_diagram = false) ?obs ?recorder config =
   let net = Net.create ~latency:config.latency () in
-  let engine =
-    Engine.create ~seed:config.seed ~net
-      ~pp_msg:(Transport.pp_packet (Wire.pp pp_msg)) ()
+  let pp_msg =
+    if capture_diagram then Some (Transport.pp_packet (Wire.pp pp_msg))
+    else None
   in
-  if capture_diagram then Trace.set_enabled (Engine.trace engine) true;
+  let engine = Engine.create ~seed:config.seed ~net ?pp_msg () in
   let clock =
     Rt_clock.create ~accuracy_us:config.clock_accuracy_us
       (Rng.split (Engine.rng engine))
@@ -147,12 +147,10 @@ let run ?(capture_diagram = false) ?obs ?recorder config =
     | Some _ | None -> incr timestamped_anomalies
   done;
   let diagram =
-    if capture_diagram then
-      Some
-        (Trace.render_diagram ~exclude_substrings:[ "gossip"; "ack" ] ~limit:60
-           (Engine.trace engine)
-           ~names:[| "furnace-P"; "observer-Q"; "monitor-R" |])
-    else None
+    Option.map
+      (Trace.render_diagram ~exclude_substrings:[ "gossip"; "ack" ] ~limit:60
+         ~names:[| "furnace-P"; "observer-Q"; "monitor-R" |])
+      (Engine.trace engine)
   in
   { trials = config.trials; naive_anomalies = !naive_anomalies;
     timestamped_anomalies = !timestamped_anomalies; diagram }

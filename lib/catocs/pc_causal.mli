@@ -38,9 +38,6 @@ val create :
 val neighbors : t -> int array
 (** Overlay neighbor ranks, ascending. *)
 
-val overlay_neighbors :
-  Config.pc_overlay -> rank:int -> group_size:int -> int array
-
 val stats : t -> stats
 
 val link_open : t -> peer_rank:int -> bool

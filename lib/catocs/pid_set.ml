@@ -1,3 +1,1 @@
 include Set.Make (Int)
-
-let of_array arr = Array.fold_left (fun acc p -> add p acc) empty arr

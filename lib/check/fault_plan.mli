@@ -52,6 +52,4 @@ val generate : seed:int -> profile -> t
 val with_faults : t -> fault list -> t
 (** Same workload, different fault list — the shrinking primitive. *)
 
-val fault_time : fault -> Sim_time.t
 val pp : Format.formatter -> t -> unit
-val pp_fault : Format.formatter -> fault -> unit

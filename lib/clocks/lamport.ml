@@ -20,4 +20,3 @@ let compare_stamp a b =
   | 0 -> Int.compare a.node b.node
   | c -> c
 
-let pp_stamp ppf s = Format.fprintf ppf "%d.%d" s.time s.node

@@ -23,4 +23,3 @@ val stamp : t -> node:int -> stamp
 (** Tick and produce a total-order stamp. *)
 
 val compare_stamp : stamp -> stamp -> int
-val pp_stamp : Format.formatter -> stamp -> unit

@@ -27,13 +27,11 @@ let fig1_run ?(engine_impl = Engine.Sequential) ?obs ?recorder
     | Engine.Sequential -> false
     | Engine.Parallel _ -> true
   in
-  let engine =
-    if parallel then Engine.create ~impl:engine_impl ~seed:3L ~net ()
-    else
-      Engine.create ~impl:engine_impl ~seed:3L ~net
-        ~pp_msg:(Transport.pp_packet (Wire.pp Format.pp_print_string)) ()
+  let pp_msg =
+    if parallel then None
+    else Some (Transport.pp_packet (Wire.pp Format.pp_print_string))
   in
-  if not parallel then Trace.set_enabled (Engine.trace engine) true;
+  let engine = Engine.create ~impl:engine_impl ~seed:3L ~net ?pp_msg () in
   let stacks =
     Stack.create_group ?obs ~engine
       ~config:
@@ -88,8 +86,11 @@ let fig1_run ?(engine_impl = Engine.Sequential) ?obs ?recorder
   Engine.at engine (Sim_time.ms 9) (fun () -> multicast q "m4");
   Engine.run ~until:(Sim_time.ms 18) engine;
   { diagram =
-      Trace.render_diagram ~exclude_substrings:[ "gossip"; "ack" ] ~limit:80
-        (Engine.trace engine) ~names:[| "P"; "Q"; "R" |];
+      (match Engine.trace engine with
+       | Some trace ->
+         Trace.render_diagram ~exclude_substrings:[ "gossip"; "ack" ] ~limit:80
+           trace ~names:[| "P"; "Q"; "R" |]
+       | None -> "");
     deliveries = List.init 3 (fun i -> (i, List.rev deliveries.(i)));
     registry_snapshot =
       Repro_obs.Registry.merge_all

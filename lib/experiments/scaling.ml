@@ -31,9 +31,7 @@ type point = {
 (* the graph peaks need the shared causal graph: rebuild the group manually
    so we hold the shared context *)
 let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
-    ?(gauge_period = Sim_time.ms 10)
-    ?(processing_time = Sim_time.zero)
-    ?(duration = Sim_time.seconds 1) ?(send_period = Sim_time.ms 10)
+    ?(processing_time = Sim_time.zero) ?(duration = Sim_time.seconds 1)
     ?gossip_period
     ?(causal_impl = Config.Vector_causal)
     ?(stability_clock = Config.Dense_clock)
@@ -103,7 +101,7 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     match obs with
     | None -> Fun.id
     | Some _ ->
-      Engine.every engine ~period:gauge_period (fun () ->
+      Engine.every engine ~period:(Sim_time.ms 10) (fun () ->
           Array.iter Stack.record_gauges stacks)
   in
   Array.iteri
@@ -111,7 +109,7 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
       let cancel =
         Engine.every engine ~owner:(Stack.self stack)
           ~start:(Sim_time.us (1_000 + (i * 137)))
-          ~period:send_period
+          ~period:(Sim_time.ms 10)
           (fun () -> Stack.multicast stack i)
       in
       Engine.at engine duration cancel)
@@ -183,11 +181,11 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
 
 let sweep ?(sizes = [ 4; 8; 16; 32; 48 ]) ?(seed = 11L) ?engine_impl
     ?processing_time
-    ?duration ?send_period ?gossip_period ?causal_impl ?stability_clock ?pc_overlay ?track_graph
+    ?duration ?gossip_period ?causal_impl ?stability_clock ?pc_overlay ?track_graph
     ?metrics ?wire_format () =
   List.map
     (fun n ->
-      measure_with_graph ?engine_impl ?processing_time ?duration ?send_period
+      measure_with_graph ?engine_impl ?processing_time ?duration
         ?gossip_period ?causal_impl ?stability_clock ?pc_overlay ?track_graph
         ?metrics ?wire_format ~seed n)
     sizes

@@ -8,8 +8,6 @@
     empty payload allows every rule. Committed exceptions belong in the
     baseline instead. *)
 
-val allow_attr_name : string
-
 val scan :
   ?exempt_determinism:bool -> ?parallel_scope:bool -> Src.t -> Rule.t list
 (** All per-file findings, in {!Rule.compare} order. [exempt_determinism]

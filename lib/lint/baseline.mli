@@ -10,7 +10,6 @@ type entry = { rule : string; source : string; symbol : string }
 type t = entry list
 
 val empty : t
-val entry_key : entry -> string
 val of_findings : Rule.t list -> t
 
 val to_json : t -> Repro_analyze.Json.t

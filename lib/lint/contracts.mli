@@ -12,10 +12,4 @@
       [test/test_check.ml]), scaling ([lib/experiments/] +
       [test/test_experiments.ml]) and bench ([bench/]). *)
 
-val config_path : string
-val dispatch_types : string list
-
-val dispatch_variants : Src.t -> (string * string) list
-(** [(type_name, constructor)] pairs declared in the config unit. *)
-
 val check : Src.t list -> Rule.t list

@@ -21,8 +21,7 @@ type result = {
   stale : Baseline.entry list;
 }
 
-let scan ?(baseline = Baseline.empty) ?(roots = default_roots)
-    ?(contracts = true) ~repo_root () =
+let scan ?(baseline = Baseline.empty) ?(roots = default_roots) ~repo_root () =
   let root_units =
     List.concat_map (fun root -> Src.load_tree ~repo_root root) roots
   in
@@ -34,21 +33,17 @@ let scan ?(baseline = Baseline.empty) ?(roots = default_roots)
       root_units
   in
   let contract_findings =
-    if not contracts then []
-    else begin
-      (* the cross-checks need the whole contract surface, whatever the
-         per-file roots were: lib + bin for definitions and dispatch sites,
-         test for convictions, bench for the bench family *)
-      let tree rel = Src.load_tree ~repo_root rel in
-      let loaded = root_units in
-      let extra rel =
-        List.filter
-          (fun u -> not (List.exists (fun v -> v.Src.path = u.Src.path) loaded))
-          (tree rel)
-      in
-      Contracts.check
-        (loaded @ extra "lib" @ extra "bin" @ extra "test" @ extra "bench")
-    end
+    (* the cross-checks need the whole contract surface, whatever the
+       per-file roots were: lib + bin for definitions and dispatch sites,
+       test for convictions, bench for the bench family *)
+    let extra rel =
+      List.filter
+        (fun u ->
+          not (List.exists (fun v -> v.Src.path = u.Src.path) root_units))
+        (Src.load_tree ~repo_root rel)
+    in
+    Contracts.check
+      (root_units @ extra "lib" @ extra "bin" @ extra "test" @ extra "bench")
   in
   let all = List.sort Rule.compare (per_file @ contract_findings) in
   let applied = Baseline.apply baseline all in

@@ -17,13 +17,11 @@ type result = {
 val scan :
   ?baseline:Baseline.t ->
   ?roots:string list ->
-  ?contracts:bool ->
   repo_root:string ->
   unit ->
   result
-(** [contracts] (default true) runs the repo-level
-    cross-checks; they always load lib/, bin/, test/ and bench/ regardless
-    of [roots]. *)
+(** The repo-level cross-checks always load lib/, bin/, test/ and bench/
+    regardless of [roots]. *)
 
 val worst : result -> Repro_analyze.Finding.severity option
 val report_json : result -> Repro_analyze.Json.t

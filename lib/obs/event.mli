@@ -5,8 +5,7 @@
     stable), a view-change flush starting or ending, a transport
     retransmission, or a periodic gauge sample. Records are what {!Log}
     stores and what the {!Span} assembler and the {!Export} writers consume;
-    the detectors in [lib/analyze] ingest them directly ([Exec.of_log])
-    instead of string-parsing [Sim.Trace] labels. *)
+    the detectors in [lib/analyze] ingest them directly ([Exec.of_log]). *)
 
 (** Which part of the stack emitted the event. *)
 type layer = Transport | Ordering | Stability | View | App

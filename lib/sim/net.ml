@@ -4,7 +4,7 @@ type latency =
   | Exponential of { mean_us : float; floor : Sim_time.t }
 
 type t = {
-  mutable latency : latency;
+  latency : latency;
   mutable drop_probability : float;
   mutable duplicate_probability : float;
   detection_delay : Sim_time.t;
@@ -13,9 +13,9 @@ type t = {
 }
 
 let create ?(latency = Uniform (Sim_time.ms 1, Sim_time.ms 5))
-    ?(drop_probability = 0.0) ?(duplicate_probability = 0.0)
-    ?(detection_delay = Sim_time.ms 50) ?(processing_time = Sim_time.zero) () =
-  { latency; drop_probability; duplicate_probability; detection_delay;
+    ?(drop_probability = 0.0) ?(detection_delay = Sim_time.ms 50)
+    ?(processing_time = Sim_time.zero) () =
+  { latency; drop_probability; duplicate_probability = 0.0; detection_delay;
     processing_time; blocked_pairs = [] }
 
 let sample_delay t rng =
@@ -42,7 +42,6 @@ let min_latency t =
 let detection_delay t = t.detection_delay
 let processing_time t = t.processing_time
 
-let set_latency t latency = t.latency <- latency
 let set_drop_probability t p = t.drop_probability <- p
 let set_duplicate_probability t p = t.duplicate_probability <- p
 

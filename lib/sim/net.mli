@@ -16,7 +16,6 @@ type t
 val create :
   ?latency:latency ->
   ?drop_probability:float ->
-  ?duplicate_probability:float ->
   ?detection_delay:Sim_time.t ->
   ?processing_time:Sim_time.t ->
   unit ->
@@ -37,15 +36,13 @@ val min_latency : t -> Sim_time.t
 (** Tight lower bound on {!sample_delay}: no sampled delay is ever smaller.
     The parallel engine uses it as conservative lookahead — events less than
     [min_latency] apart on different processes cannot affect each other — so
-    it must be positive for parallel runs. Re-checked at each [Engine.run],
-    so [set_latency] between runs is safe; changing latency mid-run is not. *)
+    it must be positive for parallel runs (checked at each [Engine.run]). *)
 
 val drops : t -> Rng.t -> bool
 val duplicates : t -> Rng.t -> bool
 val detection_delay : t -> Sim_time.t
 val processing_time : t -> Sim_time.t
 
-val set_latency : t -> latency -> unit
 val set_drop_probability : t -> float -> unit
 val set_duplicate_probability : t -> float -> unit
 

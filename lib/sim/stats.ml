@@ -125,41 +125,3 @@ module Summary = struct
         t.count (mean t) (stddev t) (min t) (percentile t 0.5)
         (percentile t 0.99) (max t)
 end
-
-module Counter = struct
-  type t = (string, int ref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-
-  let add t key n =
-    match Hashtbl.find_opt t key with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.add t key (ref n)
-
-  let incr t key = add t key 1
-
-  let get t key =
-    match Hashtbl.find_opt t key with Some r -> !r | None -> 0
-
-  let to_list t =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end
-
-module Histogram = struct
-  type t = { bucket_width : float; counts : (int, int ref) Hashtbl.t }
-
-  let create ~bucket_width = { bucket_width; counts = Hashtbl.create 16 }
-
-  let add t x =
-    let bucket = int_of_float (Float.floor (x /. t.bucket_width)) in
-    match Hashtbl.find_opt t.counts bucket with
-    | Some r -> incr r
-    | None -> Hashtbl.add t.counts bucket (ref 1)
-
-  let buckets t =
-    Hashtbl.fold
-      (fun b r acc -> (float_of_int b *. t.bucket_width, !r) :: acc)
-      t.counts []
-    |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
-end

@@ -1,5 +1,5 @@
-(** Online statistics used by every experiment: counters, summaries
-    (mean/variance/min/max/percentiles) and fixed-width histograms. *)
+(** Online summary statistics used by every experiment:
+    mean/variance/min/max/percentiles. *)
 
 module Summary : sig
   type t
@@ -41,24 +41,4 @@ module Summary : sig
       sizes. [other] is not modified. *)
 
   val pp : Format.formatter -> t -> unit
-end
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-  val get : t -> string -> int
-  val to_list : t -> (string * int) list
-  (** Sorted by key for deterministic output. *)
-end
-
-module Histogram : sig
-  type t
-
-  val create : bucket_width:float -> t
-  val add : t -> float -> unit
-  val buckets : t -> (float * int) list
-  (** [(lower_bound, count)] pairs, sorted, empty buckets omitted. *)
 end

@@ -13,28 +13,22 @@ type entry = {
 type t = {
   mutable store : entry array;
   mutable len : int;
-  mutable enabled : bool;
 }
 
 let dummy = { time = Sim_time.zero; pid = -1; kind = Mark; label = "" }
 
-let create () = { store = [||]; len = 0; enabled = false }
-
-let enabled t = t.enabled
-let set_enabled t flag = t.enabled <- flag
+let create () = { store = [||]; len = 0 }
 
 let record t time ~pid kind label =
-  if t.enabled then begin
-    let capacity = Array.length t.store in
-    if t.len = capacity then begin
-      let capacity' = if capacity = 0 then 64 else capacity * 2 in
-      let store' = Array.make capacity' dummy in
-      Array.blit t.store 0 store' 0 t.len;
-      t.store <- store'
-    end;
-    t.store.(t.len) <- { time; pid; kind; label };
-    t.len <- t.len + 1
-  end
+  let capacity = Array.length t.store in
+  if t.len = capacity then begin
+    let capacity' = if capacity = 0 then 64 else capacity * 2 in
+    let store' = Array.make capacity' dummy in
+    Array.blit t.store 0 store' 0 t.len;
+    t.store <- store'
+  end;
+  t.store.(t.len) <- { time; pid; kind; label };
+  t.len <- t.len + 1
 
 let kind_name = function
   | Send -> "send"
@@ -50,8 +44,9 @@ let contains ~needle haystack =
   let rec scan i = i + m <= n && (String.sub haystack i m = needle || scan (i + 1)) in
   scan 0
 
-let render_diagram ?(column_width = 24) ?(exclude_substrings = [])
-    ?(limit = max_int) t ~names =
+let column_width = 24
+
+let render_diagram ?(exclude_substrings = []) ?(limit = max_int) t ~names =
   let columns = Array.length names in
   let buffer = Buffer.create 1024 in
   let pad s width =

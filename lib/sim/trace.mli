@@ -10,21 +10,16 @@ type t
 
 val create : unit -> t
 
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-(** Tracing is off by default; scaling experiments keep it off to avoid
-    accumulating millions of entries. *)
-
 val record : t -> Sim_time.t -> pid:int -> kind -> string -> unit
 
 val render_diagram :
-  ?column_width:int ->
   ?exclude_substrings:string list ->
   ?limit:int ->
   t ->
   names:string array ->
   string
-(** Render an event diagram with one column per process (indexed by pid).
+(** Render an event diagram with one 24-character column per process
+    (indexed by pid).
     Entries whose pid is outside [names] are dropped; entries whose label
     contains one of [exclude_substrings] are filtered (protocol noise such
     as gossip); at most [limit] rows are emitted (default: unlimited).

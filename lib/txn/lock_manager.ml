@@ -131,9 +131,3 @@ let release_all t txid =
       if had || s.queue <> [] then grant_from_queue s granted)
     t.locks;
   List.rev !granted
-
-let locked_keys t =
-  Hashtbl.fold
-    (fun key s acc -> if s.holders <> [] then key :: acc else acc)
-    t.locks []
-  |> List.sort String.compare

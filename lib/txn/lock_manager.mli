@@ -34,4 +34,3 @@ val waiting : t -> txid -> bool
 val wait_for : t -> Wait_for_graph.t
 (** Snapshot of the current wait-for relation. *)
 
-val locked_keys : t -> string list
