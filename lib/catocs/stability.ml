@@ -177,5 +177,3 @@ let unstable t =
 
 let unstable_count t = t.count
 let unstable_bytes t = t.bytes
-
-let matrix t = t.matrix

@@ -78,5 +78,3 @@ val unstable : 'a t -> 'a Wire.data list
 
 val unstable_count : 'a t -> int
 val unstable_bytes : 'a t -> int
-
-val matrix : 'a t -> Group_clock.t

@@ -88,7 +88,6 @@ val create :
 
 val create_group :
   ?obs:Repro_obs.Log.t ->
-  ?payload_codec:'a Wire_codec.payload_codec ->
   engine:'a Wire.t Transport.packet Engine.t ->
   config:Config.t ->
   names:string list ->

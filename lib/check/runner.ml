@@ -339,10 +339,9 @@ let exec_of_plan ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed
   in
   (Oracle.to_exec oracle ~ordering ~label, verdict)
 
-let exec_of_seed ?(profile = Fault_plan.default_profile) ?engine_impl
-    ?causal_impl ?stability_clock ~ordering ~seed () =
-  exec_of_plan ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed
-    (Fault_plan.generate ~seed profile)
+let exec_of_seed ?causal_impl ~ordering ~seed () =
+  exec_of_plan ?causal_impl ~ordering ~seed
+    (Fault_plan.generate ~seed Fault_plan.default_profile)
 
 let member_metrics ~ordering ~seed () =
   let plan = Fault_plan.generate ~seed Fault_plan.default_profile in

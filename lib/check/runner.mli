@@ -98,15 +98,13 @@ val exec_of_plan :
     (unshrunk). *)
 
 val exec_of_seed :
-  ?profile:Fault_plan.profile ->
-  ?engine_impl:Engine.impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
-  ?stability_clock:Repro_catocs.Config.stability_clock ->
   ordering:Repro_catocs.Config.ordering ->
   seed:int ->
   unit ->
   Repro_analyze.Exec.t * verdict
-(** [exec_of_plan] on the seed's generated fault plan. *)
+(** [exec_of_plan] on the seed's fault plan under
+    {!Fault_plan.default_profile}. *)
 
 val member_metrics :
   ordering:Repro_catocs.Config.ordering ->

@@ -11,10 +11,6 @@ let create ?(impl = Dense) n =
   | Dense -> Dense_c (Matrix_clock.create n)
   | Sparse -> Sparse_c (Sparse_matrix_clock.create n)
 
-let size = function
-  | Dense_c m -> Matrix_clock.size m
-  | Sparse_c m -> Sparse_matrix_clock.size m
-
 (* The dense implementation copies every merged component into its own
    row storage, so [live] vectors need no special handling there. *)
 let update_row ?live t i vc =
@@ -52,12 +48,3 @@ let stable t ~sender ~seq =
   match t with
   | Dense_c m -> Matrix_clock.stable m ~sender ~seq
   | Sparse_c m -> Sparse_matrix_clock.stable m ~sender ~seq
-
-let row_get t i s =
-  match t with
-  | Dense_c m -> Vector_clock.get (Matrix_clock.row m i) s
-  | Sparse_c m -> Sparse_matrix_clock.row_get m i s
-
-let pp ppf = function
-  | Dense_c m -> Matrix_clock.pp ppf m
-  | Sparse_c m -> Sparse_matrix_clock.pp ppf m

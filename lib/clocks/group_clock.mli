@@ -11,8 +11,6 @@ type t
 val create : ?impl:impl -> int -> t
 (** [impl] defaults to [Dense]. *)
 
-val size : t -> int
-
 val update_row : ?live:bool -> t -> int -> Vector_clock.t -> unit
 (** Merge new knowledge about a member's vector clock. Pass [~live:true]
     when [vc] is caller-owned mutable storage (e.g. the caller's running
@@ -38,8 +36,3 @@ val min_component : t -> int -> int
 (** O(1) cached per-column minimum (see {!Matrix_clock.min_component}). *)
 
 val stable : t -> sender:int -> seq:int -> bool
-
-val row_get : t -> int -> int -> int
-(** Component [s] of row [i]. *)
-
-val pp : Format.formatter -> t -> unit

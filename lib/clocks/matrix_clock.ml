@@ -14,8 +14,6 @@ let create n =
     mins = Array.make n 0;
     at_min = Array.make n n }
 
-let size t = Array.length t.rows
-
 let row t i = t.rows.(i)
 
 let rescan_column t s =
@@ -77,8 +75,3 @@ let update_cell t i s ~seq = update_cell_tracked t i s ~seq ~advanced:(fun _ -> 
 let min_component t s = t.mins.(s)
 
 let stable t ~sender ~seq = t.mins.(sender) >= seq
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list Vector_clock.pp)
-    (Array.to_list t.rows)

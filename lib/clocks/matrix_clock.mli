@@ -16,7 +16,6 @@
 type t
 
 val create : int -> t
-val size : t -> int
 
 val row : t -> int -> Vector_clock.t
 (** The live row (not a copy). Read-only for callers: mutating it directly
@@ -48,5 +47,3 @@ val min_component : t -> int -> int
     O(1) — reads the maintained cache. *)
 
 val stable : t -> sender:int -> seq:int -> bool
-
-val pp : Format.formatter -> t -> unit

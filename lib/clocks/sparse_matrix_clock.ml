@@ -224,8 +224,3 @@ let min_component t s =
   else t.mins.(s)
 
 let stable t ~sender ~seq = min_component t sender >= seq
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list Vector_clock.pp)
-    (List.init (size t) (row_snapshot t))

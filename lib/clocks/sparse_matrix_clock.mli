@@ -20,7 +20,6 @@
 type t
 
 val create : int -> t
-val size : t -> int
 
 val update_row : ?live:bool -> t -> int -> Vector_clock.t -> unit
 (** Merge new knowledge about a member's vector clock. [live] (default
@@ -80,5 +79,3 @@ val chaos_overstate_minima : bool ref
     {e maximum} and every component increase fires [advanced] — stability
     then releases messages not all members have seen, a corruption the
     checker must convict (see [test/test_check.ml]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -24,5 +24,4 @@ type point = {
 
 val sweep : ?group_size:int -> ?trials:int -> ?seed:int64 -> unit -> point list
 
-val table : point list -> Table.t
 val run : unit -> Table.t

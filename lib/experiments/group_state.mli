@@ -22,5 +22,4 @@ type point = {
 
 val sweep : ?readers:int -> ?inquiries:int list -> ?seed:int64 -> unit -> point list
 
-val table : point list -> Table.t
 val run : unit -> Table.t

@@ -19,5 +19,4 @@ type point = {
 
 val sweep : ?sizes:int list -> ?seed:int64 -> unit -> point list
 
-val table : point list -> Table.t
 val run : unit -> Table.t

@@ -31,5 +31,4 @@ type point = {
 
 val sweep : ?senders:int -> ?partitions:int -> ?seed:int64 -> unit -> point list
 
-val table : point list -> Table.t
 val run : unit -> Table.t

@@ -20,7 +20,4 @@ val load : repo_root:string -> string -> t
 val line : t -> int -> string
 (** The trimmed 1-based source line, or [""] out of range. *)
 
-val walk : repo_root:string -> string -> string list
-(** Every [.ml] under the directory, sorted, as repo-root-relative paths. *)
-
 val load_tree : repo_root:string -> string -> t list

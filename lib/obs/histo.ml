@@ -40,7 +40,6 @@ let add t v =
 
 let count t = t.count
 let sum t = t.sum
-let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
 let min t = if t.count = 0 then nan else t.min_v
 let max t = if t.count = 0 then nan else t.max_v
 

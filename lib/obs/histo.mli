@@ -22,8 +22,6 @@ val add : t -> float -> unit
 
 val count : t -> int
 val sum : t -> float
-val mean : t -> float
-(** [nan] when empty, like [Stats.Summary.mean]. *)
 
 val min : t -> float
 val max : t -> float

@@ -100,9 +100,3 @@ let fold t ~init ~f =
   let acc = ref init in
   iter t (fun r -> acc := f !acc r);
   !acc
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) dummy;
-  t.start <- 0;
-  t.len <- 0;
-  t.dropped <- 0

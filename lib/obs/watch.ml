@@ -10,11 +10,6 @@
 
 type severity = Info | Warning | Error
 
-let severity_name = function
-  | Info -> "info"
-  | Warning -> "warning"
-  | Error -> "error"
-
 type finding = {
   rule : string;
   severity : severity;
@@ -32,10 +27,6 @@ type config = {
   outlier_factor : float;  (* p999 > factor * p50 is an ordering outlier *)
   outlier_floor_us : float;  (* ...and above this absolute floor *)
   outlier_min_samples : int;
-  duplicate_rate : float;
-      (* duplicate copies / primary copies above this warns; [infinity]
-         (the default) only reports the rate as an info finding, since PC
-         full-mesh forwarding is *designed* to flood duplicates *)
 }
 
 let default =
@@ -44,8 +35,7 @@ let default =
     growth_min_value = 64;
     outlier_factor = 100.0;
     outlier_floor_us = 10_000.0;
-    outlier_min_samples = 100;
-    duplicate_rate = infinity }
+    outlier_min_samples = 100 }
 
 (* --- stability-stall ----------------------------------------------------- *)
 
@@ -218,7 +208,9 @@ let copy_conservation log snapshot =
               (List.length broken);
           evidence = broken } ]
 
-let duplicate_copy_rate cfg log =
+(* reported as info only: PC full-mesh forwarding is designed to flood
+   duplicates *)
+let duplicate_copy_rate log =
   (* copies beyond the first to reach each (uid, dst) are duplicates *)
   let primary = ref 0 and duplicate = ref 0 in
   let reached : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -238,28 +230,24 @@ let duplicate_copy_rate cfg log =
   if !primary = 0 then []
   else
     let rate = float_of_int !duplicate /. float_of_int !primary in
-    let severity = if rate > cfg.duplicate_rate then Warning else Info in
     if !duplicate = 0 then []
     else
       [ { rule = "duplicate-copy-rate";
-          severity;
+          severity = Info;
           summary =
             Printf.sprintf
               "%d duplicate cop%s on top of %d primary cop%s (rate %.2f) — \
-               redundant dissemination traffic%s"
+               redundant dissemination traffic"
               !duplicate
               (if !duplicate = 1 then "y" else "ies")
               !primary
               (if !primary = 1 then "y" else "ies")
-              rate
-              (if rate > cfg.duplicate_rate then
-                 Printf.sprintf " above the %.2f threshold" cfg.duplicate_rate
-               else "");
+              rate;
           evidence = [] } ]
 
-let run ?(config = default) ?snapshot log =
-  stability_stall config log
-  @ buffer_growth config log
-  @ ordering_outlier config log
+let run ?snapshot log =
+  stability_stall default log
+  @ buffer_growth default log
+  @ ordering_outlier default log
   @ copy_conservation log snapshot
-  @ duplicate_copy_rate config log
+  @ duplicate_copy_rate log

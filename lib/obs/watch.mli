@@ -10,15 +10,13 @@
       p50 — a few messages blocked far behind the rest.
     - {b copy-conservation} / {b duplicate-copy-rate}: registry counters
       must agree exactly with the hop records in the log; duplicate
-      dissemination copies are reported, and warn above a configurable
-      rate.
+      dissemination copies are reported (as info: PC full-mesh
+      forwarding floods duplicates by design).
 
     Findings are plain records; [bin/analyze_cli watch] converts them into
     analyzer JSON so CI can [--fail-on] them. *)
 
 type severity = Info | Warning | Error
-
-val severity_name : severity -> string
 
 type finding = {
   rule : string;
@@ -27,23 +25,8 @@ type finding = {
   evidence : string list;
 }
 
-type config = {
-  stall_after_us : int;
-  growth_window : int;
-  growth_min_value : int;
-  outlier_factor : float;
-  outlier_floor_us : float;
-  outlier_min_samples : int;
-  duplicate_rate : float;
-}
-
-val default : config
-(** 100ms stall, 8-tick growth window ending >= 64 msgs, p999 > 100x p50
-    and > 10ms, duplicate-rate threshold [infinity] (report-only — PC
-    full-mesh forwarding floods duplicates by design). *)
-
-val run :
-  ?config:config -> ?snapshot:Registry.snapshot -> Log.t -> finding list
-(** Evaluate every rule; findings come back in rule order. The
-    copy-conservation rule is skipped without a [snapshot] or when the log
-    ring dropped records. *)
+val run : ?snapshot:Registry.snapshot -> Log.t -> finding list
+(** Evaluate every rule (100 ms stall, 8 rising ticks ending at >= 64
+    messages, p999 > 100x p50 and > 10 ms); findings come back in rule
+    order. The copy-conservation rule is skipped without a [snapshot] or
+    when the log ring dropped records. *)

@@ -69,5 +69,4 @@ module Subscriber = struct
     | None -> None
 
   let parked t = Dep_cache.parked_count t.cache
-  let out_of_order t = Dep_cache.out_of_order_arrivals t.cache
 end

@@ -54,5 +54,4 @@ module Subscriber : sig
   (** Newest value even if still dependency-incomplete. *)
 
   val parked : t -> int
-  val out_of_order : t -> int
 end

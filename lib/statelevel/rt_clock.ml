@@ -20,8 +20,6 @@ let read t ~pid ~now =
   let v = Sim_time.add now (skew_of t ~pid) in
   if Sim_time.compare v Sim_time.zero < 0 then Sim_time.zero else v
 
-let accuracy_us t = t.accuracy_us
-
 module Stamped = struct
   type 'a v = { stamp : Sim_time.t; origin : int; v : 'a }
 

@@ -18,16 +18,12 @@ val read : t -> pid:int -> now:Sim_time.t -> Sim_time.t
     per pid. *)
 
 val skew_of : t -> pid:int -> int
-val accuracy_us : t -> int
 
 (** Timestamped values with freshest-wins merge — the "sufficient
     consistency" recipe for monitoring. *)
 module Stamped : sig
   type 'a v = { stamp : Sim_time.t; origin : int; v : 'a }
 
-  val compare : 'a v -> 'a v -> int
-  (** Temporal order; origin id breaks exact ties, yielding a total order. *)
-
   val merge : 'a v option -> 'a v -> 'a v
-  (** Keep the fresher of the two. *)
+  (** Keep the fresher of the two; origin id breaks exact ties. *)
 end

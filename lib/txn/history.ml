@@ -18,7 +18,6 @@ let record t ~client ~op ~invoked_at ~completed_at =
     invalid_arg "History.record: completion precedes invocation";
   t.log <- { client; op; invoked_at; completed_at } :: t.log
 
-let events t = List.rev t.log
 let length t = List.length t.log
 
 let key_of event =

@@ -28,7 +28,6 @@ val record :
   t -> client:int -> op:op -> invoked_at:Sim_time.t -> completed_at:Sim_time.t -> unit
 (** Completion must not precede invocation. *)
 
-val events : t -> event list
 val length : t -> int
 
 val linearizable : t -> bool

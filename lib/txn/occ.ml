@@ -25,8 +25,6 @@ let begin_tx t =
   t.next_txid <- id + 1;
   { id; start_stamp = t.clock; reads = []; writes = [] }
 
-let txid tx = tx.id
-
 let read t tx ~key =
   if not (List.mem key tx.reads) then tx.reads <- key :: tx.reads;
   match List.assoc_opt key tx.writes with

@@ -16,7 +16,6 @@ type 'v tx
 val create : unit -> 'v t
 
 val begin_tx : 'v t -> 'v tx
-val txid : 'v tx -> txid
 
 val read : 'v t -> 'v tx -> key:string -> 'v option
 (** Own uncommitted writes are visible. *)

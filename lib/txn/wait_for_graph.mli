@@ -25,8 +25,6 @@ val edges : t -> (node * node) list
 
 val edge_count : t -> int
 
-val successors : t -> node -> node list
-
 val find_cycle : t -> node list option
 (** Some cycle as a node list (each waits for the next, last waits for the
     first), or [None]. Deterministic: the discovered cycle depends only on

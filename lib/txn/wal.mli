@@ -19,13 +19,11 @@ type 'v t
 val create : unit -> 'v t
 
 val append : 'v t -> 'v record -> unit
-val records : 'v t -> 'v record list
 val length : 'v t -> int
 
 val replay : 'v t -> 'v Kv_store.t
 (** Committed transactions' writes, applied in log order. *)
 
-val committed : 'v t -> txid -> bool
 val truncate : 'v t -> keep:int -> unit
 (** Crash-injection helper: lose the tail of the log (models an unsynced
     buffer), keeping the first [keep] records. *)
