@@ -140,8 +140,7 @@ module Recorder = struct
     let entry =
       { ext_id; ext_pid = pid; ext_at = at; ext_label = label; ext_pseq = next_pseq p }
     in
-    t.externals_rev <- entry :: t.externals_rev;
-    Ext_ev ext_id
+    t.externals_rev <- entry :: t.externals_rev
 
   let note_channel t ~src ~dst ~label =
     t.channels_rev <- { ch_src = src; ch_dst = dst; ch_label = label } :: t.channels_rev
