@@ -127,15 +127,13 @@ let release_dirty t ~now =
         done)
       dirty
 
-let observe_vc t ~rank ~now vc =
-  Group_clock.update_row_tracked t.matrix rank vc
-    ~advanced:t.advanced;
-  release_dirty t ~now
-
-(* our own running clock is mutable — never adopted by reference *)
-let self_observe t ~rank ~now vc =
-  Group_clock.update_row_tracked ~live:true t.matrix rank vc
-    ~advanced:t.advanced;
+(* two calls with constant flags: passing [live] itself to the optional
+   argument would box a [Some] on every gossip *)
+let observe_vc t ~live ~rank ~now vc =
+  if live then
+    Group_clock.update_row_tracked ~live:true t.matrix rank vc
+      ~advanced:t.advanced
+  else Group_clock.update_row_tracked t.matrix rank vc ~advanced:t.advanced;
   release_dirty t ~now
 
 (* The caller's clock advanced only at [col] since its last observation:
@@ -177,3 +175,4 @@ let unstable t =
 
 let unstable_count t = t.count
 let unstable_bytes t = t.bytes
+let matrix t = t.matrix

@@ -57,24 +57,30 @@ val note_delivered_diag : 'a t -> 'a Wire.data -> unit
     instead of an O(group) row merge. Behavior is identical to
     {!note_sent_or_delivered} on such messages. *)
 
-val observe_vc : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
-(** Merge a member's reported vector clock and release newly stable
+val observe_vc :
+  'a t -> live:bool -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
+(** Merge member [rank]'s reported vector clock and release newly stable
     messages; each release records its send-to-stability lag ([now] minus
-    the message's send time) into [Metrics.stability_lag_us]. *)
-
-val self_observe : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
-(** Update our own row (rank = self). *)
+    the message's send time) into [Metrics.stability_lag_us]. [live] says
+    whether [vc] changes after the call: our own running clock, or a
+    gossip vector borrowed from the codec's decode target
+    ({!Wire_codec.decode}). A live vector is merged by value; otherwise
+    a sparse matrix clock may adopt it by reference (see
+    {!Group_clock.update_row}). *)
 
 val self_observe_cell :
   'a t -> rank:int -> col:int -> seq:int -> now:Sim_time.t -> unit
-(** {!self_observe} specialised to a clock that advanced only at component
-    [col] (to [seq]) since it was last observed — the per-delivery case,
-    where [causal_deliver] bumps exactly the sender's component. O(1) cell
-    merge plus the usual release pass; identical observable behavior to
-    passing the full clock. *)
+(** [observe_vc ~live:true] specialised to a clock that advanced only at
+    component [col] (to [seq]) since it was last observed — the
+    per-delivery case, where [causal_deliver] bumps exactly the sender's
+    component. O(1) cell merge plus the usual release pass; identical
+    observable behavior to passing the full clock. *)
 
 val unstable : 'a t -> 'a Wire.data list
 (** Current unstable messages, ordered by message id (deterministic). *)
 
 val unstable_count : 'a t -> int
 val unstable_bytes : 'a t -> int
+
+val matrix : 'a t -> Group_clock.t
+(** The tracker's matrix clock (read-only; for probes and tests). *)

@@ -259,6 +259,7 @@ let view t = t.epoch.view
 let metrics t = t.metrics
 let registry t = t.cells.registry
 let unstable_count t = Stability.unstable_count t.epoch.stability
+let stability_clock t = Stability.matrix t.epoch.stability
 let set_callbacks t callbacks = t.callbacks <- callbacks
 
 (* all three summands are maintained counters, so this is safe to call from
@@ -753,12 +754,21 @@ let send_gossip t =
     count_control t (Group.size e.view - 1);
     Repro_obs.Registry.add t.cells.gossip_msgs (Group.size e.view - 1);
     broadcast_proto t proto;
-    Stability.self_observe e.stability ~rank:e.rank ~now:(Engine.now t.engine) e.vc
+    Stability.observe_vc e.stability ~live:true ~rank:e.rank
+      ~now:(Engine.now t.engine) e.vc
 
 let on_gossip t ~view_id ~rank ~vc ~lamport =
   let e = t.epoch in
   if view_id = e.view.Group.view_id then begin
-    Stability.observe_vc e.stability ~rank ~now:(Engine.now t.engine) vc;
+    (* an encoded gossip vector is the codec's decode target, overwritten
+       by the next decode: merge it by value. A structural one is a
+       snapshot shared by every receiver, which a sparse clock adopts. *)
+    let live =
+      match t.config.Config.wire_format with
+      | Config.Encoded -> true
+      | Config.Structural -> false
+    in
+    Stability.observe_vc e.stability ~live ~rank ~now:(Engine.now t.engine) vc;
     ignore (Lamport.observe t.lamport lamport);
     (match t.config.Config.ordering with
      | Config.Total_lamport ->

@@ -127,6 +127,10 @@ val unstable_count : 'a t -> int
 val pending_count : 'a t -> int
 (** Messages currently blocked in ordering queues. *)
 
+val stability_clock : 'a t -> Group_clock.t
+(** The current view's stability matrix clock (read-only; for probes of
+    its row sharing). *)
+
 val pc_stats : 'a t -> Pc_causal.stats option
 (** PC-broadcast operational counters (forwards, duplicates, barrier
     traffic); [None] unless [Config.pc_active]. The PC state is rebuilt on

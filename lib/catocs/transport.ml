@@ -22,7 +22,8 @@ type 'w send_channel = {
 
 type 'w recv_channel = {
   mutable next_expected : int;
-  out_of_order : (int, 'w) Hashtbl.t;
+  out_of_order : (int, 'w packet) Hashtbl.t;
+      (* parked [Seg]/[Enc] packets; a frame is decoded only when delivered *)
 }
 
 type 'w t = {
@@ -173,18 +174,35 @@ let handle_ack t src upto =
   | None -> ()
   | Some ch -> pop_upto ch.window (fun q -> q.seq) upto
 
-let handle_seg t src seq payload =
+let require_framing t =
+  match t.framing with
+  | Some f -> f
+  | None ->
+    (* both link ends are built from the same Config, so an encoded packet
+       can only reach a framed transport *)
+    invalid_arg "Transport: encoded packet on a transport without framing"
+
+(* Hand a packet's payload up. An encoded frame is decoded here, at its
+   in-order delivery and never earlier: a codec may decode into storage it
+   reuses on the next decode, so a decoded value must not wait in the
+   reassembly buffer. *)
+let deliver t ~src = function
+  | Seg { payload; _ } | Raw payload -> t.on_deliver ~src payload
+  | Enc { frame; _ } -> t.on_deliver ~src ((require_framing t).unframe frame)
+  | Ack _ -> ()
+
+let handle_seg t src seq packet =
   let ch = receiver_channel t src in
   if Int.equal seq ch.next_expected && Hashtbl.length ch.out_of_order = 0
   then begin
     (* in-order arrival on an empty reassembly buffer — the common case on
        a mildly-reordering network: deliver without touching the table *)
     ch.next_expected <- seq + 1;
-    t.on_deliver ~src payload
+    deliver t ~src packet
   end
   else begin
     if seq >= ch.next_expected && not (Hashtbl.mem ch.out_of_order seq) then
-      Hashtbl.add ch.out_of_order seq payload;
+      Hashtbl.add ch.out_of_order seq packet;
     (* drain the contiguous prefix *)
     let rec drain () =
       match Hashtbl.find_opt ch.out_of_order ch.next_expected with
@@ -192,7 +210,7 @@ let handle_seg t src seq payload =
       | Some p ->
         Hashtbl.remove ch.out_of_order ch.next_expected;
         ch.next_expected <- ch.next_expected + 1;
-        t.on_deliver ~src p;
+        deliver t ~src p;
         drain ()
     in
     drain ()
@@ -203,25 +221,15 @@ let handle_seg t src seq payload =
   | Config.Reliable _ -> emit t ~dst:src (Ack { upto = ch.next_expected - 1 })
   | Config.Bare | Config.Fifo_order -> ()
 
-let require_framing t =
-  match t.framing with
-  | Some f -> f
-  | None ->
-    (* both link ends are built from the same Config, so an encoded packet
-       can only reach a framed transport *)
-    invalid_arg "Transport: encoded packet on a transport without framing"
-
-let handle_frame t src seq frame =
-  let f = require_framing t in
-  let payload = f.unframe frame in
-  if seq < 0 then t.on_deliver ~src payload else handle_seg t src seq payload
-
 let handle t (env : 'w packet Engine.envelope) =
   match env.payload with
   | Raw payload -> t.on_deliver ~src:env.src payload
-  | Seg { seq; payload } -> handle_seg t env.src seq payload
+  | Seg { seq; _ } -> handle_seg t env.src seq env.payload
   | Ack { upto } -> handle_ack t env.src upto
-  | Enc { seq; frame } -> handle_frame t env.src seq frame
+  | Enc { seq; _ } ->
+    (* [-1]: a Bare link, nothing to reassemble *)
+    if seq < 0 then deliver t ~src:env.src env.payload
+    else handle_seg t env.src seq env.payload
 
 let pp_packet pp_payload ppf = function
   | Seg { seq; payload } -> Format.fprintf ppf "seg#%d(%a)" seq pp_payload payload

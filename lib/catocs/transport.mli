@@ -26,7 +26,10 @@ type 'w framing = { frame : 'w -> string; unframe : string -> 'w }
     on a framed link calls [frame] exactly once and charges that frame's
     length to {!wire_bytes_sent}, so an N-destination fan-out makes N
     calls and charges N frames even when the codec hands back one
-    memoized string for all of them. *)
+    memoized string for all of them. Per-delivery contract: a receiver
+    calls [unframe] only when it hands the frame up, in order; a
+    [Fifo_order] link parks out-of-order frames undecoded. So [unframe]
+    may return values that borrow storage it reuses on its next call. *)
 
 type 'w t
 

@@ -83,10 +83,14 @@ type 'a t = {
   mutable memo : 'a memo;
   body : Buffer.t;  (* scratch: frame body under construction *)
   frame : Buffer.t;  (* scratch: length-prefixed result *)
+  gossip_vcs : (int, Vector_clock.t) Hashtbl.t;
+      (* decode targets of gossip vectors, one per vector size; a decoded
+         [Gossip] borrows its size's target until the next decode *)
 }
 
 let create payload =
-  { payload; memo = Cold; body = Buffer.create 256; frame = Buffer.create 256 }
+  { payload; memo = Cold; body = Buffer.create 256; frame = Buffer.create 256;
+    gossip_vcs = Hashtbl.create 1 }
 
 (* ------------------------------------------------------------------------- *)
 (* Vector timestamps: component count, then each component. *)
@@ -98,13 +102,38 @@ let write_vt buf vt =
     write_uvarint buf (Vector_clock.get vt i)
   done
 
-let read_vt b pos =
+let read_vt_size b pos =
   let n = read_uvarint b pos in
   if n > 1 lsl 24 then raise (Corrupt "implausible vector size");
-  let vt = Vector_clock.create n in
-  for i = 0 to n - 1 do
+  n
+
+let read_components b pos vt =
+  for i = 0 to Vector_clock.size vt - 1 do
     Vector_clock.set vt i (read_uvarint b pos)
-  done;
+  done
+
+let read_vt b pos =
+  let vt = Vector_clock.create (read_vt_size b pos) in
+  read_components b pos vt;
+  vt
+
+(* A gossip vector is read into the codec's reused target of its size: the
+   receiver merges it into its stability matrix before the next decode and
+   keeps no reference, so no per-gossip vector outlives its frame. Every
+   component takes at least one byte, so a size the frame cannot hold is
+   rejected before a target of that size is made and kept. *)
+let read_gossip_vt t b pos =
+  let n = read_vt_size b pos in
+  if n > Bytes.length b - !pos then raise (Corrupt "truncated vector");
+  let vt =
+    match Hashtbl.find t.gossip_vcs n with
+    | vt -> vt
+    | exception Not_found ->
+      let vt = Vector_clock.create n in
+      Hashtbl.add t.gossip_vcs n vt;
+      vt
+  in
+  read_components b pos vt;
   vt
 
 (* ------------------------------------------------------------------------- *)
@@ -187,8 +216,7 @@ let rec read_data t b pos : _ Wire.data =
   let vt =
     match meta with
     | Wire.Pc_meta { origin_seq } ->
-      let n = read_uvarint b pos in
-      if n > 1 lsl 24 then raise (Corrupt "implausible vector size");
+      let n = read_vt_size b pos in
       let vt = Vector_clock.create n in
       if sender_rank < 0 || sender_rank >= n then
         raise (Corrupt "sender rank outside reconstructed stamp");
@@ -293,7 +321,7 @@ let read_proto t b pos : _ Wire.proto =
   | 2 ->
     let view_id = read_varint b pos in
     let rank = read_varint b pos in
-    let vc = read_vt b pos in
+    let vc = read_gossip_vt t b pos in
     let lamport = read_varint b pos in
     Wire.Gossip { view_id; rank; vc; lamport }
   | 3 ->

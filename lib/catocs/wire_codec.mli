@@ -23,9 +23,16 @@
     {!encode} returns that same string for every further copy. The
     contract this rests on: a record or gossip handed to {!encode} is
     never mutated afterwards (multicast stamps are fresh snapshots, gossip
-    clocks are [Vector_clock.copy] snapshots, decoded values are fresh).
-    The memo saves the serialization only: the transport still calls its
-    [frame] hook once per copy and charges every copy's bytes.
+    clocks are [Vector_clock.copy] snapshots, and no decoded value is
+    re-encoded). The memo saves the serialization only: the transport
+    still calls its [frame] hook once per copy and charges every copy's
+    bytes.
+
+    A decoded [Gossip]'s vector is {e borrowed}: it is the codec's reused
+    decode target for vectors of that size, valid until the next {!decode}
+    on the same codec. A receiver merges it by value and keeps no
+    reference, and nothing buffers a decoded value (the transport parks
+    out-of-order frames undecoded). Every other decoded field is fresh.
 
     Decoding is strict: unknown tags, truncated buffers, over-long varints
     (more than nine bytes for a 63-bit int) and trailing garbage all raise
@@ -58,7 +65,8 @@ val encode : 'a t -> 'a Wire.t -> string
 
 val decode : 'a t -> string -> 'a Wire.t
 (** Inverse of {!encode} on exactly one frame; raises {!Corrupt} on any
-    malformed or trailing input. *)
+    malformed or trailing input. A [Gossip] vector in the result is
+    overwritten by the next decode (see above). *)
 
 val data_bytes : 'a t -> 'a Wire.data -> int
 (** Encoded size of one data record (piggyback included) — the real-bytes

@@ -48,3 +48,5 @@ let stable t ~sender ~seq =
   match t with
   | Dense_c m -> Matrix_clock.stable m ~sender ~seq
   | Sparse_c m -> Sparse_matrix_clock.stable m ~sender ~seq
+
+let sparse = function Dense_c _ -> None | Sparse_c m -> Some m

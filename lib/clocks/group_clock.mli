@@ -36,3 +36,7 @@ val min_component : t -> int -> int
 (** O(1) cached per-column minimum (see {!Matrix_clock.min_component}). *)
 
 val stable : t -> sender:int -> seq:int -> bool
+
+val sparse : t -> Sparse_matrix_clock.t option
+(** The sparse representation, for probes of its row interning; [None]
+    when dense. *)

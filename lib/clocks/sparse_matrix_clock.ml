@@ -5,14 +5,16 @@
    The dense representation materialises one n-component vector per row —
    n^2 words per tracker, ~20 GB for a group of 1024 members each holding
    one. But almost every row update merges an immutable timestamp snapshot
-   that already exists on the (simulated) wire: the vector a gossip
-   broadcast carries is one shared array received by all n members, and a
-   BSS data timestamp is one [copy_tick] snapshot shared by every
-   recipient. Successive snapshots of the same process's clock dominate
-   each other (clocks are monotone and FIFO links deliver them in send
-   order), so a row can usually *adopt the snapshot by reference* — row
-   interning — instead of merging component-by-component into private
-   storage.
+   that already exists on the (simulated) wire: under the structural wire
+   format the vector a gossip broadcast carries is one shared array
+   received by all n members, and a BSS data timestamp is one [copy_tick]
+   snapshot shared by every recipient. (Under the encoded format each
+   receiver decodes its own gossip vector into a reused target, so there is
+   no shared snapshot to adopt and the stack merges it as [~live].)
+   Successive snapshots of the same process's clock dominate each other
+   (clocks are monotone and FIFO links deliver them in send order), so a
+   row can usually *adopt the snapshot by reference* — row interning —
+   instead of merging component-by-component into private storage.
 
    A row is therefore:
 
@@ -28,8 +30,9 @@
      sharing). A later dominating snapshot re-adopts and drops the private
      array.
 
-   Updates flagged [~live] (the caller's own mutable clock, as in
-   [Stability.self_observe]) are never adopted by reference — aliasing a
+   Updates flagged [~live] (the caller's own mutable clock, or a gossip
+   vector borrowed from the codec's decode target, as [Stability.observe_vc
+   ~live:true] passes them) are never adopted by reference — aliasing a
    vector that keeps mutating would silently invalidate the cached minima —
    and take the materialised path instead.
 
@@ -124,11 +127,33 @@ let materialize t i =
     t.materialized <- t.materialized + 1
   end
 
+(* Merge into private storage, component-by-component like the dense
+   implementation. *)
+let merge_private t i vc ~advanced =
+  materialize t i;
+  let r = t.rows.(i) in
+  for s = 0 to Vector_clock.size vc - 1 do
+    let fresh = Vector_clock.get vc s in
+    let old = if s = i then r.own else Vector_clock.get r.base s in
+    if fresh > old then begin
+      Vector_clock.set r.base s fresh;
+      if s = i then r.own <- fresh;
+      cache_bump t s ~old ~advanced
+    end
+  done
+
 let update_row_tracked ?(live = false) t i vc ~advanced =
   let n = Array.length t.rows in
   if Vector_clock.size vc <> n then
     invalid_arg "Sparse_matrix_clock.update_row: size mismatch";
   let r = t.rows.(i) in
+  if live && r.owned then
+    (* a live vector is never adopted, and on a private row the no-op and
+       diagonal-only merges below are the private merge too: skip the
+       classification pass. This is every encoded gossip after a row's
+       first. *)
+    merge_private t i vc ~advanced
+  else
   (* one classification pass: what kind of merge is this? *)
   let adv_nondiag = ref false in
   let stale_nondiag = ref false in
@@ -166,20 +191,9 @@ let update_row_tracked ?(live = false) t i vc ~advanced =
       if row_get t i s > old then cache_bump t s ~old ~advanced
     done
   end
-  else begin
-    (* mixture (or a live vector): merge into private storage,
-       component-by-component like the dense implementation *)
-    materialize t i;
-    for s = 0 to n - 1 do
-      let fresh = Vector_clock.get vc s in
-      let old = if s = i then r.own else Vector_clock.get r.base s in
-      if fresh > old then begin
-        Vector_clock.set r.base s fresh;
-        if s = i then r.own <- fresh;
-        cache_bump t s ~old ~advanced
-      end
-    done
-  end
+  else
+    (* a mixture, or a live vector *)
+    merge_private t i vc ~advanced
 
 let update_row ?live t i vc =
   update_row_tracked ?live t i vc ~advanced:(fun _ -> ())

@@ -4,8 +4,8 @@
     O(group{^ 2}).
 
     Rows {e intern} the immutable timestamp snapshots the protocol already
-    allocates (one gossip vector is shared by all its receivers; one BSS
-    data timestamp by all its recipients): a row that is dominated by an
+    allocates (on the structural wire, one gossip vector is shared by all
+    its receivers; one BSS data timestamp by all its recipients): a row that is dominated by an
     incoming snapshot adopts it by reference and stores only an override
     for its own (diagonal) component, so the hot-path update — a data
     message advancing just the sender's sequence — touches one integer. A
@@ -27,8 +27,9 @@ val update_row : ?live:bool -> t -> int -> Vector_clock.t -> unit
     caller's own running clock): the row then never adopts it by reference
     — aliasing storage that keeps changing would invalidate the cached
     minima — and merges into private storage instead. Immutable snapshots
-    (gossip vectors, data timestamps) should be passed without [live] so
-    they can be interned. *)
+    (structural gossip vectors, data timestamps) should be passed without
+    [live] so they can be interned; a decoded gossip vector, which the
+    codec overwrites on its next decode, is live. *)
 
 val update_row_tracked :
   ?live:bool -> t -> int -> Vector_clock.t -> advanced:(int -> unit) -> unit

@@ -75,19 +75,19 @@ let counter t ~layer ~name ?(labels = []) () =
         (c, C c))
       (function C c -> Some c | G _ | H _ -> None)
 
-let gauge t ~layer ~name ?(labels = []) () =
+let gauge t ~layer ~name () =
   if not t.enabled then t.scrap_gauge
   else
-    register t (key ~layer ~name ~labels)
+    register t (key ~layer ~name ~labels:[])
       (fun () ->
         let g = { g = 0 } in
         (g, G g))
       (function G g -> Some g | C _ | H _ -> None)
 
-let histogram t ~layer ~name ?(labels = []) () =
+let histogram t ~layer ~name () =
   if not t.enabled then t.scrap_histo
   else
-    register t (key ~layer ~name ~labels)
+    register t (key ~layer ~name ~labels:[])
       (fun () ->
         let h = Histo.create () in
         (h, H h))

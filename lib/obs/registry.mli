@@ -28,20 +28,17 @@ val null : unit -> t
     owner attached no registry. *)
 
 (** {2 Registration} — idempotent per key; re-registering the same key with
-    a different type raises [Invalid_argument]. Labels are order-insensitive
-    (sorted on registration). *)
+    a different type raises [Invalid_argument]. Only counters take labels
+    (gauges and histograms register with none); labels are
+    order-insensitive (sorted on registration). *)
 
 val counter :
   t -> layer:Event.layer -> name:string -> ?labels:(string * string) list ->
   unit -> counter
 
-val gauge :
-  t -> layer:Event.layer -> name:string -> ?labels:(string * string) list ->
-  unit -> gauge
+val gauge : t -> layer:Event.layer -> name:string -> unit -> gauge
 
-val histogram :
-  t -> layer:Event.layer -> name:string -> ?labels:(string * string) list ->
-  unit -> Histo.t
+val histogram : t -> layer:Event.layer -> name:string -> unit -> Histo.t
 (** The handle is a plain {!Histo.t}; feed it with [Histo.add]. *)
 
 (** {2 Hot-path updates} — one store each. *)

@@ -72,13 +72,8 @@ let release_stable t ~now =
     t.buffer []
   |> List.iter (release t ~now)
 
-let observe_vc t ~rank ~now vc =
-  Group_clock.update_row t.matrix rank vc;
-  release_stable t ~now
-
-(* our own running clock is mutable — never adopted by reference *)
-let self_observe t ~rank ~now vc =
-  Group_clock.update_row ~live:true t.matrix rank vc;
+let observe_vc t ~live ~rank ~now vc =
+  Group_clock.update_row ~live t.matrix rank vc;
   release_stable t ~now
 
 let self_observe_cell t ~rank ~col ~seq ~now =

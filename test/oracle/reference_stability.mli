@@ -24,8 +24,8 @@ val create :
 
 val note_sent_or_delivered : 'a t -> 'a data -> unit
 val note_delivered_diag : 'a t -> 'a data -> unit
-val observe_vc : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
-val self_observe : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
+val observe_vc :
+  'a t -> live:bool -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
 
 val self_observe_cell :
   'a t -> rank:int -> col:int -> seq:int -> now:Sim_time.t -> unit

@@ -8,6 +8,8 @@ module Wire = Repro_catocs.Wire
 module Delivery_queue = Repro_catocs.Delivery_queue
 module Total_order = Repro_catocs.Total_order
 module Transport = Repro_catocs.Transport
+module Wire_codec = Repro_catocs.Wire_codec
+module Endpoint = Repro_catocs.Endpoint
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -285,6 +287,127 @@ let test_stability_lag_metric () =
         true
         (Stats.Summary.min lag >= 500.0))
     w.stacks
+
+(* A sparse-clock PC-broadcast group of [n] members that each multicast a
+   few messages over 200 ms of 5 ms gossip rounds on a reordering network.
+   PC deliveries merge single diagonal cells, so gossip is the only row
+   merge that can adopt a vector. Under [Encoded] every member gets its
+   own endpoint and codec, returned so the caller can reach the codecs'
+   decode targets. *)
+let sparse_clock_run ~wire_format =
+  let n = 5 in
+  let config =
+    { Config.default with
+      Config.wire_format; causal_impl = Config.Pc_causal;
+      transport = Config.Fifo_order; stability_clock = Config.Sparse_clock;
+      gossip_period = Sim_time.ms 5; track_graph = false }
+  in
+  let net = Net.create ~latency:(Net.Uniform (500, 5_000)) () in
+  let engine = Engine.create ~seed:11L ~net () in
+  let pids =
+    List.init n (fun i ->
+        Engine.spawn engine ~name:(Printf.sprintf "p%d" i) (fun _ _ -> ()))
+  in
+  let view = Group.make_view ~view_id:0 pids in
+  let shared = Stack.make_shared config in
+  let members =
+    List.map
+      (fun self ->
+        match wire_format with
+        | Config.Structural ->
+          ( Stack.create ~engine ~shared ~config ~view ~self
+              ~callbacks:Stack.null_callbacks (),
+            None )
+        | Config.Encoded ->
+          let codec = Wire_codec.create Wire_codec.int_payload in
+          let framing =
+            { Transport.frame = Wire_codec.encode codec;
+              unframe = Wire_codec.decode codec }
+          in
+          let endpoint =
+            Endpoint.create ~framing ~engine ~self ~mode:config.Config.transport
+              ()
+          in
+          ( Stack.create ~endpoint ~payload_codec:Wire_codec.int_payload
+              ~engine ~shared ~config ~view ~self
+              ~callbacks:Stack.null_callbacks (),
+            Some codec ))
+      pids
+  in
+  List.iteri
+    (fun i (stack, _) ->
+      for k = 0 to 9 do
+        Engine.at engine (Sim_time.ms ((k * 15) + i)) (fun () ->
+            Stack.multicast stack ((10 * i) + k))
+      done)
+    members;
+  Engine.run ~until:(Sim_time.ms 200) engine;
+  (n, members)
+
+let sparse_of stack =
+  match Group_clock.sparse (Stack.stability_clock stack) with
+  | Some m -> m
+  | None -> Alcotest.fail "expected a sparse stability clock"
+
+(* A gossip vector decoded by [codec] is its reused decode target for
+   vectors of [n] components. *)
+let decode_target codec n =
+  let frame =
+    Wire_codec.encode
+      (Wire_codec.create Wire_codec.int_payload)
+      (Wire.Proto
+         (0, Wire.Gossip
+               { view_id = 0; rank = 0; vc = Vector_clock.create n; lamport = 0 }))
+  in
+  match Wire_codec.decode codec frame with
+  | Wire.Proto (_, Wire.Gossip { vc; _ }) -> vc
+  | Wire.Proto _ | Wire.Direct _ -> Alcotest.fail "expected a gossip frame"
+
+let test_encoded_gossip_not_adopted () =
+  (* an encoded gossip vector is overwritten by the next decode, so no
+     stability row may keep it as its shared base *)
+  let n, members = sparse_clock_run ~wire_format:Config.Encoded in
+  let codecs = List.filter_map snd members in
+  check_int "one codec per member" n (List.length codecs);
+  List.iter
+    (fun c ->
+      check_bool "the codec reuses its target" true
+        (decode_target c n == decode_target c n))
+    codecs;
+  let targets = List.map (fun c -> decode_target c n) codecs in
+  List.iter
+    (fun (stack, _) ->
+      let m = sparse_of stack in
+      for r = 0 to n - 1 do
+        List.iter
+          (fun target ->
+            check_bool
+              (Printf.sprintf "p%d row %d does not alias a decode target"
+                 (Stack.self stack) r)
+              false
+              (Sparse_matrix_clock.row_base_is m r target))
+          targets
+      done)
+    members;
+  (* the run did merge gossip: peer rows left the shared zero base *)
+  check_bool "gossip merged into private rows" true
+    (List.exists
+       (fun (stack, _) ->
+         Sparse_matrix_clock.materialized (sparse_of stack) > 0)
+       members);
+  List.iter
+    (fun (stack, _) -> check_int "drained" 0 (Stack.unstable_count stack))
+    members
+
+let test_structural_gossip_interned () =
+  (* a structural gossip vector is one immutable snapshot shared by every
+     receiver: the sparse clock still adopts it by reference *)
+  let _, members = sparse_clock_run ~wire_format:Config.Structural in
+  check_bool "gossip snapshots interned" true
+    (List.exists
+       (fun (stack, _) ->
+         Sparse_matrix_clock.interned (sparse_of stack) > 0)
+       members)
 
 let test_metrics_header_overhead () =
   let causal = make_world ~n:4 ~ordering:Config.Causal () in
@@ -851,6 +974,50 @@ let test_transport_fifo_reassembly () =
     (List.init 50 (fun i -> i + 1))
     (List.rev !got)
 
+let test_transport_encoded_reassembly () =
+  (* Fifo_order over an encoded link: gossip frames from one sender arrive
+     out of order. A frame is decoded only at its in-order delivery, so each
+     delivered gossip still carries its own vector even though the codec
+     decodes every gossip vector into one reused target. *)
+  let engine = Engine.create ~net:(Net.create ()) () in
+  let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
+  let b = Engine.spawn engine ~name:"b" (fun _ _ -> ()) in
+  let codec = Wire_codec.create Wire_codec.int_payload in
+  let got = ref [] in
+  let tb =
+    Transport.create
+      ~framing:
+        { Transport.frame = Wire_codec.encode codec;
+          unframe = Wire_codec.decode codec }
+      ~engine ~self:b ~mode:Config.Fifo_order
+      ~on_deliver:(fun ~src:_ w ->
+        match w with
+        | Wire.Proto (_, Wire.Gossip { lamport; vc; _ }) ->
+          got := (lamport, Vector_clock.to_list vc) :: !got
+        | Wire.Proto _ | Wire.Direct _ -> Alcotest.fail "expected gossip")
+      ()
+  in
+  let vc_of i = [ i; 10 * i; 100 * i ] in
+  let sender = Wire_codec.create Wire_codec.int_payload in
+  let frame i =
+    Wire_codec.encode sender
+      (Wire.Proto
+         (0, Wire.Gossip
+               { view_id = 0; rank = 0; vc = Vector_clock.of_list (vc_of i);
+                 lamport = i }))
+  in
+  List.iter
+    (fun seq ->
+      Transport.handle tb
+        { Engine.src = a; dst = b; sent_at = Sim_time.zero;
+          recv_at = Sim_time.zero;
+          payload = Transport.Enc { seq; frame = frame seq } })
+    [ 3; 1; 4; 0; 2; 6; 5 ];
+  Alcotest.(check (list (pair int (list int))))
+    "every gossip delivered in order with its own vector"
+    (List.init 7 (fun i -> (i, vc_of i)))
+    (List.rev !got)
+
 (* One Reliable link a -> b (max_retries 100) carrying [sends] payloads.
    The go-back-N schedule is pinned packet for packet: every rto, each
    unacked segment is resent oldest first, so a window that resends the
@@ -1120,7 +1287,7 @@ let note_seq st ~seq ~bytes =
       Wire.payload = bytes }
 
 let release_upto st seq =
-  Repro_catocs.Stability.observe_vc st ~rank:1 ~now:0
+  Repro_catocs.Stability.observe_vc st ~live:false ~rank:1 ~now:0
     (Vector_clock.of_list [ seq; 0 ])
 
 let test_metrics_peak_unstable () =
@@ -1230,6 +1397,10 @@ let () =
           Alcotest.test_case "stability lag sampled" `Quick
             test_stability_lag_metric;
           Alcotest.test_case "header overhead" `Quick test_metrics_header_overhead;
+          Alcotest.test_case "encoded gossip not adopted" `Quick
+            test_encoded_gossip_not_adopted;
+          Alcotest.test_case "structural gossip interned" `Quick
+            test_structural_gossip_interned;
         ] );
       ( "view-change",
         [
@@ -1283,6 +1454,8 @@ let () =
       ( "transport",
         [
           Alcotest.test_case "fifo reassembly" `Quick test_transport_fifo_reassembly;
+          Alcotest.test_case "encoded reassembly decodes in order" `Quick
+            test_transport_encoded_reassembly;
           Alcotest.test_case "retransmits on loss" `Quick
             test_transport_retransmits_on_loss;
           Alcotest.test_case "retransmits under reordering" `Quick

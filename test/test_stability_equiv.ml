@@ -95,8 +95,8 @@ let run_equiv ?(shape = Random_calls) ?clock n ops =
     last_noted := Some data
   in
   let self_observe at =
-    S.self_observe inc ~rank:0 ~now:at dvc.(0);
-    R.self_observe re ~rank:0 ~now:at dvc.(0)
+    S.observe_vc inc ~live:true ~rank:0 ~now:at dvc.(0);
+    R.observe_vc re ~live:true ~rank:0 ~now:at dvc.(0)
   in
   (* what the stack does on every delivery: note, then merge the one clock
      cell the delivery advanced *)
@@ -157,14 +157,15 @@ let run_equiv ?(shape = Random_calls) ?clock n ops =
     | Gossip 0 when shape <> Random_calls -> self_observe (tick ())
     | Gossip m ->
       let at = tick () in
-      (* a gossip message carries its own copy of the peer's clock *)
-      let vc =
+      (* a gossip message carries its own copy of the peer's clock; random
+         calls hand over the running clock itself, which is live *)
+      let vc, live =
         match shape with
-        | Random_calls -> dvc.(m)
-        | Stack_bss | Stack_pc -> Vector_clock.copy dvc.(m)
+        | Random_calls -> (dvc.(m), true)
+        | Stack_bss | Stack_pc -> (Vector_clock.copy dvc.(m), false)
       in
-      S.observe_vc inc ~rank:m ~now:at vc;
-      R.observe_vc re ~rank:m ~now:at vc
+      S.observe_vc inc ~live ~rank:m ~now:at vc;
+      R.observe_vc re ~live ~rank:m ~now:at vc
     | Renote -> (
       match !last_noted with
       | Some data
