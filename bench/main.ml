@@ -737,54 +737,59 @@ let wire_e2e_section ~engine_impl ~smoke =
 
 (* Telemetry overhead at the end-to-end level: the same n=64 scaling run
    with no log, with an attached-but-disabled log (the production default:
-   one load + one branch per would-be event) and with logging enabled. The
-   disabled path is gated at [obs_gate_pct]; each variant's throughput is
-   the best of [runs] repetitions (min-time, the standard way to damp
-   scheduler noise out of a comparison). Timing gates flip on host noise,
-   so the disabled path is also gated by count: its minor words per
-   delivery, which are the same on every run of the seed, may exceed the
-   no-log variant's by at most [obs_alloc_gate_words] (the log's one-off
-   buffer; any per-event allocation adds at least a word per delivery). *)
+   one load + one branch per would-be event), with logging enabled and
+   with the metrics registry on. Every run is its own forked process, so
+   no variant inherits another's heap or GC schedule. The runs come in
+   [obs_pairs] rounds; each round runs the no-log and disabled variants
+   back to back, alternating which goes first, so slow drift in host load
+   lands on both halves of a pair and cancels in its ratio. The disabled
+   path is gated at [obs_gate_pct] on the median over the pairs of the
+   per-pair throughput delta; the other two variants' deltas (against
+   their round's no-log run) are informational. Timing gates flip on host
+   noise, so the disabled path is also gated by count: its minor words
+   per delivery, which are the same on every run of the seed, may exceed
+   the no-log variant's by at most [obs_alloc_gate_words] (the log's
+   one-off buffer; any per-event allocation adds at least a word per
+   delivery). *)
 let obs_gate_pct = 2.0
 let obs_alloc_gate_words = 0.1
+let obs_pairs = 9
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 let obs_section ~smoke =
-  (* forked AND ordered before the e2e sections (fork is copy-on-write, so
-     a late fork would inherit the bloated post-e2e heap anyway): with the
-     comparison run on a major heap inflated by earlier sections, the GC
-     tax on the inherited garbage lands unevenly across the variants —
-     measured as a fake +4..12% on the disabled path that a small-heap
-     process reproducibly puts back under 1% *)
-  in_fresh_process @@ fun () ->
   let n = if smoke then 16 else 64 in
   let duration = if smoke then Sim_time.seconds 3 else Sim_time.ms 300 in
-  let runs = 7 in
   let deliveries = ref 0 in
-  let run_once (make_obs, metrics) =
-    let words0 = Gc.minor_words () in
-    let obs = make_obs () in
-    let t0 = Sys.time () in
-    let point =
-      Scaling.measure_with_graph ?obs ~duration ~seed:11L ~track_graph:false
-        ~metrics n
-    in
-    let cpu = Sys.time () -. t0 in
-    let words = Gc.minor_words () -. words0 in
-    let d = float_of_int point.Scaling.deliveries_total in
-    deliveries := point.Scaling.deliveries_total;
-    ((if cpu > 0. then d /. cpu else 0.0), words /. d)
-  in
-  (* The variants are interleaved round-robin (after one discarded
-     warm-up) rather than run in sequential blocks: slow drift in machine
-     load then hits all variants about equally instead of landing on
-     whichever block it overlaps, and best-of-[runs] per variant discards
-     the transient slowdowns that remain.
-
-     Every metrics-off variant still executes the registry's scrap-cell
+  (* Every metrics-off variant still executes the registry's scrap-cell
      stores (the cells are unconditionally on the hot path), so the gated
      disabled-path delta covers the metrics-disabled cost as well as the
-     disabled log's; the metrics-on variant prices the live counters and
-     histograms (informational, not gated). *)
+     disabled log's. *)
+  let run_once (make_obs, metrics) =
+    let row =
+      in_fresh_process @@ fun () ->
+      let words0 = Gc.minor_words () in
+      let obs = make_obs () in
+      let t0 = Sys.time () in
+      let point =
+        Scaling.measure_with_graph ?obs ~duration ~seed:11L ~track_graph:false
+          ~metrics n
+      in
+      let cpu = Sys.time () -. t0 in
+      let words = Gc.minor_words () -. words0 in
+      let d = point.Scaling.deliveries_total in
+      Printf.sprintf "%h %h %d"
+        (if cpu > 0. then float_of_int d /. cpu else 0.0)
+        (words /. float_of_int d) d
+    in
+    Scanf.sscanf row "%h %h %d" (fun rate words d ->
+        deliveries := d;
+        (rate, words))
+  in
   let variants =
     [|
       ((fun () -> None), false);
@@ -793,30 +798,38 @@ let obs_section ~smoke =
       ((fun () -> None), true);
     |]
   in
-  ignore (run_once variants.(0));
-  let best = Array.make (Array.length variants) 0.0 in
-  let words = Array.make (Array.length variants) Float.infinity in
-  for _round = 1 to runs do
-    Array.iteri
-      (fun i v ->
-        let rate, w = run_once v in
-        best.(i) <- Float.max best.(i) rate;
-        words.(i) <- Float.min words.(i) w)
-      variants
-  done;
-  let off = best.(0) and disabled = best.(1) and enabled = best.(2) in
-  let metrics_on = best.(3) in
-  let delta base v = (base -. v) /. base *. 100.0 in
-  let disabled_delta = delta off disabled and enabled_delta = delta off enabled in
-  let metrics_delta = delta off metrics_on in
+  (* rounds.(i).(v): variant [v]'s (rate, words) in round [i]; variant 0
+     is no log, 1 the disabled log, the gated pair *)
+  let rounds =
+    List.init obs_pairs (fun i ->
+        let r = Array.make (Array.length variants) (0.0, 0.0) in
+        List.iter
+          (fun v -> r.(v) <- run_once variants.(v))
+          (if i mod 2 = 0 then [ 0; 1; 2; 3 ] else [ 1; 0; 2; 3 ]);
+        r)
+  in
+  let rate v = median (List.map (fun r -> fst r.(v)) rounds) in
+  let delta v =
+    let pct r = (fst r.(0) -. fst r.(v)) /. fst r.(0) *. 100.0 in
+    median (List.map pct rounds)
+  in
+  let words v =
+    List.fold_left (fun acc r -> Float.min acc (snd r.(v))) Float.infinity
+      rounds
+  in
+  let off = rate 0 and dis = rate 1 and on = rate 2 and metrics_on = rate 3 in
+  let disabled_delta = delta 1 and enabled_delta = delta 2
+  and metrics_delta = delta 3 in
+  let words_off = words 0 and words_dis = words 1 in
   Printf.printf
     "  obs n=%-3d no-log %10.0f msg/s | disabled %10.0f (%+.2f%%) | enabled \
-     %10.0f (%+.2f%%) | metrics %10.0f (%+.2f%%)  gate %.1f%%\n\
+     %10.0f (%+.2f%%) | metrics %10.0f (%+.2f%%)  gate %.1f%% on the median \
+     of %d pairs\n\
     \  obs minor words/delivery: no-log %.3f | disabled %.3f  gate +%.1f\n%!"
-    n off disabled disabled_delta enabled enabled_delta metrics_on
-    metrics_delta obs_gate_pct words.(0) words.(1) obs_alloc_gate_words;
+    n off dis disabled_delta on enabled_delta metrics_on metrics_delta
+    obs_gate_pct obs_pairs words_off words_dis obs_alloc_gate_words;
   Printf.sprintf
-    "    { \"group_size\": %d, \"sim_duration_ms\": %d, \"runs\": %d, \
+    "    { \"group_size\": %d, \"sim_duration_ms\": %d, \"pairs\": %d, \
      \"deliveries\": %d, \"no_log_rate\": %s, \"disabled_rate\": %s, \
      \"enabled_rate\": %s, \"disabled_delta_pct\": %s, \
      \"enabled_delta_pct\": %s, \"metrics_rate\": %s, \
@@ -826,10 +839,10 @@ let obs_section ~smoke =
      \"alloc_gate_words\": %s }"
     n
     (Sim_time.to_us duration / 1000)
-    runs !deliveries (json_float off) (json_float disabled)
-    (json_float enabled) (json_float disabled_delta) (json_float enabled_delta)
+    obs_pairs !deliveries (json_float off) (json_float dis) (json_float on)
+    (json_float disabled_delta) (json_float enabled_delta)
     (json_float metrics_on) (json_float metrics_delta)
-    (json_float obs_gate_pct) (json_float words.(0)) (json_float words.(1))
+    (json_float obs_gate_pct) (json_float words_off) (json_float words_dis)
     (json_float obs_alloc_gate_words)
 
 let emit_json ~domains ~smoke ~out =
@@ -850,9 +863,11 @@ let emit_json ~domains ~smoke ~out =
     (match domains with
      | None -> "sequential"
      | Some d -> Printf.sprintf "parallel d=%d" d);
-  (* obs first: its variant comparison needs the pristine small heap (see
-     obs_section); the sections that only *read* their own child's heap or
-     don't measure memory at all run after *)
+  (* obs first: its runs fork from this process, and fork is
+     copy-on-write, so a late fork would inherit the bloated post-e2e heap
+     and its GC tax would land unevenly across the variants (measured once
+     as a fake +4..12% on the disabled path); the sections that only *read*
+     their own child's heap or don't measure memory at all run after *)
   let obs = obs_section ~smoke in
   let micro = micro_section ~smoke @ codec_micro_section ~smoke in
   let e2e =
@@ -1126,50 +1141,68 @@ let validate ?expect_mode ?baseline file =
       | Some l -> l
       | None -> fail "\"obs_overhead\" must be an array")
   in
-  List.iter
-    (fun row ->
-      ignore (int_field row "group_size");
-      ignore (int_field row "runs");
-      ignore (int_field row "deliveries");
-      number_or_null row "no_log_rate";
-      number_or_null row "enabled_delta_pct";
-      (* added with the metrics registry: the live-counters variant's
-         throughput delta (informational — only the disabled path is
-         gated, and it includes the registry's scrap-cell stores) *)
-      (match Json.member "metrics_delta_pct" row with
-       | Some _ -> number_or_null row "metrics_delta_pct"
-       | None -> ());
-      (* added with the count-based gate: the disabled log may allocate at
-         most [alloc_gate_words] more minor words per delivery than no log *)
-      (match Json.member "alloc_gate_words" row with
-       | None -> ()
-       | Some _ -> (
-         match
-           ( Json.to_float (get ~from:row "no_log_minor_words_per_delivery"),
-             Json.to_float (get ~from:row "disabled_minor_words_per_delivery"),
-             Json.to_float (get ~from:row "alloc_gate_words") )
-         with
-         | Some off, Some disabled, Some gate ->
-           if disabled -. off > gate then
-             fail
-               "telemetry disabled path allocates %.3f minor words per \
-                delivery over no log (gate %.1f) at n=%d"
-               (disabled -. off) gate (int_field row "group_size")
-         | _ -> fail "obs_overhead minor words must be numbers"));
-      match
-        ( Json.to_float (get ~from:row "disabled_delta_pct"),
-          Json.to_float (get ~from:row "gate_pct") )
-      with
-      | Some delta, Some gate ->
-        if delta > gate then
-          fail
-            "telemetry disabled-path overhead %.2f%% exceeds the %.1f%% gate \
-             at n=%d"
-            delta gate (int_field row "group_size")
-      | _ -> fail "obs_overhead deltas must be numbers")
-    obs_rows;
-  Printf.printf "%s OK: %d micro rows, %d e2e rows, %d obs rows (mode %s)\n"
-    file (List.length micro) (List.length e2e) (List.length obs_rows) mode;
+  let obs_bases =
+    List.map
+      (fun row ->
+        ignore (int_field row "group_size");
+        (* paired rows carry their pair count, and the delta is a median over
+           at least [obs_pairs] pairs; older best-of rows carry "runs" *)
+        let basis =
+          match Json.member "pairs" row with
+          | None -> Printf.sprintf "best of %d runs" (int_field row "runs")
+          | Some _ ->
+            let pairs = int_field row "pairs" in
+            if pairs < obs_pairs then
+              fail "obs_overhead has %d pairs, below the %d the gate needs"
+                pairs obs_pairs;
+            Printf.sprintf "median of %d pairs" pairs
+        in
+        ignore (int_field row "deliveries");
+        number_or_null row "no_log_rate";
+        number_or_null row "enabled_delta_pct";
+        (* added with the metrics registry: the live-counters variant's
+           throughput delta (informational — only the disabled path is
+           gated, and it includes the registry's scrap-cell stores) *)
+        (match Json.member "metrics_delta_pct" row with
+         | Some _ -> number_or_null row "metrics_delta_pct"
+         | None -> ());
+        (* added with the count-based gate: the disabled log may allocate at
+           most [alloc_gate_words] more minor words per delivery than no log *)
+        (match Json.member "alloc_gate_words" row with
+         | None -> ()
+         | Some _ -> (
+           match
+             ( Json.to_float (get ~from:row "no_log_minor_words_per_delivery"),
+               Json.to_float (get ~from:row "disabled_minor_words_per_delivery"),
+               Json.to_float (get ~from:row "alloc_gate_words") )
+           with
+           | Some off, Some disabled, Some gate ->
+             if disabled -. off > gate then
+               fail
+                 "telemetry disabled path allocates %.3f minor words per \
+                  delivery over no log (gate %.1f) at n=%d"
+                 (disabled -. off) gate (int_field row "group_size")
+           | _ -> fail "obs_overhead minor words must be numbers"));
+        match
+          ( Json.to_float (get ~from:row "disabled_delta_pct"),
+            Json.to_float (get ~from:row "gate_pct") )
+        with
+        | Some delta, Some gate ->
+          if delta > gate then
+            fail
+              "telemetry disabled-path overhead %.2f%% (%s) exceeds the %.1f%% \
+               gate at n=%d"
+              delta basis gate (int_field row "group_size");
+          basis
+        | _ -> fail "obs_overhead deltas must be numbers")
+      obs_rows
+  in
+  Printf.printf
+    "%s OK: %d micro rows, %d e2e rows, %d obs rows%s (mode %s)\n" file
+    (List.length micro) (List.length e2e) (List.length obs_rows)
+    (if obs_bases = [] then ""
+     else Printf.sprintf " (%s)" (String.concat ", " obs_bases))
+    mode;
   (* --baseline: fail on a >30% throughput regression, or a >30% growth in
      peak per-node unstable-buffer bytes, at any (impl, group size) present
      in both files *)

@@ -94,14 +94,15 @@ let run ?recorder config =
   let pending : (int, pending_write) Hashtbl.t = Hashtbl.create 64 in
   let send_times : (int, Sim_time.t) Hashtbl.t = Hashtbl.create 64 in
   let acked : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
-  let latency = Stats.Summary.create () in
+  let latency = Stats.Summary.create () and latencies = ref [] in
   let maybe_reply stack p req =
     if (not p.replied) && p.acks >= config.write_safety then begin
       p.replied <- true;
       (match Hashtbl.find_opt send_times req with
        | Some t0 ->
-         Stats.Summary.add latency
-           (float_of_int (Sim_time.sub (Engine.now engine) t0))
+         let us = float_of_int (Sim_time.sub (Engine.now engine) t0) in
+         Stats.Summary.add latency us;
+         latencies := us :: !latencies
        | None -> ());
       Stack.send_direct stack ~dst:p.client (Client_done { req })
     end
@@ -261,7 +262,7 @@ let run ?recorder config =
       (if Stats.Summary.count latency = 0 then 0.0 else Stats.Summary.mean latency);
     ack_latency_p99_us =
       (if Stats.Summary.count latency = 0 then 0.0
-       else Stats.Summary.percentile latency 0.99);
+       else Stats.percentile (Array.of_list !latencies) 0.99);
     messages_per_write = float_of_int total_msgs /. float_of_int config.writes;
     acked_lost_at_survivor = !acked_lost;
     replicas_consistent = consistent;

@@ -172,7 +172,7 @@ let run config =
   (* the client: sends to a server; on timeout, fails over to the next *)
   let send_times : (int, Sim_time.t) Hashtbl.t = Hashtbl.create 64 in
   let acked : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
-  let latency = Stats.Summary.create () in
+  let latency = Stats.Summary.create () and latencies = ref [] in
   let key_of req = Printf.sprintf "k%d" (req mod 40) in
   (* primary copy: the client directs writes at the lowest known-alive
      server, failing over on timeout *)
@@ -202,8 +202,9 @@ let run config =
           Hashtbl.replace acked req (key_of req, req);
           match Hashtbl.find_opt send_times req with
           | Some t0 ->
-            Stats.Summary.add latency
-              (float_of_int (Sim_time.sub (Engine.now engine) t0))
+            let us = float_of_int (Sim_time.sub (Engine.now engine) t0) in
+            Stats.Summary.add latency us;
+            latencies := us :: !latencies
           | None -> ()
         end
       | Client_write _ | Tpc_msg _ -> ());
@@ -257,7 +258,7 @@ let run config =
       (if Stats.Summary.count latency = 0 then 0.0 else Stats.Summary.mean latency);
     ack_latency_p99_us =
       (if Stats.Summary.count latency = 0 then 0.0
-       else Stats.Summary.percentile latency 0.99);
+       else Stats.percentile (Array.of_list !latencies) 0.99);
     messages_per_write =
       float_of_int (Engine.messages_sent engine) /. float_of_int config.writes;
     commit_aborts = !commit_aborts;

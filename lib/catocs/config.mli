@@ -61,7 +61,11 @@ type stability_clock =
           storing only a diagonal override, so a tracker costs O(group)
           marginal words while reporting byte-identical advances
           ({!Sparse_matrix_clock}) — what lets the scaling sweep reach
-          n=4096 without the ~20 GB dense group-clock footprint *)
+          n=4096 without the ~20 GB dense group-clock footprint. The
+          sharing, and so the O(group) cost, holds under [Structural]
+          only: under [Encoded] each receiver decodes its own data stamp,
+          and merges a gossip vector by value because it is the codec's
+          reused decode target. *)
 
 type wire_format =
   | Structural
@@ -72,9 +76,8 @@ type wire_format =
       (** run every multicast through {!Wire_codec}: length-prefixed binary
           frames cross the (simulated) wire and are decoded at the
           receiver, and unstable-byte gauges charge real encoded sizes.
-          Applies to [Bare] and [Fifo_order] transports; a [Reliable]
-          transport keeps structural segments (its retransmit buffers hold
-          values, not frames). *)
+          Applies to every transport mode; a [Reliable] window holds the
+          frames and resends them. *)
 
 type t = {
   ordering : ordering;

@@ -3,7 +3,9 @@
     These quantify exactly what Sections 3.4 and 5 of the paper argue about:
     delivery delay (including false-causality delay), buffering for
     unstable messages, per-message ordering-header overhead, control traffic,
-    and send suppression during view changes. *)
+    and send suppression during view changes. The send-to-stability lag is
+    kept only in the stack registry's [stability/stability_lag_us]
+    histogram (on when {!Config.metrics} is set). *)
 
 type t = {
   mutable multicasts_sent : int;
@@ -12,10 +14,6 @@ type t = {
   delivery_delay_us : Stats.Summary.t;
       (** receive -> deliver: time spent blocked in ordering queues *)
   transit_us : Stats.Summary.t;  (** send -> deliver, end to end *)
-  stability_lag_us : Stats.Summary.t;
-      (** send -> local stability detection: how long each message stayed in
-          the unstable buffer before the matrix clock proved it received
-          everywhere (Section 5's buffering argument, in time units) *)
   mutable delayed_messages : int;
       (** messages that had to wait in an ordering queue *)
   mutable peak_unstable_bytes : int;
@@ -37,10 +35,3 @@ val create : unit -> t
 
 val raise_unstable_peak : t -> count:int -> bytes:int -> unit
 (** Lift the two peaks to a tracker's current occupancy. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into acc m] accumulates counters (sums counts, keeps peak
-    maxima) and folds the three latency summaries into [acc] via
-    {!Stats.Summary.merge}, so group-level totals report delay/transit/
-    stability-lag distributions over every member's messages. [m] is left
-    unmodified. *)

@@ -93,7 +93,6 @@ let release t ~now (data : 'a Wire.data) =
   let lag_us =
     float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
   in
-  Stats.Summary.add t.metrics.Metrics.stability_lag_us lag_us;
   Repro_obs.Histo.add t.lag_histo lag_us;
   (match t.obs with
    | Some (log, pid) ->

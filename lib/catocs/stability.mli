@@ -37,9 +37,9 @@ val create :
     sizes. It must
     be a pure function of the message (it is re-applied on release).
     [obs] is the telemetry log plus the owning process id: every release
-    then emits an [Obs.Event.Span_stable] record alongside the
-    [Metrics.stability_lag_us] sample. [registry] adds a
-    [stability/stability_lag_us] histogram fed on every release and a
+    then emits an [Obs.Event.Span_stable] record. [registry] adds a
+    [stability/stability_lag_us] histogram fed on every release (the only
+    record of the send-to-stability lag) and a
     [stability/minima_advances] counter bumped each time a cached matrix
     minimum advances (the events that drive releases). *)
 
@@ -61,8 +61,8 @@ val observe_vc :
   'a t -> live:bool -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
 (** Merge member [rank]'s reported vector clock and release newly stable
     messages; each release records its send-to-stability lag ([now] minus
-    the message's send time) into [Metrics.stability_lag_us]. [live] says
-    whether [vc] changes after the call: our own running clock, or a
+    the message's send time) into the [stability_lag_us] histogram. [live]
+    says whether [vc] changes after the call: our own running clock, or a
     gossip vector borrowed from the codec's decode target
     ({!Wire_codec.decode}). A live vector is merged by value; otherwise
     a sparse matrix clock may adopt it by reference (see

@@ -82,9 +82,13 @@ let charge_wire t ~dst n =
   if Repro_obs.Registry.enabled t.reg then
     Repro_obs.Registry.add (link_counter t dst) n
 
+(* Every transmitted frame is charged, retransmissions included. *)
 let emit t ~dst packet =
   t.packets_sent <- t.packets_sent + 1;
   Repro_obs.Registry.incr t.reg_packets;
+  (match packet with
+   | Enc { frame; _ } -> charge_wire t ~dst (String.length frame)
+   | Seg _ | Raw _ | Ack _ -> ());
   Engine.send t.engine ~src:t.self ~dst packet
 
 (* [Hashtbl.find] rather than [find_opt]: these run once per packet, and
@@ -137,34 +141,27 @@ let rec arm_retransmit t dst ch ~rto ~max_retries =
           arm_retransmit t dst ch ~rto ~max_retries)
   end
 
-(* --- encoded path: Bare / Fifo_order links with a framing codec ---------- *)
-
-let send_encoded t framing ~dst payload =
-  let frame = framing.frame payload in
-  let seq =
-    match t.mode with
-    | Config.Fifo_order -> take_seq (sender_channel t dst)
-    | Config.Bare | Config.Reliable _ -> -1
-  in
-  charge_wire t ~dst (String.length frame);
-  emit t ~dst (Enc { seq; frame })
+(* The one framing rule: a transport with a codec ships every payload as
+   an encoded frame, built once (a [Reliable] window keeps the frame, not
+   the value); [seq] is -1 on a Bare link. *)
+let packet t ~seq payload =
+  match t.framing with
+  | Some f -> Enc { seq; frame = f.frame payload }
+  | None -> if seq < 0 then Raw payload else Seg { seq; payload }
 
 let send t ~dst payload =
-  match (t.framing, t.mode) with
-  | Some f, (Config.Bare | Config.Fifo_order) -> send_encoded t f ~dst payload
-  | (Some _ | None), _ ->
   match t.mode with
-  | Config.Bare -> emit t ~dst (Raw payload)
+  | Config.Bare -> emit t ~dst (packet t ~seq:(-1) payload)
   | Config.Fifo_order ->
     (* sequence-and-reorder only: the receiver reassembles each (src, dst)
        stream in send order, turning a reordering network into FIFO links —
        the substrate PC-broadcast assumes. No acks, so a dropped segment
        stalls the link; use [Reliable] under loss. *)
-    emit t ~dst (Seg { seq = take_seq (sender_channel t dst); payload })
+    emit t ~dst (packet t ~seq:(take_seq (sender_channel t dst)) payload)
   | Config.Reliable { rto; max_retries } ->
     let ch = sender_channel t dst in
     let seq = take_seq ch in
-    let packet = Seg { seq; payload } in
+    let packet = packet t ~seq payload in
     Queue.add { seq; packet; queued_at = ch.ticks } ch.window;
     emit t ~dst packet;
     arm_retransmit t dst ch ~rto ~max_retries

@@ -18,18 +18,20 @@ type 'w packet =
   | Ack of { upto : int }
   | Enc of { seq : int; frame : string }
       (** one encoded frame ({!Config.Encoded}); [seq] sequences
-          [Fifo_order] links and is [-1] on [Bare] links *)
+          [Fifo_order] and [Reliable] links and is [-1] on [Bare] links *)
 
 type 'w framing = { frame : 'w -> string; unframe : string -> 'w }
 (** Wire codec hooks (see {!Wire_codec}); kept abstract here so the
     transport stays payload-agnostic. Per-copy contract: every {!send}
-    on a framed link calls [frame] exactly once and charges that frame's
+    on a framed link calls [frame] exactly once, and every transmission
+    of the frame (a [Reliable] retransmission included) charges its
     length to {!wire_bytes_sent}, so an N-destination fan-out makes N
     calls and charges N frames even when the codec hands back one
     memoized string for all of them. Per-delivery contract: a receiver
     calls [unframe] only when it hands the frame up, in order; a
-    [Fifo_order] link parks out-of-order frames undecoded. So [unframe]
-    may return values that borrow storage it reuses on its next call. *)
+    [Fifo_order] or [Reliable] link parks out-of-order frames undecoded.
+    So [unframe] may return values that borrow storage it reuses on its
+    next call. *)
 
 type 'w t
 
@@ -50,9 +52,8 @@ val create :
     [transport/wire_bytes{dst}] cells (encoded path only — the structural
     path has no real frames to weigh).
 
-    With [framing], sends on [Bare]/[Fifo_order] links are encoded to
-    real frames ([Enc] packets); a [Reliable] transport ignores framing
-    and keeps structural segments. *)
+    With [framing], every send is encoded to a real frame (an [Enc]
+    packet), whatever the link mode. *)
 
 val send : 'w t -> dst:Engine.pid -> 'w -> unit
 val handle : 'w t -> 'w packet Engine.envelope -> unit

@@ -38,7 +38,7 @@ let max_reaction_depth = 3
 
 let execute ?(engine_impl = Engine.Sequential)
     ?(causal_impl = Config.Vector_causal)
-    ?(stability_clock = Config.Dense_clock) ~seed ~ordering
+    ?(stability_clock = Config.Dense_clock) ~metrics ~seed ~ordering
     (plan : Fault_plan.t) =
   let parallel =
     match engine_impl with Engine.Sequential -> false | Engine.Parallel _ -> true
@@ -69,6 +69,7 @@ let execute ?(engine_impl = Engine.Sequential)
       (* the shared causal graph and its id index are cross-member mutable
          state; the checker's oracles never read them *)
       track_graph = (if parallel then false else Config.default.Config.track_graph);
+      metrics;
     }
   in
   let oracle = Oracle.create ~sharded:parallel () in
@@ -234,7 +235,8 @@ let make_report ~seed ~ordering ~shrunk plan (violation, oracle) =
    unshrunk report on failure. *)
 let judged ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
   let oracle, survivors, _ =
-    execute ?engine_impl ?causal_impl ?stability_clock ~seed ~ordering plan
+    execute ?engine_impl ?causal_impl ?stability_clock ~metrics:false ~seed
+      ~ordering plan
   in
   ( oracle,
     match Oracle.check oracle ~ordering ~survivors with
@@ -345,11 +347,12 @@ let exec_of_seed ?causal_impl ~ordering ~seed () =
 
 let member_metrics ~ordering ~seed () =
   let plan = Fault_plan.generate ~seed Fault_plan.default_profile in
-  let oracle, _, stacks = execute ~seed ~ordering plan in
+  let oracle, _, stacks = execute ~metrics:true ~seed ~ordering plan in
   List.filter_map
     (fun pid ->
       Option.map
-        (fun st -> (Oracle.name_of oracle pid, Stack.metrics st))
+        (fun st ->
+          (Oracle.name_of oracle pid, Stack.metrics st, Stack.registry st))
         (Hashtbl.find_opt stacks pid))
     (Oracle.member_pids oracle)
 

@@ -110,9 +110,10 @@ val member_metrics :
   ordering:Repro_catocs.Config.ordering ->
   seed:int ->
   unit ->
-  (string * Repro_catocs.Metrics.t) list
-(** Every member's protocol metrics at the end of the seed's run (not
-    judged), by name in registration order. *)
+  (string * Repro_catocs.Metrics.t * Repro_obs.Registry.t) list
+(** Every member's protocol metrics and metrics registry at the end of the
+    seed's run (not judged), by name in registration order. Only these
+    runs turn {!Repro_catocs.Config.metrics} on. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -25,6 +25,19 @@ let measure ~seed ~group_size ~ordering ~jitter_max_ms =
       ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
     |> Array.of_list
   in
+  (* every multicast carries its send time, so each member's deliveries
+     give its exact send -> deliver transit samples *)
+  let transits = Array.make group_size [] in
+  Array.iteri
+    (fun i stack ->
+      Stack.set_callbacks stack
+        { Stack.null_callbacks with
+          Stack.deliver =
+            (fun ~sender:_ sent_at ->
+              transits.(i) <-
+                float_of_int (Sim_time.sub (Engine.now engine) sent_at)
+                :: transits.(i)) })
+    stacks;
   (* independent periodic senders: no semantic relation between streams *)
   Array.iteri
     (fun i stack ->
@@ -32,7 +45,7 @@ let measure ~seed ~group_size ~ordering ~jitter_max_ms =
         Engine.every engine ~owner:(Stack.self stack)
           ~start:(Sim_time.us (1_000 + (i * 313)))
           ~period:(Sim_time.ms 8)
-          (fun () -> Stack.multicast stack i)
+          (fun () -> Stack.multicast stack (Engine.now engine))
       in
       Engine.at engine (Sim_time.seconds 1) cancel)
     stacks;
@@ -41,8 +54,8 @@ let measure ~seed ~group_size ~ordering ~jitter_max_ms =
   let transit = Stats.Summary.create () in
   let delivered = ref 0 and delayed = ref 0 in
   let header_bytes = ref 0 and multicasts = ref 0 in
-  Array.iter
-    (fun stack ->
+  Array.iteri
+    (fun i stack ->
       let m = Stack.metrics stack in
       delivered := !delivered + m.Metrics.delivered;
       delayed := !delayed + m.Metrics.delayed_messages;
@@ -50,9 +63,9 @@ let measure ~seed ~group_size ~ordering ~jitter_max_ms =
       multicasts := !multicasts + m.Metrics.multicasts_sent;
       if Stats.Summary.count m.Metrics.delivery_delay_us > 0 then
         Stats.Summary.add wait (Stats.Summary.mean m.Metrics.delivery_delay_us);
-      if Stats.Summary.count m.Metrics.transit_us > 0 then
+      if transits.(i) <> [] then
         Stats.Summary.add transit
-          (Stats.Summary.percentile m.Metrics.transit_us 0.99))
+          (Stats.percentile (Array.of_list transits.(i)) 0.99))
     stacks;
   { ordering; jitter_max_ms;
     mean_queue_wait_us = Stats.Summary.mean wait;

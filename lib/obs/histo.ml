@@ -57,7 +57,7 @@ let percentile t p =
   else if p <= 0.0 then t.min_v  (* documented exact extremes *)
   else if p >= 1.0 then t.max_v
   else begin
-    (* same nearest-rank convention as Stats.Summary.percentile *)
+    (* same nearest-rank convention as Stats.percentile *)
     let rank = int_of_float (Float.round (p *. float_of_int (t.count - 1))) in
     let rank = Stdlib.max 0 (Stdlib.min (t.count - 1) rank) in
     let rec walk k cum =

@@ -11,8 +11,8 @@
 
     Histograms with different sample streams {!merge} by adding counters,
     which is what makes per-node distributions aggregatable into group
-    totals without retaining samples (cf. [Stats.Summary], whose reservoir
-    keeps an approximation of the raw samples instead). *)
+    totals without retaining samples (cf. [Stats.percentile], exact over
+    a retained sample array). *)
 
 type t
 

@@ -266,27 +266,38 @@ let test_stability_drains_buffers () =
     w.stacks
 
 let test_stability_lag_metric () =
-  (* every released message contributes one send->stable lag sample, and the
-     lag can never be smaller than one network traversal *)
-  let w = make_world ~n:3 ~latency:(Net.Fixed 500) () in
+  (* every released message contributes one send->stable lag sample to the
+     registry histogram, and the lag can never be smaller than one network
+     traversal *)
+  let engine =
+    Engine.create ~seed:1L ~net:(Net.create ~latency:(Net.Fixed 500) ()) ()
+  in
+  let stacks =
+    Stack.create_group ~engine
+      ~config:{ Config.default with Config.metrics = true }
+      ~names:[ "p0"; "p1"; "p2" ]
+      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
+    |> Array.of_list
+  in
   for k = 1 to 10 do
-    Stack.multicast w.stacks.(k mod 3) k
+    Stack.multicast stacks.(k mod 3) k
   done;
-  run w (Sim_time.seconds 1);
+  Engine.run ~until:(Sim_time.seconds 1) engine;
   Array.iteri
     (fun i stack ->
       let lag =
-        (Stack.metrics stack).Repro_catocs.Metrics.stability_lag_us
+        Repro_obs.Registry.histogram (Stack.registry stack)
+          ~layer:Repro_obs.Event.Stability ~name:"stability_lag_us" ()
       in
       check_int
         (Printf.sprintf "member %d sampled all messages" i)
         10
-        (Stats.Summary.count lag);
+        (Repro_obs.Histo.count lag);
       check_bool
         (Printf.sprintf "member %d lag exceeds one hop" i)
         true
-        (Stats.Summary.min lag >= 500.0))
-    w.stacks
+        (Repro_obs.Histo.min lag >= 500.0))
+    stacks
 
 (* A sparse-clock PC-broadcast group of [n] members that each multicast a
    few messages over 200 ms of 5 ms gossip rounds on a reordering network.
@@ -1018,26 +1029,36 @@ let test_transport_encoded_reassembly () =
     (List.init 7 (fun i -> (i, vc_of i)))
     (List.rev !got)
 
-(* One Reliable link a -> b (max_retries 100) carrying [sends] payloads.
-   The go-back-N schedule is pinned packet for packet: every rto, each
-   unacked segment is resent oldest first, so a window that resends the
-   wrong set moves these counts. *)
-let check_schedule ~latency ~drop_probability ~seed ~rto ~sends ~retransmits
-    ~sent ~acks =
+(* One Reliable link a -> b (max_retries 100) carrying [sends] payloads,
+   as fixed-width encoded frames of [frame_bytes] bytes when that is
+   positive. The go-back-N schedule is pinned packet for packet: every rto,
+   each unacked segment is resent oldest first, so a window that resends
+   the wrong set moves these counts; every transmitted frame, resends
+   included, is charged to the wire. *)
+let check_schedule ~frame_bytes ~latency ~drop_probability ~seed ~rto ~sends
+    ~retransmits ~sent ~acks =
   let net = Net.create ~latency ~drop_probability () in
   let engine = Engine.create ~seed ~net () in
   let got = ref [] in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b = Engine.spawn engine ~name:"b" (fun _ _ -> ()) in
   let mode = Config.Reliable { rto = Sim_time.ms rto; max_retries = 100 } in
+  let framing =
+    if frame_bytes = 0 then None
+    else
+      Some
+        { Transport.frame = Printf.sprintf "%0*d" frame_bytes;
+          unframe = int_of_string }
+  in
   let tb =
-    Transport.create ~engine ~self:b ~mode
+    Transport.create ?framing ~engine ~self:b ~mode
       ~on_deliver:(fun ~src:_ v -> got := v :: !got)
       ()
   in
   Engine.set_handler engine b (fun _ env -> Transport.handle tb env);
   let ta =
-    Transport.create ~engine ~self:a ~mode ~on_deliver:(fun ~src:_ _ -> ()) ()
+    Transport.create ?framing ~engine ~self:a ~mode
+      ~on_deliver:(fun ~src:_ _ -> ()) ()
   in
   Engine.set_handler engine a (fun _ env -> Transport.handle ta env);
   for i = 1 to sends do
@@ -1049,20 +1070,28 @@ let check_schedule ~latency ~drop_probability ~seed ~rto ~sends ~retransmits
     (List.rev !got);
   check_int "retransmissions" retransmits (Transport.retransmissions ta);
   check_int "sender packets" sent (Transport.packets_sent ta);
-  check_int "receiver packets" acks (Transport.packets_sent tb)
+  check_int "receiver packets" acks (Transport.packets_sent tb);
+  check_int "wire bytes" (frame_bytes * sent) (Transport.wire_bytes_sent ta)
 
 let test_transport_retransmits_on_loss () =
-  check_schedule ~latency:(Net.Fixed 100) ~drop_probability:0.5 ~seed:7L
-    ~rto:10 ~sends:30 ~retransmits:140 ~sent:170 ~acks:89
+  check_schedule ~frame_bytes:0 ~latency:(Net.Fixed 100) ~drop_probability:0.5
+    ~seed:7L ~rto:10 ~sends:30 ~retransmits:140 ~sent:170 ~acks:89
 
 let test_transport_retransmits_reordering () =
-  check_schedule ~latency:(Net.Uniform (500, 5_000)) ~drop_probability:0.2
-    ~seed:3L ~rto:10 ~sends:200 ~retransmits:717 ~sent:917 ~acks:720
+  check_schedule ~frame_bytes:0 ~latency:(Net.Uniform (500, 5_000))
+    ~drop_probability:0.2 ~seed:3L ~rto:10 ~sends:200 ~retransmits:717
+    ~sent:917 ~acks:720
 
 let test_transport_no_loss_no_retransmit () =
   (* acks empty the window before the first tick fires *)
-  check_schedule ~latency:(Net.Fixed 100) ~drop_probability:0.0 ~seed:1L
-    ~rto:5 ~sends:50 ~retransmits:0 ~sent:50 ~acks:50
+  check_schedule ~frame_bytes:0 ~latency:(Net.Fixed 100) ~drop_probability:0.0
+    ~seed:1L ~rto:5 ~sends:50 ~retransmits:0 ~sent:50 ~acks:50
+
+let test_transport_encoded_reliable () =
+  (* a framed Reliable link ships every payload as an encoded frame *)
+  check_schedule ~frame_bytes:8 ~latency:(Net.Uniform (500, 5_000))
+    ~drop_probability:0.01 ~seed:3L ~rto:10 ~sends:200 ~retransmits:157
+    ~sent:357 ~acks:355
 
 (* --- pure queue structures -------------------------------------------------- *)
 
@@ -1311,25 +1340,6 @@ let test_metrics_peak_unstable () =
   check_int "peak advances" 260 m.Metrics.peak_unstable_bytes;
   check_int "peak count advances" 3 m.Metrics.peak_unstable_count
 
-let test_metrics_merge_into () =
-  let a = Metrics.create () and b = Metrics.create () in
-  let sa = peak_tracker a in
-  note_seq sa ~seq:1 ~bytes:300;
-  release_upto sa 1;
-  note_seq (peak_tracker b) ~seq:1 ~bytes:120;
-  a.Metrics.multicasts_sent <- 4;
-  b.Metrics.multicasts_sent <- 6;
-  a.Metrics.view_changes <- 1;
-  b.Metrics.view_changes <- 2;
-  let acc = Metrics.create () in
-  Metrics.merge_into acc a;
-  Metrics.merge_into acc b;
-  (* counters sum; peaks take the per-member maximum *)
-  check_int "sent sums" 10 acc.Metrics.multicasts_sent;
-  check_int "view changes sum" 3 acc.Metrics.view_changes;
-  check_int "peak bytes is max" 300 acc.Metrics.peak_unstable_bytes;
-  check_int "peak count is max" 1 acc.Metrics.peak_unstable_count
-
 (* A view install starts an empty tracker: what the old view still held
    must not carry into the new view's peak. Gossip never fires, so nothing
    stabilises; member 2's crash moves the group to a second view between
@@ -1462,6 +1472,8 @@ let () =
             test_transport_retransmits_reordering;
           Alcotest.test_case "no loss, no retransmit" `Quick
             test_transport_no_loss_no_retransmit;
+          Alcotest.test_case "encoded frames over reliable" `Quick
+            test_transport_encoded_reliable;
         ] );
       ( "queues",
         [
@@ -1480,8 +1492,6 @@ let () =
         [
           Alcotest.test_case "peak unstable accounting" `Quick
             test_metrics_peak_unstable;
-          Alcotest.test_case "merge_into sums and maxima" `Quick
-            test_metrics_merge_into;
           Alcotest.test_case "peak unstable per view" `Quick
             test_metrics_peak_unstable_per_view;
         ] );

@@ -199,20 +199,24 @@ let test_pc_delivery_sequence_pinned () =
        [ ("cbcast", Config.Causal) ])
 
 (* Stability-timing pin: for seeds 0-9 of every ordering, each member's
-   stability-lag sample count and sum and its two unstable-buffer peaks.
-   The pins above hash deliveries only, and a stability release that
-   happens later changes no delivery; this one moves with release timing. *)
+   stability-lag sample count and sum (its registry histogram) and its two
+   unstable-buffer peaks. The pins above hash deliveries only, and a
+   stability release that happens later changes no delivery; this one
+   moves with release timing. *)
 let stability_timing_digest () =
   let b = Buffer.create 4096 in
   List.iter
     (fun (_, ordering) ->
       for seed = 0 to 9 do
         List.iter
-          (fun (name, (m : Repro_catocs.Metrics.t)) ->
-            Printf.bprintf b "%s:%d:%h:%d:%d;" name
-              (Stats.Summary.count m.stability_lag_us)
-              (Stats.Summary.sum m.stability_lag_us)
-              m.peak_unstable_count m.peak_unstable_bytes)
+          (fun (name, (m : Repro_catocs.Metrics.t), registry) ->
+            let lag =
+              Repro_obs.Registry.histogram registry
+                ~layer:Repro_obs.Event.Stability ~name:"stability_lag_us" ()
+            in
+            Printf.bprintf b "%s:%d:%h:%d:%d;" name (Repro_obs.Histo.count lag)
+              (Repro_obs.Histo.sum lag) m.peak_unstable_count
+              m.peak_unstable_bytes)
           (Runner.member_metrics ~ordering ~seed ());
         Buffer.add_char b '\n'
       done)

@@ -1,8 +1,7 @@
 (* Telemetry subsystem tests: ring-buffer log semantics, exact span
-   partitioning (qcheck), the bounded histogram against exact summaries,
-   reservoir-sampled Stats.Summary, metrics merging, structured-event
-   ingestion into the analyzer, and golden-file exporter output for the
-   Figure 1-4 scenario traces. *)
+   partitioning (qcheck), the bounded histogram against exact percentiles
+   ([Stats.percentile]), structured-event ingestion into the analyzer, and
+   golden-file exporter output for the Figure 1-4 scenario traces. *)
 
 module Log = Repro_obs.Log
 module Event = Repro_obs.Event
@@ -10,7 +9,6 @@ module Span = Repro_obs.Span
 module Export = Repro_obs.Export
 module Histo = Repro_obs.Histo
 module Telemetry = Repro_experiments.Telemetry
-module Metrics = Repro_catocs.Metrics
 module Exec = Repro_analyze.Exec
 
 (* --- log ring buffer -------------------------------------------------------- *)
@@ -112,22 +110,18 @@ let test_span_incomplete () =
   | spans ->
     Alcotest.failf "expected exactly one span, got %d" (List.length spans)
 
-(* --- histogram vs exact summary --------------------------------------------- *)
+(* --- histogram vs exact percentiles ----------------------------------------- *)
 
 let histo_percentile_prop values =
   let values = List.map (fun v -> float_of_int (1 + v)) values in
-  let h = Histo.create () and s = Stats.Summary.create () in
-  List.iter
-    (fun v ->
-      Histo.add h v;
-      Stats.Summary.add s v)
-    values;
+  let h = Histo.create () in
+  List.iter (Histo.add h) values;
+  let samples = Array.of_list values in
   List.for_all
     (fun p ->
-      let exact = Stats.Summary.percentile s p in
+      let exact = Stats.percentile samples p in
       let est = Histo.percentile h p in
-      (* reservoir stays exact below its cap, so [exact] is the true value;
-         the histogram midpoint is within its advertised relative error *)
+      (* the histogram midpoint is within its advertised relative error *)
       Float.abs (est -. exact) <= (Histo.max_relative_error *. exact) +. 1e-9)
     [ 0.0; 0.5; 0.9; 0.99; 1.0 ]
 
@@ -164,113 +158,6 @@ let test_histo_extremes () =
   Alcotest.(check (float 0.0)) "p0 exact min" 3.0 (Histo.percentile h 0.0);
   Alcotest.(check (float 0.0)) "p100 exact max" 1000.0 (Histo.percentile h 1.0);
   Alcotest.(check int) "count" 3 (Histo.count h)
-
-(* --- reservoir-sampled summaries -------------------------------------------- *)
-
-let test_reservoir_bounded_and_deterministic () =
-  let fill () =
-    let s = Stats.Summary.create () in
-    let rng = Rng.create 77L in
-    for _ = 1 to 50_000 do
-      Stats.Summary.add s (Rng.float rng 1000.0)
-    done;
-    s
-  in
-  let a = fill () and b = fill () in
-  Alcotest.(check int) "count exact" 50_000 (Stats.Summary.count a);
-  Alcotest.(check int) "retained bounded" Stats.Summary.reservoir_capacity
-    (Stats.Summary.retained a);
-  Alcotest.(check (float 0.0)) "deterministic p50"
-    (Stats.Summary.percentile a 0.5)
-    (Stats.Summary.percentile b 0.5);
-  (* a uniform[0,1000) stream: the subsampled median lands near 500 *)
-  let p50 = Stats.Summary.percentile a 0.5 in
-  Alcotest.(check bool)
-    (Printf.sprintf "subsampled p50 plausible (%.1f)" p50)
-    true
-    (p50 > 400.0 && p50 < 600.0)
-
-let test_reservoir_exact_below_cap () =
-  let s = Stats.Summary.create () in
-  for i = 100 downto 1 do
-    Stats.Summary.add s (float_of_int i)
-  done;
-  Alcotest.(check int) "all retained" 100 (Stats.Summary.retained s);
-  (* nearest-rank: rank = round(p * 99), half away from zero *)
-  Alcotest.(check (float 0.0)) "p50 exact" 51.0 (Stats.Summary.percentile s 0.5);
-  Alcotest.(check (float 0.0)) "p99 exact" 99.0 (Stats.Summary.percentile s 0.99)
-
-let test_summary_merge_exact () =
-  let a = Stats.Summary.create () and b = Stats.Summary.create () in
-  let whole = Stats.Summary.create () in
-  for i = 1 to 60 do
-    Stats.Summary.add a (float_of_int i);
-    Stats.Summary.add whole (float_of_int i)
-  done;
-  for i = 61 to 100 do
-    Stats.Summary.add b (float_of_int i);
-    Stats.Summary.add whole (float_of_int i)
-  done;
-  Stats.Summary.merge a b;
-  Alcotest.(check int) "count" 100 (Stats.Summary.count a);
-  Alcotest.(check (float 1e-9)) "mean" (Stats.Summary.mean whole)
-    (Stats.Summary.mean a);
-  Alcotest.(check (float 1e-9)) "stddev" (Stats.Summary.stddev whole)
-    (Stats.Summary.stddev a);
-  Alcotest.(check (float 0.0)) "min" 1.0 (Stats.Summary.min a);
-  Alcotest.(check (float 0.0)) "max" 100.0 (Stats.Summary.max a);
-  (* both reservoirs were complete, so the merge concatenated exactly *)
-  Alcotest.(check (float 0.0)) "p50 exact after merge"
-    (Stats.Summary.percentile whole 0.5)
-    (Stats.Summary.percentile a 0.5)
-
-let test_summary_merge_overflow () =
-  let a = Stats.Summary.create () and b = Stats.Summary.create () in
-  let rng = Rng.create 5L in
-  for _ = 1 to 3000 do
-    Stats.Summary.add a (Rng.float rng 100.0)
-  done;
-  for _ = 1 to 3000 do
-    Stats.Summary.add b (900.0 +. Rng.float rng 100.0)
-  done;
-  let exact_mean =
-    (Stats.Summary.mean a +. Stats.Summary.mean b) /. 2.0
-  in
-  Stats.Summary.merge a b;
-  Alcotest.(check int) "count" 6000 (Stats.Summary.count a);
-  Alcotest.(check int) "retained capped" Stats.Summary.reservoir_capacity
-    (Stats.Summary.retained a);
-  Alcotest.(check (float 1e-6)) "moments merged exactly" exact_mean
-    (Stats.Summary.mean a);
-  (* equal populations around 50 and 950: the median sits in the gap *)
-  let p50 = Stats.Summary.percentile a 0.5 in
-  Alcotest.(check bool)
-    (Printf.sprintf "merged p50 between the modes (%.1f)" p50)
-    true
-    (p50 >= 50.0 && p50 <= 1000.0);
-  let p10 = Stats.Summary.percentile a 0.1 and p90 = Stats.Summary.percentile a 0.9 in
-  Alcotest.(check bool) "low tail from a" true (p10 < 100.0);
-  Alcotest.(check bool) "high tail from b" true (p90 > 900.0)
-
-let test_metrics_merge_summaries () =
-  let acc = Metrics.create () and m = Metrics.create () in
-  Stats.Summary.add acc.Metrics.delivery_delay_us 10.0;
-  Stats.Summary.add m.Metrics.delivery_delay_us 30.0;
-  Stats.Summary.add m.Metrics.transit_us 7.0;
-  Stats.Summary.add m.Metrics.stability_lag_us 5.0;
-  m.Metrics.delivered <- 2;
-  Metrics.merge_into acc m;
-  Alcotest.(check int) "delay count merged" 2
-    (Stats.Summary.count acc.Metrics.delivery_delay_us);
-  Alcotest.(check (float 1e-9)) "delay mean merged" 20.0
-    (Stats.Summary.mean acc.Metrics.delivery_delay_us);
-  Alcotest.(check int) "transit count merged" 1
-    (Stats.Summary.count acc.Metrics.transit_us);
-  Alcotest.(check int) "stability count merged" 1
-    (Stats.Summary.count acc.Metrics.stability_lag_us);
-  Alcotest.(check int) "counters still merged" 2 acc.Metrics.delivered;
-  Alcotest.(check int) "source untouched" 1
-    (Stats.Summary.count m.Metrics.delivery_delay_us)
 
 (* --- structured-event ingestion into the analyzer ---------------------------- *)
 
@@ -349,17 +236,6 @@ let () =
         [ QCheck_alcotest.to_alcotest histo_percentile_qcheck;
           QCheck_alcotest.to_alcotest histo_merge_qcheck;
           Alcotest.test_case "exact extremes" `Quick test_histo_extremes ] );
-      ( "summary",
-        [ Alcotest.test_case "reservoir bounded + deterministic" `Quick
-            test_reservoir_bounded_and_deterministic;
-          Alcotest.test_case "exact below cap" `Quick
-            test_reservoir_exact_below_cap;
-          Alcotest.test_case "merge exact-concat" `Quick
-            test_summary_merge_exact;
-          Alcotest.test_case "merge past the cap" `Quick
-            test_summary_merge_overflow;
-          Alcotest.test_case "metrics merge includes summaries" `Quick
-            test_metrics_merge_summaries ] );
       ( "analyze",
         [ Alcotest.test_case "fig1 log ingested" `Quick test_exec_of_log_fig1;
           Alcotest.test_case "unknown delivery rejected" `Quick

@@ -57,8 +57,16 @@ let show_ids l = String.concat "," (List.map string_of_int l)
 
 let run_equiv ?(shape = Random_calls) ?clock n ops =
   let metrics_i = Metrics.create () and metrics_r = Metrics.create () in
-  let inc = S.create ?clock ~group_size:n ~metrics:metrics_i ~graph:None () in
-  let re = R.create ?clock ~group_size:n ~metrics:metrics_r ~graph:None () in
+  let registry_i = Repro_obs.Registry.create ()
+  and registry_r = Repro_obs.Registry.create () in
+  let inc =
+    S.create ?clock ~registry:registry_i ~group_size:n ~metrics:metrics_i
+      ~graph:None ()
+  in
+  let re =
+    R.create ?clock ~registry:registry_r ~group_size:n ~metrics:metrics_r
+      ~graph:None ()
+  in
   let dvc = Array.init n (fun _ -> Vector_clock.create n) in
   let in_flight = ref [] in
   let next_id = ref 0 in
@@ -186,19 +194,19 @@ let run_equiv ?(shape = Random_calls) ?clock n ops =
       check "catch-up gossip"
     done
   done;
-  let lag m = m.Metrics.stability_lag_us in
-  if Stats.Summary.count (lag metrics_i) <> Stats.Summary.count (lag metrics_r)
-  then
+  let lag registry =
+    Repro_obs.Registry.histogram registry ~layer:Repro_obs.Event.Stability
+      ~name:"stability_lag_us" ()
+  in
+  let lag_i = lag registry_i and lag_r = lag registry_r in
+  if Repro_obs.Histo.count lag_i <> Repro_obs.Histo.count lag_r then
     QCheck.Test.fail_reportf "release count mismatch inc=%d ref=%d"
-      (Stats.Summary.count (lag metrics_i))
-      (Stats.Summary.count (lag metrics_r));
+      (Repro_obs.Histo.count lag_i) (Repro_obs.Histo.count lag_r);
   (* lags are integral microseconds, so the sums are exact in float and
      equal iff the (msg, release-time) multisets are *)
-  if Stats.Summary.sum (lag metrics_i) <> Stats.Summary.sum (lag metrics_r)
-  then
+  if Repro_obs.Histo.sum lag_i <> Repro_obs.Histo.sum lag_r then
     QCheck.Test.fail_reportf "release-time sum mismatch inc=%.0f ref=%.0f"
-      (Stats.Summary.sum (lag metrics_i))
-      (Stats.Summary.sum (lag metrics_r));
+      (Repro_obs.Histo.sum lag_i) (Repro_obs.Histo.sum lag_r);
   let peaks m = (m.Metrics.peak_unstable_count, m.Metrics.peak_unstable_bytes) in
   if peaks metrics_i <> peaks metrics_r then
     QCheck.Test.fail_reportf "unstable peak mismatch inc=%d/%dB ref=%d/%dB"
