@@ -1,9 +1,10 @@
 (* Benchmark harness.
 
-   Default mode regenerates every table and figure of the reproduction
-   (see EXPERIMENTS.md), then runs bechamel micro-benchmarks on the
-   protocol-critical data structures — quantifying the "overhead on every
-   message transmission and reception" claim at the CPU level.
+   Default mode runs bechamel micro-benchmarks on the protocol-critical
+   data structures — quantifying the "overhead on every message
+   transmission and reception" claim at the CPU level. The tables and
+   figures of the reproduction come from [repro_cli run --all] (see
+   EXPERIMENTS.md).
 
    With [--json] it instead produces BENCH_delivery.json: ns/op
    micro-benchmarks of the delivery queue and the stability tracker
@@ -29,7 +30,6 @@
    peak-unstable-bytes regression at any (impl, group size) present in
    both files. The schema is documented in EXPERIMENTS.md. *)
 
-module Registry = Repro_experiments.Registry
 module Scaling = Repro_experiments.Scaling
 module Config = Repro_catocs.Config
 module Delivery_queue = Repro_catocs.Delivery_queue
@@ -1308,7 +1308,4 @@ let () =
   | Some file -> validate ?expect_mode:!expect_mode ?baseline:!baseline file
   | None ->
     if !json then emit_json ~domains:!domains ~smoke:!smoke ~out:!out
-    else begin
-      Registry.run_everything Format.std_formatter;
-      microbenchmarks ()
-    end
+    else microbenchmarks ()

@@ -23,7 +23,8 @@ type 'a t = {
   metrics : Metrics.t;
   graph : Causality.t option;
   obs : (Repro_obs.Log.t * int) option;
-  lag_histo : Repro_obs.Histo.t;
+  registry : Repro_obs.Registry.t;
+  lag_histo : Repro_obs.Histo.t;  (* fed only when [registry] is enabled *)
   reg_minima : Repro_obs.Registry.counter;
   mutable count : int;
   mutable bytes : int;
@@ -49,7 +50,7 @@ let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
       dirty = [];
       dirty_mark = Array.make group_size false;
       advanced = (fun s -> mark_dirty t s);
-      bytes_of; metrics; graph; obs;
+      bytes_of; metrics; graph; obs; registry;
       lag_histo =
         Repro_obs.Registry.histogram registry ~layer ~name:"stability_lag_us" ();
       reg_minima =
@@ -90,10 +91,9 @@ let note_delivered_diag t (data : 'a Wire.data) =
 let release t ~now (data : 'a Wire.data) =
   t.bytes <- t.bytes - t.bytes_of data;
   t.count <- t.count - 1;
-  let lag_us =
-    float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
-  in
-  Repro_obs.Histo.add t.lag_histo lag_us;
+  if Repro_obs.Registry.enabled t.registry then
+    Repro_obs.Histo.add t.lag_histo
+      (float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at)));
   (match t.obs with
    | Some (log, pid) ->
      Repro_obs.Log.span_stable log ~at:now ~uid:data.Wire.msg_id ~pid

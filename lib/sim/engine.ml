@@ -21,23 +21,28 @@ type 'msg process = {
 }
 
 (* ------------------------------------------------------------------------- *)
-(* Parallel-mode state.
+(* Lanes.
 
-   One {e lane} per process: its own event heap, sequence counter and rng
-   stream, so a process's schedule evolves identically no matter which
-   domain hosts it. Lanes interact only through messages, and every
-   message delay is at least the network's latency floor [W], so events in
-   the window [kW, (k+1)W) of different lanes are causally independent: a
-   send at time s arrives at s + delay >= (k+1)W. Each epoch the lanes run
+   A {e lane} is an event heap with its own clock, sequence counter, rng
+   stream and message counters; its events run in (time, insertion seq)
+   order. Every engine has a control lane (pid -1) for ownerless timers and
+   crash-observer notifications — actions that may touch many processes.
+
+   [Sequential] puts every process on the control lane, which draws from
+   the engine's own rng: the whole run is one (time, seq) order.
+
+   [Parallel] gives each process its own lane, with an rng stream split off
+   the seed in pid order, so a process's schedule evolves identically no
+   matter which domain hosts it. Lanes interact only through messages, and
+   every message delay is at least the network's latency floor [W], so
+   events in the window [kW, (k+1)W) of different lanes are causally
+   independent: a send at time s arrives at s + delay >= (k+1)W. Each epoch
+   the control lane drains single-threaded, then the process lanes run
    concurrently (domain d owns the lanes with pid mod domains = d), then a
-   barrier exchanges the cross-lane sends buffered in per-lane outboxes in
-   (arrival time, source lane, emission seq) order, assigning destination
-   sequence numbers in that merged order — the delivery schedule is a pure
-   function of the seed, independent of the domain count.
-
-   The control lane (pid -1) carries ownerless timers and crash-observer
-   notifications — actions that may touch many processes. It drains
-   single-threaded at the start of each epoch, before the worker phase. *)
+   barrier exchanges the sends buffered in per-lane outboxes in (arrival
+   time, source lane, emission seq) order, assigning destination sequence
+   numbers in that merged order — the delivery schedule is a pure function
+   of the seed, independent of the domain count. *)
 
 type pending = {
   out_time : Sim_time.t;
@@ -62,14 +67,6 @@ type lane = {
   mutable steps : int;  (* events processed (event-budget accounting) *)
 }
 
-type par = {
-  domains : int;
-  mutable lanes : lane array;  (* index = pid, grown by spawn *)
-  control : lane;
-  mutable in_parallel_phase : bool;
-      (* workers running: cross-lane scheduling must go through outboxes *)
-}
-
 (* Which lane the executing domain is currently advancing; [None] outside
    lane processing (setup code, barriers). Domain-local by construction:
    each domain only ever writes its own slot. *)
@@ -77,20 +74,19 @@ let current_lane : lane option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 type 'msg t = {
+  impl : impl;
   rng : Rng.t;
   net : Net.t;
   trace : Trace.t option;  (* [Some] iff created with [pp_msg] *)
   pp_msg : Format.formatter -> 'msg -> unit;  (* called only with a trace *)
-  events : event Heap.t;
-  mutable clock : Sim_time.t;
-  mutable next_seq : int;
+  control : lane;
+  mutable lanes : lane array;  (* index = pid, grown by spawn *)
+  mutable clock : Sim_time.t;  (* [now] outside lane processing *)
+  mutable in_parallel_phase : bool;
+      (* workers running: cross-lane scheduling must go through outboxes *)
   mutable processes : 'msg process array;
   mutable nprocs : int;
   mutable failure_observers : (pid -> unit) list;
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  par : par option;  (* [Some] iff created with [Parallel _] *)
 }
 
 let compare_event a b =
@@ -105,96 +101,65 @@ let make_lane pid rng =
 
 let create ?(impl = Sequential) ?(seed = 42L) ?(net = Net.create ()) ?pp_msg () =
   let rng = Rng.create seed in
-  let par =
+  let control_rng =
     match impl with
-    | Sequential -> None
+    | Sequential -> rng
     | Parallel { domains } ->
       if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
-      Some
-        { domains; lanes = [||]; control = make_lane (-1) (Rng.split rng);
-          in_parallel_phase = false }
+      Rng.split rng
   in
   let trace, pp_msg =
     match pp_msg with
     | Some pp -> (Some (Trace.create ()), pp)
     | None -> (None, fun _ _ -> ())
   in
-  { rng; net; trace; pp_msg;
-    events = Heap.create ~cmp:compare_event; clock = Sim_time.zero;
-    next_seq = 0; processes = [||]; nprocs = 0; failure_observers = [];
-    sent = 0; delivered = 0; dropped = 0; par }
+  { impl; rng; net; trace; pp_msg; control = make_lane (-1) control_rng;
+    lanes = [||]; clock = Sim_time.zero; in_parallel_phase = false;
+    processes = [||]; nprocs = 0; failure_observers = [] }
 
-let impl t =
-  match t.par with
-  | None -> Sequential
-  | Some p -> Parallel { domains = p.domains }
-
+let impl t = t.impl
 let rng t = t.rng
 let trace t = t.trace
 
 let now t =
-  match t.par with
+  match !(Domain.DLS.get current_lane) with
+  | Some lane -> lane.lclock
   | None -> t.clock
-  | Some _ ->
-    (match !(Domain.DLS.get current_lane) with
-     | Some lane -> lane.lclock
-     | None -> t.clock)
-
-let schedule t time action =
-  let time = if Sim_time.compare time t.clock < 0 then t.clock else time in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Heap.push t.events { time; seq; action }
 
 let push_lane lane time action =
   let seq = lane.lseq in
   lane.lseq <- seq + 1;
   Heap.push lane.lheap { time; seq; action }
 
-(* Schedule onto [target]'s lane. Same-lane pushes and pushes from the
-   single-threaded contexts (setup, control drain, barriers) go straight
-   into the heap; a worker scheduling across lanes buffers the entry in
-   its own outbox so the barrier merge orders it deterministically. *)
-let par_schedule t p ~(target : lane) time action =
+(* Schedule a timer onto [target]'s lane. Same-lane pushes and pushes from
+   the single-threaded contexts (setup, control drain, barriers) go straight
+   into the heap, clamped to the current clock; a worker scheduling across
+   lanes buffers the entry in its own outbox so the barrier merge orders it
+   deterministically. *)
+let schedule t ~(target : lane) time action =
   match !(Domain.DLS.get current_lane) with
-  | Some lane when lane == target ->
-    let time =
-      if Sim_time.compare time lane.lclock < 0 then lane.lclock else time
-    in
-    push_lane target time action
-  | Some lane ->
-    if p.in_parallel_phase then begin
-      let seq = lane.oseq in
-      lane.oseq <- seq + 1;
-      lane.outbox <-
-        { out_time = time; out_src = lane.lane_pid; out_seq = seq;
-          out_dst = target.lane_pid; out_timer = true; out_action = action }
-        :: lane.outbox
-    end
-    else begin
-      let time =
-        if Sim_time.compare time lane.lclock < 0 then lane.lclock else time
-      in
-      push_lane target time action
-    end
-  | None ->
-    let time = if Sim_time.compare time t.clock < 0 then t.clock else time in
-    push_lane target time action
+  | Some lane when t.in_parallel_phase && lane != target ->
+    let seq = lane.oseq in
+    lane.oseq <- seq + 1;
+    lane.outbox <-
+      { out_time = time; out_src = lane.lane_pid; out_seq = seq;
+        out_dst = target.lane_pid; out_timer = true; out_action = action }
+      :: lane.outbox
+  | current ->
+    let clock = match current with Some lane -> lane.lclock | None -> t.clock in
+    push_lane target (if Sim_time.compare time clock < 0 then clock else time)
+      action
 
-let require_quiescent p what =
-  if p.in_parallel_phase
-     && !(Domain.DLS.get current_lane) <> None
-  then
+let require_quiescent t what =
+  if t.in_parallel_phase && Option.is_some !(Domain.DLS.get current_lane) then
     invalid_arg
       (Printf.sprintf
          "Engine.%s: only from setup or control-lane actions in parallel mode"
          what)
 
 let spawn t ~name handler =
+  require_quiescent t "spawn";
   let p = { proc_name = name; handler; alive = true; busy_until = Sim_time.zero } in
-  (match t.par with
-   | Some par -> require_quiescent par "spawn"
-   | None -> ());
   let capacity = Array.length t.processes in
   if t.nprocs = capacity then begin
     let capacity' = if capacity = 0 then 8 else capacity * 2 in
@@ -205,15 +170,17 @@ let spawn t ~name handler =
   t.processes.(t.nprocs) <- p;
   t.nprocs <- t.nprocs + 1;
   let pid = t.nprocs - 1 in
-  (match t.par with
-   | Some par ->
-     (* one rng split per spawn, in pid order: the per-lane streams are a
-        function of the seed alone, not of the domain count *)
-     let lane = make_lane pid (Rng.split t.rng) in
-     let lanes = Array.make (pid + 1) lane in
-     Array.blit par.lanes 0 lanes 0 pid;
-     par.lanes <- lanes
-   | None -> ());
+  let lane =
+    match t.impl with
+    | Sequential -> t.control
+    | Parallel _ ->
+      (* one rng split per spawn, in pid order: the per-lane streams are a
+         function of the seed alone, not of the domain count *)
+      make_lane pid (Rng.split t.rng)
+  in
+  let lanes = Array.make (pid + 1) lane in
+  Array.blit t.lanes 0 lanes 0 pid;
+  t.lanes <- lanes;
   pid
 
 let proc t pid =
@@ -227,7 +194,7 @@ let is_alive t pid = (proc t pid).alive
 let trace_msg t pid kind msg =
   match t.trace with
   | Some trace ->
-    Trace.record trace t.clock ~pid kind (Format.asprintf "%a" t.pp_msg msg)
+    Trace.record trace (now t) ~pid kind (Format.asprintf "%a" t.pp_msg msg)
   | None -> ()
 
 let trace_mark t pid label =
@@ -237,18 +204,22 @@ let trace_mark t pid label =
 
 let deliver t env =
   let p = proc t env.dst in
+  let dl = t.lanes.(env.dst) in
   if p.alive && not (Net.blocked t.net ~src:env.src ~dst:env.dst) then begin
-    t.delivered <- t.delivered + 1;
+    dl.ldelivered <- dl.ldelivered + 1;
     trace_msg t env.dst Trace.Recv env.payload;
     p.handler env.dst env
   end
-  else t.dropped <- t.dropped + 1
+  else dl.ldropped <- dl.ldropped + 1
 
-(* top-level rather than a closure inside [seq_send]: no closure block per
-   packet *)
-let schedule_delivery t ~src ~dst payload =
-  let delay = Net.sample_delay t.net t.rng in
-  let arrival = Sim_time.add t.clock delay in
+(* One copy of a packet on the wire, drawn from the source lane [sl]. Under
+   [Sequential] the source lane is the control lane, which every process
+   shares, so the delivery goes straight into its heap; a [Parallel]
+   process lane buffers it in its outbox for the barrier merge. Top-level
+   rather than a closure inside [send]: no closure block per packet. *)
+let transmit t sl ~src ~dst payload =
+  let sent_at = now t in
+  let arrival = Sim_time.add sent_at (Net.sample_delay t.net sl.lrng) in
   let processing = Net.processing_time t.net in
   let recv_at =
     if processing = Sim_time.zero then arrival
@@ -262,69 +233,41 @@ let schedule_delivery t ~src ~dst payload =
       finish
     end
   in
-  let env = { src; dst; sent_at = t.clock; recv_at; payload } in
-  schedule t recv_at (fun () -> deliver t env)
-
-let seq_send t ~src ~dst payload =
-  if (proc t src).alive then begin
-    t.sent <- t.sent + 1;
-    trace_msg t src Trace.Send payload;
-    if Net.blocked t.net ~src ~dst || Net.drops t.net t.rng then
-      t.dropped <- t.dropped + 1
-    else begin
-      schedule_delivery t ~src ~dst payload;
-      if Net.duplicates t.net t.rng then schedule_delivery t ~src ~dst payload
-    end
+  let env = { src; dst; sent_at; recv_at; payload } in
+  let action () = deliver t env in
+  if sl == t.control then push_lane sl recv_at action
+  else begin
+    let seq = sl.oseq in
+    sl.oseq <- seq + 1;
+    sl.outbox <-
+      { out_time = recv_at; out_src = src; out_seq = seq; out_dst = dst;
+        out_timer = false; out_action = action }
+      :: sl.outbox
   end
 
-let par_deliver t p env =
-  let dl = p.lanes.(env.dst) in
-  let pr = proc t env.dst in
-  if pr.alive && not (Net.blocked t.net ~src:env.src ~dst:env.dst) then begin
-    dl.ldelivered <- dl.ldelivered + 1;
-    pr.handler env.dst env
-  end
-  else dl.ldropped <- dl.ldropped + 1
-
-(* Randomness, counters and the outbox all belong to the {e source} lane
-   even when the send executes on the control lane (a crash observer
-   triggering protocol sends): per-source attribution is what keeps the
-   sampled delays a function of the seed alone. *)
-let par_send t p ~src ~dst payload =
+(* Randomness and counters belong to the {e source} lane even when the send
+   executes on the control lane (a crash observer triggering protocol
+   sends): per-source attribution is what keeps the sampled delays a
+   function of the seed alone. *)
+let send t ~src ~dst payload =
   if (proc t src).alive then begin
-    let sl = p.lanes.(src) in
+    let sl = t.lanes.(src) in
     sl.lsent <- sl.lsent + 1;
+    trace_msg t src Trace.Send payload;
     if Net.blocked t.net ~src ~dst || Net.drops t.net sl.lrng then
       sl.ldropped <- sl.ldropped + 1
     else begin
-      let sent_at = now t in
-      let send_one () =
-        let delay = Net.sample_delay t.net sl.lrng in
-        let recv_at = Sim_time.add sent_at delay in
-        let env = { src; dst; sent_at; recv_at; payload } in
-        let seq = sl.oseq in
-        sl.oseq <- seq + 1;
-        sl.outbox <-
-          { out_time = recv_at; out_src = src; out_seq = seq; out_dst = dst;
-            out_timer = false; out_action = (fun () -> par_deliver t p env) }
-          :: sl.outbox
-      in
-      send_one ();
-      if Net.duplicates t.net sl.lrng then send_one ()
+      transmit t sl ~src ~dst payload;
+      if Net.duplicates t.net sl.lrng then transmit t sl ~src ~dst payload
     end
   end
 
-let send t ~src ~dst payload =
-  match t.par with
-  | None -> seq_send t ~src ~dst payload
-  | Some p -> par_send t p ~src ~dst payload
-
-let target_lane t p owner =
+let target_lane t owner =
   match owner with
   | Some pid ->
     ignore (proc t pid);
-    p.lanes.(pid)
-  | None -> p.control
+    t.lanes.(pid)
+  | None -> t.control
 
 let at t ?owner time action =
   let guarded () =
@@ -332,9 +275,7 @@ let at t ?owner time action =
     | Some pid when not (proc t pid).alive -> ()
     | Some _ | None -> action ()
   in
-  match t.par with
-  | None -> schedule t time guarded
-  | Some p -> par_schedule t p ~target:(target_lane t p owner) time guarded
+  schedule t ~target:(target_lane t owner) time guarded
 
 let after t ?owner delay action = at t ?owner (Sim_time.add (now t) delay) action
 
@@ -357,25 +298,20 @@ let on_failure t observer =
 
 let crash t pid =
   let p = proc t pid in
-  (match t.par with
-   | Some par -> require_quiescent par "crash"
-   | None -> ());
+  require_quiescent t "crash";
   if p.alive then begin
     p.alive <- false;
     trace_mark t pid "CRASH";
     let observers = t.failure_observers in
     let fire () = List.iter (fun observe -> observe pid) observers in
-    let time = Sim_time.add (now t) (Net.detection_delay t.net) in
-    match t.par with
-    | None -> schedule t time fire
-    | Some par -> par_schedule t par ~target:par.control time fire
+    schedule t ~target:t.control
+      (Sim_time.add (now t) (Net.detection_delay t.net))
+      fire
   end
 
 let recover t pid =
   let p = proc t pid in
-  (match t.par with
-   | Some par -> require_quiescent par "recover"
-   | None -> ());
+  require_quiescent t "recover";
   if not p.alive then begin
     p.alive <- true;
     trace_mark t pid "RECOVER"
@@ -384,28 +320,54 @@ let recover t pid =
 (* the runaway guard, per [run] call *)
 let max_events = 50_000_000
 
-(* The hot loop: peek/pop without option boxing — this loop runs once per
-   simulated event, and the option cells otherwise dominate its minor-heap
-   allocation. *)
+(* The event loop: run [lane]'s events before [bound], stopping early once
+   its step count reaches [stop]. Peek/pop without option boxing — this loop
+   runs once per simulated event, and the option cells otherwise dominate
+   its minor-heap allocation. The current-lane slot is restored however the
+   loop exits, so an event that raises leaves no stale clock behind for
+   [now]. *)
+let process_lane lane ~bound ~stop =
+  let slot = Domain.DLS.get current_lane in
+  let outer = !slot in
+  slot := Some lane;
+  match
+    while
+      lane.steps < stop
+      && (not (Heap.is_empty lane.lheap))
+      && Sim_time.compare (Heap.peek_exn lane.lheap).time bound < 0
+    do
+      let event = Heap.pop_exn lane.lheap in
+      lane.lclock <- event.time;
+      lane.steps <- lane.steps + 1;
+      event.action ()
+    done
+  with
+  | () -> slot := outer
+  | exception exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    slot := outer;
+    Printexc.raise_with_backtrace exn bt
+
+(* the first instant past [limit]: the loop bound that still runs [limit] *)
+let just_past limit = Sim_time.add limit (Sim_time.us 1)
+
+let runaway () = failwith "Engine.run: event budget exhausted (runaway?)"
+
+(* [Sequential]: every event is on the control lane; drain it in one call.
+   The clock follows the last event (also when that event raised), and
+   stops at [until] only when events remain past it. *)
 let run_sequential ?until t =
-  let budget = ref max_events in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    if Heap.is_empty t.events then continue := false
-    else begin
-      let next = Heap.peek_exn t.events in
-      match until with
-      | Some limit when Sim_time.compare next.time limit > 0 ->
-        t.clock <- limit;
-        continue := false
-      | Some _ | None ->
-        let event = Heap.pop_exn t.events in
-        t.clock <- event.time;
-        event.action ();
-        decr budget
-    end
-  done;
-  if !budget = 0 then failwith "Engine.run: event budget exhausted (runaway?)"
+  let lane = t.control in
+  let bound = match until with Some limit -> just_past limit | None -> max_int in
+  let start = lane.steps in
+  let stop = start + max_events in
+  Fun.protect
+    ~finally:(fun () -> if lane.steps > start then t.clock <- lane.lclock)
+    (fun () -> process_lane lane ~bound ~stop);
+  if lane.steps = stop then runaway ();
+  match until with
+  | Some limit when not (Heap.is_empty lane.lheap) -> t.clock <- limit
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------------- *)
 (* Parallel run loop. *)
@@ -430,7 +392,7 @@ let chaos_merge_share_order = Atomic.make false
    emission seq); destination heaps assign their sequence numbers in that
    order, so FIFO tie-breaks at equal arrival times are domain-count
    independent. Runs single-threaded at barriers. *)
-let merge_outboxes p ~barrier_clock =
+let merge_outboxes t ~domains ~barrier_clock =
   let pend = ref [] in
   let take lane =
     match lane.outbox with
@@ -439,8 +401,8 @@ let merge_outboxes p ~barrier_clock =
       lane.outbox <- [];
       pend := List.rev_append l !pend
   in
-  take p.control;
-  Array.iter take p.lanes;
+  take t.control;
+  Array.iter take t.lanes;
   match !pend with
   | [] -> ()
   | all ->
@@ -449,7 +411,7 @@ let merge_outboxes p ~barrier_clock =
         List.sort
           (fun a b ->
             match
-              Int.compare (a.out_src mod p.domains) (b.out_src mod p.domains)
+              Int.compare (a.out_src mod domains) (b.out_src mod domains)
             with
             | 0 -> compare_pending a b
             | c -> c)
@@ -458,7 +420,7 @@ let merge_outboxes p ~barrier_clock =
     in
     List.iter
       (fun o ->
-        let target = if o.out_dst < 0 then p.control else p.lanes.(o.out_dst) in
+        let target = if o.out_dst < 0 then t.control else t.lanes.(o.out_dst) in
         let time =
           (* message arrivals are >= the barrier by the lookahead argument;
              only cross-lane timers can ask for an already-processed window *)
@@ -469,35 +431,16 @@ let merge_outboxes p ~barrier_clock =
         push_lane target time o.out_action)
       all
 
-let process_lane lane ~bound =
-  let r = Domain.DLS.get current_lane in
-  r := Some lane;
-  let continue = ref true in
-  while !continue do
-    if Heap.is_empty lane.lheap then continue := false
-    else begin
-      let next = Heap.peek_exn lane.lheap in
-      if Sim_time.compare next.time bound >= 0 then continue := false
-      else begin
-        let event = Heap.pop_exn lane.lheap in
-        lane.lclock <- event.time;
-        event.action ();
-        lane.steps <- lane.steps + 1
-      end
-    end
-  done;
-  r := None
-
-let process_share p ~bound ~me =
-  let lanes = p.lanes in
+let process_share t ~domains ~bound ~me =
+  let lanes = t.lanes in
   let n = Array.length lanes in
   let i = ref me in
   while !i < n do
-    process_lane lanes.(!i) ~bound;
-    i := !i + p.domains
+    process_lane lanes.(!i) ~bound ~stop:max_int;
+    i := !i + domains
   done
 
-let next_event_time p =
+let next_event_time t =
   let best = ref None in
   let consider lane =
     match Heap.peek lane.lheap with
@@ -507,14 +450,14 @@ let next_event_time p =
        | Some b when Sim_time.compare b e.time <= 0 -> ()
        | Some _ | None -> best := Some e.time)
   in
-  consider p.control;
-  Array.iter consider p.lanes;
+  consider t.control;
+  Array.iter consider t.lanes;
   !best
 
-let total_steps p =
-  Array.fold_left (fun acc l -> acc + l.steps) p.control.steps p.lanes
+let total_steps t =
+  Array.fold_left (fun acc l -> acc + l.steps) t.control.steps t.lanes
 
-let run_parallel ?until t p =
+let run_parallel ?until t ~domains =
   if Net.processing_time t.net <> Sim_time.zero then
     invalid_arg "Engine.run: parallel mode needs Net.processing_time = 0";
   if Option.is_some t.trace then
@@ -522,10 +465,10 @@ let run_parallel ?until t p =
   let w = Sim_time.to_us (Net.min_latency t.net) in
   if w <= 0 then
     invalid_arg "Engine.run: parallel mode needs a positive latency floor";
-  let base_steps = total_steps p in
+  let base_steps = total_steps t in
   (* sends and timers issued during setup (or a previous run) wait in
      outboxes; seed the heaps before looking for the first epoch *)
-  merge_outboxes p ~barrier_clock:t.clock;
+  merge_outboxes t ~domains ~barrier_clock:t.clock;
   let mutex = Mutex.create () in
   let cond = Condition.create () in
   let generation = ref 0 in
@@ -546,7 +489,7 @@ let run_parallel ?until t p =
       if s then running := false
       else begin
         mygen := g;
-        (try process_share p ~bound ~me:id
+        (try process_share t ~domains ~bound ~me:id
          with exn ->
            Mutex.lock mutex;
            if !worker_error = None then worker_error := Some exn;
@@ -558,20 +501,20 @@ let run_parallel ?until t p =
       end
     done
   in
-  let domains =
-    Array.init (p.domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
+  let workers =
+    Array.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
   in
   let release_and_join () =
     Mutex.lock mutex;
     stop := true;
     Condition.broadcast cond;
     Mutex.unlock mutex;
-    Array.iter Domain.join domains
+    Array.iter Domain.join workers
   in
   Fun.protect ~finally:release_and_join (fun () ->
       let continue = ref true in
       while !continue do
-        match next_event_time p with
+        match next_event_time t with
         | None -> continue := false
         | Some next_time ->
           (match until with
@@ -583,14 +526,14 @@ let run_parallel ?until t p =
              let epoch_end = Sim_time.us ((epoch + 1) * w) in
              let bound =
                match until with
-               | Some limit -> min epoch_end (Sim_time.add limit (Sim_time.us 1))
+               | Some limit -> min epoch_end (just_past limit)
                | None -> epoch_end
              in
              (* 1. control drain: single-threaded, may touch any lane *)
-             process_lane p.control ~bound;
+             process_lane t.control ~bound ~stop:max_int;
              (* 2. worker phase: each domain advances its own lanes *)
-             p.in_parallel_phase <- true;
-             if p.domains > 1 then begin
+             t.in_parallel_phase <- true;
+             if domains > 1 then begin
                Mutex.lock mutex;
                cur_bound := bound;
                done_count := 0;
@@ -598,15 +541,15 @@ let run_parallel ?until t p =
                Condition.broadcast cond;
                Mutex.unlock mutex
              end;
-             process_share p ~bound ~me:0;
-             if p.domains > 1 then begin
+             process_share t ~domains ~bound ~me:0;
+             if domains > 1 then begin
                Mutex.lock mutex;
-               while !done_count < p.domains - 1 do
+               while !done_count < domains - 1 do
                  Condition.wait cond mutex
                done;
                Mutex.unlock mutex
              end;
-             p.in_parallel_phase <- false;
+             t.in_parallel_phase <- false;
              (match !worker_error with
               | Some exn -> raise exn
               | None -> ());
@@ -615,27 +558,21 @@ let run_parallel ?until t p =
                (match until with
                 | Some limit -> min epoch_end limit
                 | None -> epoch_end);
-             merge_outboxes p ~barrier_clock:bound;
-             if total_steps p - base_steps > max_events then
-               failwith "Engine.run: event budget exhausted (runaway?)")
+             merge_outboxes t ~domains ~barrier_clock:bound;
+             if total_steps t - base_steps > max_events then runaway ())
       done)
 
 let run ?until t =
-  match t.par with
-  | None -> run_sequential ?until t
-  | Some p -> run_parallel ?until t p
+  match t.impl with
+  | Sequential -> run_sequential ?until t
+  | Parallel { domains } -> run_parallel ?until t ~domains
 
-let messages_sent t =
-  match t.par with
-  | None -> t.sent
-  | Some p -> Array.fold_left (fun acc l -> acc + l.lsent) 0 p.lanes
+(* [Sequential]'s lanes are all the control lane: count it once *)
+let total t count =
+  match t.impl with
+  | Sequential -> count t.control
+  | Parallel _ -> Array.fold_left (fun acc l -> acc + count l) 0 t.lanes
 
-let messages_delivered t =
-  match t.par with
-  | None -> t.delivered
-  | Some p -> Array.fold_left (fun acc l -> acc + l.ldelivered) 0 p.lanes
-
-let messages_dropped t =
-  match t.par with
-  | None -> t.dropped
-  | Some p -> Array.fold_left (fun acc l -> acc + l.ldropped) 0 p.lanes
+let messages_sent t = total t (fun l -> l.lsent)
+let messages_delivered t = total t (fun l -> l.ldelivered)
+let messages_dropped t = total t (fun l -> l.ldropped)

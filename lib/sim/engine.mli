@@ -2,25 +2,27 @@
 
     An engine hosts a set of simulated processes exchanging messages of a
     single type ['msg] (protocol stacks define a wire variant and instantiate
-    the engine at it). All scheduling is driven by one event queue ordered by
-    (time, insertion sequence), so runs are reproducible given the seed.
+    the engine at it). Events live on {e lanes}: a lane is an event queue
+    ordered by (time, insertion sequence), with its own clock, rng stream
+    and message counters, so runs are reproducible given the seed. The two
+    execution strategies (see {!impl}) differ only in how processes map
+    onto lanes:
 
-    Two execution strategies share this interface (see {!impl}):
-
-    - [Sequential] — the classic single event loop above.
-    - [Parallel {domains}] — conservative parallel discrete-event execution
-      on OCaml domains. Each process gets its own event {e lane} (heap,
-      sequence counter, rng stream split off the seed in pid order); lanes
-      advance concurrently through epoch windows of width
-      [Net.min_latency] — the lookahead: a message sent inside a window
-      arrives, at the earliest, in the next one — and a barrier between
-      epochs exchanges cross-lane sends in (arrival time, source lane,
-      emission seq) order. Delivery schedules are therefore a function of
-      the seed alone: the same seed yields identical runs for every
-      [domains] value, including [domains = 1]. [Sequential] remains the
-      reference implementation; it draws from a single shared rng stream,
-      so its schedules are internally deterministic but not comparable
-      message-for-message with [Parallel] runs.
+    - [Sequential] — one lane shared by every process, drawing from the
+      engine's own rng stream ({!rng}): the whole run is one (time, seq)
+      order.
+    - [Parallel {domains}] — a lane per process, each with an rng stream
+      split off the seed in pid order, run by conservative parallel
+      discrete-event execution on OCaml domains. Lanes advance concurrently
+      through epoch windows of width [Net.min_latency] — the lookahead: a
+      message sent inside a window arrives, at the earliest, in the next
+      one — and a barrier between epochs exchanges cross-lane sends in
+      (arrival time, source lane, emission seq) order. Delivery schedules
+      are therefore a function of the seed alone: the same seed yields
+      identical runs for every [domains] value, including [domains = 1].
+      Because the streams differ, [Sequential] and [Parallel] schedules of
+      one seed are each deterministic but not comparable
+      message-for-message.
 
     Parallel restrictions (checked at {!run}): positive [Net.min_latency],
     zero [Net.processing_time] (the receiver-busy queue mutates receiver

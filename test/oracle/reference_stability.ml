@@ -10,7 +10,8 @@ type 'a t = {
   metrics : Metrics.t;
   graph : Causality.t option;
   obs : (Repro_obs.Log.t * int) option;
-  lag_histo : Repro_obs.Histo.t;
+  registry : Repro_obs.Registry.t;
+  lag_histo : Repro_obs.Histo.t;  (* fed only when [registry] is enabled *)
   mutable bytes : int;
 }
 
@@ -23,7 +24,7 @@ let create ?clock ?(bytes_of = Wire.buffered_bytes) ?obs ?registry
   ignore
     (Repro_obs.Registry.counter registry ~layer ~name:"minima_advances" ());
   { matrix = Group_clock.create ?impl:clock group_size;
-    buffer = Hashtbl.create 64; bytes_of; metrics; graph; obs;
+    buffer = Hashtbl.create 64; bytes_of; metrics; graph; obs; registry;
     lag_histo =
       Repro_obs.Registry.histogram registry ~layer ~name:"stability_lag_us" ();
     bytes = 0 }
@@ -49,10 +50,9 @@ let note_delivered_diag t (data : 'a data) =
 let release t ~now (data : 'a data) =
   Hashtbl.remove t.buffer data.Wire.msg_id;
   t.bytes <- t.bytes - t.bytes_of data;
-  let lag_us =
-    float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
-  in
-  Repro_obs.Histo.add t.lag_histo lag_us;
+  if Repro_obs.Registry.enabled t.registry then
+    Repro_obs.Histo.add t.lag_histo
+      (float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at)));
   (match t.obs with
    | Some (log, pid) ->
      Repro_obs.Log.span_stable log ~at:now ~uid:data.Wire.msg_id ~pid

@@ -162,20 +162,22 @@ let test_pc_fingerprints_pinned () =
     (fingerprint_digest ~causal_impl:Config.Pc_causal
        [ ("cbcast", Config.Causal) ])
 
-(* Delivery-sequence pins: the verdict fingerprint of seeds 0-29 followed by
+(* Delivery-sequence pins: the verdict fingerprint of each seed followed by
    every delivery of the run as pid:uid:time, in log order. Unlike the
    verdict pins above these move when any delivery changes member, message
    or instant, even if every count and verdict stays the same (admitting
    queued joiners 1us later is such a change). The seeds include joins and
-   crashes, so both view-install paths run. The digests were taken on the
-   tree before the per-view epoch refactor of [Stack]. *)
-let delivery_sequence_digest ?causal_impl orderings =
+   crashes, so both view-install paths run. The sequential digests were
+   taken on the tree before the per-view epoch refactor of [Stack]; the
+   parallel one on the tree before [Engine]'s two run loops became one. *)
+let delivery_sequence_digest ?engine_impl ~seeds runs =
   let b = Buffer.create 65536 in
   List.iter
-    (fun (_, ordering) ->
-      for seed = 0 to 29 do
+    (fun (causal_impl, ordering) ->
+      for seed = 0 to seeds - 1 do
         let exec, verdict =
-          Runner.exec_of_seed ?causal_impl ~ordering ~seed ()
+          Runner.exec_of_plan ?engine_impl ~causal_impl ~ordering ~seed
+            (Fault_plan.generate ~seed Fault_plan.default_profile)
         in
         Buffer.add_string b (Runner.fingerprint verdict);
         List.iter
@@ -184,19 +186,33 @@ let delivery_sequence_digest ?causal_impl orderings =
           exec.Repro_analyze.Exec.deliveries;
         Buffer.add_char b '\n'
       done)
-    orderings;
+    runs;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+let bss_runs =
+  List.map (fun (_, ordering) -> (Config.Vector_causal, ordering))
+    Runner.orderings
+
+let pc_run = (Config.Pc_causal, Config.Causal)
 
 let test_bss_delivery_sequence_pinned () =
   check_string "bss seeds 0-29, all orderings, every delivery"
     "8ab6c4353154445f86c5a3644f2152a4"
-    (delivery_sequence_digest Runner.orderings)
+    (delivery_sequence_digest ~seeds:30 bss_runs)
 
 let test_pc_delivery_sequence_pinned () =
   check_string "pc seeds 0-29, cbcast, every delivery"
     "c90232c6321e8ec2927fe5b3fbf36942"
-    (delivery_sequence_digest ~causal_impl:Config.Pc_causal
-       [ ("cbcast", Config.Causal) ])
+    (delivery_sequence_digest ~seeds:30 [ pc_run ])
+
+(* [Parallel] schedules pinned absolutely, not only against other domain
+   counts: a change that moved every domain count the same way keeps the
+   cross-domain identity tests green but moves this digest. *)
+let test_parallel_delivery_sequence_pinned () =
+  check_string "parallel d1 seeds 0-9, all orderings and pc, every delivery"
+    "a8ec5d32cf8c3c0c0f0cef5a4fac9578"
+    (delivery_sequence_digest ~engine_impl:(Engine.Parallel { domains = 1 })
+       ~seeds:10 (bss_runs @ [ pc_run ]))
 
 (* Stability-timing pin: for seeds 0-9 of every ordering, each member's
    stability-lag sample count and sum (its registry histogram) and its two
@@ -569,6 +585,8 @@ let () =
             test_bss_delivery_sequence_pinned;
           Alcotest.test_case "pc delivery sequence pinned" `Slow
             test_pc_delivery_sequence_pinned;
+          Alcotest.test_case "parallel delivery sequence pinned" `Slow
+            test_parallel_delivery_sequence_pinned;
           Alcotest.test_case "stability timing pinned" `Slow
             test_stability_timing_pinned;
         ] );

@@ -289,8 +289,21 @@ let test_net_drop_probability () =
 
 (* --- Engine -------------------------------------------------------------- *)
 
-let test_engine_send_receive () =
-  let engine = Engine.create ~net:(Net.create ~latency:(Net.Fixed 100) ()) () in
+(* Every case that the parallel restrictions allow runs on both
+   implementations: [Sequential] (one lane for every process) and
+   [Parallel {domains = 1}] (a lane per process; other domain counts only
+   repartition the same lanes). *)
+let impls =
+  [ ("sequential", Engine.Sequential); ("parallel", Engine.Parallel { domains = 1 }) ]
+
+let on_both_impls test () =
+  List.iter (fun (label, impl) -> test ~tag:(fun msg -> label ^ ": " ^ msg) impl)
+    impls
+
+let test_engine_send_receive ~tag impl =
+  let engine =
+    Engine.create ~impl ~net:(Net.create ~latency:(Net.Fixed 100) ()) ()
+  in
   let received = ref [] in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b =
@@ -300,102 +313,116 @@ let test_engine_send_receive () =
   Engine.send engine ~src:a ~dst:b "hello";
   Engine.send engine ~src:a ~dst:b "world";
   Engine.run engine;
-  Alcotest.(check (list string)) "both delivered in order" [ "hello"; "world" ]
-    (List.rev !received);
-  check_int "sent" 2 (Engine.messages_sent engine);
-  check_int "delivered" 2 (Engine.messages_delivered engine)
+  Alcotest.(check (list string)) (tag "both delivered in order")
+    [ "hello"; "world" ] (List.rev !received);
+  check_int (tag "sent") 2 (Engine.messages_sent engine);
+  check_int (tag "delivered") 2 (Engine.messages_delivered engine)
 
-let test_engine_clock_advances () =
-  let engine = Engine.create ~net:(Net.create ~latency:(Net.Fixed 250) ()) () in
+let test_engine_clock_advances ~tag impl =
+  let engine =
+    Engine.create ~impl ~net:(Net.create ~latency:(Net.Fixed 250) ()) ()
+  in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b = Engine.spawn engine ~name:"b" (fun _ env ->
-      check_int "recv time" 250 env.Engine.recv_at) in
+      check_int (tag "recv time") 250 env.Engine.recv_at;
+      check_int (tag "clock at delivery") 250 (Engine.now engine)) in
   Engine.send engine ~src:a ~dst:b ();
   Engine.run engine;
-  check_int "clock at last event" 250 (Engine.now engine)
+  (* after the run [now] is the barrier clock: [Sequential] stops at its
+     last event, [Parallel] at the end of the last epoch window (the
+     latency floor is 250us, so the event at 250 closes the window at 500) *)
+  let expected = match impl with Engine.Sequential -> 250 | Parallel _ -> 500 in
+  check_int (tag "clock after the run") expected (Engine.now engine)
 
-let test_engine_timers_in_order () =
-  let engine = Engine.create () in
+let test_engine_timers_in_order ~tag impl =
+  let engine = Engine.create ~impl () in
   let order = ref [] in
   Engine.at engine 300 (fun () -> order := 3 :: !order);
   Engine.at engine 100 (fun () -> order := 1 :: !order);
   Engine.at engine 200 (fun () -> order := 2 :: !order);
   Engine.run engine;
-  Alcotest.(check (list int)) "fired in time order" [ 1; 2; 3 ] (List.rev !order)
+  Alcotest.(check (list int)) (tag "fired in time order") [ 1; 2; 3 ]
+    (List.rev !order)
 
-let test_engine_tie_break_is_fifo () =
-  let engine = Engine.create () in
+let test_engine_tie_break_is_fifo ~tag impl =
+  let engine = Engine.create ~impl () in
   let order = ref [] in
   for i = 1 to 5 do
     Engine.at engine 100 (fun () -> order := i :: !order)
   done;
   Engine.run engine;
-  Alcotest.(check (list int)) "insertion order at equal times" [ 1; 2; 3; 4; 5 ]
-    (List.rev !order)
+  Alcotest.(check (list int)) (tag "insertion order at equal times")
+    [ 1; 2; 3; 4; 5 ] (List.rev !order)
 
-let test_engine_after_and_every () =
-  let engine = Engine.create () in
+let test_engine_after_and_every ~tag impl =
+  let engine = Engine.create ~impl () in
   let ticks = ref 0 in
   let cancel = Engine.every engine ~start:100 ~period:100 (fun () -> incr ticks) in
   Engine.after engine 450 (fun () -> cancel ());
   Engine.run engine;
-  check_int "4 ticks then cancelled" 4 !ticks
+  check_int (tag "4 ticks then cancelled") 4 !ticks
 
-let test_engine_crash_drops_messages () =
-  let engine = Engine.create ~net:(Net.create ~latency:(Net.Fixed 100) ()) () in
+let test_engine_crash_drops_messages ~tag impl =
+  let engine =
+    Engine.create ~impl ~net:(Net.create ~latency:(Net.Fixed 100) ()) ()
+  in
   let got = ref 0 in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b = Engine.spawn engine ~name:"b" (fun _ _ -> incr got) in
   Engine.crash engine b;
   Engine.send engine ~src:a ~dst:b ();
   Engine.run engine;
-  check_int "nothing delivered to dead process" 0 !got;
-  check_bool "b reported dead" false (Engine.is_alive engine b)
+  check_int (tag "nothing delivered to dead process") 0 !got;
+  check_bool (tag "b reported dead") false (Engine.is_alive engine b)
 
-let test_engine_crashed_sender_cannot_send () =
-  let engine = Engine.create () in
+let test_engine_crashed_sender_cannot_send ~tag impl =
+  let engine = Engine.create ~impl () in
   let got = ref 0 in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b = Engine.spawn engine ~name:"b" (fun _ _ -> incr got) in
   Engine.crash engine a;
   Engine.send engine ~src:a ~dst:b ();
   Engine.run engine;
-  check_int "dead sender suppressed" 0 !got
+  check_int (tag "dead sender suppressed") 0 !got
 
-let test_engine_inflight_survives_sender_crash () =
+let test_engine_inflight_survives_sender_crash ~tag impl =
   (* a message already on the wire is delivered even if the sender dies *)
-  let engine = Engine.create ~net:(Net.create ~latency:(Net.Fixed 500) ()) () in
+  let engine =
+    Engine.create ~impl ~net:(Net.create ~latency:(Net.Fixed 500) ()) ()
+  in
   let got = ref 0 in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b = Engine.spawn engine ~name:"b" (fun _ _ -> incr got) in
   Engine.send engine ~src:a ~dst:b ();
   Engine.at engine 100 (fun () -> Engine.crash engine a);
   Engine.run engine;
-  check_int "in-flight message arrives" 1 !got
+  check_int (tag "in-flight message arrives") 1 !got
 
-let test_engine_failure_detection_delay () =
+let test_engine_failure_detection_delay ~tag impl =
   let net = Net.create ~detection_delay:(Sim_time.ms 10) () in
-  let engine = Engine.create ~net () in
+  let engine = Engine.create ~impl ~net () in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let detected_at = ref (-1) in
   Engine.on_failure engine (fun pid ->
-      check_int "right pid" a pid;
+      check_int (tag "right pid") a pid;
       detected_at := Engine.now engine);
   Engine.at engine 1000 (fun () -> Engine.crash engine a);
   Engine.run engine;
-  check_int "detected after delay" (1000 + 10_000) !detected_at
+  check_int (tag "detected after delay") (1000 + 10_000) !detected_at
 
-let test_engine_crash_suppresses_owned_timers () =
-  let engine = Engine.create () in
+let test_engine_crash_suppresses_owned_timers ~tag impl =
+  let engine = Engine.create ~impl () in
   let fired = ref false in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   Engine.at engine ~owner:a 500 (fun () -> fired := true);
   Engine.at engine 100 (fun () -> Engine.crash engine a);
   Engine.run engine;
-  check_bool "timer suppressed" false !fired
+  check_bool (tag "timer suppressed") false !fired
 
-let test_engine_recover () =
-  let engine = Engine.create ~net:(Net.create ~latency:(Net.Fixed 10) ()) () in
+let test_engine_recover ~tag impl =
+  let engine =
+    Engine.create ~impl ~net:(Net.create ~latency:(Net.Fixed 10) ()) ()
+  in
   let got = ref 0 in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b = Engine.spawn engine ~name:"b" (fun _ _ -> incr got) in
@@ -403,29 +430,54 @@ let test_engine_recover () =
   Engine.at engine 100 (fun () -> Engine.recover engine b);
   Engine.at engine 200 (fun () -> Engine.send engine ~src:a ~dst:b ());
   Engine.run engine;
-  check_int "delivered after recovery" 1 !got
+  check_int (tag "delivered after recovery") 1 !got
 
-let test_engine_partition_blocks () =
+let test_engine_partition_blocks ~tag impl =
   let net = Net.create ~latency:(Net.Fixed 10) () in
-  let engine = Engine.create ~net () in
+  let engine = Engine.create ~impl ~net () in
   let got = ref 0 in
   let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
   let b = Engine.spawn engine ~name:"b" (fun _ _ -> incr got) in
   Net.partition net [ a ] [ b ];
   Engine.send engine ~src:a ~dst:b ();
   Engine.run engine;
-  check_int "blocked by partition" 0 !got;
-  check_int "counted dropped" 1 (Engine.messages_dropped engine)
+  check_int (tag "blocked by partition") 0 !got;
+  check_int (tag "counted dropped") 1 (Engine.messages_dropped engine)
 
-let test_engine_run_until () =
-  let engine = Engine.create () in
+let test_engine_run_until ~tag impl =
+  let engine = Engine.create ~impl () in
   let fired = ref false in
   Engine.at engine 1000 (fun () -> fired := true);
   Engine.run ~until:500 engine;
-  check_bool "not yet" false !fired;
-  check_int "clock stopped at limit" 500 (Engine.now engine);
+  check_bool (tag "not yet") false !fired;
+  check_int (tag "clock stopped at limit") 500 (Engine.now engine);
   Engine.run engine;
-  check_bool "fires on resume" true !fired
+  check_bool (tag "fires on resume") true !fired
+
+exception Handler_failed
+
+(* The engine records the lane it is advancing in a domain-local slot that
+   [now] reads. An event that raises must not leave that slot set: a later
+   engine on the same domain would read the dead lane's clock. *)
+let test_engine_raise_restores_clock () =
+  List.iter
+    (fun (label, impl) ->
+      let net = Net.create ~latency:(Net.Fixed 1000) () in
+      let engine = Engine.create ~impl ~net () in
+      let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
+      let b = Engine.spawn engine ~name:"b" (fun _ _ -> raise Handler_failed) in
+      Engine.send engine ~src:a ~dst:b ();
+      (match Engine.run engine with
+       | () -> Alcotest.failf "%s: the handler did not raise" label
+       | exception Handler_failed -> ());
+      List.iter
+        (fun (fresh, fresh_impl) ->
+          check_int
+            (Printf.sprintf "%s raised; a fresh %s engine starts at 0" label fresh)
+            0
+            (Engine.now (Engine.create ~impl:fresh_impl ())))
+        impls)
+    impls
 
 let test_engine_processing_time_serialises () =
   (* three messages arriving together are processed one at a time *)
@@ -458,10 +510,10 @@ let test_engine_processing_time_zero_is_passthrough () =
   Alcotest.(check (list int)) "all arrive together" [ 100; 100; 100 ]
     (List.rev !times)
 
-let test_engine_deterministic_replay () =
+let test_engine_deterministic_replay ~tag impl =
   let run_once seed =
     let net = Net.create ~latency:(Net.Uniform (100, 900)) () in
-    let engine = Engine.create ~seed ~net () in
+    let engine = Engine.create ~impl ~seed ~net () in
     let log = ref [] in
     let a = Engine.spawn engine ~name:"a" (fun _ _ -> ()) in
     let b =
@@ -474,9 +526,10 @@ let test_engine_deterministic_replay () =
     Engine.run engine;
     List.rev !log
   in
-  Alcotest.(check (list (pair int int))) "same seed, same run" (run_once 99L)
-    (run_once 99L);
-  check_bool "different seed, different run" true (run_once 99L <> run_once 100L)
+  Alcotest.(check (list (pair int int))) (tag "same seed, same run")
+    (run_once 99L) (run_once 99L);
+  check_bool (tag "different seed, different run") true
+    (run_once 99L <> run_once 100L)
 
 (* --- Trace --------------------------------------------------------------- *)
 
@@ -643,24 +696,35 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "send/receive" `Quick test_engine_send_receive;
-          Alcotest.test_case "clock advances" `Quick test_engine_clock_advances;
-          Alcotest.test_case "timers in order" `Quick test_engine_timers_in_order;
-          Alcotest.test_case "tie-break fifo" `Quick test_engine_tie_break_is_fifo;
-          Alcotest.test_case "after/every" `Quick test_engine_after_and_every;
-          Alcotest.test_case "crash drops" `Quick test_engine_crash_drops_messages;
-          Alcotest.test_case "dead sender" `Quick test_engine_crashed_sender_cannot_send;
+          Alcotest.test_case "send/receive" `Quick
+            (on_both_impls test_engine_send_receive);
+          Alcotest.test_case "clock advances" `Quick
+            (on_both_impls test_engine_clock_advances);
+          Alcotest.test_case "timers in order" `Quick
+            (on_both_impls test_engine_timers_in_order);
+          Alcotest.test_case "tie-break fifo" `Quick
+            (on_both_impls test_engine_tie_break_is_fifo);
+          Alcotest.test_case "after/every" `Quick
+            (on_both_impls test_engine_after_and_every);
+          Alcotest.test_case "crash drops" `Quick
+            (on_both_impls test_engine_crash_drops_messages);
+          Alcotest.test_case "dead sender" `Quick
+            (on_both_impls test_engine_crashed_sender_cannot_send);
           Alcotest.test_case "in-flight survives" `Quick
-            test_engine_inflight_survives_sender_crash;
+            (on_both_impls test_engine_inflight_survives_sender_crash);
           Alcotest.test_case "failure detection delay" `Quick
-            test_engine_failure_detection_delay;
+            (on_both_impls test_engine_failure_detection_delay);
           Alcotest.test_case "crash suppresses timers" `Quick
-            test_engine_crash_suppresses_owned_timers;
-          Alcotest.test_case "recover" `Quick test_engine_recover;
-          Alcotest.test_case "partition blocks" `Quick test_engine_partition_blocks;
-          Alcotest.test_case "run until" `Quick test_engine_run_until;
+            (on_both_impls test_engine_crash_suppresses_owned_timers);
+          Alcotest.test_case "recover" `Quick (on_both_impls test_engine_recover);
+          Alcotest.test_case "partition blocks" `Quick
+            (on_both_impls test_engine_partition_blocks);
+          Alcotest.test_case "run until" `Quick
+            (on_both_impls test_engine_run_until);
+          Alcotest.test_case "raise restores clock" `Quick
+            test_engine_raise_restores_clock;
           Alcotest.test_case "deterministic replay" `Quick
-            test_engine_deterministic_replay;
+            (on_both_impls test_engine_deterministic_replay);
           Alcotest.test_case "processing time serialises" `Quick
             test_engine_processing_time_serialises;
           Alcotest.test_case "zero processing passthrough" `Quick
