@@ -289,9 +289,7 @@ let codec_micro_section ~smoke =
           Vector_clock.set vt i (i * 3)
         done;
         Wire.Causal_meta
-      | _ ->
-        Vector_clock.set vt rank 7;
-        Wire.Pc_meta { origin_seq = 7 }
+      | _ -> Wire.Pc_meta { origin_seq = 7 }
     in
     Wire.Proto
       ( 1,

@@ -32,9 +32,9 @@ let parse_causal_impl = function
   | "pc" -> Ok Config.Pc_causal
   | s -> Error (Printf.sprintf "unknown causal impl %S (one of: bss, pc)" s)
 
-let run_check seeds start_seed ordering_names causal_impl_name members
-    duration_ms root_sends max_faults domains fingerprints_file no_shrink
-    no_crashes no_partitions no_loss no_joins verbose =
+let run_check seeds start_seed ordering_names causal_impl_name wire_format
+    members duration_ms root_sends max_faults domains fingerprints_file
+    no_shrink no_crashes no_partitions no_loss no_joins verbose =
   match
     (parse_orderings ordering_names, parse_causal_impl causal_impl_name)
   with
@@ -71,7 +71,7 @@ let run_check seeds start_seed ordering_names causal_impl_name members
         start_seed;
       let r =
         Runner.sweep ~profile ~shrink:(not no_shrink) ~start_seed ?on_seed
-          ~engine_impl ~causal_impl ~ordering ~seeds ()
+          ~engine_impl ~causal_impl ~wire_format ~ordering ~seeds ()
       in
       match r.Runner.failed with
       | None ->
@@ -96,7 +96,7 @@ let run_check seeds start_seed ordering_names causal_impl_name members
             let seed = start_seed + i in
             let v =
               Runner.run_seed ~profile ~shrink:(not no_shrink) ~engine_impl
-                ~causal_impl ~ordering ~seed ()
+                ~causal_impl ~wire_format ~ordering ~seed ()
             in
             (match v with Runner.Fail _ -> ok := false | Runner.Pass _ -> ());
             Printf.sprintf "%s seed=%d %s" name seed (Runner.fingerprint v))
@@ -149,6 +149,19 @@ let cmd =
           ~doc:
             "Causal-delivery implementation for the causal-layer modes: bss \
              (vector timestamps) or pc (PC-broadcast constant metadata).")
+  in
+  let wire_format =
+    Arg.(
+      value
+      & opt
+          (enum
+             [ ("structural", Config.Structural); ("encoded", Config.Encoded) ])
+          Config.Structural
+      & info [ "wire" ] ~docv:"FORMAT"
+          ~doc:
+            "Wire format: structural (message values cross the network) or \
+             encoded (every message is a Wire_codec frame, decoded by each \
+             receiver).")
   in
   let members =
     Arg.(
@@ -219,7 +232,8 @@ let cmd =
   Cmd.v
     (Cmd.info "repro-check" ~doc)
     Term.(
-      const run_check $ seeds $ start_seed $ ordering $ causal_impl $ members
+      const run_check $ seeds $ start_seed $ ordering $ causal_impl
+      $ wire_format $ members
       $ duration_ms $ root_sends $ max_faults $ domains $ fingerprints
       $ no_shrink $ no_crashes $ no_partitions $ no_loss $ no_joins $ verbose)
 

@@ -63,9 +63,9 @@ type stability_clock =
           ({!Sparse_matrix_clock}) — what lets the scaling sweep reach
           n=4096 without the ~20 GB dense group-clock footprint. The
           sharing, and so the O(group) cost, holds under [Structural]
-          only: under [Encoded] each receiver decodes its own data stamp,
-          and merges a gossip vector by value because it is the codec's
-          reused decode target. *)
+          only: under [Encoded] each receiver decodes its own BSS data
+          stamp, and merges a gossip vector by value because it is the
+          codec's reused decode target. *)
 
 type wire_format =
   | Structural

@@ -7,13 +7,12 @@ let chaos_disable_causal_check = ref false
 let condition_holds mode ~local (pending : 'a pending) =
   let data = pending.data in
   let sender = data.Wire.sender_rank in
-  let msg = data.Wire.vt in
   match mode with
-  | Fifo_gap -> Vector_clock.get msg sender = Vector_clock.get local sender + 1
+  | Fifo_gap -> Wire.seq data = Vector_clock.get local sender + 1
   | Causal_full ->
     if !chaos_disable_causal_check then
-      Vector_clock.get msg sender = Vector_clock.get local sender + 1
-    else Vector_clock.deliverable ~sender ~msg ~local
+      Wire.seq data = Vector_clock.get local sender + 1
+    else Vector_clock.deliverable ~sender ~msg:data.Wire.vt ~local
 
 (* Both delivery conditions pin the message's per-sender sequence number to
    exactly [local(sender) + 1], so at any instant each sender has at most one
@@ -211,7 +210,7 @@ let sync t ~local =
 (* --- interface ----------------------------------------------------------- *)
 
 let insert_entry t s (entry : 'a entry) =
-  let seq = Vector_clock.get entry.pending.data.Wire.vt s.rank in
+  let seq = Wire.seq entry.pending.data in
   ensure_slot s seq;
   let i = slot_index s seq in
   s.slots.(i) <- s.slots.(i) @ [ entry ];
@@ -262,7 +261,7 @@ let add t pending =
   end
 
 let remove_entry t s entry =
-  let seq = Vector_clock.get entry.pending.data.Wire.vt s.rank in
+  let seq = Wire.seq entry.pending.data in
   let i = slot_index s seq in
   (match s.slots.(i) with
   | [ e ] when e.arrival = entry.arrival -> s.slots.(i) <- []

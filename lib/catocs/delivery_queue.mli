@@ -16,7 +16,7 @@
     differential tests in [test/] hold the queue to that list. *)
 
 type mode =
-  | Fifo_gap  (** deliver when [vt(sender) = local(sender) + 1] only *)
+  | Fifo_gap  (** deliver when [Wire.seq data = local(sender) + 1] only *)
   | Causal_full  (** full Birman-Schiper-Stephenson condition *)
 
 type 'a pending = { data : 'a Wire.data; arrived_at : Sim_time.t }

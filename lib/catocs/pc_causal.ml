@@ -43,6 +43,8 @@ type t = {
       (* first-copy arrival link (peer rank; -1 for out-of-band paths such
          as flush re-sends) for every message currently queued or being
          delivered: doubles as the queued-duplicate filter *)
+  zero_stamp : Vector_clock.t;
+      (* the [vt] of every multicast this view stamps; nothing writes it *)
   stats : stats;
 }
 
@@ -73,12 +75,14 @@ let create (config : Config.t) ~rank ~group_size ~link_fresh =
         (fun peer_rank -> { peer_rank; opened = not (link_fresh peer_rank) })
         neighbors;
     arrival = Hashtbl.create 64;
+    zero_stamp = Vector_clock.create group_size;
     stats =
       { forwards = 0; duplicates_dropped = 0; barrier_deferred = 0;
         barrier_retransmits = 0; pings_sent = 0; pongs_sent = 0 } }
 
 let neighbors t = t.neighbors
 let stats t = t.stats
+let zero_stamp t = t.zero_stamp
 
 let find_link t peer_rank =
   let rec go i =
@@ -127,13 +131,6 @@ let iter_forward_targets t ~from_rank ~origin_rank f =
       then f l.peer_rank
     done
 
-let origin_seq (data : 'a Wire.data) =
-  match data.Wire.meta with
-  | Wire.Pc_meta { origin_seq } -> origin_seq
-  | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _ ->
-    (* a misconfigured peer: fall back to the timestamp component *)
-    Vector_clock.get data.Wire.vt data.Wire.sender_rank
-
 (* The messages a freshly opened link's peer is missing, given the
    [delivered] vector its pong carried: exactly the unstable buffer filtered
    by per-origin delivered counts. Anything the peer lacks cannot have
@@ -144,5 +141,5 @@ let origin_seq (data : 'a Wire.data) =
 let missing_for ~delivered unstable =
   List.filter
     (fun (d : 'a Wire.data) ->
-      origin_seq d > Vector_clock.get delivered d.Wire.sender_rank)
+      Wire.seq d > Vector_clock.get delivered d.Wire.sender_rank)
     unstable

@@ -40,6 +40,11 @@ val neighbors : t -> int array
 
 val stats : t -> stats
 
+val zero_stamp : t -> Vector_clock.t
+(** The all-zero stamp of group size that every multicast of this view
+    carries as its [vt] under [Wire.Pc_meta]: one per view, shared by every
+    record, and never written. The sequence travels as [origin_seq]. *)
+
 val link_open : t -> peer_rank:int -> bool
 
 val fresh_links : t -> int list

@@ -72,16 +72,17 @@ let buffer t ~sender ~seq (data : 'a Wire.data) =
 
 let note_sent_or_delivered t (data : 'a Wire.data) =
   let sender = data.Wire.sender_rank in
-  buffer t ~sender ~seq:(Vector_clock.get data.Wire.vt sender) data;
+  buffer t ~sender ~seq:(Wire.seq data) data;
   Group_clock.update_row_tracked t.matrix sender data.Wire.vt
     ~advanced:t.advanced
 
-(* Fifo_gap-mode fast path: a PC stamp is nonzero only at the
-   sender's own component, so the sender-row merge is one diagonal cell —
-   O(1) instead of the O(group) full-row classification pass. *)
+(* PC fast path: a PC record says nothing about the sender's other
+   components, so the sender-row merge is one diagonal cell — O(1) instead
+   of the O(group) full-row classification pass, and the record's shared
+   zero stamp never reaches the matrix. *)
 let note_delivered_diag t (data : 'a Wire.data) =
   let sender = data.Wire.sender_rank in
-  let seq = Vector_clock.get data.Wire.vt sender in
+  let seq = Wire.seq data in
   buffer t ~sender ~seq data;
   Group_clock.update_cell_tracked t.matrix sender sender ~seq
     ~advanced:t.advanced
@@ -119,7 +120,7 @@ let release_dirty t ~now =
         while !go do
           match Queue.peek_opt q with
           | Some (data : 'a Wire.data)
-            when Vector_clock.get data.Wire.vt s <= min_seq ->
+            when Wire.seq data <= min_seq ->
             ignore (Queue.pop q);
             release t ~now data
           | Some _ | None -> go := false

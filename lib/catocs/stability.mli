@@ -51,11 +51,12 @@ val note_sent_or_delivered : 'a t -> 'a Wire.data -> unit
     delivery condition guarantees this. *)
 
 val note_delivered_diag : 'a t -> 'a Wire.data -> unit
-(** {!note_sent_or_delivered} specialised to a Fifo_gap-mode message whose
-    timestamp is nonzero only at its sender's own component (PC sparse
-    stamps): the sender-row merge is a single diagonal cell, O(1)
-    instead of an O(group) row merge. Behavior is identical to
-    {!note_sent_or_delivered} on such messages. *)
+(** {!note_sent_or_delivered} for a PC record ([Wire.Pc_meta]): the
+    sender-row merge is the single diagonal cell at {!Wire.seq}, O(1)
+    instead of an O(group) row merge, and the record's all-zero stamp is
+    never read or adopted. It behaves as {!note_sent_or_delivered} would on
+    a stamp that is {!Wire.seq} at the sender's component and zero
+    elsewhere. *)
 
 val observe_vc :
   'a t -> live:bool -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit

@@ -376,16 +376,16 @@ let register_in_graph t (data : 'a Wire.data) =
     let vt = data.Wire.vt in
     let view_id = data.Wire.view_id in
     let sender = data.Wire.sender_rank in
+    let sender_seq = Wire.seq data in
     let deps = ref [] in
     for r = 0 to Vector_clock.size vt - 1 do
-      let seq = if r = sender then Vector_clock.get vt r - 1 else Vector_clock.get vt r in
+      let seq = if r = sender then sender_seq - 1 else Vector_clock.get vt r in
       if seq > 0 then
         match Hashtbl.find_opt t.shared.id_index (view_id, r, seq) with
         | Some dep -> deps := dep :: !deps
         | None -> ()
     done;
-    Hashtbl.replace t.shared.id_index
-      (view_id, sender, Vector_clock.get vt sender)
+    Hashtbl.replace t.shared.id_index (view_id, sender, sender_seq)
       data.Wire.msg_id;
     Causality.add_message graph ~id:data.Wire.msg_id ~deps:!deps
 
@@ -449,11 +449,11 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
      k <> sender); in Fifo_gap mode a full merge would overstate which
      messages from third parties we have delivered. *)
   let sender = data.Wire.sender_rank in
-  let sender_seq = Vector_clock.get data.Wire.vt sender in
+  let sender_seq = Wire.seq data in
   Vector_clock.set e.vc sender sender_seq;
-  (* PC stamps are nonzero only at the sender's own component, so
-     both stability merges below collapse to single cells — the delivery
-     hot path stays O(1) in group size instead of O(n) per message. *)
+  (* a PC record carries only its sender's sequence, so both stability
+     merges below collapse to single cells — the delivery hot path stays
+     O(1) in group size instead of O(n) per message. *)
   (match data.Wire.meta with
    | Wire.Pc_meta _ -> Stability.note_delivered_diag e.stability data
    | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _ ->
@@ -622,16 +622,13 @@ let make_data t payload =
   let e = t.epoch in
   let vt, meta =
     match e.pc with
-    | Some _ ->
-      (* PC mode: the wire carries only (origin, origin_seq). The in-memory
-         vt is sparse — just our own ticked component — which is exactly
-         what the delivery-queue gap check, causal_deliver's clock advance
-         and the stability sender-row merge read; any receiver could
-         reconstruct it locally, so it is not charged to header_bytes. *)
+    | Some pc ->
+      (* PC mode: the wire carries only (origin, origin_seq), and every
+         layer reads the sequence through [Wire.seq]. The record's vt is
+         the view's one all-zero stamp: it only carries the group size the
+         codec ships, so a decoded record equals the sent one. *)
       let seq = Vector_clock.get e.vc e.rank + 1 in
-      let vt = Vector_clock.create (Group.size e.view) in
-      Vector_clock.set vt e.rank seq;
-      (vt, Wire.Pc_meta { origin_seq = seq })
+      (Pc_causal.zero_stamp pc, Wire.Pc_meta { origin_seq = seq })
     | None ->
       let vt = Vector_clock.copy_tick e.vc e.rank in
       let meta =
@@ -1351,7 +1348,8 @@ let shutdown t =
   t.cancel_gossip ();
   t.callbacks <- null_callbacks
 
-let create_group ?obs ~engine ~config ~names ~make_callbacks () =
+let create_group ?obs ?payload_codec ~engine ~config ~names ~make_callbacks
+    () =
   let pids =
     List.map (fun n -> Engine.spawn engine ~name:n (fun _ _ -> ())) names
   in
@@ -1359,6 +1357,6 @@ let create_group ?obs ~engine ~config ~names ~make_callbacks () =
   let shared = make_shared ?obs config in
   List.map
     (fun pid ->
-      create ~engine ~shared ~config ~view ~self:pid
+      create ?payload_codec ~engine ~shared ~config ~view ~self:pid
         ~callbacks:(make_callbacks pid) ())
     pids

@@ -88,6 +88,7 @@ val create :
 
 val create_group :
   ?obs:Repro_obs.Log.t ->
+  ?payload_codec:'a Wire_codec.payload_codec ->
   engine:'a Wire.t Transport.packet Engine.t ->
   config:Config.t ->
   names:string list ->
@@ -96,7 +97,7 @@ val create_group :
   'a t list
 (** Spawn one process per name, form the initial view over all of them, and
     return their stacks (in name order). [obs] is threaded to
-    {!make_shared}. *)
+    {!make_shared}, [payload_codec] to {!create}. *)
 
 val multicast : 'a t -> 'a -> unit
 (** Multicast to the current view. During a flush, sends are queued and

@@ -55,9 +55,15 @@ let header_bytes data =
   | Causal_meta | Seq_meta -> 8 + Vector_clock.encoded_size_bytes data.vt
   | Lamport_meta _ -> 16
   (* PC-broadcast carries only (origin, per-origin sequence): constant in
-     group size — the in-memory [vt] field is receiver-reconstructible and
-     never on the wire *)
+     group size — the in-memory [vt] is an all-zero stamp that only
+     carries the group size *)
   | Pc_meta _ -> 16
+
+let seq data =
+  match data.meta with
+  | Pc_meta { origin_seq } -> origin_seq
+  | Fifo_meta | Causal_meta | Seq_meta | Lamport_meta _ ->
+    Vector_clock.get data.vt data.sender_rank
 
 let buffered_bytes data = data.payload_bytes + header_bytes data
 

@@ -19,11 +19,11 @@ type order_meta =
   | Pc_meta of { origin_seq : int }
       (** PC-broadcast causal delivery: the only wire-carried control
           information is the origin's per-view send sequence — O(1) in
-          group size. The [data.vt] field still exists in memory (sparse:
-          only the origin component is set) because the stability and graph
-          layers read it, but a receiver can reconstruct it locally from
-          [(origin, origin_seq)], so it is not charged to
-          {!header_bytes}. *)
+          group size. Every layer reads it through {!seq}. The record's
+          [vt] is an all-zero stamp of group size that nothing writes: a
+          sender shares one per view across all its multicasts, a codec
+          shares one across all the records it decodes, and only its size
+          travels. It is not charged to {!header_bytes}. *)
 
 type 'a data = {
   msg_id : msg_id;
@@ -37,7 +37,8 @@ type 'a data = {
   origin : Engine.pid;
   sender_rank : int;  (** rank in the view the message was sent in *)
   view_id : int;
-  vt : Vector_clock.t;  (** sender's vector timestamp at send *)
+  vt : Vector_clock.t;
+      (** sender's vector timestamp at send; all zero under [Pc_meta] *)
   meta : order_meta;
   payload : 'a;
   payload_bytes : int;
@@ -80,6 +81,10 @@ type 'a t =
   | Proto of int * 'a proto
       (** protocol message of the given process group *)
   | Direct of 'a  (** out-of-band point-to-point application message *)
+
+val seq : 'a data -> int
+(** The record's per-sender sequence number: [origin_seq] under [Pc_meta],
+    the timestamp's [sender_rank] component under every other meta. *)
 
 val header_bytes : 'a data -> int
 (** Ordering-header overhead this message carries on the wire, by meta kind:

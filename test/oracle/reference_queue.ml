@@ -8,15 +8,12 @@ type 'a t = { mode : Delivery_queue.mode; mutable queue : 'a pending list }
 let condition_holds mode ~local (pending : 'a pending) =
   let data = pending.Delivery_queue.data in
   let sender = data.Wire.sender_rank in
-  let msg = data.Wire.vt in
-  let fifo_next () =
-    Vector_clock.get msg sender = Vector_clock.get local sender + 1
-  in
+  let fifo_next () = Wire.seq data = Vector_clock.get local sender + 1 in
   match mode with
   | Delivery_queue.Fifo_gap -> fifo_next ()
   | Delivery_queue.Causal_full ->
     if !Delivery_queue.chaos_disable_causal_check then fifo_next ()
-    else Vector_clock.deliverable ~sender ~msg ~local
+    else Vector_clock.deliverable ~sender ~msg:data.Wire.vt ~local
 
 let create mode = { mode; queue = [] }
 

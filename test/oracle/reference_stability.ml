@@ -44,8 +44,7 @@ let note_sent_or_delivered t (data : 'a data) =
 let note_delivered_diag t (data : 'a data) =
   buffer t data;
   let sender = data.Wire.sender_rank in
-  Group_clock.update_cell t.matrix sender sender
-    ~seq:(Vector_clock.get data.Wire.vt sender)
+  Group_clock.update_cell t.matrix sender sender ~seq:(Wire.seq data)
 
 let release t ~now (data : 'a data) =
   Hashtbl.remove t.buffer data.Wire.msg_id;
@@ -66,8 +65,9 @@ let release_stable t ~now =
   Hashtbl.fold
     (fun _ (data : 'a data) acc ->
       let sender = data.Wire.sender_rank in
-      let seq = Vector_clock.get data.Wire.vt sender in
-      if Group_clock.stable t.matrix ~sender ~seq then data :: acc else acc)
+      if Group_clock.stable t.matrix ~sender ~seq:(Wire.seq data) then
+        data :: acc
+      else acc)
     t.buffer []
   |> List.iter (release t ~now)
 

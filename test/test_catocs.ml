@@ -420,6 +420,152 @@ let test_structural_gossip_interned () =
          Sparse_matrix_clock.interned (sparse_of stack) > 0)
        members)
 
+(* A 5-member PC-broadcast run with a crash at 40 ms and a join at 150 ms,
+   every live member multicasting every 4 ms: the crash flush re-sends
+   unstable records and the joiner's fresh links retransmit them on pong,
+   so under [Encoded] decoded records are re-encoded. Returns every
+   distinct [vt] that crossed the wire in a record (sender stamps, and
+   under [Encoded] codec stamps), the stacks, and the flush and pong
+   retransmission counts. [probe] runs every 10 ms on the stamps so far. *)
+let zero_stamp_run ~wire_format ~probe =
+  let config =
+    { Config.default with
+      Config.wire_format; causal_impl = Config.Pc_causal;
+      transport = Config.Fifo_order; stability_clock = Config.Sparse_clock;
+      gossip_period = Sim_time.ms 5; track_graph = false }
+  in
+  let stamps = ref [] in
+  let rec note (d : int Wire.data) =
+    (match d.Wire.meta with
+     | Wire.Pc_meta _ ->
+       if not (List.exists (fun v -> v == d.Wire.vt) !stamps) then
+         stamps := d.Wire.vt :: !stamps
+     | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _
+       ->
+       Alcotest.fail "a non-PC record in a PC run");
+    List.iter note d.Wire.piggyback
+  in
+  let collect (w : int Wire.t) =
+    match w with
+    | Wire.Proto (_, Wire.Data d) -> note d
+    | Wire.Proto (_, Wire.Flush { unstable; _ }) -> List.iter note unstable
+    | Wire.Proto _ | Wire.Direct _ -> ()
+  in
+  let net = Net.create ~latency:(Net.Uniform (500, 5_000)) () in
+  (* structural packets carry the records themselves *)
+  let engine =
+    Engine.create ~seed:5L ~net
+      ~pp_msg:(Transport.pp_packet (fun _ w -> collect w))
+      ()
+  in
+  let endpoint self =
+    match wire_format with
+    | Config.Structural -> None
+    | Config.Encoded ->
+      let codec = Wire_codec.create Wire_codec.int_payload in
+      let framing =
+        { Transport.frame =
+            (fun w ->
+              collect w;
+              Wire_codec.encode codec w);
+          unframe =
+            (fun f ->
+              let w = Wire_codec.decode codec f in
+              collect w;
+              w) }
+      in
+      Some
+        (Endpoint.create ~framing ~engine ~self ~mode:config.Config.transport
+           ())
+  in
+  let pids =
+    List.init 5 (fun i ->
+        Engine.spawn engine ~name:(Printf.sprintf "p%d" i) (fun _ _ -> ()))
+  in
+  let view = Group.make_view ~view_id:0 pids in
+  let shared = Stack.make_shared config in
+  let stacks =
+    ref
+      (List.map
+         (fun self ->
+           Stack.create ?endpoint:(endpoint self)
+             ~payload_codec:Wire_codec.int_payload ~engine ~shared ~config
+             ~view ~self ~callbacks:Stack.null_callbacks ())
+         pids)
+  in
+  let multicasts stack ~from =
+    for k = 0 to 69 do
+      let at = Sim_time.ms ((4 * k) + (Stack.self stack mod 4)) in
+      if Sim_time.compare at from >= 0 then
+        Engine.at engine ~owner:(Stack.self stack) at (fun () ->
+            if not (Stack.is_ejected stack) then Stack.multicast stack k)
+    done
+  in
+  List.iter (multicasts ~from:Sim_time.zero) !stacks;
+  Engine.at engine (Sim_time.ms 40) (fun () ->
+      Engine.crash engine (List.nth pids 4));
+  Engine.at engine (Sim_time.ms 150) (fun () ->
+      let self = Engine.spawn engine ~name:"joiner" (fun _ _ -> ()) in
+      let joiner =
+        Stack.join ?endpoint:(endpoint self)
+          ~payload_codec:Wire_codec.int_payload ~engine ~shared ~config ~self
+          ~contact:(List.hd pids) ~callbacks:Stack.null_callbacks ()
+      in
+      stacks := !stacks @ [ joiner ];
+      multicasts joiner ~from:(Sim_time.ms 151));
+  let live () =
+    List.filter
+      (fun st ->
+        Engine.is_alive engine (Stack.self st) && not (Stack.is_ejected st))
+      !stacks
+  in
+  let _cancel =
+    Engine.every engine ~period:(Sim_time.ms 10) (fun () ->
+        probe (live ()) !stamps)
+  in
+  Engine.run ~until:(Sim_time.ms 600) engine;
+  let total f = List.fold_left (fun acc st -> acc + f st) 0 !stacks in
+  let flushes =
+    total (fun st -> (Stack.metrics st).Repro_catocs.Metrics.flush_messages)
+  in
+  let retransmits =
+    total (fun st ->
+        match Stack.pc_stats st with
+        | Some s -> s.Repro_catocs.Pc_causal.barrier_retransmits
+        | None -> 0)
+  in
+  (!stamps, live (), flushes, retransmits)
+
+(* no live member's sparse stability row holds a stamp as its shared base *)
+let check_rows_own_no_stamp stacks stamps =
+  List.iter
+    (fun stack ->
+      let m = sparse_of stack in
+      for r = 0 to Group.size (Stack.view stack) - 1 do
+        List.iter
+          (fun v ->
+            if Sparse_matrix_clock.row_base_is m r v then
+              Alcotest.failf "p%d row %d adopted a PC stamp" (Stack.self stack)
+                r)
+          stamps
+      done)
+    stacks
+
+let test_pc_zero_stamps_unwritten wire_format () =
+  let stamps, live, flushes, retransmits =
+    zero_stamp_run ~wire_format ~probe:check_rows_own_no_stamp
+  in
+  check_bool "the crash ran a flush" true (flushes > 0);
+  check_bool "the join retransmitted on pong" true (retransmits > 0);
+  check_int "four originals and the joiner live" 5 (List.length live);
+  check_bool "records carry shared stamps" true (List.length stamps > 1);
+  List.iter
+    (fun v ->
+      check_bool "every stamp reads all zero" true
+        (List.for_all (Int.equal 0) (Vector_clock.to_list v)))
+    stamps;
+  check_rows_own_no_stamp live stamps
+
 let test_metrics_header_overhead () =
   let causal = make_world ~n:4 ~ordering:Config.Causal () in
   let fifo = make_world ~n:4 ~ordering:Config.Fifo () in
@@ -1407,6 +1553,10 @@ let () =
           Alcotest.test_case "stability lag sampled" `Quick
             test_stability_lag_metric;
           Alcotest.test_case "header overhead" `Quick test_metrics_header_overhead;
+          Alcotest.test_case "pc zero stamps unwritten (structural)" `Quick
+            (test_pc_zero_stamps_unwritten Config.Structural);
+          Alcotest.test_case "pc zero stamps unwritten (encoded)" `Quick
+            (test_pc_zero_stamps_unwritten Config.Encoded);
           Alcotest.test_case "encoded gossip not adopted" `Quick
             test_encoded_gossip_not_adopted;
           Alcotest.test_case "structural gossip interned" `Quick

@@ -35,8 +35,9 @@ type op =
   | Renote  (* duplicate note of the last message member 0 buffered *)
 
 (* [causal] is the message's full causal stamp, which decides delivery
-   legality; the tracker sees [data.vt], which equals it under BSS and keeps
-   only the sender's component under PC-broadcast. *)
+   legality; the tracker sees [data], whose [vt] equals it under BSS and is
+   the run's one all-zero stamp under PC-broadcast, where the sequence
+   travels as [origin_seq]. *)
 type msg = {
   data : int Wire.data;
   causal : Vector_clock.t;
@@ -68,6 +69,7 @@ let run_equiv ?(shape = Random_calls) ?clock n ops =
       ~graph:None ()
   in
   let dvc = Array.init n (fun _ -> Vector_clock.create n) in
+  let zero_stamp = Vector_clock.create n in
   let in_flight = ref [] in
   let next_id = ref 0 in
   let now = ref 0 in
@@ -114,7 +116,7 @@ let run_equiv ?(shape = Random_calls) ?clock n ops =
     | Random_calls -> if observe then self_observe at
     | Stack_bss | Stack_pc ->
       let col = data.Wire.sender_rank in
-      let seq = Vector_clock.get data.Wire.vt col in
+      let seq = Wire.seq data in
       S.self_observe_cell inc ~rank:0 ~col ~seq ~now:at;
       R.self_observe_cell re ~rank:0 ~col ~seq ~now:at
   in
@@ -126,10 +128,7 @@ let run_equiv ?(shape = Random_calls) ?clock n ops =
       let vt, meta =
         match shape with
         | Stack_pc ->
-          let vt = Vector_clock.create n in
-          let seq = Vector_clock.get causal s in
-          Vector_clock.set vt s seq;
-          (vt, Wire.Pc_meta { origin_seq = seq })
+          (zero_stamp, Wire.Pc_meta { origin_seq = Vector_clock.get causal s })
         | Random_calls | Stack_bss -> (causal, Wire.Causal_meta)
       in
       incr next_id;
