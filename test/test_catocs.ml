@@ -819,6 +819,40 @@ let test_join_during_flush_is_queued () =
    | None -> Alcotest.fail "joiner not created");
   check_int "old member agrees" 4 (Group.size (Stack.view w.stacks.(0)))
 
+let test_join_survives_flush_restart () =
+  (* the join round is in progress when a crash is detected: the restarted
+     round must keep admitting the joiner rather than leave it to its 500ms
+     retry *)
+  let w = make_world ~n:5 () in
+  let installs = ref [] in
+  Stack.set_callbacks w.stacks.(0)
+    { Stack.null_callbacks with
+      Stack.view_change =
+        (fun v -> installs := (Engine.now w.engine, v) :: !installs) };
+  Engine.at w.engine (Sim_time.ms 40) (fun () ->
+      Engine.crash w.engine (Stack.self w.stacks.(4)));
+  let joiner = ref None in
+  (* detection at 90ms, while the join round started at 80ms still runs *)
+  Engine.at w.engine (Sim_time.ms 80) (fun () ->
+      joiner := Some (join_new_member w "newbie"));
+  run w (Sim_time.seconds 1);
+  let joiner =
+    match !joiner with
+    | Some stack -> stack
+    | None -> Alcotest.fail "joiner not created"
+  in
+  match List.rev !installs with
+  | (at, view) :: _ ->
+    check_bool "crashed member gone" false
+      (Group.mem view (Stack.self w.stacks.(4)));
+    check_bool "joiner in the first view after the crash" true
+      (Group.mem view (Stack.self joiner));
+    check_bool "installed within the restarted round" true
+      (at < Sim_time.ms 150);
+    check_int "joiner installed that view" view.Group.view_id
+      (Stack.view joiner).Group.view_id
+  | [] -> Alcotest.fail "no view installed"
+
 let test_rejoin_after_crash () =
   let w = make_world ~n:3 () in
   let crashed = Stack.self w.stacks.(2) in
@@ -1602,6 +1636,8 @@ let () =
           Alcotest.test_case "state transfer" `Quick test_join_state_transfer;
           Alcotest.test_case "join during flush queued" `Quick
             test_join_during_flush_is_queued;
+          Alcotest.test_case "join survives flush restart" `Quick
+            test_join_survives_flush_restart;
           Alcotest.test_case "rejoin after crash" `Quick test_rejoin_after_crash;
         ] );
       ( "loss",

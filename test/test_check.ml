@@ -147,8 +147,11 @@ let test_vector_pc_agreement () =
    seeds 0-9 of every ordering (bss) and of cbcast over PC-broadcast. The
    digests were taken when the list queue and the full-rescan stability
    tracker were still selectable in the stack and cross-checked against
-   the indexed queue and the incremental tracker seed by seed. A seed whose
-   send or delivery count, or whose verdict, changes moves them. *)
+   the indexed queue and the incremental tracker seed by seed, and re-taken
+   when a restarted flush round began keeping the joiners it was admitting
+   (seed 1 of every ordering, bss and pc, then admits its joiner a round
+   earlier). A seed whose send or delivery count, or whose verdict, changes
+   moves them. *)
 let fingerprint_digest ?causal_impl orderings =
   let b = Buffer.create 4096 in
   List.iter
@@ -163,11 +166,11 @@ let fingerprint_digest ?causal_impl orderings =
 
 let test_bss_fingerprints_pinned () =
   check_string "bss seeds 0-9, all orderings"
-    "5b570b701ca7ca5ba7e92759a627b96e"
+    "032894843527590068cf9da1866d0e0d"
     (fingerprint_digest Runner.orderings)
 
 let test_pc_fingerprints_pinned () =
-  check_string "pc seeds 0-9, cbcast" "e780330243ad2194cc5d9d40f8c365f7"
+  check_string "pc seeds 0-9, cbcast" "d6a07efe6bed9f48ceacf0a38e5e30bd"
     (fingerprint_digest ~causal_impl:Config.Pc_causal
        [ ("cbcast", Config.Causal) ])
 
@@ -177,8 +180,10 @@ let test_pc_fingerprints_pinned () =
    or instant, even if every count and verdict stays the same (admitting
    queued joiners 1us later is such a change). The seeds include joins and
    crashes, so both view-install paths run. The sequential digests were
-   taken on the tree before the per-view epoch refactor of [Stack]; the
-   parallel one on the tree before [Engine]'s two run loops became one. *)
+   taken on the tree before the per-view epoch refactor of [Stack], the
+   parallel one on the tree before [Engine]'s two run loops became one; all
+   three were re-taken with the verdict pins above when a restarted flush
+   round began keeping its joiners (seeds 1 and 23 move). *)
 let delivery_sequence_digest ?engine_impl ~seeds runs =
   let b = Buffer.create 65536 in
   List.iter
@@ -206,12 +211,12 @@ let pc_run = (Config.Pc_causal, Config.Causal)
 
 let test_bss_delivery_sequence_pinned () =
   check_string "bss seeds 0-29, all orderings, every delivery"
-    "8ab6c4353154445f86c5a3644f2152a4"
+    "3fbbf4642832686f4cb1c37b78f3d14a"
     (delivery_sequence_digest ~seeds:30 bss_runs)
 
 let test_pc_delivery_sequence_pinned () =
   check_string "pc seeds 0-29, cbcast, every delivery"
-    "c90232c6321e8ec2927fe5b3fbf36942"
+    "a1d7105335366523e0e03fa6efed7fa8"
     (delivery_sequence_digest ~seeds:30 [ pc_run ])
 
 (* [Parallel] schedules pinned absolutely, not only against other domain
@@ -219,7 +224,7 @@ let test_pc_delivery_sequence_pinned () =
    cross-domain identity tests green but moves this digest. *)
 let test_parallel_delivery_sequence_pinned () =
   check_string "parallel d1 seeds 0-9, all orderings and pc, every delivery"
-    "a8ec5d32cf8c3c0c0f0cef5a4fac9578"
+    "5f1bfe74efd08d13d9e1736b820b8c9c"
     (delivery_sequence_digest ~engine_impl:(Engine.Parallel { domains = 1 })
        ~seeds:10 (bss_runs @ [ pc_run ]))
 
@@ -227,7 +232,8 @@ let test_parallel_delivery_sequence_pinned () =
    stability-lag sample count and sum (its registry histogram) and its two
    unstable-buffer peaks. The pins above hash deliveries only, and a
    stability release that happens later changes no delivery; this one
-   moves with release timing. *)
+   moves with release timing. Re-taken with them when a restarted flush
+   round began keeping its joiners (seed 1 moves). *)
 let stability_timing_digest () =
   let b = Buffer.create 4096 in
   List.iter
@@ -250,7 +256,7 @@ let stability_timing_digest () =
 
 let test_stability_timing_pinned () =
   check_string "bss seeds 0-9, all orderings, per-member stability"
-    "a8e5c1d21fa37fa04e4d61d2fe15913e" (stability_timing_digest ())
+    "10f8de544c7843458fb0913d914c46c3" (stability_timing_digest ())
 
 let test_cross_clock_verdicts () =
   (* The sparse stability clock reproduces the dense tracker's advance
