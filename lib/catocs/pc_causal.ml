@@ -14,7 +14,7 @@
    the overlay neighbor set, per-link open/deferred barrier state for fresh
    links (the ping/pong join barrier), the arrival-link record used to
    avoid echoing a message back where it came from, and counters the tests
-   and benches read. The delivery machinery itself stays in [Stack], which
+   and benches read. The delivery machinery itself is [Delivery]'s, which
    reuses the FIFO-gap delivery queue and the stability tracker. *)
 
 (* Test hook, in the style of [Delivery_queue.chaos_disable_causal_check]:
