@@ -1,8 +1,8 @@
 (* The delivery layer: the receive path from arrival to the application
-   (delay queue, PC forwarding, total order), the multicast path, and
-   stability gossip — the ordered-delivery costs of Sections 3.4 and 5.
-   Membership changes are [View_change]'s; this layer only reads
-   [t.status] to suppress sends and forwards during a flush. *)
+   (delay queue, PC forwarding, the hand-off to [Total_order]), the
+   multicast path, and stability gossip — the ordered-delivery costs of
+   Sections 3.4 and 5. Membership changes are [View_change]'s; this layer
+   only reads [t.status] to suppress sends and forwards during a flush. *)
 
 open Member
 
@@ -61,21 +61,15 @@ let final_deliver t (pending : 'a Delivery_queue.pending) =
      | None -> ());
     t.callbacks.deliver ~sender:data.Wire.origin data.Wire.payload
 
-let rec release_ready t take_ready queue =
-  match take_ready queue with
-  | Some pending -> final_deliver t pending; release_ready t take_ready queue
+let rec release_ready t total =
+  match Total_order.take_ready total with
+  | Some pending -> final_deliver t pending; release_ready t total
   | None -> ()
 
-let release_total_queues t =
-  match t.config.Config.ordering with
-  | Config.Total_sequencer ->
-    release_ready t Total_order.Sequencer_queue.take_ready t.epoch.seq_queue
-  | Config.Total_lamport ->
-    (* our own logical clock bounds our own future stamps *)
-    Total_order.Lamport_queue.observe_time t.epoch.lamport_queue
-      ~rank:t.epoch.rank (Lamport.value t.lamport);
-    release_ready t Total_order.Lamport_queue.take_ready t.epoch.lamport_queue
-  | Config.Fifo | Config.Causal -> ()
+let release_total_order t =
+  let total = t.epoch.total in
+  Total_order.observe_own_clock total (Lamport.value t.lamport);
+  release_ready t total
 
 let causal_deliver t (pending : 'a Delivery_queue.pending) =
   let data = pending.Delivery_queue.data in
@@ -126,45 +120,19 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
          (* the flush round itself disseminates the message set *)
          ()
      end);
-  match t.config.Config.ordering with
-  | Config.Fifo | Config.Causal -> final_deliver t pending
-  | Config.Total_sequencer ->
-    Total_order.Sequencer_queue.add_data e.seq_queue pending;
-    if t.self = Group.member e.view 0 then begin
-      let global_seq = e.next_global_seq in
-      e.next_global_seq <- global_seq + 1;
-      let order =
-        Wire.Seq_order
-          { view_id = e.view.Group.view_id; msg_id = data.Wire.msg_id; global_seq }
-      in
+  if not (Total_order.hold e.total pending) then final_deliver t pending
+  else begin
+    let global_seq = Total_order.assign_order e.total ~msg_id:data.Wire.msg_id in
+    if global_seq >= 0 then begin
+      (* this member is the view's sequencer: publish the order *)
       count_control t (Group.size e.view - 1);
-      broadcast_proto t order;
-      Total_order.Sequencer_queue.add_order e.seq_queue
-        ~msg_id:data.Wire.msg_id ~global_seq
+      broadcast_proto t
+        (Wire.Seq_order
+           { view_id = e.view.Group.view_id; msg_id = data.Wire.msg_id;
+             global_seq })
     end
-  | Config.Total_lamport ->
-    (match data.Wire.meta with
-     | Wire.Lamport_meta stamp ->
-       Total_order.Lamport_queue.add e.lamport_queue pending ~stamp;
-       Total_order.Lamport_queue.observe_time e.lamport_queue
-         ~rank:data.Wire.sender_rank stamp.Lamport.time
-     | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Pc_meta _ ->
-       (* a misconfigured peer; deliver FIFO to stay live *)
-       final_deliver t pending)
   end
-
-let apply_deferred_gossip t =
-  let e = t.epoch in
-  let applicable, still_deferred =
-    List.partition
-      (fun (rank, required, _) -> Vector_clock.get e.vc rank >= required)
-      e.deferred_lamport_gossip
-  in
-  e.deferred_lamport_gossip <- still_deferred;
-  List.iter
-    (fun (rank, _, time) ->
-      Total_order.Lamport_queue.observe_time e.lamport_queue ~rank time)
-    applicable
+  end
 
 let rec drain_deliverables t =
   match Delivery_queue.take_deliverable t.epoch.queue ~local:t.epoch.vc with
@@ -172,10 +140,8 @@ let rec drain_deliverables t =
     causal_deliver t pending;
     drain_deliverables t
   | None ->
-    (match t.config.Config.ordering with
-     | Config.Total_lamport -> apply_deferred_gossip t
-     | Config.Fifo | Config.Causal | Config.Total_sequencer -> ());
-    release_total_queues t
+    Total_order.apply_deferred_gossip t.epoch.total ~delivered:t.epoch.vc;
+    release_total_order t
 
 let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
   (* piggybacked predecessors are just data messages: feed them through the
@@ -405,15 +371,8 @@ let on_gossip t ~view_id ~rank ~vc ~lamport =
     in
     Stability.observe_vc e.stability ~live ~rank ~now:(Engine.now t.engine) vc;
     ignore (Lamport.observe t.lamport lamport);
-    (match t.config.Config.ordering with
-     | Config.Total_lamport ->
-       let gossiper_sent = Vector_clock.get vc rank in
-       if Vector_clock.get e.vc rank >= gossiper_sent then
-         Total_order.Lamport_queue.observe_time e.lamport_queue ~rank lamport
-       else
-         e.deferred_lamport_gossip <-
-           (rank, gossiper_sent, lamport) :: e.deferred_lamport_gossip
-     | Config.Fifo | Config.Causal | Config.Total_sequencer -> ());
+    Total_order.observe_gossip e.total ~rank ~time:lamport ~sent:vc
+      ~delivered:e.vc;
     drain_deliverables t
   end
 
@@ -485,9 +444,8 @@ let handle_proto t ~src (proto : 'a Wire.proto) =
       | Some _ | None -> ())
   | Wire.Seq_order { view_id; msg_id; global_seq } ->
     if in_view t ~view_id proto then begin
-      Total_order.Sequencer_queue.add_order t.epoch.seq_queue ~msg_id
-        ~global_seq;
-      release_total_queues t
+      Total_order.add_order t.epoch.total ~msg_id ~global_seq;
+      release_total_order t
     end
   | Wire.Gossip { view_id; rank; vc; lamport } ->
     on_gossip t ~view_id ~rank ~vc ~lamport
