@@ -207,13 +207,14 @@ let join ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
   in
   let join_state = { pending_view = None; pending_state = None } in
   t.status <- Joining join_state;
-  (* retry until admitted: the contact (or the join round) may fail *)
+  (* retry until admitted: the contact (or the join round) may fail; a
+     stack shut down or ejected meanwhile stops asking *)
   let rec request () =
     match t.status with
-    | Joining _ ->
+    | Joining _ when not t.ejected ->
       send_proto t ~dst:contact (Wire.Join_request { joiner = self });
       Engine.after engine ~owner:self (Sim_time.ms 500) request
-    | Normal | Flushing _ -> ()
+    | Joining _ | Normal | Flushing _ -> ()
   in
   request ();
   t

@@ -930,6 +930,27 @@ let test_shutdown_stack_inert () =
   check_int "stale stack sent no flush traffic" 0
     (Stack.metrics stale).Repro_catocs.Metrics.flush_messages
 
+(* A joining stack shut down before it is admitted stops asking: its
+   contact never answers, so only the retry loop (every 500 ms) would keep
+   requests coming after the shutdown at 1 s. *)
+let test_shutdown_joiner_stops_requests () =
+  let net = Net.create ~latency:(Net.Fixed 1_000) () in
+  let engine = Engine.create ~net () in
+  let requests = ref 0 in
+  let contact = Engine.spawn engine ~name:"silent" (fun _ _ -> incr requests) in
+  let self = Engine.spawn engine ~name:"joiner" (fun _ _ -> ()) in
+  let config = Config.default in
+  let joiner =
+    Stack.join ~engine ~shared:(Stack.make_shared config) ~config ~self
+      ~contact ~callbacks:Stack.null_callbacks ()
+  in
+  let at_shutdown = ref 0 in
+  Engine.at engine (Sim_time.seconds 1) (fun () -> Stack.shutdown joiner);
+  Engine.at engine (Sim_time.ms 1_100) (fun () -> at_shutdown := !requests);
+  Engine.run ~until:(Sim_time.seconds 4) engine;
+  check_bool "asked while joining" true (!at_shutdown > 0);
+  check_int "no request after shutdown" !at_shutdown !requests
+
 (* --- piggybacked causal history (Section 3.4 footnote 4) --------------------- *)
 
 let test_piggyback_fills_partial_multicast_gap () =
@@ -1737,6 +1758,8 @@ let () =
             test_rejoined_pid_survives_next_failure;
           Alcotest.test_case "shutdown stack inert" `Quick
             test_shutdown_stack_inert;
+          Alcotest.test_case "shut-down joiner stops requests" `Quick
+            test_shutdown_joiner_stops_requests;
         ] );
       ( "loss",
         [
