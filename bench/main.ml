@@ -441,6 +441,11 @@ let micro_section ~smoke =
         name impl_str senders blocked (json_float ns))
     specs
 
+(* The scaling runs' settings with the shared causal graph off: its
+   bookkeeping is not part of the delivery path being timed, and the
+   parallel engine rejects it. *)
+let throughput_config = { Scaling.config with Config.track_graph = false }
+
 let e2e_section ~engine_impl ~smoke =
   let sizes = if smoke then [ 4; 16 ] else [ 4; 16; 64; 256; 512 ] in
   (* keep the event count roughly constant across sizes: the multicast
@@ -465,7 +470,7 @@ let e2e_section ~engine_impl ~smoke =
       let point =
         match
           Scaling.sweep ~sizes:[ n ] ~seed:11L ~duration ~engine_impl
-            ~track_graph:false ()
+            ~config:throughput_config ()
         with
         | [ p ] -> p
         | _ -> assert false
@@ -579,9 +584,9 @@ let causal_e2e_section ~engine_impl ~smoke =
        the data traffic; push the period past the run horizon — stability
        still spreads via the timestamps piggybacked on data messages, and
        all implementations get the identical configuration *)
-    if n <= 64 then None
-    else if n <= 256 then Some (Sim_time.ms 50)
-    else Some (Sim_time.ms 500)
+    if n <= 64 then Scaling.config.Config.gossip_period
+    else if n <= 256 then Sim_time.ms 50
+    else Sim_time.ms 500
   in
   let impls = [ (Config.Vector_causal, "bss"); (Config.Pc_causal, "pc") ] in
   List.concat_map
@@ -602,11 +607,16 @@ let causal_e2e_section ~engine_impl ~smoke =
                bucket increments — cheap enough to leave on for the
                measured rows, and the whole family is regenerated together
                so the baseline comparison stays apples-to-apples) *)
+            let config =
+              { (Config.with_causal_impl causal_impl throughput_config) with
+                Config.stability_clock;
+                pc_overlay = Config.Pc_tree { fanout = 8 };
+                gossip_period = gossip_for n;
+                metrics = true }
+            in
             match
               Scaling.sweep ~sizes:[ n ] ~seed:11L ~duration ~engine_impl
-                ?gossip_period:(gossip_for n) ~causal_impl ~stability_clock
-                ~pc_overlay:(Config.Pc_tree { fanout = 8 })
-                ~track_graph:false ~metrics:true ()
+                ~config ()
             with
             | [ p ] -> p
             | _ -> assert false
@@ -691,7 +701,11 @@ let wire_e2e_section ~engine_impl ~smoke =
       let point =
         match
           Scaling.sweep ~sizes:[ n ] ~seed:11L ~duration ~engine_impl
-            ~track_graph:false ~metrics:true ~wire_format:Config.Encoded ()
+            ~config:
+              { throughput_config with
+                Config.metrics = true;
+                wire_format = Config.Encoded }
+            ()
         with
         | [ p ] -> p
         | _ -> assert false
@@ -774,8 +788,8 @@ let obs_section ~smoke =
       let obs = make_obs () in
       let t0 = Sys.time () in
       let point =
-        Scaling.measure_with_graph ?obs ~duration ~seed:11L ~track_graph:false
-          ~metrics n
+        Scaling.measure_with_graph ?obs ~duration ~seed:11L
+          ~config:{ throughput_config with Config.metrics } n
       in
       let cpu = Sys.time () -. t0 in
       let words = Gc.minor_words () -. words0 in
@@ -879,7 +893,7 @@ let emit_json ~domains ~smoke ~out =
   let () =
     let point =
       Scaling.measure_with_graph ~duration:(Sim_time.ms 300) ~seed:11L
-        ~track_graph:false ~metrics:true 16
+        ~config:{ throughput_config with Config.metrics = true } 16
     in
     let snap = point.Scaling.registry_snapshot in
     let dir = Filename.dirname out in

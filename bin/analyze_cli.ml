@@ -56,6 +56,7 @@ let run_check ordering_name seeds start_seed clean out fail_on =
       (String.concat ", " (List.map fst Runner.orderings));
     2
   | Some ordering ->
+    let config = Runner.config ordering in
     let rec go seed acc =
       if seed >= start_seed + seeds then Some (List.rev acc)
       else begin
@@ -66,8 +67,8 @@ let run_check ordering_name seeds start_seed clean out fail_on =
                 (Fault_plan.generate ~seed Fault_plan.default_profile)
                 []
             in
-            Runner.exec_of_plan ~ordering ~seed plan
-          else Runner.exec_of_seed ~ordering ~seed ()
+            Runner.exec_of_plan ~config ~seed plan
+          else Runner.exec_of_seed ~config ~seed ()
         in
         match verdict with
         | Runner.Fail report ->

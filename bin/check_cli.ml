@@ -4,8 +4,10 @@
    duplication bursts, partitions, crashes, partial multicasts, joins) and
    an engine schedule; protocol invariant oracles judge every run. On a
    violation the fault plan is shrunk and the counterexample printed with
-   its seed, so `repro-check --ordering cbcast --seeds 1 --start-seed N`
-   replays it exactly. *)
+   its seed and any non-default settings, so
+   `repro-check --ordering cbcast --seeds 1 --start-seed N`, plus
+   `--causal-impl pc` or `--wire encoded` when its header names the pc
+   causal layer or the encoded wire, replays it exactly. *)
 
 module Config = Repro_catocs.Config
 module Fault_plan = Repro_check.Fault_plan
@@ -65,13 +67,17 @@ let run_check seeds start_seed ordering_names causal_impl_name wire_format
             Printf.printf "  seed %d: %s\n%!" seed (if ok then "ok" else "FAIL"))
       else None
     in
+    let config ordering =
+      { (Config.with_causal_impl causal_impl (Runner.config ordering)) with
+        Config.wire_format }
+    in
     let check_one ordering =
       let name = Config.ordering_name ordering in
       Printf.printf "%-10s sweeping %d seeds from %d ...%!" name seeds
         start_seed;
       let r =
         Runner.sweep ~profile ~shrink:(not no_shrink) ~start_seed ?on_seed
-          ~engine_impl ~causal_impl ~wire_format ~ordering ~seeds ()
+          ~engine_impl ~config:(config ordering) ~seeds ()
       in
       match r.Runner.failed with
       | None ->
@@ -96,7 +102,7 @@ let run_check seeds start_seed ordering_names causal_impl_name wire_format
             let seed = start_seed + i in
             let v =
               Runner.run_seed ~profile ~shrink:(not no_shrink) ~engine_impl
-                ~causal_impl ~wire_format ~ordering ~seed ()
+                ~config:(config ordering) ~seed ()
             in
             (match v with Runner.Fail _ -> ok := false | Runner.Pass _ -> ());
             Printf.sprintf "%s seed=%d %s" name seed (Runner.fingerprint v))

@@ -8,7 +8,7 @@ type stack = int Stack.t
 
 type report = {
   seed : int;
-  ordering : Config.ordering;
+  config : Config.t;
   plan : Fault_plan.t;
   violation : Oracle.violation;
   trace : string;
@@ -36,10 +36,24 @@ let reaction_budget = 240
 
 let max_reaction_depth = 3
 
-let execute ?(engine_impl = Engine.Sequential)
-    ?(causal_impl = Config.Vector_causal)
-    ?(stability_clock = Config.Dense_clock) ?(wire_format = Config.Structural)
-    ~metrics ~seed ~ordering (plan : Fault_plan.t) =
+let config ordering =
+  {
+    Config.default with
+    ordering;
+    transport = Config.Reliable { rto = Sim_time.ms 10; max_retries = 400 };
+    failure_detection = Config.Oracle;
+    (* the checker always exercises PC over the full mesh: overlay routing
+       is orthogonal to the ordering properties under test, and the mesh
+       keeps every member one forwarding hop away even when partitions
+       sever the direct link *)
+    pc_overlay = Config.Pc_full_mesh;
+    (* no oracle reads the shared causal graph, and it is cross-member
+       mutable state the parallel engine rejects *)
+    track_graph = false;
+  }
+
+let execute ?(engine_impl = Engine.Sequential) ~config ~seed
+    (plan : Fault_plan.t) =
   let parallel =
     match engine_impl with Engine.Sequential -> false | Engine.Parallel _ -> true
   in
@@ -52,26 +66,6 @@ let execute ?(engine_impl = Engine.Sequential)
     Engine.create ~impl:engine_impl
       ~seed:(Int64.of_int ((seed * 1_000_003) + 7919))
       ~net ()
-  in
-  let config =
-    {
-      Config.default with
-      ordering;
-      transport = Config.Reliable { rto = Sim_time.ms 10; max_retries = 400 };
-      failure_detection = Config.Oracle;
-      causal_impl;
-      stability_clock;
-      wire_format;
-      (* the checker always exercises PC over the full mesh: overlay
-         routing is orthogonal to the ordering properties under test, and
-         the mesh keeps every member one forwarding hop away even when
-         partitions sever the direct link *)
-      pc_overlay = Config.Pc_full_mesh;
-      (* the shared causal graph and its id index are cross-member mutable
-         state; the checker's oracles never read them *)
-      track_graph = (if parallel then false else Config.default.Config.track_graph);
-      metrics;
-    }
   in
   let oracle = Oracle.create ~sharded:parallel () in
   let stacks : (Engine.pid, stack) Hashtbl.t = Hashtbl.create 16 in
@@ -230,22 +224,18 @@ let execute ?(engine_impl = Engine.Sequential)
   in
   (oracle, survivors, stacks)
 
-let make_report ~seed ~ordering ~shrunk plan (violation, oracle) =
+let make_report ~seed ~config ~shrunk plan (violation, oracle) =
   let trace =
     Format.asprintf "@[<v>%a@]" (fun fmt o -> Oracle.pp_trace fmt o ~uids:violation.Oracle.uids) oracle
   in
-  { seed; ordering; plan; violation; trace; shrunk }
+  { seed; config; plan; violation; trace; shrunk }
 
 (* Execute the plan and judge it: the recorded run, and its verdict with an
    unshrunk report on failure. *)
-let judged ?engine_impl ?causal_impl ?stability_clock ?wire_format ~ordering
-    ~seed plan =
-  let oracle, survivors, _ =
-    execute ?engine_impl ?causal_impl ?stability_clock ?wire_format
-      ~metrics:false ~seed ~ordering plan
-  in
+let judged ?engine_impl ~config ~seed plan =
+  let oracle, survivors, _ = execute ?engine_impl ~config ~seed plan in
   ( oracle,
-    match Oracle.check oracle ~ordering ~survivors with
+    match Oracle.check oracle ~ordering:config.Config.ordering ~survivors with
     | None ->
       Pass
         {
@@ -253,7 +243,7 @@ let judged ?engine_impl ?causal_impl ?stability_clock ?wire_format ~ordering
           deliveries = Oracle.delivery_count oracle;
         }
     | Some violation ->
-      Fail (make_report ~seed ~ordering ~shrunk:false plan (violation, oracle))
+      Fail (make_report ~seed ~config ~shrunk:false plan (violation, oracle))
   )
 
 (* Greedy fault-plan shrinking: find the shortest failing prefix of the
@@ -288,15 +278,12 @@ let shrink_plan ~judge plan report =
   done;
   { !best with shrunk = true }
 
-let replay ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
-  snd (judged ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan)
+let replay ?engine_impl ~config ~seed plan =
+  snd (judged ?engine_impl ~config ~seed plan)
 
 let run_seed ?(profile = Fault_plan.default_profile) ?(shrink = true)
-    ?engine_impl ?causal_impl ?stability_clock ?wire_format ~ordering ~seed () =
-  let judge =
-    judged ?engine_impl ?causal_impl ?stability_clock ?wire_format ~ordering
-      ~seed
-  in
+    ?engine_impl ~config ~seed () =
+  let judge = judged ?engine_impl ~config ~seed in
   let plan = Fault_plan.generate ~seed profile in
   match snd (judge plan) with
   | Fail report when shrink -> Fail (shrink_plan ~judge plan report)
@@ -310,18 +297,14 @@ type sweep_result = {
 }
 
 let sweep ?(profile = Fault_plan.default_profile) ?(shrink = true)
-    ?(start_seed = 0) ?on_seed ?engine_impl ?causal_impl ?stability_clock
-    ?wire_format ~ordering ~seeds () =
+    ?(start_seed = 0) ?on_seed ?engine_impl ~config ~seeds () =
   let rec go i acc_pass acc_s acc_d =
     if i >= seeds then
       { passed = acc_pass; failed = None; total_sends = acc_s;
         total_deliveries = acc_d }
     else
       let seed = start_seed + i in
-      match
-        run_seed ~profile ~shrink ?engine_impl ?causal_impl ?stability_clock
-          ?wire_format ~ordering ~seed ()
-      with
+      match run_seed ~profile ~shrink ?engine_impl ~config ~seed () with
       | Pass { sends; deliveries } ->
         (match on_seed with Some f -> f ~seed ~ok:true | None -> ());
         go (i + 1) (acc_pass + 1) (acc_s + sends) (acc_d + deliveries)
@@ -334,23 +317,23 @@ let sweep ?(profile = Fault_plan.default_profile) ?(shrink = true)
 
 (* --- execution export for the offline analyzer ----------------------------- *)
 
-let exec_of_plan ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed
-    plan =
-  let oracle, verdict =
-    judged ?engine_impl ?causal_impl ?stability_clock ~ordering ~seed plan
-  in
+let exec_of_plan ?engine_impl ~config ~seed plan =
+  let oracle, verdict = judged ?engine_impl ~config ~seed plan in
+  let ordering = config.Config.ordering in
   let label =
     Printf.sprintf "%s seed %d" (Config.ordering_name ordering) seed
   in
   (Oracle.to_exec oracle ~ordering ~label, verdict)
 
-let exec_of_seed ?causal_impl ~ordering ~seed () =
-  exec_of_plan ?causal_impl ~ordering ~seed
+let exec_of_seed ~config ~seed () =
+  exec_of_plan ~config ~seed
     (Fault_plan.generate ~seed Fault_plan.default_profile)
 
-let member_metrics ~ordering ~seed () =
+let member_metrics ~config ~seed () =
   let plan = Fault_plan.generate ~seed Fault_plan.default_profile in
-  let oracle, _, stacks = execute ~metrics:true ~seed ~ordering plan in
+  let oracle, _, stacks =
+    execute ~config:{ config with Config.metrics = true } ~seed plan
+  in
   List.filter_map
     (fun pid ->
       Option.map
@@ -359,12 +342,27 @@ let member_metrics ~ordering ~seed () =
         (Hashtbl.find_opt stacks pid))
     (Oracle.member_pids oracle)
 
+(* The selectors a report names beside its ordering: those set away from
+   [config]'s BSS layer, [Structural] wire and dense clock, so a report
+   under the checker's own settings reads as it always has. *)
+let settings_note (c : Config.t) =
+  (match c.causal_impl with
+   | Config.Pc_causal -> ", pc causal layer"
+   | Config.Vector_causal -> "")
+  ^ (match c.wire_format with
+     | Config.Encoded -> ", encoded wire"
+     | Config.Structural -> "")
+  ^ (match c.stability_clock with
+     | Config.Sparse_clock -> ", sparse clock"
+     | Config.Dense_clock -> "")
+
 let pp_report fmt r =
   Format.fprintf fmt
-    "@[<v>counterexample (seed %d, %s%s)@,oracle: %s@,member: %s@,%s@,@,\
+    "@[<v>counterexample (seed %d, %s%s%s)@,oracle: %s@,member: %s@,%s@,@,\
      fault plan:@,%a@,@,trace:@,%s@]"
     r.seed
-    (Config.ordering_name r.ordering)
+    (Config.ordering_name r.config.Config.ordering)
+    (settings_note r.config)
     (if r.shrunk then ", shrunk" else "")
     r.violation.Oracle.oracle r.violation.Oracle.member
     r.violation.Oracle.detail Fault_plan.pp r.plan r.trace

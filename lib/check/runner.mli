@@ -6,15 +6,26 @@
     integer, and no other randomness exists — so any failure replays
     exactly, and shrinking can re-execute candidate sub-plans at will.
 
-    Runs use [Reliable] transport (flush control traffic must survive the
-    injected loss; see the note in {!Repro_catocs.Stack}) and [Oracle]
-    failure detection (heartbeat false suspicion legitimately splits views,
-    which is a finding of the experiments, not a protocol bug for the
-    checker to flag). *)
+    Every entry point runs the {!Repro_catocs.Config.t} it is given, so
+    one value names a run's settings, and a seed, a replay of its plan and
+    its exported execution all see the same ones:
+    {[
+      let config =
+        Config.with_causal_impl Config.Pc_causal (Runner.config Config.Causal)
+      in
+      match Runner.run_seed ~config ~seed:7 () with
+      | Pass _ -> ()
+      | Fail r -> ignore (Runner.replay ~config:r.config ~seed:r.seed r.plan)
+    ]}
+    {!config} holds the checker's settings: [Reliable] transport (flush
+    control traffic must survive the injected loss; see the note in
+    {!Repro_catocs.Stack}) and [Oracle] failure detection (heartbeat false
+    suspicion legitimately splits views, which is a finding of the
+    experiments, not a protocol bug for the checker to flag). *)
 
 type report = {
   seed : int;
-  ordering : Repro_catocs.Config.ordering;
+  config : Repro_catocs.Config.t;  (** the settings the run used *)
   plan : Fault_plan.t;  (** shrunk when [shrunk] *)
   violation : Oracle.violation;
   trace : string;  (** rendered delivery trace of the implicated messages *)
@@ -29,26 +40,31 @@ val orderings : (string * Repro_catocs.Config.ordering) list
 val ordering_of_string : string -> Repro_catocs.Config.ordering option
 (** Accepts the names above plus "fifo" as an alias for fbcast. *)
 
+val config : Repro_catocs.Config.ordering -> Repro_catocs.Config.t
+(** The checker's settings for an ordering: [Reliable {rto = 10 ms;
+    max_retries = 400}] transport, [Oracle] failure detection, BSS causal
+    delivery over a PC full mesh (the mesh keeps every member one
+    forwarding hop away under partitions), the dense stability clock, the
+    [Structural] wire, and neither the shared causal graph (no oracle reads
+    it) nor the metrics registries. Derive other runs from it:
+    [{ (config Causal) with stability_clock = Sparse_clock }], or
+    {!Repro_catocs.Config.with_causal_impl} for PC-broadcast. *)
+
 val replay :
   ?engine_impl:Engine.impl ->
-  ?causal_impl:Repro_catocs.Config.causal_impl ->
-  ?stability_clock:Repro_catocs.Config.stability_clock ->
-  ordering:Repro_catocs.Config.ordering ->
+  config:Repro_catocs.Config.t ->
   seed:int ->
   Fault_plan.t ->
   verdict
 (** Execute an explicit fault plan (e.g. a shrunk counterexample) under the
-    given seed's engine randomness, without re-shrinking. Used by tests to
-    confirm that a shrunk plan still reproduces its violation. *)
+    given seed's engine randomness, without re-shrinking. A report replays
+    under its own settings: [replay ~config:r.config ~seed:r.seed r.plan]. *)
 
 val run_seed :
   ?profile:Fault_plan.profile ->
   ?shrink:bool ->
   ?engine_impl:Engine.impl ->
-  ?causal_impl:Repro_catocs.Config.causal_impl ->
-  ?stability_clock:Repro_catocs.Config.stability_clock ->
-  ?wire_format:Repro_catocs.Config.wire_format ->
-  ordering:Repro_catocs.Config.ordering ->
+  config:Repro_catocs.Config.t ->
   seed:int ->
   unit ->
   verdict
@@ -57,14 +73,8 @@ val run_seed :
     selects the engine execution strategy: under [Parallel] the run uses a
     sharded oracle (per-sender uid allocation) and per-member reaction
     budgets, so its verdicts are deterministic in the domain count but not
-    comparable with [Sequential] verdicts for the same seed.
-    [causal_impl] (default [Vector_causal]) selects the causal-delivery
-    algorithm — BSS vector-timestamp piggybacking or PC-broadcast
-    constant-metadata forwarding over the full mesh; [stability_clock]
-    (default [Dense_clock]) selects the stability matrix-clock
-    representation; [wire_format] (default [Structural]) selects whether
-    every message crosses the network as a value or as a
-    {!Repro_catocs.Wire_codec} frame. *)
+    comparable with [Sequential] verdicts for the same seed. [Parallel]
+    needs [config.track_graph = false], as {!config} has it. *)
 
 type sweep_result = {
   passed : int;
@@ -79,10 +89,7 @@ val sweep :
   ?start_seed:int ->
   ?on_seed:(seed:int -> ok:bool -> unit) ->
   ?engine_impl:Engine.impl ->
-  ?causal_impl:Repro_catocs.Config.causal_impl ->
-  ?stability_clock:Repro_catocs.Config.stability_clock ->
-  ?wire_format:Repro_catocs.Config.wire_format ->
-  ordering:Repro_catocs.Config.ordering ->
+  config:Repro_catocs.Config.t ->
   seeds:int ->
   unit ->
   sweep_result
@@ -91,9 +98,7 @@ val sweep :
 
 val exec_of_plan :
   ?engine_impl:Engine.impl ->
-  ?causal_impl:Repro_catocs.Config.causal_impl ->
-  ?stability_clock:Repro_catocs.Config.stability_clock ->
-  ordering:Repro_catocs.Config.ordering ->
+  config:Repro_catocs.Config.t ->
   seed:int ->
   Fault_plan.t ->
   Repro_analyze.Exec.t * verdict
@@ -102,8 +107,7 @@ val exec_of_plan :
     (unshrunk). *)
 
 val exec_of_seed :
-  ?causal_impl:Repro_catocs.Config.causal_impl ->
-  ordering:Repro_catocs.Config.ordering ->
+  config:Repro_catocs.Config.t ->
   seed:int ->
   unit ->
   Repro_analyze.Exec.t * verdict
@@ -111,15 +115,18 @@ val exec_of_seed :
     {!Fault_plan.default_profile}. *)
 
 val member_metrics :
-  ordering:Repro_catocs.Config.ordering ->
+  config:Repro_catocs.Config.t ->
   seed:int ->
   unit ->
   (string * Repro_catocs.Metrics.t * Repro_obs.Registry.t) list
 (** Every member's protocol metrics and metrics registry at the end of the
-    seed's run (not judged), by name in registration order. Only these
-    runs turn {!Repro_catocs.Config.metrics} on. *)
+    seed's run (not judged), by name in registration order. These runs
+    turn {!Repro_catocs.Config.metrics} on whatever [config] says. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** The header names the seed, the ordering and, when they differ from
+    {!config}'s, the causal layer, the wire format and the stability
+    clock. *)
 
 val fingerprint : verdict -> string
 (** Canonical rendering for determinism tests: same seed, same string. *)

@@ -28,45 +28,21 @@ type point = {
   registry_snapshot : Repro_obs.Registry.snapshot;
 }
 
+let config = Config.default
+
 (* the graph peaks need the shared causal graph: rebuild the group manually
    so we hold the shared context *)
 let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     ?(processing_time = Sim_time.zero) ?(duration = Sim_time.seconds 1)
-    ?gossip_period
-    ?(causal_impl = Config.Vector_causal)
-    ?(stability_clock = Config.Dense_clock)
-    ?(pc_overlay = Config.Pc_full_mesh) ?track_graph
-    ?(metrics = false) ?wire_format ~seed n =
-  let parallel =
-    match engine_impl with Engine.Sequential -> false | Engine.Parallel _ -> true
-  in
-  (* the graph peaks and telemetry gauges read group-shared state the
-     parallel lanes would race on; Stack.create rejects them, so default
-     them off under Parallel instead of making every caller do it *)
-  let track_graph =
-    match track_graph with Some b -> b | None -> not parallel
-  in
-  if parallel && Option.is_some obs then
+    ?(config = config) ~seed n =
+  (* the gauge sampler reads every member's state from one timer, which the
+     parallel lanes would race on *)
+  if Option.is_some obs && engine_impl <> Engine.Sequential then
     invalid_arg "Scaling.measure_with_graph: telemetry needs Sequential";
   let net =
     Net.create ~latency:(Net.Uniform (500, 5_000)) ~processing_time ()
   in
   let engine = Engine.create ~impl:engine_impl ~seed ~net () in
-  let config =
-    (* PC-broadcast's structural causality argument needs FIFO links: the
-       helper turns this reordering (but lossless) network into exactly
-       that by upgrading the bare transport to per-link sequencing. BSS is
-       insensitive to reordering, so it keeps the bare baseline. *)
-    Config.with_causal_impl causal_impl
-      { Config.default with
-        Config.ordering = Config.Causal; stability_clock; pc_overlay;
-        track_graph; metrics;
-        wire_format =
-          Option.value wire_format ~default:Config.default.Config.wire_format;
-        gossip_period =
-          Option.value gossip_period
-            ~default:Config.default.Config.gossip_period }
-  in
   let pids =
     List.init n (fun i ->
         Engine.spawn engine ~name:(Printf.sprintf "p%d" i) (fun _ _ -> ()))
@@ -139,7 +115,7 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
      snapshots after the run is parallel-safe (and, being a sorted merge of
      commutative samples, domain-count independent) *)
   let snapshot =
-    if metrics then
+    if config.Config.metrics then
       Repro_obs.Registry.merge_all
         (Array.to_list
            (Array.map
@@ -180,14 +156,11 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     registry_snapshot = snapshot }
 
 let sweep ?(sizes = [ 4; 8; 16; 32; 48 ]) ?(seed = 11L) ?engine_impl
-    ?processing_time
-    ?duration ?gossip_period ?causal_impl ?stability_clock ?pc_overlay ?track_graph
-    ?metrics ?wire_format () =
+    ?processing_time ?duration ?config () =
   List.map
     (fun n ->
-      measure_with_graph ?engine_impl ?processing_time ?duration
-        ?gossip_period ?causal_impl ?stability_clock ?pc_overlay ?track_graph
-        ?metrics ?wire_format ~seed n)
+      measure_with_graph ?engine_impl ?processing_time ?duration ?config ~seed
+        n)
     sizes
 
 let table points =

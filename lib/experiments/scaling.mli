@@ -4,7 +4,18 @@
     measure the unstable-message buffer a single node must hold (Section
     5's claim: per-node buffering grows linearly in N, hence system-wide
     quadratically) and the size of the active causal graph. The growth
-    exponents are fitted from the sweep. *)
+    exponents are fitted from the sweep.
+
+    A run's protocol settings are one {!Repro_catocs.Config.t}, derived
+    from {!config}:
+    {[
+      let pc =
+        { (Config.with_causal_impl Config.Pc_causal Scaling.config) with
+          Config.pc_overlay = Config.Pc_tree { fanout = 8 };
+          track_graph = false; metrics = true }
+      in
+      Scaling.sweep ~sizes:[ 64 ] ~config:pc ()
+    ]} *)
 
 type point = {
   group_size : int;
@@ -48,53 +59,49 @@ type point = {
           are read from; empty without [~metrics:true] *)
 }
 
+val config : Repro_catocs.Config.t
+(** The base the sweeps run: {!Repro_catocs.Config.default}, i.e. BSS
+    causal ordering over bare links, 20 ms gossip, the dense stability
+    clock, the [Structural] wire, graph tracking on and metrics off. A
+    PC-broadcast run applies {!Repro_catocs.Config.with_causal_impl}, which
+    upgrades the bare links to [Fifo_order]: PC's causality argument needs
+    FIFO links, and this network reorders. *)
+
 val measure_with_graph :
   ?engine_impl:Engine.impl ->
   ?obs:Repro_obs.Log.t ->
   ?processing_time:Sim_time.t ->
   ?duration:Sim_time.t ->
-  ?gossip_period:Sim_time.t ->
-  ?causal_impl:Repro_catocs.Config.causal_impl ->
-  ?stability_clock:Repro_catocs.Config.stability_clock ->
-  ?pc_overlay:Repro_catocs.Config.pc_overlay ->
-  ?track_graph:bool ->
-  ?metrics:bool ->
-  ?wire_format:Repro_catocs.Config.wire_format ->
+  ?config:Repro_catocs.Config.t ->
   seed:int64 ->
   int ->
   point
-(** One measured run at group size [n]. With [obs], the group's stacks log
-    lifecycle spans into it and every member's occupancy gauges (unstable
-    msgs/bytes, queue depth, blocked count) are sampled every 10 ms — the
-    source for the n=64 scaling trace export. [engine_impl] (default
-    [Sequential]) selects the engine strategy; under [Parallel],
-    [track_graph] defaults to false and [obs] is rejected (both are
-    group-shared mutable state the lanes would race on), and
-    [processing_time] must stay zero. [metrics] enables the
-    per-stack protocol registries that feed the point's copy counters,
-    wire totals and latency percentiles (registries are per-stack, so they
-    stay parallel-safe; the merged snapshot is domain-count independent).
-    [wire_format] overrides the wire representation (see
-    {!Repro_catocs.Config}). *)
+(** One measured run at group size [n] under [config] (default
+    {!config}). With [obs], the group's stacks log lifecycle spans into it
+    and every member's occupancy gauges (unstable msgs/bytes, queue depth,
+    blocked count) are sampled every 10 ms — the source for the n=64
+    scaling trace export. [engine_impl] (default [Sequential]) selects the
+    engine strategy; [Parallel] rejects [obs] here and a graph-tracking
+    [config] in {!Repro_catocs.Stack.create} (both are group-shared mutable
+    state the lanes would race on), and [processing_time] must stay zero.
+    [config.metrics] enables the per-stack protocol registries that feed
+    the point's copy counters, wire totals and latency percentiles
+    (registries are per-stack, so they stay parallel-safe; the merged
+    snapshot is domain-count independent). *)
 
 val sweep :
-  ?sizes:int list -> ?seed:int64 -> ?engine_impl:Engine.impl ->
+  ?sizes:int list ->
+  ?seed:int64 ->
+  ?engine_impl:Engine.impl ->
   ?processing_time:Sim_time.t ->
-  ?duration:Sim_time.t -> ?gossip_period:Sim_time.t ->
-  ?causal_impl:Repro_catocs.Config.causal_impl ->
-  ?stability_clock:Repro_catocs.Config.stability_clock ->
-  ?pc_overlay:Repro_catocs.Config.pc_overlay ->
-  ?track_graph:bool ->
-  ?metrics:bool ->
-  ?wire_format:Repro_catocs.Config.wire_format -> unit -> point list
-(** Each member multicasts every 10 ms. [duration] bounds the send phase
-    (default 1 simulated second);
-    [gossip_period] overrides the stability-gossip period (large sweeps
-    slow it down to bound the n^2 gossip volume); [causal_impl] selects BSS
-    vector timestamps or PC-broadcast constant metadata (PC runs switch the
-    transport to [Fifo_order] and disseminate over [pc_overlay]);
-    [stability_clock] selects the dense or sparse stability matrix clock;
-    [track_graph] can be disabled to exclude shared-graph bookkeeping from
+  ?duration:Sim_time.t ->
+  ?config:Repro_catocs.Config.t ->
+  unit ->
+  point list
+(** [measure_with_graph] at each size. Each member multicasts every 10 ms;
+    [duration] bounds the send phase (default 1 simulated second). Large
+    sweeps slow [config.gossip_period] to bound the n^2 gossip volume, and
+    turn [config.track_graph] off to keep shared-graph bookkeeping out of
     throughput measurements. *)
 
 val run : unit -> Table.t

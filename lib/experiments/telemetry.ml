@@ -1,6 +1,7 @@
 module Shop_floor = Repro_apps.Shop_floor
 module Fire_alarm = Repro_apps.Fire_alarm
 module Trading = Repro_apps.Trading
+module Config = Repro_catocs.Config
 
 type scenario = {
   name : string;
@@ -61,11 +62,13 @@ let scaling64 () =
 (* The same 64-member run over PC-broadcast: the unstable-bytes gauges in
    this trace carry O(1) per-message metadata instead of 64-entry vectors —
    the visual counterpart of the BENCH_delivery.json metadata curves. *)
+let pc_config = Config.with_causal_impl Config.Pc_causal Scaling.config
+
 let scaling_metadata () =
   let log = Repro_obs.Log.create () in
   ignore
     (Scaling.measure_with_graph ~obs:log ~duration:(Sim_time.ms 200)
-       ~causal_impl:Repro_catocs.Config.Pc_causal ~seed:11L 64);
+       ~config:pc_config ~seed:11L 64);
   (log, numbered (List.init 64 (Printf.sprintf "p%d")), [])
 
 (* The scaling run that the n=4096 bench points rely on: [scaling_metadata]
@@ -76,8 +79,8 @@ let scaling_sparse () =
   let log = Repro_obs.Log.create () in
   ignore
     (Scaling.measure_with_graph ~obs:log ~duration:(Sim_time.ms 200)
-       ~causal_impl:Repro_catocs.Config.Pc_causal
-       ~stability_clock:Repro_catocs.Config.Sparse_clock ~seed:11L 64);
+       ~config:{ pc_config with Config.stability_clock = Config.Sparse_clock }
+       ~seed:11L 64);
   (log, numbered (List.init 64 (Printf.sprintf "p%d")), [])
 
 let all =

@@ -481,6 +481,8 @@ let test_fig4_pc_false_crossing () =
 
 (* --- checker integration ----------------------------------------------------- *)
 
+let cbcast = Runner.config Config.Causal
+
 let test_clean_cbcast_run_is_silent () =
   (* Acceptance criterion: zero findings on a clean CBCAST run (no faults:
      fault-induced lag outliers are legitimate findings, not noise). *)
@@ -492,7 +494,7 @@ let test_clean_cbcast_run_is_silent () =
           []
       in
       let exec, verdict =
-        Runner.exec_of_plan ~ordering:Config.Causal ~seed plan
+        Runner.exec_of_plan ~config:cbcast ~seed plan
       in
       (match verdict with
        | Runner.Pass _ -> ()
@@ -510,7 +512,7 @@ let test_hb_consistent_with_oracle_verdicts () =
      recorded run is acyclic, and when the oracles pass a cbcast run the
      analyzer agrees — no causal-order, cycle, or duplicate findings. *)
   let property seed =
-    let exec, verdict = Runner.exec_of_seed ~ordering:Config.Causal ~seed () in
+    let exec, verdict = Runner.exec_of_seed ~config:cbcast ~seed () in
     let result = Analyzer.analyze exec in
     let acyclic = Hb.find_cycle result.Analyzer.hb = None in
     match verdict with
@@ -539,7 +541,7 @@ let test_analyzer_catches_broken_bss () =
         if seed > 200 then Alcotest.fail "no violating seed found"
         else
           let exec, verdict =
-            Runner.exec_of_seed ~ordering:Config.Causal ~seed ()
+            Runner.exec_of_seed ~config:cbcast ~seed ()
           in
           match verdict with
           | Runner.Pass _ -> hunt (seed + 1)
@@ -553,7 +555,7 @@ let test_analyzer_catches_broken_bss () =
       hunt 0)
 
 let test_report_json_schema () =
-  let exec, _ = Runner.exec_of_seed ~ordering:Config.Causal ~seed:3 () in
+  let exec, _ = Runner.exec_of_seed ~config:cbcast ~seed:3 () in
   let doc = Analyzer.report_json ~mode:"test" [ Analyzer.analyze exec ] in
   (* the document reparses and carries the schema's fixed keys *)
   (match Json.of_string (Json.to_string doc) with
@@ -580,14 +582,16 @@ let sanitizer_report_digest () =
     List.concat_map
       (fun (_, ordering) ->
         List.init 20 (fun seed ->
-            Analyzer.analyze (fst (Runner.exec_of_seed ~ordering ~seed ()))))
+            Analyzer.analyze
+              (fst
+                 (Runner.exec_of_seed ~config:(Runner.config ordering) ~seed ()))))
       Runner.orderings
   in
   let broken =
     Delivery_queue.chaos_disable_causal_check := true;
     Fun.protect
       ~finally:(fun () -> Delivery_queue.chaos_disable_causal_check := false)
-      (fun () -> Runner.exec_of_seed ~ordering:Config.Causal ~seed:0 ())
+      (fun () -> Runner.exec_of_seed ~config:cbcast ~seed:0 ())
   in
   (match snd broken with
    | Runner.Fail _ -> ()

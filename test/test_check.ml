@@ -22,10 +22,8 @@ let check_string = Alcotest.(check string)
    and the oracles must find no violation. *)
 let sweep_seeds = 100
 
-let test_sweep ?causal_impl ?wire_format ordering () =
-  let result =
-    Runner.sweep ?causal_impl ?wire_format ~ordering ~seeds:sweep_seeds ()
-  in
+let test_sweep config () =
+  let result = Runner.sweep ~config ~seeds:sweep_seeds () in
   (match result.Runner.failed with
   | None -> ()
   | Some report ->
@@ -36,14 +34,15 @@ let test_sweep ?causal_impl ?wire_format ordering () =
 (* The PC-broadcast causal implementation under the full fault battery:
    same oracles, same 100 seeds. Only the causal layer dispatches on it,
    so cbcast is the interesting mode. *)
-let test_sweep_pc () = test_sweep ~causal_impl:Config.Pc_causal Config.Causal ()
+let pc = Config.with_causal_impl Config.Pc_causal (Runner.config Config.Causal)
+
+let test_sweep_pc () = test_sweep pc ()
 
 (* The same sweep with every message a codec frame, so each receiver
    delivers and buffers decoded records, and flush re-sends and pong
    retransmissions re-encode them. *)
 let test_sweep_pc_encoded () =
-  test_sweep ~causal_impl:Config.Pc_causal ~wire_format:Config.Encoded
-    Config.Causal ()
+  test_sweep { pc with Config.wire_format = Config.Encoded } ()
 
 (* The oracles on hand-built member logs: one property broken per log, and
    the oracle name, member and detail string the counterexample reports.
@@ -105,8 +104,9 @@ let test_deterministic_verdicts () =
     (fun (name, ordering) ->
       List.iter
         (fun seed ->
-          let a = Runner.fingerprint (Runner.run_seed ~ordering ~seed ()) in
-          let b = Runner.fingerprint (Runner.run_seed ~ordering ~seed ()) in
+          let config = Runner.config ordering in
+          let a = Runner.fingerprint (Runner.run_seed ~config ~seed ()) in
+          let b = Runner.fingerprint (Runner.run_seed ~config ~seed ()) in
           check_string (Printf.sprintf "%s seed %d" name seed) a b)
         [ 0; 7; 42 ])
     Runner.orderings
@@ -116,16 +116,8 @@ let test_pc_deterministic_verdicts () =
      barrier and retransmission all key off the engine schedule only. *)
   List.iter
     (fun seed ->
-      let a =
-        Runner.fingerprint
-          (Runner.run_seed ~causal_impl:Config.Pc_causal
-             ~ordering:Config.Causal ~seed ())
-      in
-      let b =
-        Runner.fingerprint
-          (Runner.run_seed ~causal_impl:Config.Pc_causal
-             ~ordering:Config.Causal ~seed ())
-      in
+      let a = Runner.fingerprint (Runner.run_seed ~config:pc ~seed ()) in
+      let b = Runner.fingerprint (Runner.run_seed ~config:pc ~seed ()) in
       check_string (Printf.sprintf "pc seed %d" seed) a b)
     [ 0; 7; 42 ]
 
@@ -135,12 +127,12 @@ let test_vector_pc_agreement () =
   List.iter
     (fun seed ->
       List.iter
-        (fun (name, causal_impl) ->
-          match Runner.run_seed ~causal_impl ~ordering:Config.Causal ~seed () with
+        (fun (name, config) ->
+          match Runner.run_seed ~config ~seed () with
           | Runner.Pass _ -> ()
           | Runner.Fail r ->
             Alcotest.failf "%s fails seed %d:@.%a" name seed Runner.pp_report r)
-        [ ("bss", Config.Vector_causal); ("pc", Config.Pc_causal) ])
+        [ ("bss", Runner.config Config.Causal); ("pc", pc) ])
     (List.init 10 Fun.id)
 
 (* Whole-stack regression pins: the MD5 of the verdict fingerprints for
@@ -152,27 +144,30 @@ let test_vector_pc_agreement () =
    (seed 1 of every ordering, bss and pc, then admits its joiner a round
    earlier). A seed whose send or delivery count, or whose verdict, changes
    moves them. *)
-let fingerprint_digest ?causal_impl orderings =
+let fingerprint_digest configs =
   let b = Buffer.create 4096 in
   List.iter
-    (fun (_, ordering) ->
+    (fun config ->
       for seed = 0 to 9 do
         Buffer.add_string b
-          (Runner.fingerprint (Runner.run_seed ?causal_impl ~ordering ~seed ()));
+          (Runner.fingerprint (Runner.run_seed ~config ~seed ()));
         Buffer.add_char b '\n'
       done)
-    orderings;
+    configs;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The checker's settings for every ordering, BSS causal layer. *)
+let bss_runs =
+  List.map (fun (_, ordering) -> Runner.config ordering) Runner.orderings
 
 let test_bss_fingerprints_pinned () =
   check_string "bss seeds 0-9, all orderings"
     "032894843527590068cf9da1866d0e0d"
-    (fingerprint_digest Runner.orderings)
+    (fingerprint_digest bss_runs)
 
 let test_pc_fingerprints_pinned () =
   check_string "pc seeds 0-9, cbcast" "d6a07efe6bed9f48ceacf0a38e5e30bd"
-    (fingerprint_digest ~causal_impl:Config.Pc_causal
-       [ ("cbcast", Config.Causal) ])
+    (fingerprint_digest [ pc ])
 
 (* Delivery-sequence pins: the verdict fingerprint of each seed followed by
    every delivery of the run as pid:uid:time, in log order. Unlike the
@@ -187,10 +182,10 @@ let test_pc_fingerprints_pinned () =
 let delivery_sequence_digest ?engine_impl ~seeds runs =
   let b = Buffer.create 65536 in
   List.iter
-    (fun (causal_impl, ordering) ->
+    (fun config ->
       for seed = 0 to seeds - 1 do
         let exec, verdict =
-          Runner.exec_of_plan ?engine_impl ~causal_impl ~ordering ~seed
+          Runner.exec_of_plan ?engine_impl ~config ~seed
             (Fault_plan.generate ~seed Fault_plan.default_profile)
         in
         Buffer.add_string b (Runner.fingerprint verdict);
@@ -203,12 +198,6 @@ let delivery_sequence_digest ?engine_impl ~seeds runs =
     runs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let bss_runs =
-  List.map (fun (_, ordering) -> (Config.Vector_causal, ordering))
-    Runner.orderings
-
-let pc_run = (Config.Pc_causal, Config.Causal)
-
 let test_bss_delivery_sequence_pinned () =
   check_string "bss seeds 0-29, all orderings, every delivery"
     "3fbbf4642832686f4cb1c37b78f3d14a"
@@ -217,7 +206,7 @@ let test_bss_delivery_sequence_pinned () =
 let test_pc_delivery_sequence_pinned () =
   check_string "pc seeds 0-29, cbcast, every delivery"
     "a1d7105335366523e0e03fa6efed7fa8"
-    (delivery_sequence_digest ~seeds:30 [ pc_run ])
+    (delivery_sequence_digest ~seeds:30 [ pc ])
 
 (* [Parallel] schedules pinned absolutely, not only against other domain
    counts: a change that moved every domain count the same way keeps the
@@ -226,7 +215,7 @@ let test_parallel_delivery_sequence_pinned () =
   check_string "parallel d1 seeds 0-9, all orderings and pc, every delivery"
     "5f1bfe74efd08d13d9e1736b820b8c9c"
     (delivery_sequence_digest ~engine_impl:(Engine.Parallel { domains = 1 })
-       ~seeds:10 (bss_runs @ [ pc_run ]))
+       ~seeds:10 (bss_runs @ [ pc ]))
 
 (* Stability-timing pin: for seeds 0-9 of every ordering, each member's
    stability-lag sample count and sum (its registry histogram) and its two
@@ -237,7 +226,7 @@ let test_parallel_delivery_sequence_pinned () =
 let stability_timing_digest () =
   let b = Buffer.create 4096 in
   List.iter
-    (fun (_, ordering) ->
+    (fun config ->
       for seed = 0 to 9 do
         List.iter
           (fun (name, (m : Repro_catocs.Metrics.t), registry) ->
@@ -248,10 +237,10 @@ let stability_timing_digest () =
             Printf.bprintf b "%s:%d:%h:%d:%d;" name (Repro_obs.Histo.count lag)
               (Repro_obs.Histo.sum lag) m.peak_unstable_count
               m.peak_unstable_bytes)
-          (Runner.member_metrics ~ordering ~seed ());
+          (Runner.member_metrics ~config ~seed ());
         Buffer.add_char b '\n'
       done)
-    Runner.orderings;
+    bss_runs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_stability_timing_pinned () =
@@ -264,46 +253,78 @@ let test_cross_clock_verdicts () =
      contents, deliveries and verdicts — must be identical: same seed,
      byte-identical fingerprint under either clock, for every ordering and
      for the pc causal layer. *)
+  let fp config stability_clock seed =
+    Runner.fingerprint
+      (Runner.run_seed ~config:{ config with Config.stability_clock } ~seed ())
+  in
   List.iter
     (fun (name, ordering) ->
+      let config = Runner.config ordering in
       List.iter
         (fun seed ->
-          let dense =
-            Runner.fingerprint
-              (Runner.run_seed ~stability_clock:Config.Dense_clock ~ordering
-                 ~seed ())
-          in
-          let sparse =
-            Runner.fingerprint
-              (Runner.run_seed ~stability_clock:Config.Sparse_clock ~ordering
-                 ~seed ())
-          in
           check_string
             (Printf.sprintf "%s seed %d cross-clock" name seed)
-            dense sparse)
+            (fp config Config.Dense_clock seed)
+            (fp config Config.Sparse_clock seed))
         (List.init 10 Fun.id))
     Runner.orderings;
   List.iter
     (fun seed ->
-      let fp stability_clock =
-        Runner.fingerprint
-          (Runner.run_seed ~causal_impl:Config.Pc_causal ~stability_clock
-             ~ordering:Config.Causal ~seed ())
-      in
       check_string
         (Printf.sprintf "pc seed %d cross-clock" seed)
-        (fp Config.Dense_clock) (fp Config.Sparse_clock))
+        (fp pc Config.Dense_clock seed) (fp pc Config.Sparse_clock seed))
     (List.init 5 Fun.id)
+
+(* Every entry point runs the config it is given: for each ordering under
+   every combination of causal layer, wire format and stability clock, a
+   seed's [run_seed] verdict, [replay] of the seed's plan and
+   [exec_of_plan] on it render the same fingerprint. *)
+let test_entry_points_agree () =
+  let settings =
+    List.concat_map
+      (fun (impl_name, causal_impl) ->
+        List.concat_map
+          (fun (wire_name, wire_format) ->
+            List.map
+              (fun (clock_name, stability_clock) ->
+                ( String.concat "," [ impl_name; wire_name; clock_name ],
+                  fun ordering ->
+                    { (Config.with_causal_impl causal_impl
+                         (Runner.config ordering))
+                      with
+                      Config.wire_format;
+                      stability_clock } ))
+              [ ("dense", Config.Dense_clock); ("sparse", Config.Sparse_clock) ])
+          [ ("structural", Config.Structural); ("encoded", Config.Encoded) ])
+      [ ("bss", Config.Vector_causal); ("pc", Config.Pc_causal) ]
+  in
+  List.iter
+    (fun (name, ordering) ->
+      List.iter
+        (fun (setting, config_of) ->
+          let config = config_of ordering in
+          List.iter
+            (fun seed ->
+              let plan = Fault_plan.generate ~seed Fault_plan.default_profile in
+              let label = Printf.sprintf "%s seed %d (%s)" name seed setting in
+              let seeded = Runner.fingerprint (Runner.run_seed ~config ~seed ()) in
+              check_string (label ^ " replay") seeded
+                (Runner.fingerprint (Runner.replay ~config ~seed plan));
+              check_string (label ^ " exec") seeded
+                (Runner.fingerprint
+                   (snd (Runner.exec_of_plan ~config ~seed plan))))
+            [ 0; 1; 2 ])
+        settings)
+    Runner.orderings
 
 (* --- parallel engine ------------------------------------------------------ *)
 
-let causal_impls = [ ("bss", Config.Vector_causal); ("pc", Config.Pc_causal) ]
+let causal_impls = [ ("bss", Runner.config Config.Causal); ("pc", pc) ]
 
-let par_fp ~causal_impl ~domains seed =
+let par_fp ~config ~domains seed =
   Runner.fingerprint
-    (Runner.run_seed
-       ~engine_impl:(Engine.Parallel { domains })
-       ~causal_impl ~ordering:Config.Causal ~seed ())
+    (Runner.run_seed ~engine_impl:(Engine.Parallel { domains }) ~config ~seed
+       ())
 
 let test_cross_domain_fingerprints () =
   (* The tentpole determinism contract: the same seed yields a byte-identical
@@ -311,12 +332,12 @@ let test_cross_domain_fingerprints () =
      count, for both causal implementations. [Parallel {domains = 1}]
      is the anchor — domains=2 and 4 only repartition the same lanes. *)
   List.iter
-    (fun (name, causal_impl) ->
+    (fun (name, config) ->
       List.iter
         (fun seed ->
-          let f1 = par_fp ~causal_impl ~domains:1 seed in
-          let f2 = par_fp ~causal_impl ~domains:2 seed in
-          let f4 = par_fp ~causal_impl ~domains:4 seed in
+          let f1 = par_fp ~config ~domains:1 seed in
+          let f2 = par_fp ~config ~domains:2 seed in
+          let f4 = par_fp ~config ~domains:4 seed in
           check_string (Printf.sprintf "%s seed %d d1=d2" name seed) f1 f2;
           check_string (Printf.sprintf "%s seed %d d1=d4" name seed) f1 f4)
         [ 0; 1; 2; 3; 4 ])
@@ -327,11 +348,11 @@ let test_parallel_sweep_clean () =
      crashes, joins) under the parallel engine: the oracles must find
      nothing, same as the sequential sweeps above. *)
   List.iter
-    (fun (name, causal_impl) ->
+    (fun (name, config) ->
       let result =
         Runner.sweep
           ~engine_impl:(Engine.Parallel { domains = 2 })
-          ~causal_impl ~ordering:Config.Causal ~seeds:25 ()
+          ~config ~seeds:25 ()
       in
       match result.Runner.failed with
       | None -> check_int (name ^ " seeds passed") 25 result.Runner.passed
@@ -416,17 +437,29 @@ let with_broken_causal_check f =
 
 let find_broken_report () =
   with_broken_causal_check (fun () ->
-      let result = Runner.sweep ~ordering:Config.Causal ~seeds:sweep_seeds () in
+      let result =
+        Runner.sweep ~config:(Runner.config Config.Causal) ~seeds:sweep_seeds
+          ()
+      in
       match result.Runner.failed with
       | Some report -> report
       | None ->
         Alcotest.fail
           "checker failed to catch the disabled causal delivery condition")
 
+(* The first line of a rendered report: it names the seed, the ordering and
+   every setting that differs from [Runner.config]'s. *)
+let report_header r =
+  List.hd (String.split_on_char '\n' (Format.asprintf "%a" Runner.pp_report r))
+
 let test_broken_bss_is_caught () =
   let report = find_broken_report () in
   check_string "causal oracle convicts" "causal-order"
     report.Runner.violation.Oracle.oracle;
+  check_string "header names no setting"
+    (Printf.sprintf "counterexample (seed %d, causal, shrunk)"
+       report.Runner.seed)
+    (report_header report);
   check_bool "counterexample was shrunk" true report.Runner.shrunk;
   check_bool "trace names the implicated messages" true
     (String.length report.Runner.trace > 0
@@ -435,7 +468,7 @@ let test_broken_bss_is_caught () =
      re-shrinking) under the same seed fails the same oracle *)
   with_broken_causal_check (fun () ->
       match
-        Runner.replay ~ordering:report.Runner.ordering ~seed:report.Runner.seed
+        Runner.replay ~config:report.Runner.config ~seed:report.Runner.seed
           report.Runner.plan
       with
       | Runner.Fail replayed ->
@@ -444,7 +477,9 @@ let test_broken_bss_is_caught () =
           replayed.Runner.violation.Oracle.oracle
       | Runner.Pass _ -> Alcotest.fail "shrunk plan no longer reproduces");
   (* with the stack healed, the very same seed passes again *)
-  match Runner.run_seed ~ordering:Config.Causal ~seed:report.Runner.seed () with
+  match
+    Runner.run_seed ~config:report.Runner.config ~seed:report.Runner.seed ()
+  with
   | Runner.Pass _ -> ()
   | Runner.Fail r ->
     Alcotest.failf "healed stack still fails:@.%a" Runner.pp_report r
@@ -469,10 +504,7 @@ let with_broken_pc_forwarding f =
 
 let find_broken_pc_report () =
   with_broken_pc_forwarding (fun () ->
-      let result =
-        Runner.sweep ~causal_impl:Config.Pc_causal ~ordering:Config.Causal
-          ~seeds:sweep_seeds ()
-      in
+      let result = Runner.sweep ~config:pc ~seeds:sweep_seeds () in
       match result.Runner.failed with
       | Some report -> report
       | None ->
@@ -482,11 +514,14 @@ let test_broken_pc_is_caught () =
   let report = find_broken_pc_report () in
   check_string "causal oracle convicts" "causal-order"
     report.Runner.violation.Oracle.oracle;
+  check_string "header names the causal layer"
+    (Printf.sprintf "counterexample (seed %d, causal, pc causal layer, shrunk)"
+       report.Runner.seed)
+    (report_header report);
   check_bool "counterexample was shrunk" true report.Runner.shrunk;
   with_broken_pc_forwarding (fun () ->
       match
-        Runner.replay ~causal_impl:Config.Pc_causal
-          ~ordering:report.Runner.ordering ~seed:report.Runner.seed
+        Runner.replay ~config:report.Runner.config ~seed:report.Runner.seed
           report.Runner.plan
       with
       | Runner.Fail replayed ->
@@ -496,8 +531,7 @@ let test_broken_pc_is_caught () =
       | Runner.Pass _ -> Alcotest.fail "shrunk plan no longer reproduces");
   (* with forwarding restored, the very same seed passes again *)
   match
-    Runner.run_seed ~causal_impl:Config.Pc_causal ~ordering:Config.Causal
-      ~seed:report.Runner.seed ()
+    Runner.run_seed ~config:report.Runner.config ~seed:report.Runner.seed ()
   with
   | Runner.Pass _ -> ()
   | Runner.Fail r ->
@@ -522,8 +556,11 @@ let with_overstated_minima f =
 let find_overstated_minima_report () =
   with_overstated_minima (fun () ->
       let result =
-        Runner.sweep ~stability_clock:Config.Sparse_clock
-          ~ordering:Config.Causal ~seeds:sweep_seeds ()
+        Runner.sweep
+          ~config:
+            { (Runner.config Config.Causal) with
+              Config.stability_clock = Config.Sparse_clock }
+          ~seeds:sweep_seeds ()
       in
       match result.Runner.failed with
       | Some report -> report
@@ -533,12 +570,15 @@ let find_overstated_minima_report () =
 let test_overstated_minima_caught () =
   let report = find_overstated_minima_report () in
   check_bool "counterexample was shrunk" true report.Runner.shrunk;
+  check_string "header names the clock"
+    (Printf.sprintf "counterexample (seed %d, causal, sparse clock, shrunk)"
+       report.Runner.seed)
+    (report_header report);
   check_bool "an oracle named the violation" true
     (String.length report.Runner.violation.Oracle.oracle > 0);
   with_overstated_minima (fun () ->
       match
-        Runner.replay ~stability_clock:Config.Sparse_clock
-          ~ordering:report.Runner.ordering ~seed:report.Runner.seed
+        Runner.replay ~config:report.Runner.config ~seed:report.Runner.seed
           report.Runner.plan
       with
       | Runner.Fail replayed ->
@@ -549,8 +589,7 @@ let test_overstated_minima_caught () =
   (* with the cache healed, the very same seed passes under the sparse
      clock again *)
   match
-    Runner.run_seed ~stability_clock:Config.Sparse_clock
-      ~ordering:report.Runner.ordering ~seed:report.Runner.seed ()
+    Runner.run_seed ~config:report.Runner.config ~seed:report.Runner.seed ()
   with
   | Runner.Pass _ -> ()
   | Runner.Fail r ->
@@ -566,7 +605,7 @@ let () =
           (fun (name, ordering) ->
             Alcotest.test_case
               (Printf.sprintf "%s %d seeds clean" name sweep_seeds)
-              `Slow (test_sweep ordering))
+              `Slow (test_sweep (Runner.config ordering)))
           Runner.orderings );
       ( "sweeps-pc",
         [
@@ -587,6 +626,8 @@ let () =
             test_cross_clock_verdicts;
           Alcotest.test_case "bss and pc verdicts agree" `Slow
             test_vector_pc_agreement;
+          Alcotest.test_case "entry points agree on every setting" `Slow
+            test_entry_points_agree;
           Alcotest.test_case "plan generation" `Quick
             test_plan_generation_deterministic;
         ] );

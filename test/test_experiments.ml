@@ -81,6 +81,39 @@ let test_scaling_load_grows_transit () =
       (big.E.Scaling.mean_transit_us > small.E.Scaling.mean_transit_us)
   | _ -> Alcotest.fail "expected two points"
 
+(* The sparse stability clock reports the dense clock's advances byte for
+   byte, so a sweep's buffering, traffic and delays are the same under
+   either. *)
+let test_scaling_sparse_clock_matches_dense () =
+  let sweep stability_clock =
+    E.Scaling.sweep ~sizes:[ 4; 8 ] ~duration:(Sim_time.ms 200)
+      ~config:
+        { E.Scaling.config with Repro_catocs.Config.stability_clock }
+      ()
+  in
+  let summary (p : E.Scaling.point) =
+    Printf.sprintf "n=%d peak=%d/%d system=%d sent=%d delivered=%d delay=%h"
+      p.group_size p.peak_node_unstable_msgs p.peak_node_unstable_bytes
+      p.system_unstable_bytes p.messages_total p.deliveries_total
+      p.mean_delivery_delay_us
+  in
+  Alcotest.(check (list string))
+    "same points"
+    (List.map summary (sweep Repro_catocs.Config.Dense_clock))
+    (List.map summary (sweep Repro_catocs.Config.Sparse_clock))
+
+(* The parallel engine cannot share the causal graph across lanes; the
+   scaling harness no longer turns it off on its own, so a graph-tracking
+   config under [Parallel] reaches the stack's own rejection. *)
+let test_scaling_parallel_rejects_graph () =
+  Alcotest.check_raises "Stack.create rejects the graph"
+    (Invalid_argument "Stack.create: track_graph needs the sequential engine")
+    (fun () ->
+      ignore
+        (E.Scaling.measure_with_graph
+           ~engine_impl:(Engine.Parallel { domains = 1 })
+           ~duration:(Sim_time.ms 10) ~seed:1L 4))
+
 (* --- false causality ----------------------------------------------------------- *)
 
 let test_false_causality_ordering_costs () =
@@ -310,6 +343,10 @@ let () =
             test_scaling_superlinear_system_buffering;
           Alcotest.test_case "load grows transit" `Slow
             test_scaling_load_grows_transit;
+          Alcotest.test_case "sparse clock matches dense" `Quick
+            test_scaling_sparse_clock_matches_dense;
+          Alcotest.test_case "parallel rejects graph tracking" `Quick
+            test_scaling_parallel_rejects_graph;
         ] );
       ( "false-causality",
         [

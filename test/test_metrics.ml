@@ -206,7 +206,12 @@ let test_encoded_wire_metrics () =
   let p =
     match
       Scaling.sweep ~sizes:[ 4 ] ~seed:7L ~duration:(Sim_time.ms 100)
-        ~track_graph:false ~metrics:true ~wire_format:Config.Encoded ()
+        ~config:
+          { Scaling.config with
+            Config.track_graph = false;
+            metrics = true;
+            wire_format = Config.Encoded }
+        ()
     with
     | [ p ] -> p
     | _ -> assert false
@@ -233,7 +238,9 @@ let test_encoded_wire_metrics () =
 let snapshot_fingerprint ~seed ~engine_impl =
   let p =
     Scaling.measure_with_graph ~engine_impl ~duration:(Sim_time.ms 100)
-      ~track_graph:false ~metrics:true ~seed 4
+      ~config:
+        { Scaling.config with Config.track_graph = false; metrics = true }
+      ~seed 4
   in
   Registry.fingerprint p.Scaling.registry_snapshot
 
