@@ -27,9 +27,7 @@ let () =
   let stacks =
     Stack.create_group ~engine
       ~config:{ Config.default with Config.ordering = Config.Causal }
-      ~names:[ "r0"; "r1"; "r2" ]
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:[ "r0"; "r1"; "r2" ] ()
   in
   let wire stack label =
     let self = Stack.self stack in

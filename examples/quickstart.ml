@@ -16,9 +16,7 @@ let () =
   let stacks =
     Stack.create_group ~engine
       ~config:{ Config.default with Config.ordering = Config.Causal }
-      ~names:[ "alice"; "bob"; "carol"; "dave" ]
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:[ "alice"; "bob"; "carol"; "dave" ] ()
   in
 
   (* 3. application behaviour: everyone logs deliveries; bob replies to

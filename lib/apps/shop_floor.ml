@@ -82,12 +82,11 @@ let run ?(capture_diagram = false) ?obs ?recorder config =
   in
   let stacks =
     Stack.create_group ?obs ~engine ~config:group_config
-      ~names:[ "sfc1"; "sfc2"; "observer" ]
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
+      ~names:[ "sfc1"; "sfc2"; "observer" ] ()
   in
   let sfc1, sfc2, observer =
     match stacks with
-    | [ a; b; c ] -> (a, b, c)
+    | [| a; b; c |] -> (a, b, c)
     | _ -> invalid_arg "Shop_floor: expected exactly three group members"
   in
   (* the shared database: the hidden channel *)

@@ -224,15 +224,14 @@ let shutdown t =
   t.cancel_timers ();
   t.callbacks <- null_callbacks
 
-let create_group ?obs ?payload_codec ~engine ~config ~names ~make_callbacks
-    () =
+let create_group ?obs ?payload_codec ~engine ~config ~names () =
   let pids =
     List.map (fun n -> Engine.spawn engine ~name:n (fun _ _ -> ())) names
   in
   let view = Group.make_view ~view_id:0 pids in
   let shared = make_shared ?obs config in
-  List.map
+  Array.map
     (fun pid ->
       create ?payload_codec ~engine ~shared ~config ~view ~self:pid
-        ~callbacks:(make_callbacks pid) ())
-    pids
+        ~callbacks:null_callbacks ())
+    (Array.of_list pids)

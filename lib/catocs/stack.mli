@@ -87,12 +87,13 @@ val create_group :
   engine:'a Wire.t Transport.packet Engine.t ->
   config:Config.t ->
   names:string list ->
-  make_callbacks:(Engine.pid -> 'a callbacks) ->
   unit ->
-  'a t list
+  'a t array
 (** Spawn one process per name, form the initial view over all of them, and
-    return their stacks (in name order). [obs] is threaded to
-    {!make_shared}, [payload_codec] to {!create}. *)
+    return their stacks (in name order). Every stack starts with
+    {!null_callbacks}; install the application's with {!set_callbacks}
+    before {!Engine.run}, since no callback fires earlier. [obs] is
+    threaded to {!make_shared}, [payload_codec] to {!create}. *)
 
 val multicast : 'a t -> 'a -> unit
 (** Multicast to the current view. During a flush, sends are queued and

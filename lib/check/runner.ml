@@ -132,20 +132,19 @@ let execute ?(engine_impl = Engine.Sequential) ~config ~seed
   let names = List.init plan.Fault_plan.n_members (Printf.sprintf "p%d") in
   (* the payload codec is used only under [Encoded] *)
   let payload_codec = Repro_catocs.Wire_codec.int_payload in
-  let group =
-    Stack.create_group ~payload_codec ~engine ~config ~names ~make_callbacks ()
-  in
-  let initial = Array.of_list (List.map Stack.self group) in
+  let group = Stack.create_group ~payload_codec ~engine ~config ~names () in
+  let initial = Array.map Stack.self group in
   let all_initial = Array.to_list initial in
-  List.iter
+  Array.iter
     (fun st ->
       let pid = Stack.self st in
+      Stack.set_callbacks st (make_callbacks pid);
       Hashtbl.replace stacks pid st;
       add_budget pid;
       Oracle.register_member oracle ~pid ~name:(Engine.name engine pid)
         ~view:(Some (0, all_initial)))
     group;
-  let shared = Stack.shared_of (List.hd group) in
+  let shared = Stack.shared_of group.(0) in
   (* workload *)
   List.iter
     (fun (at, idx) ->

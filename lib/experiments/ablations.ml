@@ -22,9 +22,7 @@ let gossip_measure ~seed ~group_size ~period_ms =
   in
   let stacks =
     Stack.create_group ~engine ~config
-      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i))
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i)) ()
   in
   Array.iteri
     (fun i stack ->
@@ -100,9 +98,7 @@ let piggyback_measure ~seed ~piggyback ~drop =
   in
   let stacks =
     Stack.create_group ~engine ~config
-      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i))
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i)) ()
   in
   let sends = ref 0 in
   Array.iteri

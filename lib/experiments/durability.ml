@@ -17,9 +17,7 @@ let catocs_trial ~seed ~group_size ~k =
   let config = { Config.default with Config.ordering = Config.Causal } in
   let stacks =
     Stack.create_group ~engine ~config
-      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i))
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i)) ()
   in
   let delivered = Array.make group_size false in
   Array.iteri

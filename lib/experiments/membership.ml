@@ -23,9 +23,7 @@ let run_once ~seed ~group_size ~crash =
   let config = { Config.default with Config.ordering = Config.Causal } in
   let stacks =
     Stack.create_group ~engine ~config
-      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i))
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i)) ()
   in
   let probe_delivered = ref 0 in
   Array.iteri

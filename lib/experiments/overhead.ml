@@ -16,9 +16,7 @@ let measure ~seed ~ordering ~group_size =
   let config = { Config.default with Config.ordering } in
   let stacks =
     Stack.create_group ~engine ~config
-      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i))
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i)) ()
   in
   Array.iteri
     (fun i stack ->

@@ -30,8 +30,6 @@ type point = {
 
 let config = Config.default
 
-(* the graph peaks need the shared causal graph: rebuild the group manually
-   so we hold the shared context *)
 let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     ?(processing_time = Sim_time.zero) ?(duration = Sim_time.seconds 1)
     ?(config = config) ~seed n =
@@ -43,12 +41,6 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     Net.create ~latency:(Net.Uniform (500, 5_000)) ~processing_time ()
   in
   let engine = Engine.create ~impl:engine_impl ~seed ~net () in
-  let pids =
-    List.init n (fun i ->
-        Engine.spawn engine ~name:(Printf.sprintf "p%d" i) (fun _ _ -> ()))
-  in
-  let view = Repro_catocs.Group.make_view ~view_id:0 pids in
-  let shared = Stack.make_shared ?obs config in
   (* the Encoded wire format frames real bytes, so it needs a payload
      codec; the sweep's payloads are the sender indices *)
   let payload_codec =
@@ -57,13 +49,10 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     | Config.Structural -> None
   in
   let stacks =
-    List.map
-      (fun pid ->
-        Stack.create ?payload_codec ~engine ~shared ~config ~view ~self:pid
-          ~callbacks:Stack.null_callbacks ())
-      pids
-    |> Array.of_list
+    Stack.create_group ?obs ?payload_codec ~engine ~config
+      ~names:(List.init n (Printf.sprintf "p%d")) ()
   in
+  let shared = Stack.shared_of stacks.(0) in
   let peak_nodes = ref 0 and peak_arcs = ref 0 in
   let cancel_sampler =
     Engine.every engine ~period:(Sim_time.ms 10) (fun () ->

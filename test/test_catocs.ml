@@ -36,9 +36,7 @@ let make_world ?(n = 3) ?(ordering = Config.Causal)
   in
   let stacks =
     Stack.create_group ~engine ~config
-      ~names:(List.init n (fun i -> Printf.sprintf "p%d" i))
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:(List.init n (fun i -> Printf.sprintf "p%d" i)) ()
   in
   let deliveries = Array.make n [] in
   let views_seen = Array.make n [] in
@@ -275,9 +273,7 @@ let test_stability_lag_metric () =
   let stacks =
     Stack.create_group ~engine
       ~config:{ Config.default with Config.metrics = true }
-      ~names:[ "p0"; "p1"; "p2" ]
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:[ "p0"; "p1"; "p2" ] ()
   in
   for k = 1 to 10 do
     Stack.multicast stacks.(k mod 3) k
@@ -960,9 +956,7 @@ let test_piggyback_fills_partial_multicast_gap () =
   let engine = Engine.create ~net () in
   let config = { Config.default with Config.piggyback_history = true } in
   let stacks =
-    Stack.create_group ~engine ~config ~names:[ "a"; "b"; "c" ]
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+    Stack.create_group ~engine ~config ~names:[ "a"; "b"; "c" ] ()
   in
   let got = ref [] in
   Stack.set_callbacks stacks.(2)
@@ -1014,9 +1008,7 @@ let make_heartbeat_world ?(n = 3) ?(latency = Net.Uniform (500, 3_000)) ?(seed =
   in
   let stacks =
     Stack.create_group ~engine ~config
-      ~names:(List.init n (fun i -> Printf.sprintf "p%d" i))
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:(List.init n (fun i -> Printf.sprintf "p%d" i)) ()
   in
   (engine, stacks, net)
 
@@ -1188,9 +1180,7 @@ let test_loss_without_reliability_blocks_causal () =
   let engine = Engine.create ~net () in
   let config = Config.default in
   let stacks =
-    Stack.create_group ~engine ~config ~names:[ "a"; "b"; "c" ]
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+    Stack.create_group ~engine ~config ~names:[ "a"; "b"; "c" ] ()
   in
   let delivered_at_2 = ref 0 in
   Stack.set_callbacks stacks.(2)

@@ -76,9 +76,7 @@ let run_scenario ~causal_impl ~transport (s : scenario) =
   let logs = Array.make (s.n + 1) [] in
   let stacks =
     Stack.create_group ~engine ~config
-      ~names:(List.init s.n (fun i -> Printf.sprintf "p%d" i))
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+      ~names:(List.init s.n (fun i -> Printf.sprintf "p%d" i)) ()
   in
   Array.iteri
     (fun i stack ->
@@ -309,9 +307,7 @@ let test_join_barrier () =
   let config = pc_config ~transport:Config.Fifo_order in
   let logs = Array.make 4 [] in
   let stacks =
-    Stack.create_group ~engine ~config ~names:[ "a"; "b"; "c" ]
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+    Stack.create_group ~engine ~config ~names:[ "a"; "b"; "c" ] ()
   in
   Array.iteri
     (fun i stack ->
@@ -413,9 +409,7 @@ let relay_scenario ~causal_impl () =
   in
   let logs = Array.make 3 [] in
   let stacks =
-    Stack.create_group ~engine ~config ~names:[ "a"; "b"; "c" ]
-      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
-    |> Array.of_list
+    Stack.create_group ~engine ~config ~names:[ "a"; "b"; "c" ] ()
   in
   Array.iteri
     (fun i stack ->
