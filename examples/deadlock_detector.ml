@@ -34,7 +34,7 @@ let () =
   print_endline "--------------------------------------------------------";
   List.iter
     (fun mode ->
-      let r = Rpc.run { Rpc.default_config with Rpc.mode } in
+      let r = Rpc.run mode in
       Printf.printf
         "  %-22s detected:%b in %5.1fms  false alarms:%d  cost: %6d msgs (%5.2f per RPC)\n"
         (Rpc.mode_name mode) r.Rpc.deadlock_detected r.Rpc.detection_latency_ms

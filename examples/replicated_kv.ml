@@ -45,11 +45,9 @@ let () =
          D.write_safety = 1; crash = Some (1, Sim_time.ms 300) });
 
   print_endline "\nHARP-style (primary copy, 2PC, WAL):";
-  print_harp "healthy" (H.run H.default_config);
-  print_harp "replica crash"
-    (H.run { H.default_config with H.crash = Some (1, Sim_time.ms 300) });
-  print_harp "primary crash (failover)"
-    (H.run { H.default_config with H.crash = Some (0, Sim_time.ms 300) });
+  print_harp "healthy" (H.run None);
+  print_harp "replica crash" (H.run (Some (1, Sim_time.ms 300)));
+  print_harp "primary crash (failover)" (H.run (Some (0, Sim_time.ms 300)));
 
   print_endline
     "\nConclusion (Section 4.4): CATOCS buys asynchrony only at k=0, where a";

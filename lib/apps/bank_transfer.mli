@@ -19,21 +19,6 @@
 
 type mode = Catocs_ops | Transactional
 
-type config = {
-  seed : int64;
-  replicas : int;
-  accounts : int;
-  initial_balance : int;
-  transfers : int;
-  transfer_interval : Sim_time.t;
-  max_amount : int;  (** amounts drawn in [1, max_amount]: large enough to
-                         make stale funds checks fail sometimes *)
-  latency : Net.latency;
-  mode : mode;
-}
-
-val default_config : config
-
 type result = {
   mode : mode;
   transfers_attempted : int;
@@ -50,6 +35,6 @@ type result = {
   aborted_transfers : int;  (** transactional mode: cleanly refused *)
 }
 
-val run : config -> result
+val run : mode -> result
 
 val mode_name : mode -> string

@@ -9,12 +9,7 @@
     written through one server at a time). *)
 
 type config = {
-  seed : int64;
-  servers : int;
-  writes : int;
-  write_interval : Sim_time.t;
   write_safety : int;  (** k: remote acks awaited before the client reply *)
-  latency : Net.latency;
   crash : (int * Sim_time.t) option;  (** crash server [i] at the given time *)
   out_of_band_writes : int;
       (** the client immediately re-issues that many of its writes through

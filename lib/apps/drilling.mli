@@ -19,11 +19,6 @@
 type mode = Catocs_scheduling | Central_controller
 
 type config = {
-  seed : int64;
-  drillers : int;
-  holes : int;
-  drill_time : Sim_time.t;
-  latency : Net.latency;
   crash : (int * Sim_time.t) option;  (** driller index, time *)
   mode : mode;
 }

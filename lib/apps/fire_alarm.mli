@@ -23,7 +23,6 @@ type config = {
   causal_impl : Repro_catocs.Config.causal_impl;
       (** and it survives a change of causal implementation: the external
           channel is invisible to BSS and PC-broadcast alike *)
-  clock_accuracy_us : int;
 }
 
 val default_config : config

@@ -2,20 +2,12 @@ module Tpc = Repro_txn.Two_phase_commit
 module Kv_store = Repro_txn.Kv_store
 module Wal = Repro_txn.Wal
 
-type config = {
-  seed : int64;
-  servers : int;
-  writes : int;
-  write_interval : Sim_time.t;
-  latency : Net.latency;
-  crash : (int * Sim_time.t) option;
-  client_timeout : Sim_time.t;
-}
-
-let default_config =
-  { seed = 1L; servers = 3; writes = 200; write_interval = Sim_time.ms 5;
-    latency = Net.Uniform (500, 5_000); crash = None;
-    client_timeout = Sim_time.seconds 1 }
+let seed = 1L
+let server_count = 3
+let writes = 200
+let write_interval = Sim_time.ms 5
+let latency = Net.Uniform (500, 5_000)
+let client_timeout = Sim_time.seconds 1
 
 type op = Put of { key : string; value : int }
 
@@ -46,18 +38,18 @@ type server = {
   mutable node : (op, msg) Tpc.node option;
 }
 
-let run config =
-  let net = Net.create ~latency:config.latency () in
-  let engine = Engine.create ~seed:config.seed ~net () in
+let run crash =
+  let net = Net.create ~latency () in
+  let engine = Engine.create ~seed ~net () in
   let servers =
-    Array.init config.servers (fun index ->
+    Array.init server_count (fun index ->
         { index;
           pid = Engine.spawn engine ~name:(Printf.sprintf "harp%d" index) (fun _ _ -> ());
           store = Kv_store.create (); wal = Wal.create ();
           locked = Hashtbl.create 16; node = None })
   in
   let client_pid = Engine.spawn engine ~name:"client" (fun _ _ -> ()) in
-  let alive = Array.make config.servers true in
+  let alive = Array.make server_count true in
   Engine.on_failure engine (fun pid ->
       Array.iter (fun s -> if s.pid = pid then alive.(s.index) <- false) servers);
   let availability_list () =
@@ -177,15 +169,15 @@ let run config =
   (* primary copy: the client directs writes at the lowest known-alive
      server, failing over on timeout *)
   let rec issue req ~server_index ~attempts =
-    if attempts < 2 * config.servers then begin
-      let target = servers.(server_index mod config.servers) in
+    if attempts < 2 * server_count then begin
+      let target = servers.(server_index mod server_count) in
       let target =
         if alive.(target.index) then target
-        else servers.((server_index + 1) mod config.servers)
+        else servers.((server_index + 1) mod server_count)
       in
       Engine.send engine ~src:client_pid ~dst:target.pid
         (Client_write { req; key = key_of req; value = req });
-      Engine.after engine ~owner:client_pid config.client_timeout (fun () ->
+      Engine.after engine ~owner:client_pid client_timeout (fun () ->
           let superseded =
             Hashtbl.fold
               (fun _ (key, value) acc -> acc || (key = key_of req && value > req))
@@ -208,18 +200,18 @@ let run config =
           | None -> ()
         end
       | Client_write _ | Tpc_msg _ -> ());
-  (match config.crash with
+  (match crash with
    | Some (i, at) ->
      Engine.at engine at (fun () -> Engine.crash engine servers.(i).pid)
    | None -> ());
-  for req = 0 to config.writes - 1 do
-    Engine.at engine (Sim_time.add (Sim_time.ms 5) (req * config.write_interval))
+  for req = 0 to writes - 1 do
+    Engine.at engine (Sim_time.add (Sim_time.ms 5) (req * write_interval))
       (fun () ->
         Hashtbl.replace send_times req (Engine.now engine);
         issue req ~server_index:0 ~attempts:0)
   done;
   let horizon =
-    Sim_time.add (config.writes * config.write_interval) (Sim_time.seconds 3)
+    Sim_time.add (writes * write_interval) (Sim_time.seconds 3)
   in
   Engine.run ~until:horizon engine;
   (* durability check: replay each survivor's WAL and confirm every acked
@@ -252,7 +244,7 @@ let run config =
     | first :: rest ->
       List.for_all (fun s -> Kv_store.equal_content first.store s.store) rest
   in
-  { writes_attempted = config.writes;
+  { writes_attempted = writes;
     writes_acked = Hashtbl.length acked;
     ack_latency_mean_us =
       (if Stats.Summary.count latency = 0 then 0.0 else Stats.Summary.mean latency);
@@ -260,7 +252,7 @@ let run config =
       (if Stats.Summary.count latency = 0 then 0.0
        else Stats.percentile (Array.of_list !latencies) 0.99);
     messages_per_write =
-      float_of_int (Engine.messages_sent engine) /. float_of_int config.writes;
+      float_of_int (Engine.messages_sent engine) /. float_of_int writes;
     commit_aborts = !commit_aborts;
     acked_lost_at_survivor = !acked_lost;
     replicas_consistent = consistent }

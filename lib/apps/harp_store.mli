@@ -8,18 +8,6 @@
     so a single crash costs at most one aborted-and-retried write, not a
     stalled store. Clients fail over to the next server on timeout. *)
 
-type config = {
-  seed : int64;
-  servers : int;
-  writes : int;
-  write_interval : Sim_time.t;
-  latency : Net.latency;
-  crash : (int * Sim_time.t) option;
-  client_timeout : Sim_time.t;
-}
-
-val default_config : config
-
 type result = {
   writes_attempted : int;
   writes_acked : int;
@@ -33,4 +21,6 @@ type result = {
   replicas_consistent : bool;
 }
 
-val run : config -> result
+val run : (int * Sim_time.t) option -> result
+(** [run (Some (i, at))] crashes server [i] at [at]; [run None] runs a
+    healthy store. *)

@@ -16,17 +16,6 @@
 
 type mode = Fifo_naive | Fifo_dep_cache | Causal
 
-type config = {
-  seed : int64;
-  readers : int;  (** reader sites (group members) *)
-  inquiries : int;
-  response_probability : float;  (** chance a reader answers an inquiry *)
-  latency : Net.latency;
-  mode : mode;
-}
-
-val default_config : config
-
 type result = {
   mode : mode;
   articles_delivered : int;
@@ -39,6 +28,6 @@ type result = {
   messages_sent : int;
 }
 
-val run : config -> result
+val run : mode -> result
 
 val mode_name : mode -> string

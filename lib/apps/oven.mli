@@ -18,17 +18,7 @@
 
 type mode = Catocs_group | Timestamped_freshest
 
-type config = {
-  seed : int64;
-  sample_period : Sim_time.t;
-  run_for : Sim_time.t;
-  control_traffic_rate : float;  (** controller messages per second *)
-  latency : Net.latency;
-  drop_probability : float;
-  mode : mode;
-}
-
-val default_config : config
+type config = { drop_probability : float; mode : mode }
 
 type result = {
   mode : mode;

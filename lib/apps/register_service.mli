@@ -19,16 +19,7 @@
 
 type read_mode = Read_any | Read_primary
 
-type config = {
-  seed : int64;
-  replicas : int;
-  clients : int;
-  ops_per_client : int;
-  op_interval : Sim_time.t;
-  write_safety : int;
-  latency : Net.latency;
-  read_mode : read_mode;
-}
+type config = { seed : int64; read_mode : read_mode }
 
 val default_config : config
 

@@ -18,21 +18,6 @@
 
 type mode = Van_renesse | Periodic_waitfor
 
-type config = {
-  seed : int64;
-  workers : int;
-  rpc_rate_per_worker : float;  (** background RPCs per second *)
-  rpc_service_time : Sim_time.t;
-  run_for : Sim_time.t;
-  deadlock_at : Sim_time.t;  (** when the injected call cycle forms *)
-  deadlock_size : int;  (** workers in the injected cycle *)
-  report_period : Sim_time.t;  (** periodic mode only *)
-  latency : Net.latency;
-  mode : mode;
-}
-
-val default_config : config
-
 type result = {
   mode : mode;
   background_rpcs : int;
@@ -43,6 +28,6 @@ type result = {
   messages_per_rpc : float;
 }
 
-val run : config -> result
+val run : mode -> result
 
 val mode_name : mode -> string

@@ -18,19 +18,6 @@
 
 type mode = Catocs_cut | Chandy_lamport
 
-type config = {
-  seed : int64;
-  processes : int;
-  initial_balance : int;
-  transfers : int;
-  transfer_interval : Sim_time.t;
-  snapshot_at : Sim_time.t;
-  latency : Net.latency;  (** must be FIFO-safe (Fixed) for Chandy-Lamport *)
-  mode : mode;
-}
-
-val default_config : config
-
 type result = {
   mode : mode;
   transfers_completed : int;
@@ -42,6 +29,6 @@ type result = {
   ordering_header_bytes : int;  (** CATOCS mode: headers paid on all traffic *)
 }
 
-val run : config -> result
+val run : mode -> result
 
 val mode_name : mode -> string

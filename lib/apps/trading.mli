@@ -19,13 +19,11 @@
 type config = {
   seed : int64;
   ticks : int;  (** option price updates *)
-  tick_interval : Sim_time.t;
   latency : Net.latency;
   ordering : Repro_catocs.Config.ordering;
   causal_impl : Repro_catocs.Config.causal_impl;
       (** the false crossing is a semantic gap, not an implementation bug:
           it shows under BSS and PC-broadcast alike *)
-  spread : float;  (** true theoretical premium over the option price *)
 }
 
 val default_config : config

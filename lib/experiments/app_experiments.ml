@@ -86,7 +86,7 @@ let fig4_trading () =
 
 let netnews () =
   let row mode =
-    let r = Netnews.run { Netnews.default_config with Netnews.mode } in
+    let r = Netnews.run mode in
     [ Netnews.mode_name mode;
       Table.cell_int r.Netnews.articles_delivered;
       Table.cell_int r.Netnews.misordered_displays;
@@ -124,7 +124,7 @@ let replicated_data () =
       Table.cell_bool r.Deceit_store.replicas_consistent ]
   in
   let harp_row label crash =
-    let r = Harp_store.run { Harp_store.default_config with Harp_store.crash } in
+    let r = Harp_store.run crash in
     [ label;
       Printf.sprintf "%d/%d" r.Harp_store.writes_acked
         r.Harp_store.writes_attempted;
@@ -154,7 +154,7 @@ let replicated_data () =
 
 let predicate_detection () =
   let row mode =
-    let r = Snapshot.run { Snapshot.default_config with Snapshot.mode } in
+    let r = Snapshot.run mode in
     [ Snapshot.mode_name mode;
       Table.cell_int r.Snapshot.transfers_completed;
       Table.cell_bool r.Snapshot.snapshot_consistent;
@@ -176,7 +176,7 @@ let predicate_detection () =
 
 let rpc_deadlock () =
   let row mode =
-    let r = Rpc_deadlock.run { Rpc_deadlock.default_config with Rpc_deadlock.mode } in
+    let r = Rpc_deadlock.run mode in
     [ Rpc_deadlock.mode_name mode;
       Table.cell_int r.Rpc_deadlock.background_rpcs;
       Table.cell_bool r.Rpc_deadlock.deadlock_detected;
@@ -202,7 +202,7 @@ let drilling () =
       Printf.sprintf "%s%s" (Drilling.mode_name mode)
         (match crash with Some _ -> " + driller crash" | None -> "")
     in
-    let r = Drilling.run { Drilling.default_config with Drilling.mode; crash } in
+    let r = Drilling.run { Drilling.mode; crash } in
     [ label;
       Printf.sprintf "%d/%d" r.Drilling.drilled_once r.Drilling.holes;
       Table.cell_int r.Drilling.double_drilled;
@@ -228,12 +228,8 @@ let drilling () =
 
 let serialization () =
   let row mode =
-    let r =
-      Repro_apps.Bank_transfer.run
-        { Repro_apps.Bank_transfer.default_config with
-          Repro_apps.Bank_transfer.mode }
-    in
     let module B = Repro_apps.Bank_transfer in
+    let r = B.run mode in
     [ B.mode_name mode;
       Printf.sprintf "%d/%d" r.B.transfers_applied r.B.transfers_attempted;
       Table.cell_int r.B.aborted_transfers;
@@ -263,11 +259,7 @@ let linearizability () =
     let runs = 20 in
     let non_lin = ref 0 and stale = ref 0 and ops = ref 0 in
     for seed = 1 to runs do
-      let r =
-        R.run
-          { R.default_config with
-            R.read_mode = mode; seed = Int64.of_int seed }
-      in
+      let r = R.run { R.read_mode = mode; seed = Int64.of_int seed } in
       if not r.R.linearizable then incr non_lin;
       stale := !stale + r.R.stale_reads;
       ops := !ops + r.R.operations
@@ -292,9 +284,7 @@ let linearizability () =
 
 let real_time () =
   let row (mode, drop) =
-    let r =
-      Oven.run { Oven.default_config with Oven.mode; drop_probability = drop }
-    in
+    let r = Oven.run { Oven.mode; drop_probability = drop } in
     [ Oven.mode_name mode;
       Table.cell_pct drop;
       Table.cell_float r.Oven.mean_tracking_error;

@@ -87,9 +87,9 @@ let test_trading_false_crossings () =
 (* --- netnews ------------------------------------------------------------------ *)
 
 let test_netnews_modes () =
-  let naive = Netnews.run { Netnews.default_config with Netnews.mode = Netnews.Fifo_naive } in
-  let cache = Netnews.run { Netnews.default_config with Netnews.mode = Netnews.Fifo_dep_cache } in
-  let causal = Netnews.run { Netnews.default_config with Netnews.mode = Netnews.Causal } in
+  let naive = Netnews.run Netnews.Fifo_naive in
+  let cache = Netnews.run Netnews.Fifo_dep_cache in
+  let causal = Netnews.run Netnews.Causal in
   check_bool "fifo-naive misorders" true (naive.Netnews.misordered_displays > 0);
   check_int "dep-cache never misorders" 0 cache.Netnews.misordered_displays;
   check_bool "dep-cache parks instead" true (cache.Netnews.parked_responses > 0);
@@ -126,7 +126,7 @@ let test_deceit_crash_keeps_consistency () =
   check_int "no acked write lost" 0 r.Deceit_store.acked_lost_at_survivor
 
 let test_harp_healthy () =
-  let r = Harp_store.run Harp_store.default_config in
+  let r = Harp_store.run None in
   check_int "all acked" r.Harp_store.writes_attempted r.Harp_store.writes_acked;
   check_bool "consistent" true r.Harp_store.replicas_consistent;
   check_int "nothing lost" 0 r.Harp_store.acked_lost_at_survivor;
@@ -134,9 +134,7 @@ let test_harp_healthy () =
 
 let test_harp_replica_crash_durable () =
   let r =
-    Harp_store.run
-      { Harp_store.default_config with
-        Harp_store.crash = Some (1, Sim_time.ms 300) }
+    Harp_store.run (Some (1, Sim_time.ms 300))
   in
   check_int "no acked write lost" 0 r.Harp_store.acked_lost_at_survivor;
   check_bool "consistent" true r.Harp_store.replicas_consistent;
@@ -145,9 +143,7 @@ let test_harp_replica_crash_durable () =
 
 let test_harp_primary_crash_durable () =
   let r =
-    Harp_store.run
-      { Harp_store.default_config with
-        Harp_store.crash = Some (0, Sim_time.ms 300) }
+    Harp_store.run (Some (0, Sim_time.ms 300))
   in
   check_int "no acked write lost" 0 r.Harp_store.acked_lost_at_survivor;
   check_bool "consistent" true r.Harp_store.replicas_consistent;
@@ -159,7 +155,7 @@ let test_harp_primary_crash_durable () =
 module Bank_transfer = Repro_apps.Bank_transfer
 
 let test_bank_catocs_splits_transfers () =
-  let r = Bank_transfer.run Bank_transfer.default_config in
+  let r = Bank_transfer.run Bank_transfer.Catocs_ops in
   check_bool "some transfers split" true (r.Bank_transfer.split_transfers > 0);
   check_bool "money created" true (r.Bank_transfer.final_sum_error > 0);
   check_bool "observer saw non-conservation" true
@@ -170,11 +166,7 @@ let test_bank_catocs_splits_transfers () =
     r.Bank_transfer.overdrafts
 
 let test_bank_transactional_exact () =
-  let r =
-    Bank_transfer.run
-      { Bank_transfer.default_config with
-        Bank_transfer.mode = Bank_transfer.Transactional }
-  in
+  let r = Bank_transfer.run Bank_transfer.Transactional in
   check_int "no split transfers" 0 r.Bank_transfer.split_transfers;
   check_int "money conserved exactly" 0 r.Bank_transfer.final_sum_error;
   check_int "observer never saw non-conservation" 0
@@ -204,8 +196,7 @@ let test_register_read_primary_linearizable () =
   for seed = 1 to 20 do
     let r =
       Register_service.run
-        { Register_service.default_config with
-          Register_service.seed = Int64.of_int seed;
+        { Register_service.seed = Int64.of_int seed;
           read_mode = Register_service.Read_primary }
     in
     check_bool
@@ -216,8 +207,8 @@ let test_register_read_primary_linearizable () =
 (* --- snapshots -------------------------------------------------------------------- *)
 
 let test_snapshot_both_consistent () =
-  let catocs = Snapshot.run { Snapshot.default_config with Snapshot.mode = Snapshot.Catocs_cut } in
-  let markers = Snapshot.run { Snapshot.default_config with Snapshot.mode = Snapshot.Chandy_lamport } in
+  let catocs = Snapshot.run Snapshot.Catocs_cut in
+  let markers = Snapshot.run Snapshot.Chandy_lamport in
   check_bool "catocs cut consistent" true catocs.Snapshot.snapshot_consistent;
   check_bool "marker cut consistent" true markers.Snapshot.snapshot_consistent;
   check_bool "catocs taxes all traffic" true
@@ -229,8 +220,8 @@ let test_snapshot_both_consistent () =
 (* --- rpc deadlock ------------------------------------------------------------------- *)
 
 let test_rpc_both_detect_cheaper_periodic () =
-  let vr = Rpc_deadlock.run { Rpc_deadlock.default_config with Rpc_deadlock.mode = Rpc_deadlock.Van_renesse } in
-  let periodic = Rpc_deadlock.run { Rpc_deadlock.default_config with Rpc_deadlock.mode = Rpc_deadlock.Periodic_waitfor } in
+  let vr = Rpc_deadlock.run Rpc_deadlock.Van_renesse in
+  let periodic = Rpc_deadlock.run Rpc_deadlock.Periodic_waitfor in
   check_bool "van renesse detects" true vr.Rpc_deadlock.deadlock_detected;
   check_bool "periodic detects" true periodic.Rpc_deadlock.deadlock_detected;
   check_int "vr no false alarms" 0 vr.Rpc_deadlock.false_alarms;
@@ -248,7 +239,7 @@ let test_drilling_safety_both_modes () =
     (fun mode ->
       List.iter
         (fun crash ->
-          let r = Drilling.run { Drilling.default_config with Drilling.mode; crash } in
+          let r = Drilling.run { Drilling.mode; crash } in
           check_int (Drilling.mode_name mode ^ ": no double drilling") 0
             r.Drilling.double_drilled;
           check_int
@@ -270,7 +261,7 @@ let test_drilling_central_linear_messages () =
 
 let test_oven_loss_hurts_catocs_more () =
   let run mode drop =
-    Oven.run { Oven.default_config with Oven.mode; drop_probability = drop }
+    Oven.run { Oven.mode; drop_probability = drop }
   in
   let catocs = run Oven.Catocs_group 0.2 in
   let stamped = run Oven.Timestamped_freshest 0.2 in
@@ -293,12 +284,12 @@ let test_apps_deterministic () =
   let t2 = Trading.run Trading.default_config in
   check_int "trading deterministic" t1.Trading.naive_false_crossings
     t2.Trading.naive_false_crossings;
-  let n1 = Netnews.run Netnews.default_config in
-  let n2 = Netnews.run Netnews.default_config in
+  let n1 = Netnews.run Netnews.Fifo_naive in
+  let n2 = Netnews.run Netnews.Fifo_naive in
   check_int "netnews deterministic" n1.Netnews.misordered_displays
     n2.Netnews.misordered_displays;
-  let b1 = Bank_transfer.run Bank_transfer.default_config in
-  let b2 = Bank_transfer.run Bank_transfer.default_config in
+  let b1 = Bank_transfer.run Bank_transfer.Catocs_ops in
+  let b2 = Bank_transfer.run Bank_transfer.Catocs_ops in
   check_int "bank deterministic" b1.Bank_transfer.split_transfers
     b2.Bank_transfer.split_transfers;
   let r1 = Register_service.run Register_service.default_config in
