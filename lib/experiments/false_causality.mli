@@ -13,6 +13,8 @@ type point = {
   mean_queue_wait_us : float;  (** time messages sat in ordering queues *)
   delayed_fraction : float;  (** messages that waited at all *)
   transit_p99_us : float;
+      (** 99th percentile of send -> deliver time over every delivery at
+          every member *)
   header_bytes_per_msg : float;
 }
 
