@@ -52,7 +52,11 @@ let line t n =
 
 (* Deterministic recursive walk collecting .ml files under [rel] (a
    repo-root-relative directory), mirroring the reference scanner's
-   ordering so findings and baselines are stable across filesystems. *)
+   ordering so findings and baselines are stable across filesystems.
+   Dot-directories are skipped: under _build, dune writes its
+   [.<lib>.objs] directories while the lint runs in the same build, so an
+   entry listed by [readdir] may be gone before it is stat'ed — such an
+   entry is treated as absent. *)
 let walk ~repo_root rel =
   let files = ref [] in
   let rec go rel_dir =
@@ -64,10 +68,12 @@ let walk ~repo_root rel =
       Array.iter
         (fun name ->
           let rel_path = Filename.concat rel_dir name in
-          let abs_path = Filename.concat abs name in
-          if Sys.is_directory abs_path then go rel_path
-          else if Filename.check_suffix name ".ml" then
-            files := rel_path :: !files)
+          match Sys.is_directory (Filename.concat abs name) with
+          | exception Sys_error _ -> ()
+          | true -> if name.[0] <> '.' then go rel_path
+          | false ->
+            if Filename.check_suffix name ".ml" then
+              files := rel_path :: !files)
         names
   in
   go rel;

@@ -21,3 +21,6 @@ val line : t -> int -> string
 (** The trimmed 1-based source line, or [""] out of range. *)
 
 val load_tree : repo_root:string -> string -> t list
+(** Every [.ml] file under [repo_root/rel], loaded in path order.
+    Dot-directories (dune's [.<lib>.objs]) are not entered, and an entry
+    that vanishes during the walk is skipped. *)
