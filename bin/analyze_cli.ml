@@ -3,8 +3,8 @@
    Offline static analysis over recorded executions: build the
    happened-before DAG, detect hidden channels (Figures 1-3), quantify
    false causality (Section 3.4), flag causal cycles, duplicate uids and
-   stability-lag outliers. Findings are written as a stable JSON document
-   (ANALYZE_findings.json). *)
+   stability-lag outliers. Findings are printed, and [--out FILE] also
+   writes them as a stable JSON document. *)
 
 module Runner = Repro_check.Runner
 module Fault_plan = Repro_check.Fault_plan
@@ -28,11 +28,14 @@ let exceeds_fail_level ~fail_on findings =
   | Some _, _ -> true (* "info": any finding at all *)
 
 let write_out ~out json =
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Json.to_string json));
-  Printf.printf "findings written to %s\n" out
+  Option.iter
+    (fun out ->
+      let oc = open_out out in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc (Json.to_string json));
+      Printf.printf "findings written to %s\n" out)
+    out
 
 let print_findings findings =
   if findings = [] then print_endline "no findings"
@@ -214,8 +217,9 @@ open Cmdliner
 let out_arg =
   Arg.(
     value
-    & opt string "ANALYZE_findings.json"
-    & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Findings JSON output path.")
+    & opt (some string) None
+    & info [ "out"; "o" ] ~docv:"FILE"
+        ~doc:"Also write the findings JSON document to FILE.")
 
 let fail_on_arg =
   Arg.(
