@@ -37,6 +37,9 @@ type send = {
   semantic : int list option;
       (** application-declared semantic dependencies; [None] = undeclared
           (the analyzer quantifies false causality only when declared) *)
+  label : string;
+      (** what {!render_diagram} calls the message; [u<uid>] unless the
+          recorder was given one *)
 }
 
 type delivery = {
@@ -87,10 +90,17 @@ module Recorder : sig
   val add_process : t -> pid:int -> name:string -> unit
 
   val note_send :
-    t -> ?semantic:int list -> sender:int -> at:Sim_time.t -> unit -> int
+    t ->
+    ?semantic:int list ->
+    ?label:string ->
+    sender:int ->
+    at:Sim_time.t ->
+    unit ->
+    int
   (** Returns the fresh uid. [semantic] declares the message's true
       application-level dependencies ([Some []] = independent of everything
-      but its own sender's stream). *)
+      but its own sender's stream). [label] names the message in
+      {!render_diagram} (default [u<uid>]). *)
 
   val note_delivery : t -> pid:int -> uid:int -> at:Sim_time.t -> unit
 
@@ -121,3 +131,11 @@ val of_log :
     in {!Recorder.add_process}. Intermediate lifecycle records (recv,
     queued, stable), flush markers, retransmissions and gauges carry no
     happened-before information and are skipped. *)
+
+val render_diagram : t -> string
+(** The execution as an ASCII event diagram: a time column, then one
+    24-character column per {!processes} entry, time advancing downwards.
+    Each send, delivery and external event is one row, in (time, pid,
+    program order) order: [send <label>], [dlvr <label>] (the delivered
+    send's label), or the external event's [ext_label]. Cells longer than
+    the column are cut. *)

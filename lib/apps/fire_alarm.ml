@@ -1,7 +1,5 @@
 module Config = Repro_catocs.Config
 module Stack = Repro_catocs.Stack
-module Wire = Repro_catocs.Wire
-module Transport = Repro_catocs.Transport
 module Rt_clock = Repro_statelevel.Rt_clock
 module Recorder = Repro_analyze.Exec.Recorder
 
@@ -35,19 +33,11 @@ type result = {
   trials : int;
   naive_anomalies : int;
   timestamped_anomalies : int;
-  diagram : string option;
 }
 
-let pp_msg ppf r =
-  Format.fprintf ppf "%s(t%d)" (if r.burning then "FIRE" else "fire-out") r.trial
-
-let run ?(capture_diagram = false) ?obs ?recorder config =
+let run ?obs ?recorder config =
   let net = Net.create ~latency:config.latency () in
-  let pp_msg =
-    if capture_diagram then Some (Transport.pp_packet (Wire.pp pp_msg))
-    else None
-  in
-  let engine = Engine.create ~seed:config.seed ~net ?pp_msg () in
+  let engine = Engine.create ~seed:config.seed ~net () in
   let clock =
     Rt_clock.create ~accuracy_us:clock_accuracy_us
       (Rng.split (Engine.rng engine))
@@ -110,7 +100,12 @@ let run ?(capture_diagram = false) ?obs ?recorder config =
       match recorder with
       | None -> 0
       | Some r ->
-        let uid = Recorder.note_send r ~sender:origin ~at:(Engine.now engine) () in
+        let label =
+          Printf.sprintf "%s(t%d)" (if burning then "FIRE" else "fire-out") trial
+        in
+        let uid =
+          Recorder.note_send r ~label ~sender:origin ~at:(Engine.now engine) ()
+        in
         (match Hashtbl.find_opt last_report trial with
          | Some prev ->
            Recorder.note_order_requirement r ~before:prev ~after:uid
@@ -146,11 +141,5 @@ let run ?(capture_diagram = false) ?obs ?recorder config =
     | Some { Rt_clock.Stamped.v = true; _ } -> ()
     | Some _ | None -> incr timestamped_anomalies
   done;
-  let diagram =
-    Option.map
-      (Trace.render_diagram ~exclude_substrings:[ "gossip"; "ack" ] ~limit:60
-         ~names:[| "furnace-P"; "observer-Q"; "monitor-R" |])
-      (Engine.trace engine)
-  in
   { trials = config.trials; naive_anomalies = !naive_anomalies;
-    timestamped_anomalies = !timestamped_anomalies; diagram }
+    timestamped_anomalies = !timestamped_anomalies }

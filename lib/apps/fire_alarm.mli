@@ -32,16 +32,17 @@ type result = {
   naive_anomalies : int;
       (** trials where Q's last-received report says the fire is out *)
   timestamped_anomalies : int;  (** freshest-timestamp view (expected: 0) *)
-  diagram : string option;
 }
 
 val run :
-  ?capture_diagram:bool ->
   ?obs:Repro_obs.Log.t ->
   ?recorder:Repro_analyze.Exec.Recorder.t ->
   config ->
   result
-(** With [recorder], every report multicast and delivery is recorded, and
-    successive reports of one trial get a channel edge labelled "physical
-    world" — the external channel the transport cannot see. [obs] attaches
-    a telemetry log to the group. *)
+(** With [recorder], every report multicast (labelled [FIRE(t<trial>)] or
+    [fire-out(t<trial>)]) and delivery is recorded, and successive reports
+    of one trial get a channel edge labelled "physical world" — the
+    external channel the transport cannot see. The recording feeds the
+    causal sanitizer and the Figure 3 event diagram
+    ({!Repro_analyze.Exec.render_diagram}). [obs] attaches a telemetry log
+    to the group. *)

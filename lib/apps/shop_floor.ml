@@ -1,7 +1,5 @@
 module Config = Repro_catocs.Config
 module Stack = Repro_catocs.Stack
-module Wire = Repro_catocs.Wire
-module Transport = Repro_catocs.Transport
 module Endpoint = Repro_catocs.Endpoint
 module Versioned = Repro_statelevel.Versioned
 module Recorder = Repro_analyze.Exec.Recorder
@@ -24,7 +22,6 @@ type result = {
   versioned_anomalies : int;
   stale_rejected : int;
   messages_sent : int;
-  diagram : string option;
 }
 
 type msg =
@@ -33,32 +30,24 @@ type msg =
   | Db_reply of { lot : string; action : string; version : int }
   | Notify of { lot : string; action : string; version : int }
 
-let pp_msg ppf = function
-  | Request { lot; action } -> Format.fprintf ppf "req %s %s" action lot
-  | Db_update { lot; action; _ } -> Format.fprintf ppf "db<- %s %s" action lot
-  | Db_reply { lot; action; version } ->
-    Format.fprintf ppf "db-> %s %s v%d" action lot version
-  | Notify { lot; action; version } ->
-    Format.fprintf ppf "notify %s %s v%d" action lot version
-
-let run ?(capture_diagram = false) ?obs ?recorder config =
+let run ?obs ?recorder config =
   let net = Net.create ~latency:config.latency () in
-  let pp_msg =
-    if capture_diagram then Some (Transport.pp_packet (Wire.pp pp_msg))
-    else None
-  in
-  let engine = Engine.create ~seed:config.seed ~net ?pp_msg () in
+  let engine = Engine.create ~seed:config.seed ~net () in
   (* Instrumentation for the causal sanitizer: each Notify multicast gets a
      recorder uid keyed by (lot, version), and consecutive versions of the
      same lot get a channel edge — that ordering flows through the shared
      database, not through the group. *)
   let notify_uids : (string * int, int) Hashtbl.t = Hashtbl.create 64 in
   let last_notify : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let record_notify ~sender ~lot ~version =
+  let record_notify ~sender ~lot ~action ~version =
     match recorder with
     | None -> ()
     | Some r ->
-      let uid = Recorder.note_send r ~sender ~at:(Engine.now engine) () in
+      let uid =
+        Recorder.note_send r
+          ~label:(Printf.sprintf "notify %s %s v%d" action lot version)
+          ~sender ~at:(Engine.now engine) ()
+      in
       Hashtbl.replace notify_uids (lot, version) uid;
       (match Hashtbl.find_opt last_notify lot with
        | Some prev ->
@@ -137,7 +126,7 @@ let run ?(capture_diagram = false) ?obs ?recorder config =
               Stack.send_direct stack ~dst:db_pid
                 (Db_update { lot; action; reply_to = Stack.self stack })
             | Db_reply { lot; action; version } ->
-              record_notify ~sender:(Stack.self stack) ~lot ~version;
+              record_notify ~sender:(Stack.self stack) ~lot ~action ~version;
               Stack.multicast stack (Notify { lot; action; version })
             | Db_update _ | Notify _ -> ()) }
   in
@@ -190,13 +179,7 @@ let run ?(capture_diagram = false) ?obs ?recorder config =
          | Some seen when seen.Versioned.value = truth.Versioned.value -> ()
          | Some _ | None -> incr versioned_anomalies))
     (Versioned.keys db_store);
-  let diagram =
-    Option.map
-      (Trace.render_diagram ~exclude_substrings:[ "gossip"; "ack" ] ~limit:60
-         ~names:[| "sfc1"; "sfc2"; "observer"; "database"; "client" |])
-      (Engine.trace engine)
-  in
   { trials = config.trials; naive_anomalies = !naive_anomalies;
     versioned_anomalies = !versioned_anomalies;
     stale_rejected = Versioned.stale_rejected replica;
-    messages_sent = Engine.messages_sent engine; diagram }
+    messages_sent = Engine.messages_sent engine }

@@ -36,17 +36,17 @@ type result = {
       (** same check using the versioned replica (expected: 0) *)
   stale_rejected : int;  (** reordered notifications the replica discarded *)
   messages_sent : int;
-  diagram : string option;  (** event diagram of the first anomalous trial *)
 }
 
 val run :
-  ?capture_diagram:bool ->
   ?obs:Repro_obs.Log.t ->
   ?recorder:Repro_analyze.Exec.Recorder.t ->
   config ->
   result
-(** With [recorder], every Notify multicast, its deliveries, the database
+(** With [recorder], every Notify multicast (labelled
+    [notify <action> <lot> v<version>]), its deliveries, the database
     writes, and one channel edge per consecutive same-lot version pair
-    (labelled "shared database") are recorded for the causal sanitizer.
+    (labelled "shared database") are recorded for the causal sanitizer and
+    the Figure 2 event diagram ({!Repro_analyze.Exec.render_diagram}).
     [obs] attaches a telemetry log to the CATOCS group (the database and
     client endpoints sit outside the group and emit nothing). *)

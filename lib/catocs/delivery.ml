@@ -49,11 +49,6 @@ let final_deliver t (pending : 'a Delivery_queue.pending) =
         (float_of_int (Sim_time.sub now data.Wire.sent_at));
     if wait > 0 then
       t.metrics.Metrics.delayed_messages <- t.metrics.Metrics.delayed_messages + 1;
-    (match Engine.trace t.engine with
-     | Some trace ->
-       Trace.record trace now ~pid:t.self Trace.Deliver
-         (Format.asprintf "msg#%d" data.Wire.msg_id)
-     | None -> ());
     (match t.shared.obs with
      | Some log ->
        Repro_obs.Log.span_delivered log ~at:now ~uid:data.Wire.msg_id

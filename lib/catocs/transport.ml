@@ -227,9 +227,3 @@ let handle t (env : 'w packet Engine.envelope) =
     (* [-1]: a Bare link, nothing to reassemble *)
     if seq < 0 then deliver t ~src:env.src env.payload
     else handle_seg t env.src seq env.payload
-
-let pp_packet pp_payload ppf = function
-  | Seg { seq; payload } -> Format.fprintf ppf "seg#%d(%a)" seq pp_payload payload
-  | Raw payload -> Format.fprintf ppf "%a" pp_payload payload
-  | Ack { upto } -> Format.fprintf ppf "ack<=%d" upto
-  | Enc { seq; frame } -> Format.fprintf ppf "enc#%d(%dB)" seq (String.length frame)

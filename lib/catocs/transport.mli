@@ -66,6 +66,3 @@ val retransmissions : 'w t -> int
 val wire_bytes_sent : 'w t -> int
 (** Sum of encoded frame lengths sent on this transport; zero on the
     structural path. *)
-
-val pp_packet :
-  (Format.formatter -> 'w -> unit) -> Format.formatter -> 'w packet -> unit

@@ -504,7 +504,7 @@ let to_exec t ~ordering ~label =
       let send =
         { Exec.uid = s.uid; sender = s.sender; sender_seq = s.sender_seq;
           sent_at = s.sent_at; send_pseq = pseq; context = s.context;
-          semantic = None }
+          semantic = None; label = Printf.sprintf "u%d" s.uid }
       in
       merge pid (pseq + 1) srest delivers (send :: ss, ds)
     | _, (uid, at) :: drest ->

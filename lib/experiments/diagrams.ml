@@ -1,7 +1,5 @@
 module Config = Repro_catocs.Config
 module Stack = Repro_catocs.Stack
-module Wire = Repro_catocs.Wire
-module Transport = Repro_catocs.Transport
 module Shop_floor = Repro_apps.Shop_floor
 module Fire_alarm = Repro_apps.Fire_alarm
 module Exec = Repro_analyze.Exec
@@ -10,28 +8,31 @@ module Recorder = Repro_analyze.Exec.Recorder
 (* --- Figure 1 ------------------------------------------------------------- *)
 
 type fig1_outcome = {
-  diagram : string;
+  exec : Exec.t option;  (* the recorded run; [None] under [Parallel] *)
   deliveries : (int * string list) list;  (* member index, delivery order *)
   registry_snapshot : Repro_obs.Registry.snapshot;
       (* merged over the three stacks; empty unless ~metrics:true *)
 }
 
-let fig1_run ?(engine_impl = Engine.Sequential) ?obs ?recorder
+let fig1_run ?(engine_impl = Engine.Sequential) ?obs
     ?(causal_impl = Config.Vector_causal) ?(metrics = false) () =
   let net = Net.create ~latency:(Net.Uniform (1_000, 3_000)) () in
-  (* the ASCII trace (and its pp_msg pretty-printer) and the shared causal
-     graph are sequential-only conveniences; the telemetry log (when
+  (* the recorded execution (a recorder is not domain-safe) and the shared
+     causal graph are sequential-only conveniences; the telemetry log (when
      synchronized) carries everything the cross-domain consumers need *)
   let parallel =
     match engine_impl with
     | Engine.Sequential -> false
     | Engine.Parallel _ -> true
   in
-  let pp_msg =
+  let recorder =
     if parallel then None
-    else Some (Transport.pp_packet (Wire.pp Format.pp_print_string))
+    else
+      Some
+        (Recorder.create ~ordering:Exec.Causal_order ~label:"fig1 causal order"
+           ())
   in
-  let engine = Engine.create ~impl:engine_impl ~seed:3L ~net ?pp_msg () in
+  let engine = Engine.create ~impl:engine_impl ~seed:3L ~net () in
   let stacks =
     Stack.create_group ?obs ~engine
       ~config:
@@ -56,7 +57,7 @@ let fig1_run ?(engine_impl = Engine.Sequential) ?obs ?recorder
     | None -> ()
     | Some rc ->
       Hashtbl.replace uids m
-        (Recorder.note_send rc ~sender:(Stack.self stack)
+        (Recorder.note_send rc ~label:m ~sender:(Stack.self stack)
            ~at:(Engine.now engine) ())
   in
   let multicast stack m =
@@ -83,12 +84,7 @@ let fig1_run ?(engine_impl = Engine.Sequential) ?obs ?recorder
   Engine.at engine (Sim_time.ms 8) (fun () -> multicast r "m3");
   Engine.at engine (Sim_time.ms 9) (fun () -> multicast q "m4");
   Engine.run ~until:(Sim_time.ms 18) engine;
-  { diagram =
-      (match Engine.trace engine with
-       | Some trace ->
-         Trace.render_diagram ~exclude_substrings:[ "gossip"; "ack" ] ~limit:80
-           trace ~names:[| "P"; "Q"; "R" |]
-       | None -> "");
+  { exec = Option.map Recorder.exec recorder;
     deliveries = List.init 3 (fun i -> (i, List.rev deliveries.(i)));
     registry_snapshot =
       Repro_obs.Registry.merge_all
@@ -97,7 +93,12 @@ let fig1_run ?(engine_impl = Engine.Sequential) ?obs ?recorder
               (fun s -> Repro_obs.Registry.snapshot (Stack.registry s))
               stacks)) }
 
-let fig1_causal_order () = (fig1_run ()).diagram
+let fig1_exec ?causal_impl () =
+  match (fig1_run ?causal_impl ()).exec with
+  | Some exec -> exec
+  | None -> invalid_arg "Diagrams: a sequential Figure 1 run records itself"
+
+let fig1_causal_order () = Exec.render_diagram (fig1_exec ())
 
 let index_of item list =
   let rec scan i = function
@@ -156,46 +157,13 @@ let search_seed ~anomalous run =
 let shop_floor_anomalous r = r.Shop_floor.naive_anomalies > 0
 let fire_alarm_anomalous r = r.Fire_alarm.naive_anomalies > 0
 
-let fig2_hidden_channel () =
-  let seed, result =
-    search_seed ~anomalous:shop_floor_anomalous (fun seed ->
-        Shop_floor.run ~capture_diagram:true
-          { Shop_floor.default_config with
-            Shop_floor.seed = Int64.of_int seed; trials = 1 })
-  in
-  match result.Shop_floor.diagram with
-  | Some d when shop_floor_anomalous result ->
-    Printf.sprintf "(seed %d: observer's last notification contradicts the database)\n%s"
-      seed d
-  | Some _ | None -> "no anomalous seed found in range"
-
-let fig3_external_channel () =
-  let seed, result =
-    search_seed ~anomalous:fire_alarm_anomalous (fun seed ->
-        Fire_alarm.run ~capture_diagram:true
-          { Fire_alarm.default_config with
-            Fire_alarm.seed = Int64.of_int seed; trials = 1 })
-  in
-  match result.Fire_alarm.diagram with
-  | Some d when fire_alarm_anomalous result ->
-    Printf.sprintf
-      "(seed %d: observer Q's last received report is \"fire out\")\n%s" seed d
-  | Some _ | None -> "no anomalous seed found in range"
-
-(* --- recorded executions for the causal sanitizer -------------------------- *)
-
-let fig1_exec ?causal_impl () =
-  let recorder =
-    Recorder.create ~ordering:Exec.Causal_order ~label:"fig1 causal order" ()
-  in
-  ignore (fig1_run ~recorder ?causal_impl ());
-  Recorder.exec recorder
-
-(* The Figure 2/3 anomaly executions: the first anomalous seed's recording
-   (the last tried recording as a fallback — its channel edges are still
-   declared, only the observed inversion may be missing). *)
-let search_exec ~label ~anomalous run_seed =
-  let _, (recorder, _) =
+(* One seed search that records every run it tries: the last seed, its
+   result and its recorded execution. The diagram and the causal sanitizer
+   both read that execution; when no seed is anomalous it is the last
+   tried recording (its channel edges are still declared, only the
+   observed inversion may be missing). *)
+let search_recorded ~label ~anomalous run_seed =
+  let seed, (recorder, result) =
     search_seed
       ~anomalous:(fun (_, result) -> anomalous result)
       (fun seed ->
@@ -206,20 +174,43 @@ let search_exec ~label ~anomalous run_seed =
         in
         (recorder, run_seed ~recorder seed))
   in
-  Recorder.exec recorder
+  (seed, result, Recorder.exec recorder)
 
-let fig2_exec ?(causal_impl = Config.Vector_causal) () =
-  search_exec ~label:"fig2 shop-floor"
-    ~anomalous:shop_floor_anomalous
+let fig2_search ?(causal_impl = Config.Vector_causal) () =
+  search_recorded ~label:"fig2 shop-floor" ~anomalous:shop_floor_anomalous
     (fun ~recorder seed ->
       Shop_floor.run ~recorder
         { Shop_floor.default_config with
           Shop_floor.seed = Int64.of_int seed; trials = 1; causal_impl })
 
-let fig3_exec ?(causal_impl = Config.Vector_causal) () =
-  search_exec ~label:"fig3 fire-alarm"
-    ~anomalous:fire_alarm_anomalous
+let fig3_search ?(causal_impl = Config.Vector_causal) () =
+  search_recorded ~label:"fig3 fire-alarm" ~anomalous:fire_alarm_anomalous
     (fun ~recorder seed ->
       Fire_alarm.run ~recorder
         { Fire_alarm.default_config with
           Fire_alarm.seed = Int64.of_int seed; trials = 1; causal_impl })
+
+let fig2_hidden_channel () =
+  let seed, result, exec = fig2_search () in
+  if shop_floor_anomalous result then
+    Printf.sprintf "(seed %d: observer's last notification contradicts the database)\n%s"
+      seed (Exec.render_diagram exec)
+  else "no anomalous seed found in range"
+
+let fig3_external_channel () =
+  let seed, result, exec = fig3_search () in
+  if fire_alarm_anomalous result then
+    Printf.sprintf
+      "(seed %d: observer Q's last received report is \"fire out\")\n%s" seed
+      (Exec.render_diagram exec)
+  else "no anomalous seed found in range"
+
+(* --- recorded executions for the causal sanitizer -------------------------- *)
+
+let fig2_exec ?causal_impl () =
+  let _, _, exec = fig2_search ?causal_impl () in
+  exec
+
+let fig3_exec ?causal_impl () =
+  let _, _, exec = fig3_search ?causal_impl () in
+  exec

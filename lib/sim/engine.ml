@@ -77,8 +77,6 @@ type 'msg t = {
   impl : impl;
   rng : Rng.t;
   net : Net.t;
-  trace : Trace.t option;  (* [Some] iff created with [pp_msg] *)
-  pp_msg : Format.formatter -> 'msg -> unit;  (* called only with a trace *)
   control : lane;
   mutable lanes : lane array;  (* index = pid, grown by spawn *)
   mutable clock : Sim_time.t;  (* [now] outside lane processing *)
@@ -99,7 +97,7 @@ let make_lane pid rng =
     lclock = Sim_time.zero; lseq = 0; lsent = 0; ldelivered = 0;
     ldropped = 0; outbox = []; oseq = 0; steps = 0 }
 
-let create ?(impl = Sequential) ?(seed = 42L) ?(net = Net.create ()) ?pp_msg () =
+let create ?(impl = Sequential) ?(seed = 42L) ?(net = Net.create ()) () =
   let rng = Rng.create seed in
   let control_rng =
     match impl with
@@ -108,18 +106,12 @@ let create ?(impl = Sequential) ?(seed = 42L) ?(net = Net.create ()) ?pp_msg () 
       if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
       Rng.split rng
   in
-  let trace, pp_msg =
-    match pp_msg with
-    | Some pp -> (Some (Trace.create ()), pp)
-    | None -> (None, fun _ _ -> ())
-  in
-  { impl; rng; net; trace; pp_msg; control = make_lane (-1) control_rng;
+  { impl; rng; net; control = make_lane (-1) control_rng;
     lanes = [||]; clock = Sim_time.zero; in_parallel_phase = false;
     processes = [||]; nprocs = 0; failure_observers = [] }
 
 let impl t = t.impl
 let rng t = t.rng
-let trace t = t.trace
 
 let now t =
   match !(Domain.DLS.get current_lane) with
@@ -188,26 +180,15 @@ let proc t pid =
   t.processes.(pid)
 
 let set_handler t pid handler = (proc t pid).handler <- handler
+let handler t pid = (proc t pid).handler
 let name t pid = (proc t pid).proc_name
 let is_alive t pid = (proc t pid).alive
-
-let trace_msg t pid kind msg =
-  match t.trace with
-  | Some trace ->
-    Trace.record trace (now t) ~pid kind (Format.asprintf "%a" t.pp_msg msg)
-  | None -> ()
-
-let trace_mark t pid label =
-  match t.trace with
-  | Some trace -> Trace.record trace (now t) ~pid Trace.Mark label
-  | None -> ()
 
 let deliver t env =
   let p = proc t env.dst in
   let dl = t.lanes.(env.dst) in
   if p.alive && not (Net.blocked t.net ~src:env.src ~dst:env.dst) then begin
     dl.ldelivered <- dl.ldelivered + 1;
-    trace_msg t env.dst Trace.Recv env.payload;
     p.handler env.dst env
   end
   else dl.ldropped <- dl.ldropped + 1
@@ -253,7 +234,6 @@ let send t ~src ~dst payload =
   if (proc t src).alive then begin
     let sl = t.lanes.(src) in
     sl.lsent <- sl.lsent + 1;
-    trace_msg t src Trace.Send payload;
     if Net.blocked t.net ~src ~dst || Net.drops t.net sl.lrng then
       sl.ldropped <- sl.ldropped + 1
     else begin
@@ -301,7 +281,6 @@ let crash t pid =
   require_quiescent t "crash";
   if p.alive then begin
     p.alive <- false;
-    trace_mark t pid "CRASH";
     let observers = t.failure_observers in
     let fire () = List.iter (fun observe -> observe pid) observers in
     schedule t ~target:t.control
@@ -312,10 +291,7 @@ let crash t pid =
 let recover t pid =
   let p = proc t pid in
   require_quiescent t "recover";
-  if not p.alive then begin
-    p.alive <- true;
-    trace_mark t pid "RECOVER"
-  end
+  p.alive <- true
 
 (* the runaway guard, per [run] call *)
 let max_events = 50_000_000
@@ -460,8 +436,6 @@ let total_steps t =
 let run_parallel ?until t ~domains =
   if Net.processing_time t.net <> Sim_time.zero then
     invalid_arg "Engine.run: parallel mode needs Net.processing_time = 0";
-  if Option.is_some t.trace then
-    invalid_arg "Engine.run: parallel mode does not support pp_msg tracing";
   let w = Sim_time.to_us (Net.min_latency t.net) in
   if w <= 0 then
     invalid_arg "Engine.run: parallel mode needs a positive latency floor";

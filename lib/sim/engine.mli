@@ -24,12 +24,11 @@
       one seed are each deterministic but not comparable
       message-for-message.
 
-    Parallel restrictions (checked at {!run}): positive [Net.min_latency],
-    zero [Net.processing_time] (the receiver-busy queue mutates receiver
-    state at send time), no [pp_msg] (the trace is one shared buffer);
-    {!spawn}, {!crash} and {!recover} only from setup or control-lane
-    actions (timers with no [owner], failure observers), not from process
-    handlers. *)
+    Parallel restrictions (checked at {!run}): positive [Net.min_latency]
+    and zero [Net.processing_time] (the receiver-busy queue mutates
+    receiver state at send time); {!spawn}, {!crash} and {!recover} only
+    from setup or control-lane actions (timers with no [owner], failure
+    observers), not from process handlers. *)
 
 type pid = int
 
@@ -49,14 +48,10 @@ val create :
   ?impl:impl ->
   ?seed:int64 ->
   ?net:Net.t ->
-  ?pp_msg:(Format.formatter -> 'msg -> unit) ->
   unit ->
   'msg t
-(** [impl] selects the execution strategy (default [Sequential]).
-    [pp_msg], when given, gives the engine a {!trace} (sequential only) and
-    labels its send/recv entries; without it nothing is recorded and no
-    label is formatted. Raises [Invalid_argument] if [Parallel] is given
-    fewer than 1 domain. *)
+(** [impl] selects the execution strategy (default [Sequential]). Raises
+    [Invalid_argument] if [Parallel] is given fewer than 1 domain. *)
 
 val impl : 'msg t -> impl
 
@@ -67,14 +62,16 @@ val now : 'msg t -> Sim_time.t
     caller is executing on (lanes within one epoch window advance
     independently); outside lane processing, the last barrier time. *)
 
-val trace : 'msg t -> Trace.t option
-(** [Some] iff the engine was created with [pp_msg]. *)
-
 val spawn : 'msg t -> name:string -> (pid -> 'msg envelope -> unit) -> pid
 (** [spawn t ~name handler] registers a process; [handler self env] is
     invoked on each delivered message. *)
 
 val set_handler : 'msg t -> pid -> (pid -> 'msg envelope -> unit) -> unit
+
+val handler : 'msg t -> pid -> pid -> 'msg envelope -> unit
+(** The handler currently installed for a process. A test probe wraps it
+    with {!set_handler} to see every envelope the process receives. *)
+
 val name : 'msg t -> pid -> string
 
 val send : 'msg t -> src:pid -> dst:pid -> 'msg -> unit

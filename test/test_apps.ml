@@ -13,6 +13,8 @@ module Rpc_deadlock = Repro_apps.Rpc_deadlock
 module Drilling = Repro_apps.Drilling
 module Oven = Repro_apps.Oven
 module Config = Repro_catocs.Config
+module Exec = Repro_analyze.Exec
+module Recorder = Repro_analyze.Exec.Recorder
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -32,19 +34,31 @@ let test_shop_floor_deterministic () =
   check_int "same seed, same anomaly count" a.Shop_floor.naive_anomalies
     b.Shop_floor.naive_anomalies
 
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
+  scan 0
+
+(* The recorded run draws as a diagram: a database column with its writes,
+   and the notifications under their labels. *)
 let test_shop_floor_diagram_capture () =
   let config = { Shop_floor.default_config with Shop_floor.trials = 2 } in
-  let r = Shop_floor.run ~capture_diagram:true config in
-  match r.Shop_floor.diagram with
-  | Some d -> check_bool "diagram non-empty" true (String.length d > 100)
-  | None -> Alcotest.fail "expected a diagram"
+  let recorder = Recorder.create ~label:"shop floor" () in
+  ignore (Shop_floor.run ~recorder config);
+  let d = Exec.render_diagram (Recorder.exec recorder) in
+  check_bool "diagram non-empty" true (String.length d > 100);
+  check_bool "database column" true (contains ~sub:"| database" d);
+  check_bool "database writes" true (contains ~sub:"db put lot0001=" d);
+  check_bool "labelled notifications" true (contains ~sub:"send notify " d);
+  check_bool "no client column" false (contains ~sub:"client" d)
 
-let test_shop_floor_capture_changes_nothing_else () =
+let test_shop_floor_recording_changes_nothing_else () =
   let plain = Shop_floor.run Shop_floor.default_config in
-  let captured = Shop_floor.run ~capture_diagram:true Shop_floor.default_config in
-  check_bool "diagram captured" true (Option.is_some captured.Shop_floor.diagram);
-  check_bool "same result but the diagram" true
-    ({ captured with Shop_floor.diagram = None } = plain)
+  let recorder = Recorder.create ~label:"shop floor" () in
+  let recorded = Shop_floor.run ~recorder Shop_floor.default_config in
+  check_bool "something recorded" true
+    ((Recorder.exec recorder).Exec.sends <> []);
+  check_bool "same result" true (recorded = plain)
 
 (* --- fire alarm (Fig 3) ----------------------------------------------------- *)
 
@@ -62,12 +76,13 @@ let test_fire_alarm_total_order_does_not_help () =
   check_bool "total order also anomalous" true (r.Fire_alarm.naive_anomalies > 0);
   check_int "timestamps still right" 0 r.Fire_alarm.timestamped_anomalies
 
-let test_fire_alarm_capture_changes_nothing_else () =
+let test_fire_alarm_recording_changes_nothing_else () =
   let plain = Fire_alarm.run Fire_alarm.default_config in
-  let captured = Fire_alarm.run ~capture_diagram:true Fire_alarm.default_config in
-  check_bool "diagram captured" true (Option.is_some captured.Fire_alarm.diagram);
-  check_bool "same result but the diagram" true
-    ({ captured with Fire_alarm.diagram = None } = plain)
+  let recorder = Recorder.create ~label:"fire alarm" () in
+  let recorded = Fire_alarm.run ~recorder Fire_alarm.default_config in
+  check_bool "something recorded" true
+    ((Recorder.exec recorder).Exec.sends <> []);
+  check_bool "same result" true (recorded = plain)
 
 (* --- trading (Fig 4) --------------------------------------------------------- *)
 
@@ -305,8 +320,8 @@ let () =
           Alcotest.test_case "anomaly and fix" `Slow test_shop_floor_anomaly_and_fix;
           Alcotest.test_case "deterministic" `Slow test_shop_floor_deterministic;
           Alcotest.test_case "diagram capture" `Quick test_shop_floor_diagram_capture;
-          Alcotest.test_case "capture changes nothing else" `Slow
-            test_shop_floor_capture_changes_nothing_else;
+          Alcotest.test_case "recording changes nothing else" `Slow
+            test_shop_floor_recording_changes_nothing_else;
         ] );
       ( "fire-alarm",
         [
@@ -314,8 +329,8 @@ let () =
             test_fire_alarm_causal;
           Alcotest.test_case "total order does not help" `Slow
             test_fire_alarm_total_order_does_not_help;
-          Alcotest.test_case "capture changes nothing else" `Slow
-            test_fire_alarm_capture_changes_nothing_else;
+          Alcotest.test_case "recording changes nothing else" `Slow
+            test_fire_alarm_recording_changes_nothing_else;
         ] );
       ( "trading",
         [ Alcotest.test_case "false crossings" `Slow test_trading_false_crossings ] );

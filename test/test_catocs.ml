@@ -448,11 +448,16 @@ let zero_stamp_run ~wire_format ~probe =
     | Wire.Proto _ | Wire.Direct _ -> ()
   in
   let net = Net.create ~latency:(Net.Uniform (500, 5_000)) () in
-  (* structural packets carry the records themselves *)
-  let engine =
-    Engine.create ~seed:5L ~net
-      ~pp_msg:(Transport.pp_packet (fun _ w -> collect w))
-      ()
+  let engine = Engine.create ~seed:5L ~net () in
+  (* structural packets carry the records themselves: wrap a process's
+     installed handler to see every packet it receives *)
+  let tap self =
+    let handle = Engine.handler engine self in
+    Engine.set_handler engine self (fun self env ->
+        (match env.Engine.payload with
+         | Transport.Seg { payload = w; _ } | Transport.Raw w -> collect w
+         | Transport.Ack _ | Transport.Enc _ -> ());
+        handle self env)
   in
   let endpoint self =
     match wire_format with
@@ -489,6 +494,7 @@ let zero_stamp_run ~wire_format ~probe =
              ~view ~self ~callbacks:Stack.null_callbacks ())
          pids)
   in
+  List.iter tap pids;
   let multicasts stack ~from =
     for k = 0 to 69 do
       let at = Sim_time.ms ((4 * k) + (Stack.self stack mod 4)) in
@@ -507,6 +513,7 @@ let zero_stamp_run ~wire_format ~probe =
           ~payload_codec:Wire_codec.int_payload ~engine ~shared ~config ~self
           ~contact:(List.hd pids) ~callbacks:Stack.null_callbacks ()
       in
+      tap self;
       stacks := !stacks @ [ joiner ];
       multicasts joiner ~from:(Sim_time.ms 151));
   let live () =

@@ -531,118 +531,6 @@ let test_engine_deterministic_replay ~tag impl =
   check_bool (tag "different seed, different run") true
     (run_once 99L <> run_once 100L)
 
-(* --- Trace --------------------------------------------------------------- *)
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
-  scan 0
-
-(* The diagram rows below its two header lines. *)
-let diagram_rows t ~names =
-  match String.split_on_char '\n' (Trace.render_diagram t ~names) with
-  | _ :: _ :: rows -> List.filter (fun row -> row <> "") rows
-  | _ -> Alcotest.fail "diagram lacks its header"
-
-(* A row's first 10 columns hold the entry's recorded time, padded. *)
-let check_row_time msg time row =
-  let s = Format.asprintf "%a" Sim_time.pp time in
-  Alcotest.(check string) msg
-    (s ^ String.make (10 - String.length s) ' ')
-    (String.sub row 0 10)
-
-(* Tracing is off unless an engine is given [pp_msg] (see "pp_msg once per
-   packet"); a trace itself records every entry. *)
-let test_trace_disabled_by_default () =
-  let t = Trace.create () in
-  Trace.record t 200 ~pid:0 Trace.Send "m2";
-  match diagram_rows t ~names:[| "P" |] with
-  | [ row ] ->
-    check_bool "the entry" true (contains ~sub:"send m2" row);
-    check_row_time "its time" 200 row
-  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
-
-let test_trace_records_in_order () =
-  let t = Trace.create () in
-  Trace.record t 100 ~pid:0 Trace.Send "m1";
-  Trace.record t 200 ~pid:1 Trace.Recv "m1";
-  match diagram_rows t ~names:[| "P"; "Q" |] with
-  | [ r1; r2 ] ->
-    check_bool "first row is the send" true (contains ~sub:"send m1" r1);
-    check_row_time "first time" 100 r1;
-    check_bool "second row is the receive" true (contains ~sub:"recv m1" r2);
-    check_row_time "second time" 200 r2
-  | rows -> Alcotest.failf "expected two rows, got %d" (List.length rows)
-
-let test_trace_exclude_and_limit () =
-  let t = Trace.create () in
-  Trace.record t 100 ~pid:0 Trace.Send "m1";
-  Trace.record t 150 ~pid:0 Trace.Send "gossip(r0)";
-  Trace.record t 200 ~pid:1 Trace.Recv "m1";
-  Trace.record t 250 ~pid:1 Trace.Recv "m2";
-  let diagram =
-    Trace.render_diagram ~exclude_substrings:[ "gossip" ] ~limit:2 t
-      ~names:[| "P"; "Q" |]
-  in
-  let contains sub = contains ~sub diagram in
-  check_bool "gossip filtered" false (contains "gossip");
-  check_bool "first kept" true (contains "send m1");
-  check_bool "limit applied" false (contains "recv m2")
-
-let test_trace_grows_in_order () =
-  (* past the initial capacity of 64 entries, every row survives, in
-     recording order *)
-  let t = Trace.create () in
-  for i = 1 to 100 do
-    Trace.record t (100 * i) ~pid:(i mod 2) Trace.Send (Printf.sprintf "m%d" i)
-  done;
-  let rows = diagram_rows t ~names:[| "P"; "Q" |] in
-  check_int "rows" 100 (List.length rows);
-  List.iteri
-    (fun i row ->
-      check_bool
-        (Printf.sprintf "row %d" (i + 1))
-        true
-        (contains ~sub:(Printf.sprintf "send m%d " (i + 1)) row);
-      check_row_time (Printf.sprintf "row %d time" (i + 1)) (100 * (i + 1)) row)
-    rows
-
-let test_trace_render_contains_events () =
-  let t = Trace.create () in
-  Trace.record t 100 ~pid:0 Trace.Send "m1";
-  Trace.record t 250 ~pid:1 Trace.Recv "m1";
-  let diagram = Trace.render_diagram t ~names:[| "P"; "Q" |] in
-  let contains sub = contains ~sub diagram in
-  check_bool "send row present" true (contains "send m1");
-  check_bool "recv row present" true (contains "recv m1")
-
-(* The engine formats a packet label once per send and once per receive,
-   and keeps a trace only when it was given [pp_msg]. *)
-let test_trace_pp_msg_once_per_packet () =
-  let formatted = ref 0 in
-  let pp ppf m =
-    incr formatted;
-    Format.pp_print_int ppf m
-  in
-  let packets e =
-    let a = Engine.spawn e ~name:"a" (fun _ _ -> ()) in
-    let b = Engine.spawn e ~name:"b" (fun _ _ -> ()) in
-    for i = 1 to 5 do Engine.send e ~src:a ~dst:b i done;
-    Engine.run e;
-    check_int "delivered" 5 (Engine.messages_delivered e)
-  in
-  let traced = Engine.create ~seed:1L ~pp_msg:pp () in
-  packets traced;
-  check_int "one label per send and per receive" 10 !formatted;
-  (match Engine.trace traced with
-   | Some trace ->
-     check_int "rows" 10 (List.length (diagram_rows trace ~names:[| "a"; "b" |]))
-   | None -> Alcotest.fail "an engine with pp_msg keeps a trace");
-  let untraced = Engine.create ~seed:1L () in
-  packets untraced;
-  check_bool "no trace without pp_msg" true
-    (Option.is_none (Engine.trace untraced))
-
 let () =
   Alcotest.run "repro_sim"
     [
@@ -729,16 +617,5 @@ let () =
             test_engine_processing_time_serialises;
           Alcotest.test_case "zero processing passthrough" `Quick
             test_engine_processing_time_zero_is_passthrough;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
-          Alcotest.test_case "records in order" `Quick test_trace_records_in_order;
-          Alcotest.test_case "grows in order" `Quick test_trace_grows_in_order;
-          Alcotest.test_case "diagram contains events" `Quick
-            test_trace_render_contains_events;
-          Alcotest.test_case "exclude and limit" `Quick test_trace_exclude_and_limit;
-          Alcotest.test_case "pp_msg once per packet" `Quick
-            test_trace_pp_msg_once_per_packet;
         ] );
     ]
