@@ -284,8 +284,8 @@ let test_fig2_fig3_diagrams_found () =
   check_bool "fig3 anomaly found" true (contains ~needle:"seed" fig3);
   check_bool "fig3 shows fire" true (contains ~needle:"FIRE" fig3)
 
-(* The MD5 of each figure's rendered event diagram: what the engine, the
-   stacks and the apps record, and how it is drawn. *)
+(* The MD5 of each figure's rendered event diagram: what the figure runs
+   record, and how Exec.render_diagram draws it. *)
 let test_diagram_renders_pinned () =
   List.iter
     (fun (id, expected) ->
@@ -294,9 +294,9 @@ let test_diagram_renders_pinned () =
         Alcotest.(check string) id expected
           (Digest.to_hex (Digest.string (render ())))
       | None -> Alcotest.failf "no %s diagram" id)
-    [ ("fig1", "26f2a132bf590635e054a5468db2eb4e");
-      ("fig2", "2f8812f196537a720c88e649b0639467");
-      ("fig3", "a13d665520ede775749c4b1846080021") ]
+    [ ("fig1", "846a65874ca4416fed2834e4d6b45f11");
+      ("fig2", "e44134ab82923e5812a6757010fe7561");
+      ("fig3", "6e28f12fe779937416faa09fef13e3b2") ]
 
 (* --- registry ----------------------------------------------------------------------------- *)
 
