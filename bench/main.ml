@@ -142,10 +142,14 @@ let production_micro () =
       Vector_clock.set a i (i * 3);
       Vector_clock.set b i (i * 2)
     done;
+    (* the next message from sender 0: every other component equals the
+       local clock's, so the check walks all n components and succeeds *)
+    let next = Vector_clock.copy b in
+    Vector_clock.set next 0 (Vector_clock.get b 0 + 1);
     let m name = production n (Printf.sprintf name n) in
     [ m "vc-compare-n%d" (fun () -> ignore (Vector_clock.compare_causal a b));
       m "vc-deliverable-n%d" (fun () ->
-          ignore (Vector_clock.deliverable ~sender:0 ~msg:a ~local:b));
+          ignore (Vector_clock.deliverable ~sender:0 ~msg:next ~local:b));
       m "vc-merge-n%d" (fun () ->
           let c = Vector_clock.copy a in
           Vector_clock.merge_into c b) ]
