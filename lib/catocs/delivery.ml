@@ -144,9 +144,18 @@ let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
   List.iter (fun d -> on_data t d) data.Wire.piggyback;
   t.metrics.Metrics.data_received <- t.metrics.Metrics.data_received + 1;
   let e = t.epoch in
-  if data.Wire.view_id > e.view.Group.view_id then
-    t.future_proto <-
-      (data.Wire.view_id, Wire.Data data) :: t.future_proto
+  if data.Wire.view_id > e.view.Group.view_id then begin
+    match t.status with
+    | Flushing f when data.Wire.view_id < f.new_view_id ->
+      (* a message of a view this member's round skips, arriving after its
+         flush message carried what it held of that view: no other
+         survivor is bound to hold it, so it is not delivered here either
+         (the round's flush messages bring whatever the others hold) *)
+      ()
+    | Flushing _ | Normal | Joining _ ->
+      t.future_proto <-
+        (data.Wire.view_id, Wire.Data data) :: t.future_proto
+  end
   else if data.Wire.view_id = e.view.Group.view_id
           && not (Hashtbl.mem e.seen data.Wire.msg_id)
   then begin

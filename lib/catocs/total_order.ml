@@ -33,10 +33,11 @@ module Sequencer_queue = struct
       Hashtbl.replace t.orders global_seq msg_id;
     Hashtbl.replace t.known msg_id global_seq
 
-  let known_orders t =
-    Hashtbl.fold (fun msg_id global_seq acc -> (msg_id, global_seq) :: acc)
+  let known_orders t ~view_id =
+    Hashtbl.fold
+      (fun msg_id global_seq acc -> (view_id, msg_id, global_seq) :: acc)
       t.known []
-    |> List.sort (fun (_, a) (_, b) -> Int.compare a b)
+    |> List.sort (fun (_, _, a) (_, _, b) -> Int.compare a b)
 
   let take_ready t =
     match Hashtbl.find_opt t.orders t.next_release with
@@ -123,11 +124,38 @@ module Lamport_queue = struct
       else None
 
   let length t = t.size
-  let drain t =
-    let all = List.map (fun e -> e.pending) t.entries in
+
+  (* The FIFO-gap queue in front of this one checks no cross-sender
+     dependency: a live group gets causal order from the release rule,
+     which waits for every rank. A leftover can still depend on a message
+     that reached only members the group has lost; [delivered] counts the
+     view's causally delivered messages per rank, the same at every
+     survivor after the flush. Such a leftover is dropped, as the causal
+     queue drops a blocked message, and so is every later one from its
+     sender. Stamp order puts each dependency first. *)
+  let drain t ~delivered =
+    let limit = Vector_clock.copy delivered in
+    let kept =
+      List.filter_map
+        (fun e ->
+          let data = e.pending.Delivery_queue.data in
+          let vt = data.Wire.vt and sender = data.Wire.sender_rank in
+          let ok = ref (Wire.seq data <= Vector_clock.get limit sender) in
+          for k = 0 to Vector_clock.size vt - 1 do
+            if k <> sender && Vector_clock.get vt k > Vector_clock.get limit k
+            then ok := false
+          done;
+          if !ok then Some e.pending
+          else begin
+            Vector_clock.set limit sender
+              (min (Vector_clock.get limit sender) (Wire.seq data - 1));
+            None
+          end)
+        t.entries
+    in
     t.entries <- [];
     t.size <- 0;
-    all
+    kept
 end
 
 (* --- the per-view layer --------------------------------------------------- *)
@@ -192,8 +220,9 @@ let add_order t ~msg_id ~global_seq =
 let add_orders t orders =
   List.iter (fun (msg_id, global_seq) -> add_order t ~msg_id ~global_seq) orders
 
-let known_orders = function
-  | Sequencer s -> Sequencer_queue.known_orders s.queue
+let known_orders t ~view_id =
+  match t with
+  | Sequencer s -> Sequencer_queue.known_orders s.queue ~view_id
   | Unordered | Lamport _ -> []
 
 let observe_own_clock t time =
@@ -237,7 +266,49 @@ let length = function
   | Sequencer s -> Sequencer_queue.data_count s.queue
   | Lamport l -> Lamport_queue.length l.lamport_queue
 
-let drain = function
+let drain t ~delivered =
+  match t with
   | Unordered -> []
   | Sequencer s -> Sequencer_queue.drain s.queue
-  | Lamport l -> Lamport_queue.drain l.lamport_queue
+  | Lamport l -> Lamport_queue.drain l.lamport_queue ~delivered
+
+(* The view's delivery path, replayed on its message set: the delay queue
+   (what stays blocked is dropped, as at an install), then the total
+   order's releases and the install's drain. With no group to wait for
+   (size 0) a Lamport queue releases in stamp order; a sequencer queue
+   stops at the first gap. *)
+let replay_view ordering ~mode ~orders = function
+  | [] -> []  (* a view skipped with only its orders: nothing to deliver *)
+  | pendings ->
+    let queue = Delivery_queue.create mode in
+    let size =
+      List.fold_left
+        (fun n (p : _ Delivery_queue.pending) ->
+          max n (Vector_clock.size p.Delivery_queue.data.Wire.vt))
+        0 pendings
+    in
+    let local = Vector_clock.create size in
+    (* several survivors' flush messages may carry the same message *)
+    pendings
+    |> List.sort_uniq (fun (a : _ Delivery_queue.pending) b ->
+           Wire.compare_stamping a.Delivery_queue.data b.Delivery_queue.data)
+    |> List.iter (Delivery_queue.add queue);
+    let rec take_all take acc =
+      match take () with
+      | Some p -> take_all take (p :: acc)
+      | None -> List.rev acc
+    in
+    let causal () =
+      let taken = Delivery_queue.take_deliverable queue ~local in
+      Option.iter
+        (fun (p : _ Delivery_queue.pending) ->
+          let data = p.Delivery_queue.data in
+          Vector_clock.set local data.Wire.sender_rank (Wire.seq data))
+        taken;
+      taken
+    in
+    let t = create ordering ~rank:(-1) ~group_size:0 in
+    let unheld = List.filter (fun p -> not (hold t p)) (take_all causal []) in
+    add_orders t orders;
+    let released = take_all (fun () -> take_ready t) [] in
+    unheld @ released @ drain t ~delivered:local

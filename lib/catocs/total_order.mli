@@ -36,13 +36,14 @@ val assign_order : 'a t -> msg_id:Wire.msg_id -> int
 val add_order : 'a t -> msg_id:Wire.msg_id -> global_seq:int -> unit
 (** The sequencer's order for a message. *)
 
-val known_orders : 'a t -> (Wire.msg_id * int) list
-(** Every order seen this view, released or not, sorted by sequence. A
-    flush carries them, so that peers the crashed sequencer never reached
-    still adopt its order. *)
+val known_orders : 'a t -> view_id:int -> (int * Wire.msg_id * int) list
+(** Every order seen this view, released or not, sorted by sequence, as
+    ([view_id], message, global sequence number). A flush carries them, so
+    that peers the crashed sequencer never reached still adopt its
+    order. *)
 
 val add_orders : 'a t -> (Wire.msg_id * int) list -> unit
-(** Adopt a flush peer's {!known_orders}. *)
+(** {!add_order} for each (message, global sequence number). *)
 
 val observe_own_clock : 'a t -> int -> unit
 (** Before a release: this member's Lamport clock bounds its own future
@@ -65,9 +66,24 @@ val take_ready : 'a t -> 'a Delivery_queue.pending option
 val length : 'a t -> int
 (** Number of held messages, O(1) (sampled by metrics loops). *)
 
-val drain : 'a t -> 'a Delivery_queue.pending list
-(** Remove and return every held message, in stamping order (sequencer)
-    or stamp order (Lamport): the view-change leftovers. *)
+val drain :
+  'a t -> delivered:Vector_clock.t -> 'a Delivery_queue.pending list
+(** Remove every held message and return the view-change leftovers to
+    deliver: in stamping order (sequencer) or stamp order (Lamport). A
+    Lamport leftover that depends on a message missing from [delivered]
+    (the view's causally delivered clock) is dropped, with its sender's
+    later messages: no survivor holds that dependency. *)
+
+val replay_view :
+  Config.ordering -> mode:Delivery_queue.mode ->
+  orders:(Wire.msg_id * int) list -> 'a Delivery_queue.pending list ->
+  'a Delivery_queue.pending list
+(** A view's messages in the order its own members delivered them, for a
+    member that never installed the view: through a [mode] delay queue
+    (what stays blocked is dropped), then the sequencer's [orders] as far
+    as they run contiguously and stamping order for the rest, or
+    Lamport-stamp order, as a view install's {!drain} leaves them; under
+    [Fifo] and [Causal], in the order the delay queue passes them. *)
 
 (** The receiver side of sequencer order on its own, for layer replays. *)
 module Sequencer_queue : sig

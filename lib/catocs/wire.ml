@@ -33,10 +33,10 @@ type 'a proto =
       new_view_id : int;
       survivors : Engine.pid list;
       unstable : 'a data list;
-      orders : (msg_id * int) list;
-          (* sequencer assignments known to the sender, so survivors agree
-             on the old view's total order even if the sequencer died
-             mid-broadcast *)
+      orders : (int * msg_id * int) list;
+          (* (view id, message, global seq) sequencer assignments known to
+             the sender, so survivors agree on the old view's total order
+             even if the sequencer died mid-broadcast *)
     }
   | Flush_done of { new_view_id : int; from : Engine.pid }
   | New_view of { view_id : int; members : Engine.pid list }

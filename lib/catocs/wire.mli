@@ -58,10 +58,12 @@ type 'a proto =
       new_view_id : int;
       survivors : Engine.pid list;
       unstable : 'a data list;
-      orders : (msg_id * int) list;
-          (** sequencer assignments known to the sender, so survivors agree
-              on the old view's total order even if the sequencer died
-              mid-broadcast *)
+      orders : (int * msg_id * int) list;
+          (** sequencer assignments known to the sender, as (view id,
+              message, global sequence number): its installed view's, so
+              survivors agree on the old view's total order even if the
+              sequencer died mid-broadcast, and those of views it was
+              left out of (global sequence numbers restart per view) *)
     }
       (** flush round: re-multicast of the sender's unstable messages *)
   | Flush_done of { new_view_id : int; from : Engine.pid }

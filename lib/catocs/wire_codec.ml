@@ -296,7 +296,8 @@ let write_proto t buf (p : _ Wire.proto) =
     List.iter (write_data t buf) unstable;
     write_uvarint buf (List.length orders);
     List.iter
-      (fun (msg_id, global_seq) ->
+      (fun (view_id, msg_id, global_seq) ->
+        write_varint buf view_id;
         write_varint buf msg_id;
         write_varint buf global_seq)
       orders
@@ -354,9 +355,10 @@ let read_proto t b pos : _ Wire.proto =
     let norders = read_count b pos ~max:(1 lsl 24) "order count" in
     let orders =
       List.init norders (fun _ ->
+          let view_id = read_varint b pos in
           let msg_id = read_varint b pos in
           let global_seq = read_varint b pos in
-          (msg_id, global_seq))
+          (view_id, msg_id, global_seq))
     in
     Wire.Flush { new_view_id; survivors; unstable; orders }
   | 4 ->

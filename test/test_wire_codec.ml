@@ -93,7 +93,8 @@ let gen_proto =
         (pair
            (list_size (int_range 0 3) (gen_data 1))
            (list_size (int_range 0 3)
-              (pair (int_range 0 (1 lsl 30)) small_signed_int)))
+              (triple (int_range (-1) 100) (int_range 0 (1 lsl 30))
+                 small_signed_int)))
       >|= fun ((new_view_id, survivors), (unstable, orders)) ->
       Wire.Flush { new_view_id; survivors; unstable; orders }
     | 4 ->
