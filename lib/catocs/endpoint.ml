@@ -1,6 +1,11 @@
+type 'a group = {
+  handler : src:Engine.pid -> 'a Wire.proto -> unit;
+  lists : Engine.pid -> bool;
+}
+
 type 'a t = {
   transport : 'a Wire.t Transport.t;
-  groups : (int, src:Engine.pid -> 'a Wire.proto -> unit) Hashtbl.t;
+  groups : (int, 'a group) Hashtbl.t;
   on_direct : (src:Engine.pid -> 'a -> unit) ref;
 }
 
@@ -12,7 +17,7 @@ let create ?obs ?registry ?framing ~engine ~self ~mode
     match wire with
     | Wire.Proto (group, proto) ->
       (match Hashtbl.find groups group with
-       | handler -> handler ~src proto
+       | g -> g.handler ~src proto
        | exception Not_found -> ())
     | Wire.Direct payload -> !on_direct ~src payload
   in
@@ -23,7 +28,12 @@ let create ?obs ?registry ?framing ~engine ~self ~mode
   Engine.set_handler engine self (fun _self env -> Transport.handle transport env);
   { transport; groups; on_direct }
 
-let register_group t ~group handler = Hashtbl.replace t.groups group handler
+let register_group t ~group ~lists handler =
+  Hashtbl.replace t.groups group { handler; lists }
+
+let peer_left t pid =
+  if not (Seq.exists (fun g -> g.lists pid) (Hashtbl.to_seq_values t.groups))
+  then Transport.give_up t.transport ~dst:pid
 
 let send_wire t ~dst wire = Transport.send t.transport ~dst wire
 

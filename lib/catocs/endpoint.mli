@@ -24,9 +24,18 @@ val create :
     wire-byte metrics and the {!Config.Encoded} wire path). *)
 
 val register_group :
-  'a t -> group:int -> (src:Engine.pid -> 'a Wire.proto -> unit) -> unit
+  'a t -> group:int -> lists:(Engine.pid -> bool) ->
+  (src:Engine.pid -> 'a Wire.proto -> unit) -> unit
 (** Route protocol messages of [group] to the given handler (replacing any
-    previous registration for that id). *)
+    previous registration for that id). [lists p] says whether the group's
+    current view has member [p]; {!peer_left} asks it. *)
+
+val peer_left : 'a t -> Engine.pid -> unit
+(** A group on this endpoint installed a view without [pid]. When no
+    registered group lists [pid] any more, it is treated as failed: the
+    transport gives up its unacked segments to [pid]
+    ({!Transport.give_up}), an unacked direct message included. While
+    another group still lists [pid], its link keeps retransmitting. *)
 
 val send_wire : 'a t -> dst:Engine.pid -> 'a Wire.t -> unit
 (** Send one wire value. A fan-out builds its [Wire.Proto (group, p)] once

@@ -184,8 +184,9 @@ let create ?endpoint:shared_endpoint ?payload_codec ~engine ~shared ~config
   if Option.is_none shared_endpoint then
     Endpoint.set_on_direct endpoint (fun ~src payload ->
         t.callbacks.direct ~src payload);
-  Endpoint.register_group endpoint ~group:shared.group_id (fun ~src proto ->
-      handle_proto t ~src proto);
+  Endpoint.register_group endpoint ~group:shared.group_id
+    ~lists:(fun p -> Group.mem t.epoch.view p)
+    (fun ~src proto -> handle_proto t ~src proto);
   let cancel_gossip =
     Engine.every engine ~owner:self ~period:config.Config.gossip_period
       (fun () -> Delivery.send_gossip t)

@@ -9,8 +9,10 @@
     ordering" alternative. The policy is go-back-N: the receiver acks
     cumulatively on every segment; every [rto], each unacked segment on the
     link is resent, oldest first; a segment is dropped silently after
-    [max_retries] resends, which wedges that link for good (the receiver
-    never sees its sequence number, so nothing after it is delivered). *)
+    [max_retries] resends, or at once when the membership layer has
+    removed its destination from every view ({!give_up}), which wedges
+    that link for good (the receiver never sees its sequence number, so
+    nothing after it is delivered). *)
 
 type 'w packet =
   | Seg of { seq : int; payload : 'w }
@@ -57,6 +59,15 @@ val create :
 
 val send : 'w t -> dst:Engine.pid -> 'w -> unit
 val handle : 'w t -> 'w packet Engine.envelope -> unit
+
+val give_up : 'w t -> dst:Engine.pid -> unit
+(** Drop every unacked segment to [dst] now, as [max_retries] would drop
+    each of them later: [dst] has failed, and resending to it only costs
+    packets. The link keeps its next sequence number, so the given-up
+    segments wedge it as any give-up does: should [dst] be alive after
+    all, nothing sent to it later is delivered. A no-op on [Bare] and
+    [Fifo_order] links (nothing is resent) and for a [dst] never sent
+    to. *)
 
 val packets_sent : 'w t -> int
 (** Total packets emitted including acks and retransmissions. *)
