@@ -195,11 +195,9 @@ let of_log ?(label = "obs log") ?ordering ?(names = []) log =
 
 (* --- event diagrams ------------------------------------------------------ *)
 
-let column_width = 24
+let min_column_width = 24
 
-let pad width s =
-  if String.length s >= width then String.sub s 0 width
-  else s ^ String.make (width - String.length s) ' '
+let pad width s = s ^ String.make (width - String.length s) ' '
 
 let render_diagram t =
   let labels = Hashtbl.create 64 in
@@ -222,17 +220,28 @@ let render_diagram t =
            | 0 -> (match Int.compare p1 p2 with 0 -> Int.compare s1 s2 | c -> c)
            | c -> c)
   in
+  (* each column as wide as its widest cell, header included *)
+  let widths =
+    List.map
+      (fun (p, name) ->
+        List.fold_left
+          (fun w (_, pid, _, text) ->
+            if pid = p then max w (String.length text) else w)
+          (max min_column_width (String.length name))
+          rows)
+      t.processes
+  in
   let buffer = Buffer.create 1024 in
   let add_row time cells =
     Buffer.add_string buffer (pad 10 time);
-    List.iter
-      (fun cell -> Buffer.add_string buffer ("| " ^ pad column_width cell))
-      cells;
+    List.iter2
+      (fun width cell -> Buffer.add_string buffer ("| " ^ pad width cell))
+      widths cells;
     Buffer.add_char buffer '\n'
   in
   add_row "time" (List.map snd t.processes);
   Buffer.add_string buffer
-    (String.make (10 + (List.length t.processes * (column_width + 2))) '-');
+    (String.make (List.fold_left (fun n w -> n + w + 2) 10 widths) '-');
   Buffer.add_char buffer '\n';
   List.iter
     (fun (at, pid, _, text) ->

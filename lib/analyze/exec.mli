@@ -134,8 +134,9 @@ val of_log :
 
 val render_diagram : t -> string
 (** The execution as an ASCII event diagram: a time column, then one
-    24-character column per {!processes} entry, time advancing downwards.
-    Each send, delivery and external event is one row, in (time, pid,
-    program order) order: [send <label>], [dlvr <label>] (the delivered
-    send's label), or the external event's [ext_label]. Cells longer than
-    the column are cut. *)
+    column per {!processes} entry, time advancing downwards. A column is
+    24 characters wide, or as wide as its widest cell (its process name
+    included), so no cell is cut. Each send, delivery and external event
+    is one row, in (time, pid, program order) order: [send <label>],
+    [dlvr <label>] (the delivered send's label), or the external event's
+    [ext_label]. *)

@@ -295,7 +295,7 @@ let test_diagram_renders_pinned () =
           (Digest.to_hex (Digest.string (render ())))
       | None -> Alcotest.failf "no %s diagram" id)
     [ ("fig1", "846a65874ca4416fed2834e4d6b45f11");
-      ("fig2", "e44134ab82923e5812a6757010fe7561");
+      ("fig2", "4031811ec8be3ede7e438d629ae1cd80");
       ("fig3", "6e28f12fe779937416faa09fef13e3b2") ]
 
 (* --- registry ----------------------------------------------------------------------------- *)
