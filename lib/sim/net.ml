@@ -53,7 +53,11 @@ let partition t side_a side_b =
 
 let heal t = t.blocked_pairs <- []
 
-let blocked t ~src ~dst =
-  List.exists
-    (fun (a, b) -> (a = src && b = dst) || (a = dst && b = src))
-    t.blocked_pairs
+(* a top-level walk: [blocked] runs on every send and every delivery, and
+   a [List.exists] predicate would allocate its closure each time *)
+let rec pair_listed ~src ~dst = function
+  | [] -> false
+  | (a, b) :: rest ->
+    (a = src && b = dst) || (a = dst && b = src) || pair_listed ~src ~dst rest
+
+let blocked t ~src ~dst = pair_listed ~src ~dst t.blocked_pairs
