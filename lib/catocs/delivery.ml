@@ -138,10 +138,12 @@ let rec drain_deliverables t =
     Total_order.apply_deferred_gossip t.epoch.total ~delivered:t.epoch.vc;
     release_total_order t
 
-let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
+let rec on_data t ~src_rank (data : 'a Wire.data) =
   (* piggybacked predecessors are just data messages: feed them through the
      same path (duplicates are dropped by the seen-ids check) *)
-  List.iter (fun d -> on_data t d) data.Wire.piggyback;
+  (match data.Wire.piggyback with
+   | [] -> ()
+   | piggyback -> List.iter (fun d -> on_data t ~src_rank:(-1) d) piggyback);
   t.metrics.Metrics.data_received <- t.metrics.Metrics.data_received + 1;
   let e = t.epoch in
   if data.Wire.view_id > e.view.Group.view_id then begin
@@ -312,7 +314,7 @@ let do_multicast t payload =
              stats.Pc_causal.barrier_deferred + 1)
        (Pc_causal.neighbors pc);
      account_send t data ~recipient_count:!sent);
-  on_data t data
+  on_data t ~src_rank:(-1) data
 
 (* Transmit outbox entries in order; a multicast issued from a delivery
    callback mid-drain (while [t.installing]) re-enters the outbox and is
@@ -341,7 +343,7 @@ let inject_partial_multicast t payload ~recipients =
     (fun dst -> send_copy t Repro_obs.Event.Origin_copy ~dst wire)
     recipients;
   (* the local copy goes through the same receive path *)
-  on_data t data
+  on_data t ~src_rank:(-1) data
 
 
 (* --- gossip / stability -------------------------------------------------- *)
@@ -399,11 +401,7 @@ let handle_proto t ~src (proto : 'a Wire.proto) =
   | Wire.Data data ->
     (* the transport-level sender (origin or PC forwarder), as a rank in the
        current view; -1 for replays and senders outside the view *)
-    let view = t.epoch.view in
-    let src_rank =
-      if src >= 0 && Group.mem view src then Group.rank_of_exn view src
-      else -1
-    in
+    let src_rank = if src >= 0 then Group.find_rank t.epoch.view src else -1 in
     on_data t ~src_rank data
   | Wire.Pc_ping { view_id; from_rank } ->
     if in_view t ~view_id proto then (

@@ -7,28 +7,31 @@ let make_view ~view_id members =
 
 let size view = Array.length view.members
 
-(* members are sorted (make_view sort_uniq's), so rank lookup can bisect *)
+(* members are sorted (make_view sort_uniq's), so rank lookup can bisect;
+   top-level, so a lookup allocates neither a closure nor an option *)
+let rec search members pid lo hi =
+  if lo > hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let v = members.(mid) in
+    if v = pid then mid
+    else if v < pid then search members pid (mid + 1) hi
+    else search members pid lo (mid - 1)
+
+let find_rank view pid =
+  search view.members pid 0 (Array.length view.members - 1)
+
 let rank_of view pid =
-  let members = view.members in
-  let rec search lo hi =
-    if lo > hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let v = members.(mid) in
-      if v = pid then Some mid
-      else if v < pid then search (mid + 1) hi
-      else search lo (mid - 1)
-  in
-  search 0 (Array.length members - 1)
+  let r = find_rank view pid in
+  if r < 0 then None else Some r
 
 let rank_of_exn view pid =
-  match rank_of view pid with
-  | Some r -> r
-  | None -> invalid_arg "Group.rank_of_exn: pid not in view"
+  let r = find_rank view pid in
+  if r < 0 then invalid_arg "Group.rank_of_exn: pid not in view" else r
 
 let member view rank = view.members.(rank)
 
-let mem view pid = rank_of view pid <> None
+let mem view pid = find_rank view pid >= 0
 
 let coordinator view = view.members.(0)
 

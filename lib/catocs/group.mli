@@ -9,6 +9,10 @@ val make_view : view_id:int -> Engine.pid list -> view
 (** Members are sorted so that all processes derive identical ranks. *)
 
 val size : view -> int
+val find_rank : view -> Engine.pid -> int
+(** The rank of [pid], or [-1] when it is not a member. Allocates
+    nothing: the per-packet lookup of the receive path. *)
+
 val rank_of : view -> Engine.pid -> int option
 val rank_of_exn : view -> Engine.pid -> int
 val member : view -> int -> Engine.pid

@@ -336,7 +336,7 @@ let rec on_flush t ~src ~new_view_id ~survivors ~unstable ~orders =
       (fun (data : _ Wire.data) ->
         if data.Wire.view_id > current then
           skip data.Wire.view_id (Wire.Data data)
-        else Delivery.on_data t data)
+        else Delivery.on_data t ~src_rank:(-1) data)
       unstable;
     Delivery.release_total_order t;
     flush.flush_from <- Pid_set.add src flush.flush_from;
