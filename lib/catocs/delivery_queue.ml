@@ -4,219 +4,242 @@ type 'a pending = { data : 'a Wire.data; arrived_at : Sim_time.t }
 
 let chaos_disable_causal_check = ref false
 
-let condition_holds mode ~local (pending : 'a pending) =
-  let data = pending.data in
-  let sender = data.Wire.sender_rank in
-  match mode with
-  | Fifo_gap -> Wire.seq data = Vector_clock.get local sender + 1
-  | Causal_full ->
-    if !chaos_disable_causal_check then
-      Wire.seq data = Vector_clock.get local sender + 1
-    else Vector_clock.deliverable ~sender ~msg:data.Wire.vt ~local
+(* The layout is described in the interface. Between takes, verdicts hold
+   against the clock of the last synchronisation ([ranks.clock]): each
+   sender's [cand] is its candidate slot's first deliverable entry (a
+   later-arrived one is never examined while it is set), and every watched
+   entry lacks the component whose list holds it. A take first brings them
+   up to date with the caller's clock. *)
 
-(* Both delivery conditions pin the message's per-sender sequence number to
-   exactly [local(sender) + 1], so at any instant each sender has at most one
-   candidate slot. Messages are bucketed per sender into a growable ring of
-   sequence-number slots; a ready-candidate min-heap (keyed by arrival order,
-   so the oldest deliverable arrival is returned first) remembers which
-   senders currently hold a deliverable head, and a waiting index maps vector
-   clock components to the senders blocked on them, so a local-clock advance
-   re-checks only the senders it could have unblocked. The common-case pop is
-   O(log senders) plus one condition check, instead of a full O(pending)
-   rescan of one arrival-ordered list. *)
-
-type 'a entry = { pending : 'a pending; arrival : int }
+type 'a entry =
+  | Nil
+  | Entry of {
+      pending : 'a pending;
+      arrival : int;
+      mutable dup : 'a entry;  (* next arrival with the same sequence number *)
+      mutable watch_next : 'a entry;  (* next entry of the same watch list *)
+      mutable watched : bool;  (* in a watch list, hence blocked *)
+    }
 
 type 'a sender = {
   rank : int;
-  mutable slots : 'a entry list array;
-      (* circular: sequence number [base + i] lives at index
-         [(head + i) mod capacity]; each slot holds its entries in arrival
-         order (longer than one element only for duplicates) *)
-  mutable head : int;
+  mutable slots : 'a entry array;
+      (* power-of-two ring: sequence number [q] heads the arrival-ordered
+         [dup] chain at index [q land (capacity - 1)] *)
   mutable base : int;
-  mutable window : int;  (* slots in use: seqs in [base, base + window) *)
-  mutable count : int;
-  mutable cand : 'a entry option;
-      (* cached first-arrived deliverable entry, absent if blocked *)
+  mutable window : int;  (* seqs in [base, base + window); 0 when empty *)
+  mutable cand : 'a entry;
+      (* first deliverable entry of the candidate slot, [Nil] if none; while
+         set, its key is in the ready heap *)
+}
+
+(* everything indexed by rank (= clock component), regrown together *)
+type 'a ranks = {
+  clock : Vector_clock.t;  (* at the last synchronisation; empty before *)
+  senders : 'a sender option array;
+  watch : 'a entry array;  (* component -> entries blocked on it *)
 }
 
 type 'a t = {
   mode : mode;
   obs : (Repro_obs.Log.t * int) option;  (* telemetry log, owner pid *)
-  senders : (int, 'a sender) Hashtbl.t;
-  ready : (int * int) Heap.t;  (* (arrival, rank), stale entries pruned lazily *)
-  recheck : (int, unit) Hashtbl.t;  (* ranks whose verdict must be recomputed *)
-  waiting : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (* clock component -> ranks whose head is blocked on it *)
-  mutable last_local : int array;  (* [||] until the first synchronisation *)
-  mutable last_chaos : bool;
+  mutable ranks : 'a ranks;
+  ready : int Heap.t;  (* [arrival lsl rank_bits lor rank]; stale keys skipped *)
+  mutable last_chaos : bool;  (* the chaos hook at the last synchronisation *)
   mutable size : int;
   mutable next_arrival : int;
-  mutable sole : ('a entry * 'a sender) option;
-      (* the single buffered entry (and its sender record) when
-         [size = 1]. The entry is NOT in the ring: the empty->one->empty
-         add/take cycle touches no slots, no heap and no recheck state —
-         one condition check each way. It is materialised into the ring
-         (and its recheck raised) the moment a second entry forces the
-         slow path. *)
-  mutable last_sender : 'a sender option;
-      (* memoized last [add] lookup; valid as long as the record is in
-         [senders] (records are only dropped by [drain]) *)
 }
 
+let rank_bits = 20
+
+let no_ranks () = { clock = Vector_clock.of_list []; senders = [||]; watch = [||] }
+
 let create ?obs mode =
-  { mode;
-    obs;
-    senders = Hashtbl.create 16;
-    ready = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b);
-    recheck = Hashtbl.create 16;
-    waiting = Hashtbl.create 16;
-    last_local = [||];
-    last_chaos = false;
-    size = 0;
-    next_arrival = 0;
-    sole = None;
-    last_sender = None }
+  { mode; obs; ranks = no_ranks (); ready = Heap.create ~cmp:Int.compare;
+    last_chaos = false; size = 0; next_arrival = 0 }
 
 let length t = t.size
 
-let flag_recheck t rank = Hashtbl.replace t.recheck rank ()
+let ensure_rank t r =
+  let r0 = t.ranks in
+  let cap = Array.length r0.senders in
+  if r >= cap then begin
+    let cap' = ref (max 8 cap) in
+    while !cap' <= r do
+      cap' := !cap' * 2
+    done;
+    let senders = Array.make !cap' None and watch = Array.make !cap' Nil in
+    Array.blit r0.senders 0 senders 0 cap;
+    Array.blit r0.watch 0 watch 0 cap;
+    t.ranks <- { r0 with senders; watch }
+  end
 
-let wait_on t ~component ~rank =
-  let set =
-    match Hashtbl.find_opt t.waiting component with
-    | Some set -> set
-    | None ->
-      let set = Hashtbl.create 4 in
-      Hashtbl.add t.waiting component set;
-      set
-  in
-  Hashtbl.replace set rank ()
-
-let wake_component t component =
-  flag_recheck t component;  (* rank [component]'s candidate slot moved *)
-  match Hashtbl.find_opt t.waiting component with
-  | None -> ()
-  | Some set ->
-    Hashtbl.iter (fun rank () -> flag_recheck t rank) set;
-    Hashtbl.remove t.waiting component
-
-let wake_all t = Hashtbl.iter (fun rank _ -> flag_recheck t rank) t.senders
+let sender_at t r =
+  if r < Array.length t.ranks.senders then t.ranks.senders.(r) else None
 
 (* --- per-sender ring ---------------------------------------------------- *)
 
-let slot_index s seq = (s.head + (seq - s.base)) mod Array.length s.slots
+let slot s seq = seq land (Array.length s.slots - 1)
 
-let relayout s ~new_base ~need =
-  let cap = ref (max 8 (Array.length s.slots)) in
-  while !cap < need do
-    cap := !cap * 2
-  done;
-  let fresh = Array.make !cap [] in
-  let old_cap = Array.length s.slots in
-  for i = 0 to s.window - 1 do
-    fresh.(s.base - new_base + i) <- s.slots.((s.head + i) mod old_cap)
-  done;
-  s.slots <- fresh;
-  s.head <- 0;
-  s.base <- new_base;
+let place s seq =
+  let lo = if s.window = 0 then seq else min seq s.base in
+  let hi = if s.window = 0 then seq else max seq (s.base + s.window - 1) in
+  let need = hi - lo + 1 in
+  if need > Array.length s.slots then begin
+    let cap = ref (max 8 (Array.length s.slots)) in
+    while !cap < need do
+      cap := !cap * 2
+    done;
+    let fresh = Array.make !cap Nil in
+    for q = s.base to s.base + s.window - 1 do
+      fresh.(q land (!cap - 1)) <- s.slots.(slot s q)
+    done;
+    s.slots <- fresh
+  end;
+  s.base <- lo;
   s.window <- need
 
-let ensure_slot s seq =
-  if s.count = 0 then begin
-    if Array.length s.slots = 0 then s.slots <- Array.make 8 [];
-    s.base <- seq;
-    s.head <- 0;
-    s.window <- 1
+let slot_head s seq =
+  if seq >= s.base && seq < s.base + s.window then s.slots.(slot s seq) else Nil
+
+let rec append entry = function
+  | Nil -> entry
+  | Entry e as chain ->
+    e.dup <- append entry e.dup;
+    chain
+
+let rec without entry = function
+  | Nil -> Nil
+  | Entry e as chain ->
+    if chain == entry then e.dup
+    else begin
+      e.dup <- without entry e.dup;
+      chain
+    end
+
+(* --- verdicts ------------------------------------------------------------ *)
+
+let link t entry k =
+  match entry with
+  | Nil -> ()
+  | Entry e ->
+    ensure_rank t k;
+    let watch = t.ranks.watch in
+    e.watched <- true;
+    e.watch_next <- watch.(k);
+    watch.(k) <- entry
+
+(* Whether an entry of its sender's candidate slot is deliverable against
+   [local], whose components below [from] it is known to be within. The
+   slot fixes the sequence number, so only the full BSS condition has more
+   to check; a blocked entry is linked under the first component it is
+   short of. *)
+let judge t ~local ~from = function
+  | Nil -> false
+  | Entry e as entry -> (
+    match t.mode with
+    | Causal_full when not t.last_chaos ->
+      let d = e.pending.data in
+      let k =
+        Vector_clock.first_exceeding d.Wire.vt local ~from
+          ~skip:d.Wire.sender_rank
+      in
+      if k >= 0 then link t entry k;
+      k < 0
+    | Fifo_gap | Causal_full -> true)
+
+let set_cand t s cand =
+  if cand != s.cand then begin
+    s.cand <- cand;
+    match cand with
+    | Entry e -> Heap.push t.ready ((e.arrival lsl rank_bits) lor s.rank)
+    | Nil -> ()
   end
-  else if seq < s.base then relayout s ~new_base:seq ~need:(s.base + s.window - seq)
-  else if seq >= s.base + Array.length s.slots then
-    relayout s ~new_base:s.base ~need:(seq - s.base + 1)
-  else if seq >= s.base + s.window then s.window <- seq - s.base + 1
 
-let slot_entries s seq =
-  if s.count > 0 && seq >= s.base && seq < s.base + s.window then
-    s.slots.(slot_index s seq)
-  else []
+(* The first deliverable entry of a candidate-slot chain. A watched entry is
+   blocked: the clock has not reached its component since it was linked. *)
+let rec scan t ~local = function
+  | Nil -> Nil
+  | Entry e as entry ->
+    if (not e.watched) && judge t ~local ~from:0 entry then entry
+    else scan t ~local e.dup
 
-(* drop leading empty slots so the candidate lookup stays in-window *)
-let compact s =
-  let cap = Array.length s.slots in
-  while s.window > 0 && s.slots.(s.head) = [] do
-    s.head <- (s.head + 1) mod cap;
-    s.base <- s.base + 1;
-    s.window <- s.window - 1
-  done
-
-(* --- candidate maintenance ---------------------------------------------- *)
-
-(* Recompute [s.cand]: scan the single candidate slot in arrival order for
-   the first entry whose condition holds. Entries scanned before the chosen
-   one (or all of them, if none passes) register the clock components they
-   are short of, so the next advance of any such component re-checks this
-   sender. *)
 let compute_candidate t s ~local =
-  s.cand <- None;
-  if s.count > 0 then begin
-    let next = Vector_clock.get local s.rank + 1 in
-    let rec scan = function
-      | [] -> ()
-      | entry :: rest ->
-        if condition_holds t.mode ~local entry.pending then begin
-          s.cand <- Some entry;
-          Heap.push t.ready (entry.arrival, s.rank)
-        end
-        else begin
-          (* note every unsatisfied component of this entry *)
-          let vt = entry.pending.data.Wire.vt in
-          let n = min (Vector_clock.size vt) (Vector_clock.size local) in
-          for k = 0 to n - 1 do
-            if k <> s.rank && Vector_clock.get vt k > Vector_clock.get local k
-            then wait_on t ~component:k ~rank:s.rank
-          done;
-          scan rest
-        end
-    in
-    scan (slot_entries s next)
-  end
+  set_cand t s (scan t ~local (slot_head s (Vector_clock.get local s.rank + 1)))
 
-(* Bring the cached verdicts up to date with [local]. Clock components that
-   advanced wake exactly the senders indexed under them; a shrinking or
-   resized clock (never produced by the stack, but reachable from tests)
-   falls back to re-checking everyone, as does toggling the chaos hook. *)
+(* Re-examine a detached watch list whose component [from] advanced, perhaps
+   not far enough. Lower components were reached when an entry was linked
+   and the clock has not fallen since (a fall clears every list). An entry
+   that fell behind its sender's component can never be delivered again and
+   is dropped; one found deliverable replaces a later-arrived candidate. *)
+let rec rewatch t ~local ~from = function
+  | Nil -> ()
+  | Entry e as entry ->
+    let next = e.watch_next in
+    e.watch_next <- Nil;
+    e.watched <- false;
+    let d = e.pending.data in
+    let r = d.Wire.sender_rank in
+    (match t.ranks.senders.(r) with
+     | Some s
+       when Wire.seq d = Vector_clock.get local r + 1
+            && judge t ~local ~from entry -> (
+       match s.cand with
+       | Entry c when c.arrival < e.arrival -> ()
+       | Entry _ | Nil -> set_cand t s entry)
+     | Some _ | None -> ());
+    rewatch t ~local ~from next
+
+let rec unwatch = function
+  | Nil -> ()
+  | Entry e ->
+    let next = e.watch_next in
+    e.watch_next <- Nil;
+    e.watched <- false;
+    unwatch next
+
+(* Bring the verdicts up to date with [local]. A component that advanced
+   moves its sender's candidate slot and re-examines its watch list. A
+   falling or resized clock (never produced by the stack, but reachable from
+   tests) or a toggled chaos hook clears every watch list and recomputes
+   every sender. *)
 let sync t ~local =
-  let n = Vector_clock.size local in
+  let clock = t.ranks.clock in
   let full =
     ref
       (t.last_chaos <> !chaos_disable_causal_check
-      || Array.length t.last_local <> n)
+      || Vector_clock.size clock <> Vector_clock.size local)
   in
-  if not !full then begin
-    for i = 0 to n - 1 do
-      let now = Vector_clock.get local i in
-      let before = t.last_local.(i) in
-      if now < before then full := true
-      else if now > before then wake_component t i
-    done
-  end;
-  if !full then wake_all t;
-  if Array.length t.last_local <> n then t.last_local <- Array.make n 0;
-  for i = 0 to n - 1 do
-    t.last_local.(i) <- Vector_clock.get local i
+  let i =
+    ref (if !full then -1 else Vector_clock.first_difference local clock ~from:0)
+  in
+  while !i >= 0 do
+    let c = !i and now = Vector_clock.get local !i in
+    if now < Vector_clock.get clock c then full := true
+    else begin
+      Vector_clock.set clock c now;
+      (match sender_at t c with
+       | Some s -> compute_candidate t s ~local
+       | None -> ());
+      if c < Array.length t.ranks.watch then begin
+        let list = t.ranks.watch.(c) in
+        t.ranks.watch.(c) <- Nil;
+        rewatch t ~local ~from:c list
+      end
+    end;
+    i := Vector_clock.first_difference local clock ~from:(c + 1)
   done;
-  t.last_chaos <- !chaos_disable_causal_check
+  if !full then begin
+    let watch = t.ranks.watch in
+    Array.iteri (fun k list -> watch.(k) <- Nil; unwatch list) watch;
+    t.ranks <- { t.ranks with clock = Vector_clock.copy local };
+    t.last_chaos <- !chaos_disable_causal_check;
+    Array.iter
+      (function Some s -> compute_candidate t s ~local | None -> ())
+      t.ranks.senders
+  end
 
 (* --- interface ----------------------------------------------------------- *)
-
-let insert_entry t s (entry : 'a entry) =
-  let seq = Wire.seq entry.pending.data in
-  ensure_slot s seq;
-  let i = slot_index s seq in
-  s.slots.(i) <- s.slots.(i) @ [ entry ];
-  s.count <- s.count + 1;
-  (* a later arrival can only create a candidate, never displace one *)
-  if s.cand = None then flag_recheck t s.rank
 
 let add t pending =
   (match t.obs with
@@ -225,128 +248,83 @@ let add t pending =
        ~uid:pending.data.Wire.msg_id ~pid
    | None -> ());
   let rank = pending.data.Wire.sender_rank in
+  ensure_rank t rank;
   let s =
-    match t.last_sender with
-    | Some s when s.rank = rank -> s
-    | _ ->
-      let s =
-        match Hashtbl.find_opt t.senders rank with
-        | Some s -> s
-        | None ->
-          let s =
-            { rank; slots = [||]; head = 0; base = 0; window = 0;
-              count = 0; cand = None }
-          in
-          Hashtbl.add t.senders rank s;
-          s
-      in
-      t.last_sender <- Some s;
+    match t.ranks.senders.(rank) with
+    | Some s -> s
+    | None ->
+      let s = { rank; slots = [||]; base = 0; window = 0; cand = Nil } in
+      t.ranks.senders.(rank) <- Some s;
       s
   in
-  let entry = { pending; arrival = t.next_arrival } in
+  let entry =
+    Entry
+      { pending; arrival = t.next_arrival; dup = Nil; watch_next = Nil;
+        watched = false }
+  in
   t.next_arrival <- t.next_arrival + 1;
   t.size <- t.size + 1;
-  if t.size = 1 then
-    (* empty -> one: the entry stays out of the ring entirely *)
-    t.sole <- Some (entry, s)
+  let seq = Wire.seq pending.data in
+  place s seq;
+  s.slots.(slot s seq) <- append entry s.slots.(slot s seq);
+  (* judged at once against the last synchronised clock: a later arrival
+     can only create a candidate, never displace one, and one outside the
+     candidate slot is reached when its sender's component advances *)
+  let clock = t.ranks.clock in
+  if s.cand == Nil && rank < Vector_clock.size clock
+     && seq = Vector_clock.get clock rank + 1
+     && judge t ~local:clock ~from:0 entry
+  then set_cand t s entry
+
+let rec pop_ready t ~local =
+  if Heap.is_empty t.ready then None
+  else
+    let key = Heap.pop_exn t.ready in
+    match t.ranks.senders.(key land ((1 lsl rank_bits) - 1)) with
+    | Some ({ cand = Entry e as entry; _ } as s)
+      when e.arrival = key lsr rank_bits ->
+      let i = slot s (Wire.seq e.pending.data) in
+      s.slots.(i) <- without entry s.slots.(i);
+      s.cand <- Nil;
+      t.size <- t.size - 1;
+      (* drop leading empty slots; the emptied sender record stays, so the
+         uncontended add/take cycle reuses it and its ring *)
+      while s.window > 0 && s.slots.(slot s s.base) == Nil do
+        s.base <- s.base + 1;
+        s.window <- s.window - 1
+      done;
+      (* the same sender may hold another deliverable duplicate, and a
+         caller is allowed to take again without advancing the clock *)
+      compute_candidate t s ~local;
+      Some e.pending
+    | Some _ | None -> pop_ready t ~local
+
+let take_deliverable t ~local =
+  if t.size = 0 then None
   else begin
-    (* a previously sole entry enters the ring first: lower arrival, so
-       slot lists stay in arrival order *)
-    (match t.sole with
-    | Some (prev, prev_s) ->
-      t.sole <- None;
-      insert_entry t prev_s prev
-    | None -> ());
-    insert_entry t s entry
+    sync t ~local;
+    pop_ready t ~local
   end
 
-let remove_entry t s entry =
-  let seq = Wire.seq entry.pending.data in
-  let i = slot_index s seq in
-  (match s.slots.(i) with
-  | [ e ] when e.arrival = entry.arrival -> s.slots.(i) <- []
-  | l -> s.slots.(i) <- List.filter (fun e -> e.arrival <> entry.arrival) l);
-  s.count <- s.count - 1;
-  t.size <- t.size - 1;
-  (* the sender record is kept even when empty: the uncontended add/take
-     cycle would otherwise re-allocate the record and its slot ring on
-     every message *)
-  compact s
+let rec chain_rev acc = function
+  | Nil -> acc
+  | Entry e -> chain_rev ((e.arrival, e.pending) :: acc) e.dup
 
-(* Single-entry fast path: the sole entry was never inserted into the
-   ring, so a hit is one condition check and two field writes — no slot,
-   heap or recheck work at all. Skipping [sync] here leaves [last_local]
-   stale-low, which is safe — a later sync sees a larger delta and
-   re-checks at most too many senders, never too few. *)
-let rec take_deliverable t ~local =
-  if t.size = 0 then None
-  else
-    match t.sole with
-    | Some (entry, _) when condition_holds t.mode ~local entry.pending ->
-      t.sole <- None;
-      t.size <- 0;
-      Some entry.pending
-    | Some _ -> None  (* the one buffered entry is blocked *)
-    | None -> take_slow t ~local
-
-and take_slow t ~local =
-  sync t ~local;
-  if Hashtbl.length t.recheck > 0 then begin
-    Hashtbl.iter
-      (fun rank () ->
-        match Hashtbl.find_opt t.senders rank with
-        | Some s -> compute_candidate t s ~local
-        | None -> ())
-      t.recheck;
-    Hashtbl.reset t.recheck
-  end;
-  let rec pop () =
-    match Heap.pop t.ready with
-    | None -> None
-    | Some (arrival, rank) -> (
-      match Hashtbl.find_opt t.senders rank with
-      | None -> pop ()
-      | Some s -> (
-        match s.cand with
-        | Some entry when entry.arrival = arrival ->
-          remove_entry t s entry;
-          s.cand <- None;
-          (* the same sender may hold another deliverable duplicate, and a
-             caller is allowed to take again without advancing the clock *)
-          flag_recheck t rank;
-          Some entry.pending
-        | Some _ | None -> pop ()))
-  in
-  pop ()
-
-let all_entries t =
-  let in_ring =
-    Hashtbl.fold
-      (fun _ s acc ->
-        let acc = ref acc in
-        for i = 0 to s.window - 1 do
-          acc :=
-            List.rev_append s.slots.((s.head + i) mod Array.length s.slots)
-              !acc
-        done;
-        !acc)
-      t.senders []
-  in
-  let all =
-    match t.sole with Some (e, _) -> e :: in_ring | None -> in_ring
-  in
-  List.sort (fun a b -> Int.compare a.arrival b.arrival) all
-
-let to_list t = List.map (fun e -> e.pending) (all_entries t)
+let to_list t =
+  let all = ref [] in
+  Array.iter
+    (function
+      | Some s ->
+        for q = s.base to s.base + s.window - 1 do
+          all := chain_rev !all s.slots.(slot s q)
+        done
+      | None -> ())
+    t.ranks.senders;
+  List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) !all)
 
 let drain t =
   let all = to_list t in
-  Hashtbl.reset t.senders;
+  t.ranks <- no_ranks ();
   Heap.clear t.ready;
-  Hashtbl.reset t.recheck;
-  Hashtbl.reset t.waiting;
-  t.last_local <- [||];
   t.size <- 0;
-  t.sole <- None;
-  t.last_sender <- None;
   all

@@ -6,14 +6,24 @@
     before it by happens-before has not yet arrived. Pure data structure —
     no engine dependency — so invariants are property-testable.
 
-    Messages are held in per-sender rings of sequence-number slots plus a
-    ready-candidate heap and a blocked-on-component index, giving
-    O(log senders) amortized pops. Both delivery conditions pin a message's
-    sequence number to [local(sender) + 1], so each sender has at most one
-    candidate slot at any instant. Among all currently deliverable
-    messages, the oldest arrival is returned first — exactly the order a
-    single arrival-ordered list rescanned on every take would produce; the
-    differential tests in [test/] hold the queue to that list. *)
+    Both delivery conditions pin a message's sequence number to
+    [local(sender) + 1], so each sender has one candidate slot. Messages sit
+    in per-sender rings of sequence-number slots, chained in arrival order
+    through their own entries. Each sender caches its candidate slot's first
+    deliverable entry, whose [arrival lsl 20 lor rank] key waits in an int
+    heap. A blocked candidate entry is linked into the list of the first
+    clock component it lacks; the take that sees that component advance
+    re-examines it. Senders and lists are arrays indexed by rank.
+
+    Costs: an add is O(1) plus, when it lands in its sender's candidate
+    slot, one O(n) condition check. A take is one O(n) scan for the clock
+    components that advanced since the last take, an O(n) check per entry
+    those advances re-examine, and O(log senders) on the heap. In steady
+    state an add allocates its entry and a take the option it returns,
+    nothing else. Among all deliverable messages, the oldest arrival is
+    returned first: the order a single arrival-ordered list rescanned on
+    every take would give. The differential tests in [test/] hold the queue
+    to that list. *)
 
 type mode =
   | Fifo_gap  (** deliver when [Wire.seq data = local(sender) + 1] only *)

@@ -52,6 +52,16 @@ let deliverable ~sender ~msg ~local =
   done;
   !ok
 
+let rec first_exceeding (a : t) (b : t) ~from ~skip =
+  if from >= Array.length a || from >= Array.length b then -1
+  else if from <> skip && a.(from) > b.(from) then from
+  else first_exceeding a b ~from:(from + 1) ~skip
+
+let rec first_difference (a : t) (b : t) ~from =
+  if from >= Array.length a || from >= Array.length b then -1
+  else if a.(from) <> b.(from) then from
+  else first_difference a b ~from:(from + 1)
+
 let missing_dependencies ~sender ~msg ~local =
   let deps = ref [] in
   for i = Array.length msg - 1 downto 0 do

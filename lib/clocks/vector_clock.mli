@@ -41,6 +41,16 @@ val deliverable : sender:int -> msg:t -> local:t -> bool
     [local] iff [msg.(sender) = local.(sender) + 1] and
     [msg.(k) <= local.(k)] for all [k <> sender]. *)
 
+val first_exceeding : t -> t -> from:int -> skip:int -> int
+(** [first_exceeding a b ~from ~skip] is the first index [i >= from] other
+    than [skip], within both clocks, where [a.(i) > b.(i)]; [-1] if none.
+    With [a] a message stamp and [skip] its sender: the first dependency
+    the clock [b] lacks. *)
+
+val first_difference : t -> t -> from:int -> int
+(** The first index [i >= from], within both clocks, where they differ;
+    [-1] if none: one pass finds every component that moved. *)
+
 val missing_dependencies : sender:int -> msg:t -> local:t -> (int * int) list
 (** For diagnostics: components blocking delivery, as
     [(member, required_count)] pairs. *)

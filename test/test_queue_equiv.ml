@@ -8,7 +8,9 @@
    - random interleavings of add / take_deliverable / drain / external
      clock advances with arbitrary timestamps, duplicate sequence numbers
      and the chaos fault-injection flag the mutation tests rely on;
-   - stack-shaped streams: a group of up to 16 members multicasting
+   - stack-shaped streams: a group of 2 to 16 members, or of 64 (the
+     benchmark's group size, where the queue's rank-indexed arrays grow
+     and its watch lists hold many entries), multicasting
      delivery-legal causal histories through a reordering network, with
      held-back messages that leave hundreds of arrivals blocked, view
      changes that drain the queue mid-stream, and flush replays that re-add
@@ -264,9 +266,14 @@ let gen_sops n =
            (8, map (fun k -> Replay k) (int_bound 1_000_000));
            (1, return View_change) ]))
 
+let gen_case_of_size size =
+  QCheck.Gen.(size >>= fun n -> map (fun ops -> (n, ops)) (gen_sops n))
+
+let gen_small_stack_case = gen_case_of_size (QCheck.Gen.int_range 2 16)
+
 let gen_stack_case =
-  QCheck.Gen.(
-    int_range 2 16 >>= fun n -> map (fun ops -> (n, ops)) (gen_sops n))
+  gen_case_of_size
+    QCheck.Gen.(frequency [ (3, int_range 2 16); (1, return 64) ])
 
 let stack_test ?pc mode mode_name =
   QCheck.Test.make
@@ -288,7 +295,7 @@ let stack_test ?pc mode mode_name =
 let test_stack_backlog_depth () =
   let cases =
     QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:20
-      gen_stack_case
+      gen_small_stack_case
   in
   let deepest =
     List.fold_left
@@ -338,6 +345,55 @@ let test_directed_held_cascade () =
     (Printf.sprintf "held message blocked %d arrivals" peak)
     true (peak >= 300)
 
+(* --- allocation ----------------------------------------------------------- *)
+
+(* Steady state at the benchmark's group size: sender 0's next message is
+   added and taken until the queue has nothing deliverable, over a backlog
+   that stays blocked — a sequence gap from every other sender, duplicates
+   short of component 0 (re-linked on each of its advances) and one short
+   of component 3 (which never advances). Every record is built before the
+   count, so a pair may allocate only the queue's entry (a 6-word block)
+   and the option its successful take returns (2 words). *)
+let test_steady_state_alloc () =
+  let n = 64 and warm = 1_000 and pairs = 10_000 in
+  let q = DQ.create DQ.Causal_full in
+  let local = Vector_clock.create n in
+  let stamp rank comps =
+    let vt = Vector_clock.create n in
+    List.iter (fun (k, v) -> Vector_clock.set vt k v) comps;
+    mk ~msg_id:(-1) ~rank ~vt
+  in
+  for rank = 2 to n - 1 do
+    DQ.add q (stamp rank [ (rank, 2) ])
+  done;
+  for _ = 1 to 8 do
+    DQ.add q (stamp 1 [ (1, 1); (0, 1_000_000_000) ])
+  done;
+  DQ.add q (stamp 2 [ (2, 1); (3, 5) ]);
+  let backlog = DQ.length q in
+  let cycle =
+    Array.init (warm + pairs) (fun i -> stamp 0 [ (0, i + 1) ])
+  in
+  let run lo hi =
+    for i = lo to hi - 1 do
+      DQ.add q cycle.(i);
+      match DQ.take_deliverable q ~local with
+      | Some _ ->
+        Vector_clock.set local 0 (i + 1);
+        if DQ.take_deliverable q ~local <> None then
+          failwith "backlog became deliverable"
+      | None -> failwith "steady-state message not deliverable"
+    done
+  in
+  run 0 warm;
+  let before = Gc.minor_words () in
+  run warm (warm + pairs);
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
+  Alcotest.(check int) "backlog untouched" backlog (DQ.length q);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per add+take <= 8" per_pair)
+    true (per_pair <= 8.0)
+
 let () =
   Alcotest.run "queue_equiv"
     [
@@ -355,4 +411,7 @@ let () =
             test_directed_held_cascade;
           Alcotest.test_case "stack-shaped backlogs reach hundreds" `Quick
             test_stack_backlog_depth ] );
+      ( "allocation",
+        [ Alcotest.test_case "steady-state add+take at n=64" `Quick
+            test_steady_state_alloc ] );
     ]
