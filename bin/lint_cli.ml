@@ -28,11 +28,14 @@ let exceeds ~fail_on worst =
   | Some _, _ -> true
 
 let write_out ~out json =
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Json.to_string json));
-  Printf.printf "findings written to %s\n" out
+  Option.iter
+    (fun out ->
+      let oc = open_out out in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc (Json.to_string json));
+      Printf.printf "findings written to %s\n" out)
+    out
 
 let print_findings findings =
   if findings = [] then print_endline "no findings"
@@ -132,8 +135,9 @@ let list_rules_arg =
 let out_arg =
   Arg.(
     value
-    & opt string "LINT_findings.json"
-    & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Findings JSON output path.")
+    & opt (some string) None
+    & info [ "out"; "o" ] ~docv:"FILE"
+        ~doc:"Also write the findings JSON document to FILE.")
 
 let fail_on_arg =
   Arg.(
