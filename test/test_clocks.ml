@@ -68,6 +68,23 @@ let test_vc_missing_dependencies () =
     [ (0, 3); (1, 2) ]
     (Vector_clock.missing_dependencies ~sender:0 ~msg ~local)
 
+let test_vc_first_scans () =
+  let local = vc_of [ 1; 0; 4; 2 ] in
+  let msg = vc_of [ 3; 2; 1; 5 ] in
+  let check name want got = Alcotest.(check int) name want got in
+  check "first lacked dependency" 1
+    (Vector_clock.first_exceeding msg local ~from:0 ~skip:0);
+  check "resumes at from" 3
+    (Vector_clock.first_exceeding msg local ~from:2 ~skip:0);
+  check "skips the sender" (-1)
+    (Vector_clock.first_exceeding msg local ~from:3 ~skip:3);
+  check "shorter clock bounds the scan" (-1)
+    (Vector_clock.first_exceeding msg (vc_of [ 3 ]) ~from:0 ~skip:(-1));
+  check "first difference" 0
+    (Vector_clock.first_difference msg local ~from:0);
+  check "equal clocks" (-1)
+    (Vector_clock.first_difference local (Vector_clock.copy local) ~from:0)
+
 let test_vc_merge () =
   let a = vc_of [ 1; 5; 2 ] in
   Vector_clock.merge_into a (vc_of [ 3; 1; 2 ]);
@@ -447,6 +464,7 @@ let () =
           Alcotest.test_case "compare cases" `Quick test_vc_compare_cases;
           Alcotest.test_case "deliverable basic" `Quick test_vc_deliverable_basic;
           Alcotest.test_case "missing deps" `Quick test_vc_missing_dependencies;
+          Alcotest.test_case "first scans" `Quick test_vc_first_scans;
           Alcotest.test_case "merge" `Quick test_vc_merge;
           Alcotest.test_case "copy independent" `Quick test_vc_copy_independent;
           Alcotest.test_case "encoded size" `Quick test_vc_encoded_size;
