@@ -10,8 +10,6 @@ type 'msg envelope = {
   payload : 'msg;
 }
 
-type event = { time : Sim_time.t; seq : int; action : unit -> unit }
-
 type 'msg process = {
   proc_name : string;
   mutable handler : pid -> 'msg envelope -> unit;
@@ -23,10 +21,10 @@ type 'msg process = {
 (* ------------------------------------------------------------------------- *)
 (* Lanes.
 
-   A {e lane} is an event heap with its own clock, sequence counter, rng
-   stream and message counters; its events run in (time, insertion seq)
-   order. Every engine has a control lane (pid -1) for ownerless timers and
-   crash-observer notifications — actions that may touch many processes.
+   A {e lane} is an event queue with its own clock, rng stream and message
+   counters; its events run in (time, insertion seq) order. Every engine
+   has a control lane (pid -1) for ownerless timers and crash-observer
+   notifications — actions that may touch many processes.
 
    [Sequential] puts every process on the control lane, which draws from
    the engine's own rng: the whole run is one (time, seq) order.
@@ -49,16 +47,14 @@ type pending = {
   out_src : int;  (* source lane (-1 = control): merge key, major *)
   out_seq : int;  (* per-source emission counter: merge key, minor *)
   out_dst : int;
-  out_timer : bool;  (* timers clamp to the barrier clock; sends never need to *)
+  out_owner : int;  (* the timer's owner pid, -1 for none and for a send *)
   out_action : unit -> unit;
 }
 
 type lane = {
   lane_pid : int;
-  lheap : event Heap.t;
   lrng : Rng.t;
   mutable lclock : Sim_time.t;
-  mutable lseq : int;
   mutable lsent : int;
   mutable ldelivered : int;
   mutable ldropped : int;
@@ -73,12 +69,109 @@ type lane = {
 let current_lane : lane option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
+(* A lane's event queue: a binary min-heap on (time, seq) keys held in int
+   arrays, no block per event. An entry is a packet (its envelope in [env])
+   or a timer (its action in [act], its owner pid in [owner], -1 for none);
+   both kinds share one seq counter. A sift moves the keys and the payload
+   slot of the entry's kind, so [env] and [act] start at its first entry. *)
+type 'msg queue = {
+  mutable time : int array;
+  mutable seq : int array;
+  mutable owner : int array;  (* [packet] marks a packet entry *)
+  mutable env : 'msg envelope array;
+  mutable act : (unit -> unit) array;
+  mutable size : int;
+  mutable next_seq : int;
+}
+
+let packet = min_int
+
+let make_queue () =
+  { time = [||]; seq = [||]; owner = [||]; env = [||]; act = [||]; size = 0;
+    next_seq = 0 }
+
+let[@inline] earlier q i j =
+  q.time.(i) < q.time.(j) || (q.time.(i) = q.time.(j) && q.seq.(i) < q.seq.(j))
+
+let[@inline] move q ~src ~dst =
+  q.time.(dst) <- q.time.(src);
+  q.seq.(dst) <- q.seq.(src);
+  let owner = q.owner.(src) in
+  q.owner.(dst) <- owner;
+  if owner = packet then q.env.(dst) <- q.env.(src)
+  else q.act.(dst) <- q.act.(src)
+
+let extend a cap fill =
+  let a' = Array.make cap fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* The hole a new entry at [time] settles in, moving later parents down. Its
+   seq exceeds every queued one, so an equal time stops the climb. *)
+let rec sift_up q i (time : int) =
+  let parent = (i - 1) / 2 in
+  if i > 0 && time < q.time.(parent) then begin
+    move q ~src:parent ~dst:i;
+    sift_up q parent time
+  end
+  else i
+
+(* The hole the entry in slot [last] settles in, moving earlier children up;
+   only slots below [last] move, so its own keys stay readable. *)
+let rec sift_down q i last =
+  let left = (2 * i) + 1 in
+  if left >= last then i
+  else
+    let right = left + 1 in
+    let child = if right < last && earlier q right left then right else left in
+    if earlier q child last then begin
+      move q ~src:child ~dst:i;
+      sift_down q child last
+    end
+    else i
+
+let open_slot q time =
+  let cap = Array.length q.time in
+  if q.size = cap then begin
+    let cap' = if cap = 0 then 16 else 2 * cap in
+    q.time <- extend q.time cap' 0;
+    q.seq <- extend q.seq cap' 0;
+    q.owner <- extend q.owner cap' 0;
+    if Array.length q.env > 0 then q.env <- extend q.env cap' q.env.(0);
+    if Array.length q.act > 0 then q.act <- extend q.act cap' q.act.(0)
+  end;
+  let i = sift_up q q.size time in
+  q.time.(i) <- time;
+  q.seq.(i) <- q.next_seq;
+  q.next_seq <- q.next_seq + 1;
+  q.size <- q.size + 1;
+  i
+
+let push_packet q time env =
+  let i = open_slot q time in
+  if Array.length q.env = 0 then q.env <- Array.make (Array.length q.time) env;
+  q.owner.(i) <- packet;
+  q.env.(i) <- env
+
+let push_timer q time ~owner action =
+  let i = open_slot q time in
+  if Array.length q.act = 0 then
+    q.act <- Array.make (Array.length q.time) action;
+  q.owner.(i) <- owner;
+  q.act.(i) <- action
+
+let remove_min q =
+  let last = q.size - 1 in
+  q.size <- last;
+  if last > 0 then move q ~src:last ~dst:(sift_down q 0 last)
+
 type 'msg t = {
   impl : impl;
   rng : Rng.t;
   net : Net.t;
   control : lane;
   mutable lanes : lane array;  (* index = pid, grown by spawn *)
+  mutable queues : 'msg queue array;  (* index = lane pid + 1, control first *)
   mutable clock : Sim_time.t;  (* [now] outside lane processing *)
   mutable in_parallel_phase : bool;
       (* workers running: cross-lane scheduling must go through outboxes *)
@@ -87,15 +180,9 @@ type 'msg t = {
   mutable failure_observers : (pid -> unit) list;
 }
 
-let compare_event a b =
-  match Sim_time.compare a.time b.time with
-  | 0 -> Int.compare a.seq b.seq
-  | c -> c
-
 let make_lane pid rng =
-  { lane_pid = pid; lheap = Heap.create ~cmp:compare_event; lrng = rng;
-    lclock = Sim_time.zero; lseq = 0; lsent = 0; ldelivered = 0;
-    ldropped = 0; outbox = []; oseq = 0; steps = 0 }
+  { lane_pid = pid; lrng = rng; lclock = Sim_time.zero; lsent = 0;
+    ldelivered = 0; ldropped = 0; outbox = []; oseq = 0; steps = 0 }
 
 let create ?(impl = Sequential) ?(seed = 42L) ?(net = Net.create ()) () =
   let rng = Rng.create seed in
@@ -107,8 +194,9 @@ let create ?(impl = Sequential) ?(seed = 42L) ?(net = Net.create ()) () =
       Rng.split rng
   in
   { impl; rng; net; control = make_lane (-1) control_rng;
-    lanes = [||]; clock = Sim_time.zero; in_parallel_phase = false;
-    processes = [||]; nprocs = 0; failure_observers = [] }
+    lanes = [||]; queues = [| make_queue () |]; clock = Sim_time.zero;
+    in_parallel_phase = false; processes = [||]; nprocs = 0;
+    failure_observers = [] }
 
 let impl t = t.impl
 let rng t = t.rng
@@ -118,28 +206,25 @@ let now t =
   | Some lane -> lane.lclock
   | None -> t.clock
 
-let push_lane lane time action =
-  let seq = lane.lseq in
-  lane.lseq <- seq + 1;
-  Heap.push lane.lheap { time; seq; action }
+let queue t lane = t.queues.(lane.lane_pid + 1)
 
 (* Schedule a timer onto [target]'s lane. Same-lane pushes and pushes from
    the single-threaded contexts (setup, control drain, barriers) go straight
-   into the heap, clamped to the current clock; a worker scheduling across
+   into the queue, clamped to the current clock; a worker scheduling across
    lanes buffers the entry in its own outbox so the barrier merge orders it
    deterministically. *)
-let schedule t ~(target : lane) time action =
+let schedule t ~(target : lane) ~owner time action =
   match !(Domain.DLS.get current_lane) with
   | Some lane when t.in_parallel_phase && lane != target ->
     let seq = lane.oseq in
     lane.oseq <- seq + 1;
     lane.outbox <-
       { out_time = time; out_src = lane.lane_pid; out_seq = seq;
-        out_dst = target.lane_pid; out_timer = true; out_action = action }
+        out_dst = target.lane_pid; out_owner = owner; out_action = action }
       :: lane.outbox
   | current ->
     let clock = match current with Some lane -> lane.lclock | None -> t.clock in
-    push_lane target (if Sim_time.compare time clock < 0 then clock else time)
+    push_timer (queue t target) (if time < clock then clock else time) ~owner
       action
 
 let require_quiescent t what =
@@ -168,11 +253,10 @@ let spawn t ~name handler =
     | Parallel _ ->
       (* one rng split per spawn, in pid order: the per-lane streams are a
          function of the seed alone, not of the domain count *)
+      t.queues <- extend t.queues (pid + 2) (make_queue ());
       make_lane pid (Rng.split t.rng)
   in
-  let lanes = Array.make (pid + 1) lane in
-  Array.blit t.lanes 0 lanes 0 pid;
-  t.lanes <- lanes;
+  t.lanes <- extend t.lanes (pid + 1) lane;
   pid
 
 let proc t pid =
@@ -194,10 +278,9 @@ let deliver t env =
   else dl.ldropped <- dl.ldropped + 1
 
 (* One copy of a packet on the wire, drawn from the source lane [sl]. Under
-   [Sequential] the source lane is the control lane, which every process
-   shares, so the delivery goes straight into its heap; a [Parallel]
-   process lane buffers it in its outbox for the barrier merge. Top-level
-   rather than a closure inside [send]: no closure block per packet. *)
+   [Sequential] every process shares the control lane, so the envelope goes
+   straight into its queue; a [Parallel] lane buffers a delivery closure in
+   its outbox for the barrier merge. Top-level: no closure per packet. *)
 let transmit t sl ~src ~dst payload =
   let sent_at = now t in
   let arrival = Sim_time.add sent_at (Net.sample_delay t.net sl.lrng) in
@@ -215,14 +298,13 @@ let transmit t sl ~src ~dst payload =
     end
   in
   let env = { src; dst; sent_at; recv_at; payload } in
-  let action () = deliver t env in
-  if sl == t.control then push_lane sl recv_at action
+  if sl == t.control then push_packet (queue t sl) recv_at env
   else begin
     let seq = sl.oseq in
     sl.oseq <- seq + 1;
     sl.outbox <-
       { out_time = recv_at; out_src = src; out_seq = seq; out_dst = dst;
-        out_timer = false; out_action = action }
+        out_owner = -1; out_action = (fun () -> deliver t env) }
       :: sl.outbox
   end
 
@@ -242,20 +324,12 @@ let send t ~src ~dst payload =
     end
   end
 
-let target_lane t owner =
+let at t ?owner time action =
   match owner with
   | Some pid ->
     ignore (proc t pid);
-    t.lanes.(pid)
-  | None -> t.control
-
-let at t ?owner time action =
-  let guarded () =
-    match owner with
-    | Some pid when not (proc t pid).alive -> ()
-    | Some _ | None -> action ()
-  in
-  schedule t ~target:(target_lane t owner) time guarded
+    schedule t ~target:t.lanes.(pid) ~owner:pid time action
+  | None -> schedule t ~target:t.control ~owner:(-1) time action
 
 let after t ?owner delay action = at t ?owner (Sim_time.add (now t) delay) action
 
@@ -283,7 +357,7 @@ let crash t pid =
     p.alive <- false;
     let observers = t.failure_observers in
     let fire () = List.iter (fun observe -> observe pid) observers in
-    schedule t ~target:t.control
+    schedule t ~target:t.control ~owner:(-1)
       (Sim_time.add (now t) (Net.detection_delay t.net))
       fire
   end
@@ -297,25 +371,31 @@ let recover t pid =
 let max_events = 50_000_000
 
 (* The event loop: run [lane]'s events before [bound], stopping early once
-   its step count reaches [stop]. Peek/pop without option boxing — this loop
-   runs once per simulated event, and the option cells otherwise dominate
-   its minor-heap allocation. The current-lane slot is restored however the
-   loop exits, so an event that raises leaves no stale clock behind for
-   [now]. *)
-let process_lane lane ~bound ~stop =
+   its step count reaches [stop]. Each event is read off the queue's slot
+   arrays — a packet is delivered, a timer runs unless its owner has
+   crashed — so the loop allocates nothing per event. The current-lane slot
+   is restored however the loop exits, so an event that raises leaves no
+   stale clock behind for [now]. *)
+let process_lane t lane ~bound ~stop =
+  let q = queue t lane in
   let slot = Domain.DLS.get current_lane in
   let outer = !slot in
   slot := Some lane;
   match
-    while
-      lane.steps < stop
-      && (not (Heap.is_empty lane.lheap))
-      && Sim_time.compare (Heap.peek_exn lane.lheap).time bound < 0
-    do
-      let event = Heap.pop_exn lane.lheap in
-      lane.lclock <- event.time;
+    while lane.steps < stop && q.size > 0 && q.time.(0) < bound do
+      lane.lclock <- q.time.(0);
       lane.steps <- lane.steps + 1;
-      event.action ()
+      let owner = q.owner.(0) in
+      if owner = packet then begin
+        let env = q.env.(0) in
+        remove_min q;
+        deliver t env
+      end
+      else begin
+        let action = q.act.(0) in
+        remove_min q;
+        if owner < 0 || (proc t owner).alive then action ()
+      end
     done
   with
   | () -> slot := outer
@@ -339,10 +419,10 @@ let run_sequential ?until t =
   let stop = start + max_events in
   Fun.protect
     ~finally:(fun () -> if lane.steps > start then t.clock <- lane.lclock)
-    (fun () -> process_lane lane ~bound ~stop);
+    (fun () -> process_lane t lane ~bound ~stop);
   if lane.steps = stop then runaway ();
   match until with
-  | Some limit when not (Heap.is_empty lane.lheap) -> t.clock <- limit
+  | Some limit when (queue t lane).size > 0 -> t.clock <- limit
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------------- *)
@@ -365,7 +445,7 @@ let compare_pending a b =
 let chaos_merge_share_order = Atomic.make false
 
 (* Exchange every outbox, globally sorted by (arrival, source lane,
-   emission seq); destination heaps assign their sequence numbers in that
+   emission seq); destination queues assign their sequence numbers in that
    order, so FIFO tie-breaks at equal arrival times are domain-count
    independent. Runs single-threaded at barriers. *)
 let merge_outboxes t ~domains ~barrier_clock =
@@ -400,11 +480,9 @@ let merge_outboxes t ~domains ~barrier_clock =
         let time =
           (* message arrivals are >= the barrier by the lookahead argument;
              only cross-lane timers can ask for an already-processed window *)
-          if o.out_timer && Sim_time.compare o.out_time barrier_clock < 0 then
-            barrier_clock
-          else o.out_time
+          if o.out_time < barrier_clock then barrier_clock else o.out_time
         in
-        push_lane target time o.out_action)
+        push_timer (queue t target) time ~owner:o.out_owner o.out_action)
       all
 
 let process_share t ~domains ~bound ~me =
@@ -412,23 +490,17 @@ let process_share t ~domains ~bound ~me =
   let n = Array.length lanes in
   let i = ref me in
   while !i < n do
-    process_lane lanes.(!i) ~bound ~stop:max_int;
+    process_lane t lanes.(!i) ~bound ~stop:max_int;
     i := !i + domains
   done
 
 let next_event_time t =
-  let best = ref None in
-  let consider lane =
-    match Heap.peek lane.lheap with
-    | None -> ()
-    | Some e ->
-      (match !best with
-       | Some b when Sim_time.compare b e.time <= 0 -> ()
-       | Some _ | None -> best := Some e.time)
+  let earliest best q =
+    match best with
+    | Some b when q.size = 0 || b <= q.time.(0) -> best
+    | Some _ | None -> if q.size = 0 then best else Some q.time.(0)
   in
-  consider t.control;
-  Array.iter consider t.lanes;
-  !best
+  Array.fold_left earliest None t.queues
 
 let total_steps t =
   Array.fold_left (fun acc l -> acc + l.steps) t.control.steps t.lanes
@@ -441,7 +513,7 @@ let run_parallel ?until t ~domains =
     invalid_arg "Engine.run: parallel mode needs a positive latency floor";
   let base_steps = total_steps t in
   (* sends and timers issued during setup (or a previous run) wait in
-     outboxes; seed the heaps before looking for the first epoch *)
+     outboxes; seed the queues before looking for the first epoch *)
   merge_outboxes t ~domains ~barrier_clock:t.clock;
   let mutex = Mutex.create () in
   let cond = Condition.create () in
@@ -504,7 +576,7 @@ let run_parallel ?until t ~domains =
                | None -> epoch_end
              in
              (* 1. control drain: single-threaded, may touch any lane *)
-             process_lane t.control ~bound ~stop:max_int;
+             process_lane t t.control ~bound ~stop:max_int;
              (* 2. worker phase: each domain advances its own lanes *)
              t.in_parallel_phase <- true;
              if domains > 1 then begin

@@ -4,7 +4,13 @@
     single type ['msg] (protocol stacks define a wire variant and instantiate
     the engine at it). Events live on {e lanes}: a lane is an event queue
     ordered by (time, insertion sequence), with its own clock, rng stream
-    and message counters, so runs are reproducible given the seed. The two
+    and message counters, so runs are reproducible given the seed. The
+    queue is a binary heap over slot arrays: the (time, seq) keys in int
+    arrays, and per slot a packet's envelope or a timer's action and owner
+    pid, both kinds drawing on one seq counter. A packet allocates only its
+    6-word {!envelope}; a timer allocates nothing beyond the caller's action
+    and [Some owner], so an {!every} tick allocates nothing ([Parallel]
+    also wraps each packet in a closure for the barrier merge). The two
     execution strategies (see {!impl}) differ only in how processes map
     onto lanes:
 
