@@ -30,23 +30,27 @@ let rescan_column t s =
   t.mins.(s) <- !best;
   t.at_min.(s) <- !count
 
+(* Count row [r] off the cached minimum of every column that [vc] advances,
+   from component [from] on. A column whose count reaches zero stays at zero
+   until [update_row_tracked] rescans it, after the row has merged. Only the
+   advancing components cost calls into [Vector_clock]. *)
+let rec leave_minima t r vc from =
+  let s = Vector_clock.first_exceeding vc r ~from ~skip:(-1) in
+  if s >= 0 then begin
+    if Vector_clock.get r s = t.mins.(s) then t.at_min.(s) <- t.at_min.(s) - 1;
+    leave_minima t r vc (s + 1)
+  end
+
 let update_row_tracked t i vc ~advanced =
   let r = t.rows.(i) in
-  let n = Vector_clock.size r in
-  if Vector_clock.size vc <> n then
+  if Vector_clock.size vc <> Vector_clock.size r then
     invalid_arg "Matrix_clock.update_row: size mismatch";
-  for s = 0 to n - 1 do
-    let fresh = Vector_clock.get vc s in
-    let old = Vector_clock.get r s in
-    if fresh > old then begin
-      Vector_clock.set r s fresh;
-      if old = t.mins.(s) then begin
-        t.at_min.(s) <- t.at_min.(s) - 1;
-        if t.at_min.(s) = 0 then begin
-          rescan_column t s;
-          advanced s
-        end
-      end
+  leave_minima t r vc 0;
+  Vector_clock.merge_into r vc;
+  for s = 0 to Array.length t.at_min - 1 do
+    if t.at_min.(s) = 0 then begin
+      rescan_column t s;
+      advanced s
     end
   done
 

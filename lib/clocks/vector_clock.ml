@@ -16,7 +16,7 @@ let tick t i = t.(i) <- t.(i) + 1
 let copy_tick t i =
   Array.init (Array.length t) (fun k -> if k = i then t.(k) + 1 else t.(k))
 
-let merge_into dst src =
+let merge_into (dst : t) (src : t) =
   if Array.length dst <> Array.length src then
     invalid_arg "Vector_clock.merge_into: size mismatch";
   for i = 0 to Array.length dst - 1 do
