@@ -22,12 +22,20 @@ type 'msg process = {
 (* Lanes.
 
    A {e lane} is an event queue with its own clock, rng stream and message
-   counters; its events run in (time, insertion seq) order. Every engine
-   has a control lane (pid -1) for ownerless timers and crash-observer
-   notifications — actions that may touch many processes.
+   counters. Every engine has a control lane (pid -1) for ownerless timers
+   and crash-observer notifications — actions that may touch many
+   processes.
+
+   Every queue entry carries a key (source lane, source seq): the lane
+   whose code pushed it (for a packet, the sender's lane; the control lane
+   for setup and control-lane actions) and that lane's emission counter,
+   bumped at every push it originates. A queue runs its events in (time,
+   key) order. Keys are unique, so the order depends only on the entries,
+   never on the order they were pushed in.
 
    [Sequential] puts every process on the control lane, which draws from
-   the engine's own rng: the whole run is one (time, seq) order.
+   the engine's own rng: every key is a control-lane key, the whole run is
+   one (time, seq) order.
 
    [Parallel] gives each process its own lane, with an rng stream split off
    the seed in pid order, so a process's schedule evolves identically no
@@ -36,20 +44,11 @@ type 'msg process = {
    events in the window [kW, (k+1)W) of different lanes are causally
    independent: a send at time s arrives at s + delay >= (k+1)W. Each epoch
    the control lane drains single-threaded, then the process lanes run
-   concurrently (domain d owns the lanes with pid mod domains = d), then a
-   barrier exchanges the sends buffered in per-lane outboxes in (arrival
-   time, source lane, emission seq) order, assigning destination sequence
-   numbers in that merged order — the delivery schedule is a pure function
-   of the seed, independent of the domain count. *)
-
-type pending = {
-  out_time : Sim_time.t;
-  out_src : int;  (* source lane (-1 = control): merge key, major *)
-  out_seq : int;  (* per-source emission counter: merge key, minor *)
-  out_dst : int;
-  out_owner : int;  (* the timer's owner pid, -1 for none and for a send *)
-  out_action : unit -> unit;
-}
+   concurrently (domain d owns the lanes with pid mod domains = d). A
+   worker pushing to another lane puts the entry in its own lane's outbox;
+   the barrier moves every outbox entry into its target's queue. Since the
+   keys fix the pop order, the delivery schedule is a pure function of the
+   seed, independent of the domain count. *)
 
 type lane = {
   lane_pid : int;
@@ -58,9 +57,9 @@ type lane = {
   mutable lsent : int;
   mutable ldelivered : int;
   mutable ldropped : int;
-  mutable outbox : pending list;  (* reversed; drained at each barrier *)
-  mutable oseq : int;
+  mutable oseq : int;  (* emission counter: the seq half of the lane's keys *)
   mutable steps : int;  (* events processed (event-budget accounting) *)
+  current : lane option;  (* [Some] this lane, built once for [current_lane] *)
 }
 
 (* Which lane the executing domain is currently advancing; [None] outside
@@ -69,33 +68,42 @@ type lane = {
 let current_lane : lane option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(* A lane's event queue: a binary min-heap on (time, seq) keys held in int
-   arrays, no block per event. An entry is a packet (its envelope in [env])
-   or a timer (its action in [act], its owner pid in [owner], -1 for none);
-   both kinds share one seq counter. A sift moves the keys and the payload
-   slot of the entry's kind, so [env] and [act] start at its first entry. *)
+(* A key packs (source lane + 1) above 40 bits of seq (2^40 pushes per
+   lane): the control lane's keys are its bare seq. [spawn] keeps the lane
+   part inside an int. *)
+let seq_bits = 40
+
+let next_key lane =
+  let seq = lane.oseq in
+  lane.oseq <- seq + 1;
+  ((lane.lane_pid + 1) lsl seq_bits) lor seq
+
+(* A lane's event queue (and, under [Parallel], its outbox): a binary
+   min-heap on (time, key) held in int arrays, no block per event. An entry
+   is a packet (its envelope in [env]) or a timer (its action in [act], its
+   owner pid in [owner], -1 for none). A sift moves the keys and the
+   payload slot of the entry's kind, so [env] and [act] start at its first
+   entry. *)
 type 'msg queue = {
   mutable time : int array;
-  mutable seq : int array;
+  mutable key : int array;
   mutable owner : int array;  (* [packet] marks a packet entry *)
   mutable env : 'msg envelope array;
   mutable act : (unit -> unit) array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
 let packet = min_int
 
 let make_queue () =
-  { time = [||]; seq = [||]; owner = [||]; env = [||]; act = [||]; size = 0;
-    next_seq = 0 }
+  { time = [||]; key = [||]; owner = [||]; env = [||]; act = [||]; size = 0 }
 
 let[@inline] earlier q i j =
-  q.time.(i) < q.time.(j) || (q.time.(i) = q.time.(j) && q.seq.(i) < q.seq.(j))
+  q.time.(i) < q.time.(j) || (q.time.(i) = q.time.(j) && q.key.(i) < q.key.(j))
 
 let[@inline] move q ~src ~dst =
   q.time.(dst) <- q.time.(src);
-  q.seq.(dst) <- q.seq.(src);
+  q.key.(dst) <- q.key.(src);
   let owner = q.owner.(src) in
   q.owner.(dst) <- owner;
   if owner = packet then q.env.(dst) <- q.env.(src)
@@ -106,13 +114,17 @@ let extend a cap fill =
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
-(* The hole a new entry at [time] settles in, moving later parents down. Its
-   seq exceeds every queued one, so an equal time stops the climb. *)
-let rec sift_up q i (time : int) =
+(* The hole a new entry at (time, key) settles in, moving later parents
+   down. *)
+let rec sift_up q i (time : int) key =
   let parent = (i - 1) / 2 in
-  if i > 0 && time < q.time.(parent) then begin
+  if
+    i > 0
+    && (time < q.time.(parent)
+       || (time = q.time.(parent) && key < q.key.(parent)))
+  then begin
     move q ~src:parent ~dst:i;
-    sift_up q parent time
+    sift_up q parent time key
   end
   else i
 
@@ -130,31 +142,30 @@ let rec sift_down q i last =
     end
     else i
 
-let open_slot q time =
+let open_slot q time key =
   let cap = Array.length q.time in
   if q.size = cap then begin
     let cap' = if cap = 0 then 16 else 2 * cap in
     q.time <- extend q.time cap' 0;
-    q.seq <- extend q.seq cap' 0;
+    q.key <- extend q.key cap' 0;
     q.owner <- extend q.owner cap' 0;
     if Array.length q.env > 0 then q.env <- extend q.env cap' q.env.(0);
     if Array.length q.act > 0 then q.act <- extend q.act cap' q.act.(0)
   end;
-  let i = sift_up q q.size time in
+  let i = sift_up q q.size time key in
   q.time.(i) <- time;
-  q.seq.(i) <- q.next_seq;
-  q.next_seq <- q.next_seq + 1;
+  q.key.(i) <- key;
   q.size <- q.size + 1;
   i
 
-let push_packet q time env =
-  let i = open_slot q time in
+let push_packet q time key env =
+  let i = open_slot q time key in
   if Array.length q.env = 0 then q.env <- Array.make (Array.length q.time) env;
   q.owner.(i) <- packet;
   q.env.(i) <- env
 
-let push_timer q time ~owner action =
-  let i = open_slot q time in
+let push_timer q time key ~owner action =
+  let i = open_slot q time key in
   if Array.length q.act = 0 then
     q.act <- Array.make (Array.length q.time) action;
   q.owner.(i) <- owner;
@@ -172,17 +183,21 @@ type 'msg t = {
   control : lane;
   mutable lanes : lane array;  (* index = pid, grown by spawn *)
   mutable queues : 'msg queue array;  (* index = lane pid + 1, control first *)
+  mutable outboxes : 'msg queue array;  (* like [queues] *)
   mutable clock : Sim_time.t;  (* [now] outside lane processing *)
   mutable in_parallel_phase : bool;
-      (* workers running: cross-lane scheduling must go through outboxes *)
+      (* workers running: cross-lane pushes must go through outboxes *)
   mutable processes : 'msg process array;
   mutable nprocs : int;
   mutable failure_observers : (pid -> unit) list;
 }
 
 let make_lane pid rng =
-  { lane_pid = pid; lrng = rng; lclock = Sim_time.zero; lsent = 0;
-    ldelivered = 0; ldropped = 0; outbox = []; oseq = 0; steps = 0 }
+  let rec lane =
+    { lane_pid = pid; lrng = rng; lclock = Sim_time.zero; lsent = 0;
+      ldelivered = 0; ldropped = 0; oseq = 0; steps = 0; current = Some lane }
+  in
+  lane
 
 let create ?(impl = Sequential) ?(seed = 42L) ?(net = Net.create ()) () =
   let rng = Rng.create seed in
@@ -194,7 +209,8 @@ let create ?(impl = Sequential) ?(seed = 42L) ?(net = Net.create ()) () =
       Rng.split rng
   in
   { impl; rng; net; control = make_lane (-1) control_rng;
-    lanes = [||]; queues = [| make_queue () |]; clock = Sim_time.zero;
+    lanes = [||]; queues = [| make_queue () |];
+    outboxes = [| make_queue () |]; clock = Sim_time.zero;
     in_parallel_phase = false; processes = [||]; nprocs = 0;
     failure_observers = [] }
 
@@ -208,24 +224,27 @@ let now t =
 
 let queue t lane = t.queues.(lane.lane_pid + 1)
 
-(* Schedule a timer onto [target]'s lane. Same-lane pushes and pushes from
-   the single-threaded contexts (setup, control drain, barriers) go straight
-   into the queue, clamped to the current clock; a worker scheduling across
-   lanes buffers the entry in its own outbox so the barrier merge orders it
-   deterministically. *)
-let schedule t ~(target : lane) ~owner time action =
-  match !(Domain.DLS.get current_lane) with
-  | Some lane when t.in_parallel_phase && lane != target ->
-    let seq = lane.oseq in
-    lane.oseq <- seq + 1;
-    lane.outbox <-
-      { out_time = time; out_src = lane.lane_pid; out_seq = seq;
-        out_dst = target.lane_pid; out_owner = owner; out_action = action }
-      :: lane.outbox
-  | current ->
-    let clock = match current with Some lane -> lane.lclock | None -> t.clock in
-    push_timer (queue t target) (if time < clock then clock else time) ~owner
-      action
+(* The lane a timer of [owner] runs on: the control lane for -1. *)
+let owner_lane t owner = if owner < 0 then t.control else t.lanes.(owner)
+
+(* Where [source] puts an entry for [target]'s lane: straight into the
+   target's queue, unless a worker is running and the target is another
+   lane — then into the source's outbox, for the next barrier. *)
+let route t ~source ~target =
+  if t.in_parallel_phase && source != target then
+    t.outboxes.(source.lane_pid + 1)
+  else queue t target
+
+(* Timers are clamped to the pushing lane's clock (the barrier clamps
+   outbox entries again, to its own). *)
+let schedule t ~owner time action =
+  let current = !(Domain.DLS.get current_lane) in
+  let source = match current with Some lane -> lane | None -> t.control in
+  let clock = match current with Some lane -> lane.lclock | None -> t.clock in
+  push_timer
+    (route t ~source ~target:(owner_lane t owner))
+    (if time < clock then clock else time)
+    (next_key source) ~owner action
 
 let require_quiescent t what =
   if t.in_parallel_phase && Option.is_some !(Domain.DLS.get current_lane) then
@@ -236,6 +255,8 @@ let require_quiescent t what =
 
 let spawn t ~name handler =
   require_quiescent t "spawn";
+  if t.nprocs + 1 >= 1 lsl (Sys.int_size - 1 - seq_bits) then
+    invalid_arg "Engine.spawn: too many processes";
   let p = { proc_name = name; handler; alive = true; busy_until = Sim_time.zero } in
   let capacity = Array.length t.processes in
   if t.nprocs = capacity then begin
@@ -254,6 +275,7 @@ let spawn t ~name handler =
       (* one rng split per spawn, in pid order: the per-lane streams are a
          function of the seed alone, not of the domain count *)
       t.queues <- extend t.queues (pid + 2) (make_queue ());
+      t.outboxes <- extend t.outboxes (pid + 2) (make_queue ());
       make_lane pid (Rng.split t.rng)
   in
   t.lanes <- extend t.lanes (pid + 1) lane;
@@ -277,10 +299,8 @@ let deliver t env =
   end
   else dl.ldropped <- dl.ldropped + 1
 
-(* One copy of a packet on the wire, drawn from the source lane [sl]. Under
-   [Sequential] every process shares the control lane, so the envelope goes
-   straight into its queue; a [Parallel] lane buffers a delivery closure in
-   its outbox for the barrier merge. Top-level: no closure per packet. *)
+(* One copy of a packet on the wire, drawn and keyed from the source lane
+   [sl]. *)
 let transmit t sl ~src ~dst payload =
   let sent_at = now t in
   let arrival = Sim_time.add sent_at (Net.sample_delay t.net sl.lrng) in
@@ -298,15 +318,8 @@ let transmit t sl ~src ~dst payload =
     end
   in
   let env = { src; dst; sent_at; recv_at; payload } in
-  if sl == t.control then push_packet (queue t sl) recv_at env
-  else begin
-    let seq = sl.oseq in
-    sl.oseq <- seq + 1;
-    sl.outbox <-
-      { out_time = recv_at; out_src = src; out_seq = seq; out_dst = dst;
-        out_owner = -1; out_action = (fun () -> deliver t env) }
-      :: sl.outbox
-  end
+  push_packet (route t ~source:sl ~target:t.lanes.(dst)) recv_at (next_key sl)
+    env
 
 (* Randomness and counters belong to the {e source} lane even when the send
    executes on the control lane (a crash observer triggering protocol
@@ -328,8 +341,8 @@ let at t ?owner time action =
   match owner with
   | Some pid ->
     ignore (proc t pid);
-    schedule t ~target:t.lanes.(pid) ~owner:pid time action
-  | None -> schedule t ~target:t.control ~owner:(-1) time action
+    schedule t ~owner:pid time action
+  | None -> schedule t ~owner:(-1) time action
 
 let after t ?owner delay action = at t ?owner (Sim_time.add (now t) delay) action
 
@@ -357,7 +370,7 @@ let crash t pid =
     p.alive <- false;
     let observers = t.failure_observers in
     let fire () = List.iter (fun observe -> observe pid) observers in
-    schedule t ~target:t.control ~owner:(-1)
+    schedule t ~owner:(-1)
       (Sim_time.add (now t) (Net.detection_delay t.net))
       fire
   end
@@ -380,7 +393,7 @@ let process_lane t lane ~bound ~stop =
   let q = queue t lane in
   let slot = Domain.DLS.get current_lane in
   let outer = !slot in
-  slot := Some lane;
+  slot := lane.current;
   match
     while lane.steps < stop && q.size > 0 && q.time.(0) < bound do
       lane.lclock <- q.time.(0);
@@ -428,62 +441,27 @@ let run_sequential ?until t =
 (* ------------------------------------------------------------------------- *)
 (* Parallel run loop. *)
 
-let compare_pending a b =
-  match Sim_time.compare a.out_time b.out_time with
-  | 0 ->
-    (match Int.compare a.out_src b.out_src with
-     | 0 -> Int.compare a.out_seq b.out_seq
-     | c -> c)
-  | c -> c
-
-(* Test hook: order the barrier merge by worker share before anything else —
-   the domain-count-dependent ordering a merge keyed off scheduling state
-   (instead of the (time, lane, seq) sort) would produce. Same-instant
-   cross-lane arrivals then interleave differently per domain count, and the
-   cross-domain fingerprint-identity tests must convict (identical at
-   domains=1 where every share coincides, divergent at domains>1). *)
-let chaos_merge_share_order = Atomic.make false
-
-(* Exchange every outbox, globally sorted by (arrival, source lane,
-   emission seq); destination queues assign their sequence numbers in that
-   order, so FIFO tie-breaks at equal arrival times are domain-count
-   independent. Runs single-threaded at barriers. *)
-let merge_outboxes t ~domains ~barrier_clock =
-  let pend = ref [] in
-  let take lane =
-    match lane.outbox with
-    | [] -> ()
-    | l ->
-      lane.outbox <- [];
-      pend := List.rev_append l !pend
-  in
-  take t.control;
-  Array.iter take t.lanes;
-  match !pend with
-  | [] -> ()
-  | all ->
-    let all =
-      if Atomic.get chaos_merge_share_order then
-        List.sort
-          (fun a b ->
-            match
-              Int.compare (a.out_src mod domains) (b.out_src mod domains)
-            with
-            | 0 -> compare_pending a b
-            | c -> c)
-          all
-      else List.sort compare_pending all
-    in
-    List.iter
-      (fun o ->
-        let target = if o.out_dst < 0 then t.control else t.lanes.(o.out_dst) in
-        let time =
-          (* message arrivals are >= the barrier by the lookahead argument;
-             only cross-lane timers can ask for an already-processed window *)
-          if o.out_time < barrier_clock then barrier_clock else o.out_time
-        in
-        push_timer (queue t target) time ~owner:o.out_owner o.out_action)
-      all
+(* Move every outbox entry into its target's queue: a packet to its
+   destination's lane, a timer to its owner's. The keys fix each queue's
+   pop order, so the order of the moves does not matter. Message arrivals
+   are >= the barrier by the lookahead argument; only cross-lane timers
+   can ask for an already-processed window, and are clamped to it. Runs
+   single-threaded at barriers. *)
+let exchange t ~barrier_clock =
+  for o = 0 to Array.length t.outboxes - 1 do
+    let ob = t.outboxes.(o) in
+    for i = 0 to ob.size - 1 do
+      let time = ob.time.(i) and key = ob.key.(i) and owner = ob.owner.(i) in
+      if owner = packet then
+        let env = ob.env.(i) in
+        push_packet (queue t t.lanes.(env.dst)) time key env
+      else
+        push_timer (queue t (owner_lane t owner))
+          (if time < barrier_clock then barrier_clock else time)
+          key ~owner ob.act.(i)
+    done;
+    ob.size <- 0
+  done
 
 let process_share t ~domains ~bound ~me =
   let lanes = t.lanes in
@@ -494,13 +472,11 @@ let process_share t ~domains ~bound ~me =
     i := !i + domains
   done
 
+(* The earliest queued event time; [max_int] when every queue is empty. *)
 let next_event_time t =
-  let earliest best q =
-    match best with
-    | Some b when q.size = 0 || b <= q.time.(0) -> best
-    | Some _ | None -> if q.size = 0 then best else Some q.time.(0)
-  in
-  Array.fold_left earliest None t.queues
+  Array.fold_left
+    (fun next q -> if q.size > 0 && q.time.(0) < next then q.time.(0) else next)
+    max_int t.queues
 
 let total_steps t =
   Array.fold_left (fun acc l -> acc + l.steps) t.control.steps t.lanes
@@ -512,9 +488,9 @@ let run_parallel ?until t ~domains =
   if w <= 0 then
     invalid_arg "Engine.run: parallel mode needs a positive latency floor";
   let base_steps = total_steps t in
-  (* sends and timers issued during setup (or a previous run) wait in
-     outboxes; seed the queues before looking for the first epoch *)
-  merge_outboxes t ~domains ~barrier_clock:t.clock;
+  (* a previous run that raised in a worker phase may have left entries in
+     the outboxes *)
+  exchange t ~barrier_clock:t.clock;
   let mutex = Mutex.create () in
   let cond = Condition.create () in
   let generation = ref 0 in
@@ -560,52 +536,51 @@ let run_parallel ?until t ~domains =
   Fun.protect ~finally:release_and_join (fun () ->
       let continue = ref true in
       while !continue do
-        match next_event_time t with
-        | None -> continue := false
-        | Some next_time ->
-          (match until with
-           | Some limit when Sim_time.compare next_time limit > 0 ->
-             t.clock <- limit;
-             continue := false
-           | Some _ | None ->
-             let epoch = Sim_time.to_us next_time / w in
-             let epoch_end = Sim_time.us ((epoch + 1) * w) in
-             let bound =
-               match until with
-               | Some limit -> min epoch_end (just_past limit)
-               | None -> epoch_end
-             in
-             (* 1. control drain: single-threaded, may touch any lane *)
-             process_lane t t.control ~bound ~stop:max_int;
-             (* 2. worker phase: each domain advances its own lanes *)
-             t.in_parallel_phase <- true;
-             if domains > 1 then begin
-               Mutex.lock mutex;
-               cur_bound := bound;
-               done_count := 0;
-               incr generation;
-               Condition.broadcast cond;
-               Mutex.unlock mutex
-             end;
-             process_share t ~domains ~bound ~me:0;
-             if domains > 1 then begin
-               Mutex.lock mutex;
-               while !done_count < domains - 1 do
-                 Condition.wait cond mutex
-               done;
-               Mutex.unlock mutex
-             end;
-             t.in_parallel_phase <- false;
-             (match !worker_error with
-              | Some exn -> raise exn
-              | None -> ());
-             (* 3. barrier: exchange cross-lane traffic, advance the clock *)
-             t.clock <-
-               (match until with
-                | Some limit -> min epoch_end limit
-                | None -> epoch_end);
-             merge_outboxes t ~domains ~barrier_clock:bound;
-             if total_steps t - base_steps > max_events then runaway ())
+        let next_time = next_event_time t in
+        match until with
+        | _ when next_time = max_int -> continue := false
+        | Some limit when Sim_time.compare next_time limit > 0 ->
+          t.clock <- limit;
+          continue := false
+        | Some _ | None ->
+          let epoch = Sim_time.to_us next_time / w in
+          let epoch_end = Sim_time.us ((epoch + 1) * w) in
+          let bound =
+            match until with
+            | Some limit -> min epoch_end (just_past limit)
+            | None -> epoch_end
+          in
+          (* 1. control drain: single-threaded, may touch any lane *)
+          process_lane t t.control ~bound ~stop:max_int;
+          (* 2. worker phase: each domain advances its own lanes *)
+          t.in_parallel_phase <- true;
+          if domains > 1 then begin
+            Mutex.lock mutex;
+            cur_bound := bound;
+            done_count := 0;
+            incr generation;
+            Condition.broadcast cond;
+            Mutex.unlock mutex
+          end;
+          process_share t ~domains ~bound ~me:0;
+          if domains > 1 then begin
+            Mutex.lock mutex;
+            while !done_count < domains - 1 do
+              Condition.wait cond mutex
+            done;
+            Mutex.unlock mutex
+          end;
+          t.in_parallel_phase <- false;
+          (match !worker_error with
+           | Some exn -> raise exn
+           | None -> ());
+          (* 3. barrier: exchange cross-lane traffic, advance the clock *)
+          t.clock <-
+            (match until with
+             | Some limit -> min epoch_end limit
+             | None -> epoch_end);
+          exchange t ~barrier_clock:bound;
+          if total_steps t - base_steps > max_events then runaway ()
       done)
 
 let run ?until t =

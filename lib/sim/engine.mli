@@ -3,32 +3,36 @@
     An engine hosts a set of simulated processes exchanging messages of a
     single type ['msg] (protocol stacks define a wire variant and instantiate
     the engine at it). Events live on {e lanes}: a lane is an event queue
-    ordered by (time, insertion sequence), with its own clock, rng stream
-    and message counters, so runs are reproducible given the seed. The
-    queue is a binary heap over slot arrays: the (time, seq) keys in int
-    arrays, and per slot a packet's envelope or a timer's action and owner
-    pid, both kinds drawing on one seq counter. A packet allocates only its
-    6-word {!envelope}; a timer allocates nothing beyond the caller's action
-    and [Some owner], so an {!every} tick allocates nothing ([Parallel]
-    also wraps each packet in a closure for the barrier merge). The two
-    execution strategies (see {!impl}) differ only in how processes map
-    onto lanes:
+    with its own clock, rng stream and message counters, so runs are
+    reproducible given the seed. Every entry carries a key (source lane,
+    source seq): the lane that pushed it — a packet's sender, the control
+    lane for setup and for ownerless timers' and failure observers' actions
+    — and that lane's emission counter, bumped at every push it originates.
+    A queue runs its events in (time, key) order. Keys are unique, so the
+    pop order depends only on the entries a queue holds, never on the order
+    they were pushed in. The queue is a binary heap over slot arrays: the
+    (time, key) pairs in int arrays, and per slot a packet's envelope or a
+    timer's action and owner pid. A packet allocates only its 6-word
+    {!envelope}, also when it crosses lanes; a timer allocates nothing
+    beyond the caller's action and [Some owner], so an {!every} tick
+    allocates nothing. The two execution strategies (see {!impl}) differ
+    only in how processes map onto lanes and in their run loops:
 
     - [Sequential] — one lane shared by every process, drawing from the
-      engine's own rng stream ({!rng}): the whole run is one (time, seq)
-      order.
+      engine's own rng stream ({!rng}): every key is a control-lane key,
+      the whole run is one (time, seq) order.
     - [Parallel {domains}] — a lane per process, each with an rng stream
       split off the seed in pid order, run by conservative parallel
       discrete-event execution on OCaml domains. Lanes advance concurrently
       through epoch windows of width [Net.min_latency] — the lookahead: a
       message sent inside a window arrives, at the earliest, in the next
-      one — and a barrier between epochs exchanges cross-lane sends in
-      (arrival time, source lane, emission seq) order. Delivery schedules
-      are therefore a function of the seed alone: the same seed yields
-      identical runs for every [domains] value, including [domains = 1].
-      Because the streams differ, [Sequential] and [Parallel] schedules of
-      one seed are each deterministic but not comparable
-      message-for-message.
+      one. A worker's push to another lane waits in its lane's outbox, and
+      a barrier between epochs moves each outbox entry into its target's
+      queue, key unchanged. Delivery schedules are therefore a function of
+      the seed alone: the same seed yields identical runs for every
+      [domains] value, including [domains = 1]. Because the streams differ,
+      [Sequential] and [Parallel] schedules of one seed are each
+      deterministic but not comparable message-for-message.
 
     Parallel restrictions (checked at {!run}): positive [Net.min_latency]
     and zero [Net.processing_time] (the receiver-busy queue mutates
@@ -70,7 +74,8 @@ val now : 'msg t -> Sim_time.t
 
 val spawn : 'msg t -> name:string -> (pid -> 'msg envelope -> unit) -> pid
 (** [spawn t ~name handler] registers a process; [handler self env] is
-    invoked on each delivered message. *)
+    invoked on each delivered message. Raises [Invalid_argument] past
+    2{^22} - 1 processes, the most a key's lane part holds. *)
 
 val set_handler : 'msg t -> pid -> (pid -> 'msg envelope -> unit) -> unit
 
@@ -117,16 +122,6 @@ val run : ?until:Sim_time.t -> 'msg t -> unit
     restrictions listed above, spins up [domains - 1] worker domains for
     the duration of the call, and advances epoch-by-epoch; empty windows
     are skipped, and [until] cuts the final window short. *)
-
-val chaos_merge_share_order : bool Atomic.t
-(** Test hook: break the barrier merge's (time, lane, seq) sort by ordering
-    exchanged traffic by worker share first — the domain-count-dependent
-    merge a buggy implementation keyed off scheduling state would produce.
-    Harmless at [Parallel {domains = 1}] (every share coincides); at
-    [domains > 1] same-instant cross-lane arrivals interleave differently,
-    and the cross-domain fingerprint-identity tests must convict. (Atomic
-    because lib/sim is a parallel-engine scope — repro-lint's
-    [domain-unready] rule errors on bare module-level refs here.) *)
 
 val messages_sent : 'msg t -> int
 val messages_delivered : 'msg t -> int

@@ -213,10 +213,14 @@ let test_pc_delivery_sequence_pinned () =
 
 (* [Parallel] schedules pinned absolutely, not only against other domain
    counts: a change that moved every domain count the same way keeps the
-   cross-domain identity tests green but moves this digest. *)
+   cross-domain identity tests green but moves this digest. Re-taken when
+   queue entries began to tie-break on their source lane instead of their
+   push order: same-instant arrivals exchanged at different barriers, and
+   a lane's own timer tying with an arrival, now run in source-lane
+   order. *)
 let test_parallel_delivery_sequence_pinned () =
   check_string "parallel d1 seeds 0-9, all orderings and pc, every delivery"
-    "4ddb12e2f5671136d97d23ec02da27cf"
+    "f493bb767047974911a405af5eed5341"
     (delivery_sequence_digest ~engine_impl:(Engine.Parallel { domains = 1 })
        ~seeds:10 (bss_runs @ [ pc ]))
 
@@ -405,13 +409,10 @@ let test_parallel_sweep_clean () =
           Runner.pp_report report)
     causal_impls
 
-(* Mutation: order the barrier merge by worker share instead of the
-   (time, lane, seq) sort — the domain-count-dependent interleaving a merge
-   keyed off scheduling state would produce. A star workload with a fixed
-   latency makes the receiver's delivery log literally equal to the merge
-   order of one barrier: seven lanes each send the sink one message at the
-   same instant, so all seven arrivals tie on time and only the sort
-   tie-break orders them. *)
+(* A star workload with a fixed latency makes the receiver's delivery log
+   literally equal to the order one barrier hands it: seven lanes each send
+   the sink one message at the same instant, so all seven arrivals tie on
+   time and only their keys' source lanes order them. *)
 let merge_order_log ~domains =
   let net = Net.create ~latency:(Net.Fixed (Sim_time.us 700)) () in
   let engine =
@@ -434,28 +435,10 @@ let merge_order_log ~domains =
   Engine.run ~until:(Sim_time.ms 5) engine;
   Buffer.contents log
 
-let with_broken_merge_order f =
-  Atomic.set Engine.chaos_merge_share_order true;
-  Fun.protect
-    ~finally:(fun () -> Atomic.set Engine.chaos_merge_share_order false)
-    f
-
-let test_broken_merge_order_is_caught () =
-  let healthy = merge_order_log ~domains:1 in
-  check_string "healthy merge is (time, lane, seq) ordered" "1;2;3;4;5;6;7;"
-    healthy;
-  check_string "healthy d2 matches d1" healthy (merge_order_log ~domains:2);
-  with_broken_merge_order (fun () ->
-      (* at domains=1 every share coincides, so the mutation is invisible —
-         which is exactly why the identity tests compare against d1 *)
-      check_string "mutated d1 degenerates to healthy" healthy
-        (merge_order_log ~domains:1);
-      let mutated = merge_order_log ~domains:2 in
-      check_bool "share-ordered merge breaks cross-domain identity" true
-        (mutated <> healthy);
-      check_string "mutated d2 interleaves by share" "2;4;6;1;3;5;7;" mutated);
-  (* healed: identity restored *)
-  check_string "healed d2 matches d1 again" healthy (merge_order_log ~domains:2)
+let test_barrier_ties_in_lane_order () =
+  let d1 = merge_order_log ~domains:1 in
+  check_string "tied arrivals run in source-lane order" "1;2;3;4;5;6;7;" d1;
+  check_string "d2 matches d1" d1 (merge_order_log ~domains:2)
 
 let test_plan_generation_deterministic () =
   let profile = Fault_plan.default_profile in
@@ -704,8 +687,8 @@ let () =
             test_cross_domain_fingerprints;
           Alcotest.test_case "25 seeds clean at domains=2" `Slow
             test_parallel_sweep_clean;
-          Alcotest.test_case "broken barrier merge order caught" `Quick
-            test_broken_merge_order_is_caught;
+          Alcotest.test_case "barrier ties in lane order" `Quick
+            test_barrier_ties_in_lane_order;
         ] );
       ( "mutation",
         [

@@ -631,6 +631,70 @@ let test_engine_queue_matches_heap =
   QCheck.Test.make ~count:300 ~name:"queue pops in Heap's (time, seq) order"
     batches (fun batches -> engine_order batches = oracle_order batches)
 
+(* [Parallel] pop order is a function of the queued entries alone, so a
+   workload's delivery log cannot depend on the domain count. Each process
+   acts at each of its events (a delivery or an owned timer) by the next op
+   of a generated program: send a packet, arm an owned timer, or arm an
+   ownerless timer that fires on the control lane and sends on a process's
+   behalf. A fixed latency and timer delays of 0 to 2 latencies make
+   arrivals and timers tie in time often, across lanes and barriers. Each
+   process logs into its own buffer (its events run on its own lane), the
+   control lane into another. *)
+let order_latency = 10
+
+let order_log ~domains (n, ops) =
+  let net = Net.create ~latency:(Net.Fixed order_latency) () in
+  let engine = Engine.create ~impl:(Engine.Parallel { domains }) ~net () in
+  let ops = Array.of_list ops in
+  let logs = Array.init (n + 1) (fun _ -> Buffer.create 256) in
+  let events = Array.make n 0 in
+  let log p what =
+    Printf.bprintf logs.(p) "%d:%s;" (Engine.now engine) what
+  in
+  let rec act p =
+    let k = events.(p) in
+    events.(p) <- k + 1;
+    if k < 12 && Array.length ops > 0 then begin
+      let kind, target, delay = ops.((p + k) mod Array.length ops) in
+      let other = (p + target) mod n in
+      match kind with
+      | 0 -> Engine.send engine ~src:p ~dst:other (p, k)
+      | 1 ->
+        Engine.after engine ~owner:p delay (fun () ->
+            log p (Printf.sprintf "t%d" k);
+            act p)
+      | _ ->
+        Engine.after engine delay (fun () ->
+            log n (Printf.sprintf "c%d.%d" p k);
+            Engine.send engine ~src:other ~dst:p (other, -k))
+    end
+  in
+  for p = 0 to n - 1 do
+    ignore
+      (Engine.spawn engine ~name:(string_of_int p) (fun self env ->
+           let src, k = env.Engine.payload in
+           log self (Printf.sprintf "r%d.%d" src k);
+           act self))
+  done;
+  for p = 0 to n - 1 do
+    Engine.at engine ~owner:p 0 (fun () -> act p)
+  done;
+  Engine.run engine;
+  String.concat "\n" (Array.to_list (Array.map Buffer.contents logs))
+
+let test_parallel_order_independent =
+  (* (kind, target, delay): 0 a packet, 1 an owned timer, 2 an ownerless
+     timer; [target] offsets the peer's pid *)
+  let op =
+    QCheck.(
+      triple (int_bound 2) (int_range 1 5) (int_bound (2 * order_latency)))
+  in
+  let workload = QCheck.(pair (int_range 2 6) (list_of_size Gen.(1 -- 8) op)) in
+  QCheck.Test.make ~count:100 ~name:"parallel logs equal at domains 1/2/4"
+    workload (fun w ->
+      let d1 = order_log ~domains:1 w in
+      d1 = order_log ~domains:2 w && d1 = order_log ~domains:4 w)
+
 (* Minor words per step between the [warm]-th and the [(warm + n)]-th call
    of [step], sampled inside the run so the words [Engine.run] spends on
    entry and exit stay out of the window. [step] answers whether the loop
@@ -661,6 +725,29 @@ let test_engine_packet_words () =
   let words = words () in
   check_bool (Printf.sprintf "%.2f words per send + delivery <= 6" words) true
     (words <= 6.0)
+
+(* The same on [Parallel {domains = 1}], two processes exchanging messages:
+   every packet crosses lanes through an outbox and a barrier, and still
+   costs only its envelope. One domain only: OCaml 5's [Gc.minor_words]
+   counts the calling domain's allocations. *)
+let test_engine_cross_lane_packet_words () =
+  let net = Net.create ~latency:(Net.Uniform (100, 900)) () in
+  let engine = Engine.create ~impl:(Engine.Parallel { domains = 1 }) ~net () in
+  let step, words = steady_words ~warm:1_000 ~n:10_000 in
+  let reply self (env : unit Engine.envelope) =
+    if step () then Engine.send engine ~src:self ~dst:env.Engine.src ()
+  in
+  let a = Engine.spawn engine ~name:"a" reply in
+  let b = Engine.spawn engine ~name:"b" reply in
+  for _ = 1 to 32 do
+    Engine.send engine ~src:a ~dst:b ();
+    Engine.send engine ~src:b ~dst:a ()
+  done;
+  Engine.run engine;
+  let words = words () in
+  check_bool
+    (Printf.sprintf "%.2f words per cross-lane send + delivery <= 6" words)
+    true (words <= 6.0)
 
 (* An owned timer with a preallocated action costs the caller's [Some]. *)
 let test_engine_timer_words () =
@@ -771,8 +858,11 @@ let () =
           Alcotest.test_case "kinds interleave in insertion order" `Quick
             (on_both_impls test_engine_kinds_interleave);
           QCheck_alcotest.to_alcotest test_engine_queue_matches_heap;
+          QCheck_alcotest.to_alcotest test_parallel_order_independent;
           Alcotest.test_case "send + delivery costs the envelope" `Quick
             test_engine_packet_words;
+          Alcotest.test_case "cross-lane send costs the envelope" `Quick
+            test_engine_cross_lane_packet_words;
           Alcotest.test_case "owned timer costs its Some" `Quick
             test_engine_timer_words;
         ] );
