@@ -23,7 +23,7 @@ let merge_into (dst : t) (src : t) =
     if src.(i) > dst.(i) then dst.(i) <- src.(i)
   done
 
-let compare_causal a b =
+let compare_causal (a : t) (b : t) =
   if Array.length a <> Array.length b then
     invalid_arg "Vector_clock.compare_causal: size mismatch";
   let a_le_b = ref true and b_le_a = ref true in
